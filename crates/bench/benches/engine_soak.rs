@@ -1,6 +1,6 @@
 //! 100k-tenant engine soak: sustained submission of synthetic tenants
-//! through the sharded engine and the global-lock baseline, with p99
-//! latency and deadline-miss SLOs *asserted*, not just reported.
+//! through a 4-shard engine, with p99 latency and deadline-miss SLOs
+//! *asserted*, not just reported.
 //!
 //! Run with: `cargo bench --bench engine_soak` (full 100k tenants), or
 //! `ENGINE_SOAK_TENANTS=10000 cargo bench --bench engine_soak` for the
@@ -9,10 +9,10 @@
 //! requests flow in back-to-back waves so the queues stay loaded for the
 //! whole run.
 //!
-//! Persists `engine_soak/<count>/{sharded4,global4}` record pairs into
+//! Persists the `engine_soak/<count>/sharded4` record into
 //! `results/BENCH_engine.json` (merge — `engine_throughput` owns its own
-//! namespace in the same file); CI gates the sharded-vs-global ratio with
-//! `xtask benchdiff --assert-ratio`.
+//! namespace in the same file); CI gates it against the committed
+//! baseline with `xtask benchdiff --tol`.
 
 use std::time::{Duration, Instant};
 
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rrp_bench::results::{self, Record};
 use rrp_core::{CostSchedule, PlanningParams};
-use rrp_engine::{Engine, EngineConfig, PlanRequest, PolicyKind, ShardConfig};
+use rrp_engine::{Engine, PlanRequest, PolicyKind};
 use rrp_spotmarket::CostRates;
 
 /// Per-request wall-clock budget — the deadline SLO.
@@ -32,6 +32,8 @@ const MISS_RATE_SLO: f64 = 0.001;
 /// Requests in flight per submission wave.
 const WAVE: usize = 512;
 const WORKERS: usize = 4;
+/// Record label: the engine under soak (4 workers = 4 shards).
+const LABEL: &str = "sharded4";
 
 fn tenant_request(i: usize) -> PlanRequest {
     let horizon = 6;
@@ -58,7 +60,7 @@ struct SoakOutcome {
 
 /// Push `tenants` requests through `engine` in back-to-back waves and
 /// check the SLOs on what came back.
-fn soak(engine: &Engine, tenants: usize, label: &str) -> SoakOutcome {
+fn soak(engine: &Engine, tenants: usize) -> SoakOutcome {
     let t0 = Instant::now();
     let mut latencies_ms: Vec<f64> = Vec::with_capacity(tenants);
     let mut served = 0usize;
@@ -68,23 +70,23 @@ fn soak(engine: &Engine, tenants: usize, label: &str) -> SoakOutcome {
         let reqs: Vec<PlanRequest> = (start..end).map(tenant_request).collect();
         let responses = engine.run_batch(reqs);
         for resp in &responses {
-            assert!(resp.plan.is_some(), "{label}: {} got no plan", resp.app_id);
+            assert!(resp.plan.is_some(), "{LABEL}: {} got no plan", resp.app_id);
             latencies_ms.push(resp.latency.as_secs_f64() * 1e3);
         }
         served += responses.len();
         start = end;
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(served, tenants, "{label}: dropped requests");
+    assert_eq!(served, tenants, "{LABEL}: dropped requests");
 
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
     let p99_ms = latencies_ms[((latencies_ms.len() - 1) as f64 * 0.99) as usize];
     let metrics = engine.metrics();
-    assert_eq!(metrics.completed, tenants as u64, "{label}: ledger disagrees");
+    assert_eq!(metrics.completed, tenants as u64, "{LABEL}: ledger disagrees");
     let miss_rate = metrics.deadline_misses as f64 / tenants as f64;
     let req_per_sec = tenants as f64 / (wall_ms / 1e3);
     eprintln!(
-        "{label}: {tenants} tenants in {:.1} s — {req_per_sec:.0} req/s, p99 {p99_ms:.2} ms, \
+        "{LABEL}: {tenants} tenants in {:.1} s — {req_per_sec:.0} req/s, p99 {p99_ms:.2} ms, \
          miss rate {:.5} ({} misses), p50/p99 snapshot {:.2}/{:.2} ms",
         wall_ms / 1e3,
         miss_rate,
@@ -94,10 +96,10 @@ fn soak(engine: &Engine, tenants: usize, label: &str) -> SoakOutcome {
     );
 
     // the soak SLOs — a breach fails the bench run (and the CI job)
-    assert!(p99_ms <= P99_SLO_MS, "{label}: p99 {p99_ms:.2} ms blew the {P99_SLO_MS} ms SLO");
+    assert!(p99_ms <= P99_SLO_MS, "{LABEL}: p99 {p99_ms:.2} ms blew the {P99_SLO_MS} ms SLO");
     assert!(
         miss_rate <= MISS_RATE_SLO,
-        "{label}: deadline-miss rate {miss_rate:.5} blew the {MISS_RATE_SLO} SLO \
+        "{LABEL}: deadline-miss rate {miss_rate:.5} blew the {MISS_RATE_SLO} SLO \
          ({} of {tenants})",
         metrics.deadline_misses
     );
@@ -122,35 +124,14 @@ fn main() {
         std::thread::available_parallelism().map(|n| n.get())
     );
 
-    let sharded = Engine::with_config(
-        WORKERS,
-        EngineConfig { shard: Some(ShardConfig::default()), ..Default::default() },
-    );
-    let sharded_out = soak(&sharded, tenants, "sharded4");
-    drop(sharded);
-
-    let global = Engine::new(WORKERS);
-    let global_out = soak(&global, tenants, "global4");
-    drop(global);
-
-    eprintln!(
-        "soak throughput: sharded4 {:.0} req/s vs global4 {:.0} req/s ({:.2}x)",
-        sharded_out.req_per_sec,
-        global_out.req_per_sec,
-        sharded_out.req_per_sec / global_out.req_per_sec
-    );
+    let engine = Engine::new(WORKERS);
+    let out = soak(&engine, tenants);
 
     let prefix = format!("engine_soak/{}/", count_label(tenants));
-    let records = [
-        Record::timing(format!("{prefix}sharded4"), sharded_out.wall_ms)
-            .with_extra("p99_ms", sharded_out.p99_ms)
-            .with_extra("deadline_miss_rate", sharded_out.miss_rate)
-            .with_extra("req_per_sec", sharded_out.req_per_sec),
-        Record::timing(format!("{prefix}global4"), global_out.wall_ms)
-            .with_extra("p99_ms", global_out.p99_ms)
-            .with_extra("deadline_miss_rate", global_out.miss_rate)
-            .with_extra("req_per_sec", global_out.req_per_sec),
-    ];
+    let records = [Record::timing(format!("{prefix}{LABEL}"), out.wall_ms)
+        .with_extra("p99_ms", out.p99_ms)
+        .with_extra("deadline_miss_rate", out.miss_rate)
+        .with_extra("req_per_sec", out.req_per_sec)];
     match results::merge_json("BENCH_engine.json", &prefix, &records) {
         Ok(path) => eprintln!("wrote {} ({} records)", path.display(), records.len()),
         Err(e) => eprintln!("warning: could not write BENCH_engine.json: {e}"),

@@ -121,17 +121,10 @@ fn engine_throughput(c: &mut Criterion) {
     // gates `+slo_on` at ≤ 1.02 × `+slo_off`.
     records.extend(slo_overhead_records(&requests));
 
-    // The sharded-vs-global submit-path pair: a warm cache-hit storm where
-    // per-request work is a hash lookup, so dispatch overhead (channel
-    // wakeups vs batched shard drains + one wave signal) is the whole
-    // measurement. CI gates `sharded4` at ≤ 0.5 × `global` — the ≥2×
-    // scale-out acceptance.
-    records.extend(submit_path_records());
-
-    // The batched-vs-unbatched re-plan pair: same sharded engine, same
-    // cold instances; `run_replan_wave` shares each shape group's leader
-    // basis and completes through one wave instead of per-request waits.
-    records.extend(replan_records());
+    // The submit-path record: a warm cache-hit storm where per-request
+    // work is a hash lookup, so dispatch overhead (batched shard drains +
+    // one wave signal) is the whole measurement.
+    records.push(submit_path_record());
 
     // merge (not overwrite): `engine_soak` owns its own namespace in the
     // same BENCH_engine.json
@@ -142,8 +135,8 @@ fn engine_throughput(c: &mut Criterion) {
 }
 
 /// 2048 cache-hitting requests per run: 32 distinct problems × 64 tenant
-/// aliases, so the sharded engine spreads them across all 4 shards while
-/// every request after the warm-up run replays a cached plan.
+/// aliases, so the engine spreads them across all 4 shards while every
+/// request after the warm-up run replays a cached plan.
 fn storm_batch() -> Vec<PlanRequest> {
     (0..2048)
         .map(|i| {
@@ -164,117 +157,35 @@ fn storm_batch() -> Vec<PlanRequest> {
         .collect()
 }
 
-/// The scale-out acceptance pair: submit-path throughput of the sharded
-/// engine vs the global-lock baseline, both with 4 workers, measured on
-/// the warm cache-hit storm with the interleaved min-of-pairs protocol
-/// (see [`prof_overhead_records`] for why min-of-pairs). The storm flows
-/// in back-to-back 512-request waves — the same wave discipline as the
-/// `engine_soak` intake loop — so the pair measures sustained submission,
-/// not one monolithic batch. `xtask benchdiff --assert-ratio
-/// …/sharded4:…/global --max-ratio 0.5` gates the ≥2×.
-fn submit_path_records() -> [Record; 2] {
-    const PAIRS: usize = 8;
+/// Submit-path throughput of the 4-shard engine on the warm cache-hit
+/// storm: the min over `RUNS` runs (scheduler noise is one-sided, see
+/// [`prof_overhead_records`]). The storm flows in back-to-back 512-request
+/// waves — the same wave discipline as the `engine_soak` intake loop — so
+/// the record measures sustained submission, not one monolithic batch.
+fn submit_path_record() -> Record {
+    const RUNS: usize = 8;
     const WAVE: usize = 512;
     let requests = storm_batch();
-    let global = Engine::new(4);
-    let sharded = Engine::with_config(
-        4,
-        EngineConfig { shard: Some(rrp_engine::ShardConfig::default()), ..Default::default() },
-    );
-    // pre-solve once per engine so the timed runs are pure cache hits
-    for engine in [&global, &sharded] {
-        let warm = engine.run_batch(requests.clone());
-        assert_eq!(warm.len(), requests.len());
-    }
-    let run = |engine: &Engine| -> f64 {
+    let engine = Engine::new(4);
+    // pre-solve once so the timed runs are pure cache hits
+    let warm = engine.run_batch(requests.clone());
+    assert_eq!(warm.len(), requests.len());
+    let mut best_ms = f64::INFINITY;
+    for _ in 0..RUNS {
         // clone the waves outside the timed region: request construction
-        // is identical on both sides and would only dilute the
-        // dispatch-path ratio
+        // would only dilute the dispatch-path measurement
         let waves: Vec<Vec<PlanRequest>> = requests.chunks(WAVE).map(|w| w.to_vec()).collect();
         let t0 = Instant::now();
         for wave in waves {
             let out = black_box(engine.run_batch(wave));
             debug_assert!(out.iter().all(|r| r.cache_hit), "storm rerun must be all hits");
         }
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-    let (mut global_ms, mut sharded_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..PAIRS {
-        global_ms = global_ms.min(run(&global));
-        sharded_ms = sharded_ms.min(run(&sharded));
+        best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     let n = requests.len() as f64;
-    eprintln!(
-        "submit path storm ({n} hits): global {global_ms:.2} ms vs sharded4 {sharded_ms:.2} ms \
-         (speedup {:.2}x, {:.0} vs {:.0} req/s)",
-        global_ms / sharded_ms,
-        n / (global_ms / 1e3),
-        n / (sharded_ms / 1e3),
-    );
-    [
-        Record::timing("engine_throughput/submit_path/global".to_string(), global_ms)
-            .with_extra("req_per_sec", n / (global_ms / 1e3)),
-        Record::timing("engine_throughput/submit_path/sharded4".to_string(), sharded_ms)
-            .with_extra("req_per_sec", n / (sharded_ms / 1e3)),
-    ]
-}
-
-/// The re-plan batching pair: 24 cold rolling-horizon requests in two
-/// shape groups, solved by one `run_replan_wave` vs 24 sequential
-/// submit/wait round trips. Fresh engines per iteration keep both sides
-/// cold (a warm cache would short-circuit the solves this pair measures).
-fn replan_records() -> [Record; 2] {
-    const PAIRS: usize = 4;
-    let reqs: Vec<PlanRequest> = (0..24)
-        .map(|i| {
-            let horizon = 9 + i % 2; // two shape groups
-            let mut rng = StdRng::seed_from_u64(11_000 + i as u64);
-            let demand: Vec<f64> = (0..horizon).map(|_| rng.gen_range(0.1..1.0)).collect();
-            PlanRequest {
-                app_id: format!("replan-{i}"),
-                vm_class: "m1.small".into(),
-                schedule: CostSchedule::ec2(vec![0.06; horizon], demand, &CostRates::ec2_2011()),
-                params: PlanningParams::default(),
-                tree: None,
-                policy: PolicyKind::Deterministic,
-                deadline: Duration::from_secs(60),
-                seed: i as u64,
-            }
-        })
-        .collect();
-    let fresh = || {
-        Engine::with_config(
-            4,
-            EngineConfig { shard: Some(rrp_engine::ShardConfig::default()), ..Default::default() },
-        )
-    };
-    let run = |batched: bool| -> f64 {
-        let engine = fresh();
-        let t0 = Instant::now();
-        if batched {
-            black_box(engine.run_replan_wave(reqs.clone()));
-        } else {
-            for req in reqs.clone() {
-                black_box(engine.submit(req).wait());
-            }
-        }
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-    run(true); // warm-up, untimed
-    let (mut unbatched_ms, mut batched_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..PAIRS {
-        unbatched_ms = unbatched_ms.min(run(false));
-        batched_ms = batched_ms.min(run(true));
-    }
-    eprintln!(
-        "replan pair (24 cold): unbatched {unbatched_ms:.1} ms vs batched {batched_ms:.1} ms \
-         (speedup {:.2}x)",
-        unbatched_ms / batched_ms
-    );
-    [
-        Record::timing("engine_throughput/replan/unbatched24".to_string(), unbatched_ms),
-        Record::timing("engine_throughput/replan/batched24".to_string(), batched_ms),
-    ]
+    eprintln!("submit path storm ({n} hits): {best_ms:.2} ms ({:.0} req/s)", n / (best_ms / 1e3));
+    Record::timing("engine_throughput/submit_path/sharded4".to_string(), best_ms)
+        .with_extra("req_per_sec", n / (best_ms / 1e3))
 }
 
 /// One cold 64-request batch on a metrics-serving engine while a second
@@ -287,10 +198,7 @@ fn cold_run_with_scraper(requests: &[PlanRequest]) -> Record {
     let engine = Engine::with_config(
         4,
         EngineConfig {
-            metrics: Some(rrp_engine::MetricsConfig {
-                addr: Some("127.0.0.1:0".to_string()),
-                ..Default::default()
-            }),
+            metrics: Some(rrp_engine::MetricsConfig { addr: Some("127.0.0.1:0".to_string()) }),
             ..Default::default()
         },
     );

@@ -4,8 +4,8 @@
 //!
 //! Besides the stderr report, the run persists node-throughput records —
 //! warm dual-simplex B&B vs a cold (`warm_start: false`) baseline on a
-//! capacitated DRRP instance — into `results/BENCH_milp.json` (merged with
-//! `parallel_bb`'s namespace) for `xtask benchdiff`.
+//! capacitated DRRP instance and on a correlated binary knapsack — into
+//! `results/BENCH_milp.json` for `xtask benchdiff`.
 
 use std::time::Instant;
 
@@ -13,6 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rrp_bench::results::{self, Record};
 use rrp_core::demand::DemandModel;
 use rrp_core::{wagner_whitin, CostSchedule, DrrpProblem, PlanningParams};
+use rrp_lp::{Cmp, Model, Sense};
 use rrp_milp::{MilpOptions, MilpProblem};
 use rrp_spotmarket::CostRates;
 
@@ -20,6 +21,26 @@ fn instance(horizon: usize) -> CostSchedule {
     let demand = DemandModel::paper_default().sample(horizon, horizon as u64);
     let compute: Vec<f64> = (0..horizon).map(|t| 0.2 + 0.1 * ((t % 24) as f64 / 24.0)).collect();
     CostSchedule::ec2(compute, demand, &CostRates::ec2_2011())
+}
+
+/// Correlated binary knapsack: profits ≈ weights makes the LP bound weak
+/// and forces real tree search.
+fn knapsack(n: usize, seed: u64) -> MilpProblem {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut m = Model::new(Sense::Maximize);
+    let mut weights = Vec::with_capacity(n);
+    let mut vars = Vec::with_capacity(n);
+    for i in 0..n {
+        let w: f64 = rng.gen_range(10.0..30.0);
+        let p = w + rng.gen_range(-1.0..1.0);
+        vars.push(m.add_var(0.0, 1.0, p, &format!("x{i}")));
+        weights.push(w);
+    }
+    let cap: f64 = weights.iter().sum::<f64>() * 0.5;
+    let terms: Vec<_> = vars.iter().zip(&weights).map(|(&v, &w)| (v, w)).collect();
+    m.add_con(&terms, Cmp::Le, cap);
+    MilpProblem::new(m, vars)
 }
 
 fn bench_lotsizing(c: &mut Criterion) {
@@ -68,9 +89,33 @@ fn measure(label: &str, milp: &MilpProblem, opts: &MilpOptions) -> Record {
     .with_extra("warm_hit_rate", sol.lp_stats.warm_hit_rate())
 }
 
+/// One instance solved warm (`opts`) and cold (`opts` with `warm_start`
+/// off), with the objectives cross-checked.
+fn warm_cold_pair(
+    warm_label: &str,
+    cold_label: &str,
+    milp: &MilpProblem,
+    opts: &MilpOptions,
+) -> [Record; 2] {
+    let warm = measure(warm_label, milp, opts);
+    let cold = measure(cold_label, milp, &MilpOptions { warm_start: false, ..opts.clone() });
+    assert!(
+        (warm.objective - cold.objective).abs() <= 1e-6 * (1.0 + cold.objective.abs()),
+        "{warm_label}: warm and cold B&B disagree: {} vs {}",
+        warm.objective,
+        cold.objective
+    );
+    eprintln!(
+        "{warm_label}: {:.1} ms / {} nodes, cold {:.1} ms / {} nodes",
+        warm.wall_ms, warm.nodes, cold.wall_ms, cold.nodes
+    );
+    [warm, cold]
+}
+
 /// The warm-vs-cold node-throughput comparison on a capacitated DRRP
-/// instance (capacity binds, so the tree is non-trivial), plus the shim's
-/// timing records, merged into this bench's namespace of BENCH_milp.json.
+/// instance (capacity binds, so the tree is non-trivial) and on the n=18
+/// knapsack, plus the shim's timing records, merged into this bench's
+/// namespace of BENCH_milp.json.
 fn persist_records() {
     let mut records: Vec<Record> = criterion::take_results()
         .into_iter()
@@ -84,22 +129,18 @@ fn persist_records() {
     // making the instance infeasible
     let params = PlanningParams { capacity: Some(peak * 1.15), ..Default::default() };
     let (milp, _) = DrrpProblem::new(s, params).to_milp();
-    let warm_opts = MilpOptions::default();
-    let cold_opts = MilpOptions { warm_start: false, ..Default::default() };
-    let warm = measure(&format!("milp_lotsizing/drrp_cap{horizon}/warm"), &milp, &warm_opts);
-    let cold = measure(&format!("milp_lotsizing/drrp_cap{horizon}/cold"), &milp, &cold_opts);
-    assert!(
-        (warm.objective - cold.objective).abs() <= 1e-6 * (1.0 + cold.objective.abs()),
-        "warm and cold B&B disagree: {} vs {}",
-        warm.objective,
-        cold.objective
-    );
-    eprintln!(
-        "drrp_cap{horizon}: warm {:.1} ms / {} nodes, cold {:.1} ms / {} nodes",
-        warm.wall_ms, warm.nodes, cold.wall_ms, cold.nodes
-    );
-    records.push(warm);
-    records.push(cold);
+    records.extend(warm_cold_pair(
+        &format!("milp_lotsizing/drrp_cap{horizon}/warm"),
+        &format!("milp_lotsizing/drrp_cap{horizon}/cold"),
+        &milp,
+        &MilpOptions::default(),
+    ));
+    records.extend(warm_cold_pair(
+        "milp_lotsizing/knapsack18/seq_warm",
+        "milp_lotsizing/knapsack18/seq_cold",
+        &knapsack(18, 99),
+        &MilpOptions { node_limit: 50_000, ..Default::default() },
+    ));
 
     match results::merge_json("BENCH_milp.json", "milp_lotsizing", &records) {
         Ok(path) => eprintln!("wrote {} ({} records)", path.display(), records.len()),

@@ -3,9 +3,9 @@
 //! Wraps the planners of [`rrp_core`] (SRRP, DRRP, Wagner–Whitin, the
 //! on-demand baseline) into a deadline-aware service:
 //!
-//! * **Thread-pool execution** ([`service`]) — N OS workers drain a shared
-//!   crossbeam queue of [`PlanRequest`]s; no async runtime, the work is
-//!   CPU-bound branch & bound.
+//! * **Thread-pool execution** ([`service`]) — N OS workers, each owning
+//!   one shard of tenant state and its bounded queue of [`PlanRequest`]s;
+//!   no async runtime, the work is CPU-bound branch & bound.
 //! * **Deadline enforcement** — each request's wall-clock budget becomes an
 //!   [`rrp_milp::SolveBudget`] checked cooperatively inside branch & bound,
 //!   so a MILP rung stops mid-search instead of blowing the deadline.
@@ -15,7 +15,7 @@
 //!   gets a demand-feasible plan, tagged with its [`DegradationLevel`].
 //! * **Warm-start caching** ([`cache`]) — answers are keyed by a canonical
 //!   problem fingerprint (schedule + demand + tree shape); identical
-//!   problems, even from different tenants, hit.
+//!   problems hit, even from different tenants of the same shard.
 //! * **Pre-solve audit gate** — every cache-missing request's DRRP
 //!   instance runs through the [`rrp_audit`] static analysis first:
 //!   provably infeasible requests are *rejected* with an
@@ -27,8 +27,8 @@
 //!   per-tenant tables, p50/p99 latency as a serialisable snapshot.
 //! * **Exposition** ([`MetricsConfig`]) — opt-in [`rrp_obs`] wiring: a
 //!   trace→metrics bridge feeding a labeled registry, served over HTTP as
-//!   `/metrics` (Prometheus text), `/snapshot` (JSON), `/healthz` and
-//!   `/readyz`.
+//!   `/metrics` (Prometheus text), `/snapshot` (JSON), `/healthz`,
+//!   `/readyz`, and the `POST /plan` intake.
 //!
 //! ```
 //! use std::time::Duration;
@@ -66,6 +66,7 @@ pub mod metrics;
 pub mod request;
 pub mod service;
 pub mod shard;
+mod wire;
 
 pub use cache::{CacheEntry, PlanCache};
 pub use ladder::{

@@ -114,8 +114,7 @@ pub struct MetricsSnapshot {
     /// [`TENANT_TABLE_CAP`] rows plus one [`TENANT_OVERFLOW`] row per
     /// shard (tenant ledgers are shard-local and merged at snapshot time).
     pub tenants: Vec<TenantSnapshot>,
-    /// Per-shard queue/completion rows, one per engine shard (a single
-    /// row for the unsharded engine).
+    /// Per-shard queue/completion rows, one per engine shard (= worker).
     pub shards: Vec<ShardSnapshot>,
 }
 

@@ -1,12 +1,11 @@
 //! Request/response types of the planning service.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use rrp_audit::InfeasibilityProof;
 use rrp_core::fingerprint::Fnv64;
 use rrp_core::{fingerprint_instance, CostSchedule, PlanningParams, RentalPlan, ScenarioTree};
-use rrp_milp::{Basis, StopReason};
+use rrp_milp::StopReason;
 
 /// Which planner a tenant asks for. This is the *top* of the degradation
 /// ladder — under deadline pressure the engine may answer from a rung below
@@ -227,11 +226,6 @@ pub struct PlanResponse {
     /// Wall-clock time from worker pickup to response.
     pub latency: Duration,
     pub deadline_met: bool,
-    /// Final root-LP basis of the solve, when the MILP rung produced one
-    /// (`None` on cache hits, rejections and non-MILP rungs). Batched
-    /// re-plan waves hand a leader's basis to same-shape members as a
-    /// warm-start hint without routing it through the shape cache.
-    pub root_basis: Option<Arc<Basis>>,
 }
 
 impl PlanResponse {

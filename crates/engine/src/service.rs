@@ -2,23 +2,17 @@
 //! — each request is CPU-bound MILP work, so plain threads are the right
 //! shape.
 //!
-//! Two dispatch modes share one processing pipeline:
-//!
-//! * **global** (the default, [`EngineConfig::shard`] = `None`) — every
-//!   worker drains one shared crossbeam queue and all workers share one
-//!   state slice. This is the pre-scale-out engine, kept verbatim as the
-//!   baseline the `engine_throughput` sharded-vs-global record pair
-//!   measures against.
-//! * **sharded** ([`EngineConfig::shard`] = `Some`) — tenant state (plan
-//!   cache, basis side-table, metrics/SLO ledgers, in-flight table) splits
-//!   into one [`ShardState`] per worker, requests hash to their tenant's
-//!   shard ([`shard_of`]), and each worker exclusively owns its shard: the
-//!   hot submit/complete path touches only shard-local locks. Per-shard
-//!   queues are bounded by admission control ([`Engine::try_submit`]
-//!   refuses over the high-water mark with a [`Busy`] carrying a
-//!   `Retry-After` hint) and batch-drained, so a burst of `n` submissions
-//!   costs one worker wakeup; [`Engine::run_batch`] completes through a
-//!   [`Wave`], so a burst of `n` completions costs one submitter wakeup.
+//! Tenant state (plan cache, basis side-table, metrics/SLO ledgers,
+//! in-flight table) splits into one [`ShardState`] per worker, requests
+//! hash to their tenant's shard ([`shard_of`]), and each worker exclusively
+//! owns its shard: the hot submit/complete path touches only shard-local
+//! locks. Per-shard queues are bounded by admission control
+//! ([`Engine::try_submit`] refuses over the high-water mark with a [`Busy`]
+//! carrying a `Retry-After` hint) and batch-drained, so a burst of `n`
+//! submissions costs one worker wakeup; [`Engine::run_batch`] completes
+//! through a [`Wave`], so a burst of `n` completions costs one submitter
+//! wakeup. `Engine::new(1)` is the same machine with a single shard — the
+//! oracle the `shard_equiv` test holds wider engines against.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -27,25 +21,25 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use rrp_audit::{audit_milp_with, AuditOptions, UpperBoundHint};
 use rrp_core::fingerprint::Fnv64;
-use rrp_milp::{Basis, MilpOptions, SolveBudget};
+use rrp_milp::{MilpOptions, SolveBudget};
 use rrp_obs::{MetricsSink, ObsHooks, ObsServer, PlanDecision, Readiness, Registry};
 use rrp_prof::{install_panic_hook, FlightRecorder, ProfConfig, Profiler, SamplerShared};
 use rrp_slo::{SloConfig, SloEngine};
-use rrp_spotmarket::CostRates;
+use rrp_trace::json::escape_into;
 use rrp_trace::{CounterSink, EventKind, Sink, SpanId, SpanStacks, TeeSink, TraceHandle};
 use serde::Serialize;
-use serde_json::Value;
 
 use crate::cache::{CacheEntry, PlanCache};
 use crate::ladder::{run_ladder_with, LadderConfig, PreparedDrrp};
 use crate::metrics::{merged_snapshot, Metrics, MetricsSnapshot};
-use crate::request::{PlanRequest, PlanResponse, PolicyKind};
+use crate::request::{PlanRequest, PlanResponse};
 use crate::shard::{shard_of, shard_readiness, Busy, ShardQueue, Wave};
+use crate::wire;
 
 /// Engine construction options: MILP solver options plus telemetry wiring.
 ///
@@ -68,8 +62,7 @@ pub struct EngineConfig {
     /// builds no registry, no bridge and no server — the engine is exactly
     /// as before. `Some` tees a [`MetricsSink`] into the event pipeline
     /// (enabling tracing) and, when [`MetricsConfig::addr`] is set, serves
-    /// `/metrics`, `/snapshot`, `/healthz`, `/readyz` (and `/plan` on a
-    /// sharded engine) on it.
+    /// `/metrics`, `/snapshot`, `/healthz`, `/readyz` and `/plan` on it.
     pub metrics: Option<MetricsConfig>,
     /// Continuous profiling + flight recorder ([`rrp_prof`]). `None` (the
     /// default) builds neither. `Some` publishes every worker's open-span
@@ -86,30 +79,19 @@ pub struct EngineConfig {
     /// with profiling, a burn-rate breach fires the `slo_burn_rate`
     /// flight trigger so the bundle carries the tenant's exemplars.
     pub slo: Option<SloConfig>,
-    /// Shard the engine: one [`ShardState`] + bounded queue per worker,
-    /// tenant→shard affinity by id hash. `None` (the default) keeps the
-    /// single shared state slice and the global queue.
+    /// Per-shard queue options. The engine always runs one [`ShardState`] +
+    /// bounded queue per worker with tenant→shard affinity by id hash;
+    /// `None` (the default) means [`ShardConfig::default`].
     pub shard: Option<ShardConfig>,
 }
 
 /// Metrics exposition options (see [`EngineConfig::metrics`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsConfig {
     /// Address to serve on, e.g. `"127.0.0.1:9184"` (`:0` picks an
     /// ephemeral port — read it back via [`Engine::metrics_addr`]).
     /// `None` keeps the registry and bridge without an HTTP server.
     pub addr: Option<String>,
-    /// `/readyz` reports 503 while more requests than this sit in the
-    /// queue unserved — the scrape-visible backpressure signal. On a
-    /// sharded engine [`ShardConfig::queue_high_water`] governs instead,
-    /// per shard.
-    pub ready_high_water: usize,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        Self { addr: None, ready_high_water: 128 }
-    }
 }
 
 /// Sharding options (see [`EngineConfig::shard`]). The shard count is the
@@ -142,9 +124,6 @@ struct Job {
     reply: ReplyTo,
     /// The request's trace span, opened at submission.
     span: SpanId,
-    /// Warm-start basis handed along by a re-plan wave leader; consulted
-    /// only when the shape cache itself misses.
-    basis_hint: Option<Arc<Basis>>,
 }
 
 /// Profiling runtime, present when the engine was built with
@@ -171,11 +150,9 @@ struct InflightEntry {
     started: Instant,
 }
 
-/// One shard's slice of tenant state. On the sharded engine exactly one
-/// worker thread owns each slice, so every lock in here is shard-local:
-/// the submit/complete path of one tenant never contends with another
-/// shard's. The global engine has a single slice all workers share — the
-/// pre-scale-out behaviour, unchanged.
+/// One shard's slice of tenant state. Exactly one worker thread owns each
+/// slice, so every lock in here is shard-local: the submit/complete path
+/// of one tenant never contends with another shard's.
 struct ShardState {
     cache: PlanCache,
     metrics: Metrics,
@@ -195,7 +172,7 @@ impl ShardState {
 }
 
 struct Shared {
-    /// One state slice per shard; a single slice on the global engine.
+    /// One state slice per shard (= per worker).
     shards: Vec<ShardState>,
     opts: MilpOptions,
     trace: TraceHandle,
@@ -278,16 +255,7 @@ impl Shared {
             }
             let _ = write!(out, "{{\"request_id\":{request_id},\"tenant\":\"");
             // tenant ids are caller-supplied: escape like any JSON string
-            for c in tenant.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
+            escape_into(&mut out, tenant);
             let _ = write!(
                 out,
                 "\",\"level\":\"{}\",\"deadline_ms\":{},\"running_ms\":{}",
@@ -365,19 +333,12 @@ impl Ticket {
     }
 }
 
-/// How jobs reach workers: the global engine's single shared channel, or
-/// one bounded [`ShardQueue`] per worker shard.
-#[derive(Clone)]
-enum Dispatch {
-    Global(Sender<Job>),
-    Sharded(Arc<Vec<Arc<ShardQueue<Job>>>>),
-}
-
 /// A concurrent multi-tenant planning service. Submit [`PlanRequest`]s
-/// from any thread; `workers` OS threads drain the queue(s), each running
-/// the degradation ladder under the request's deadline.
+/// from any thread; each of the `workers` OS threads drains its own shard
+/// queue, running the degradation ladder under the request's deadline.
 pub struct Engine {
-    dispatch: Option<Dispatch>,
+    /// One bounded queue per shard, indexed like `Shared::shards`.
+    queues: Arc<Vec<Arc<ShardQueue<Job>>>>,
     workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
     /// Raised first thing in `Drop`: `/readyz` answers 503 for the rest of
@@ -457,9 +418,7 @@ impl Engine {
             ProfRuntime { _profiler: profiler, sampler, flight }
         });
 
-        // one state slice per shard; the global engine shares slice 0
-        let shard_count = if shard.is_some() { workers } else { 1 };
-        let shards: Vec<ShardState> = (0..shard_count).map(|_| ShardState::new()).collect();
+        let shards: Vec<ShardState> = (0..workers).map(|_| ShardState::new()).collect();
         let shared = Arc::new(Shared {
             shards,
             opts,
@@ -507,70 +466,38 @@ impl Engine {
             }
         }
 
-        let high_water = shard.as_ref().map(|s| s.queue_high_water);
-        let (dispatch, handles) = match high_water {
-            None => {
-                let (tx, rx) = unbounded::<Job>();
-                let handles = (0..workers)
-                    .map(|i| {
-                        let rx = rx.clone();
-                        let shared = Arc::clone(&shared);
-                        std::thread::Builder::new()
-                            .name(format!("rrp-engine-{i}"))
-                            .spawn(move || {
-                                // tag this worker's trace events with its lane
-                                rrp_trace::set_worker(i as u32);
-                                worker_loop_global(&rx, &shared)
-                            })
-                            .expect("spawn engine worker")
+        let high_water = shard.unwrap_or_default().queue_high_water;
+        let queues: Arc<Vec<Arc<ShardQueue<Job>>>> =
+            Arc::new((0..workers).map(|i| Arc::new(ShardQueue::new(i, high_water))).collect());
+        let handles = (0..workers)
+            .map(|i| {
+                let queue = Arc::clone(&queues[i]);
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("rrp-engine-{i}"))
+                    .spawn(move || {
+                        // tag this worker's trace events with its lane
+                        rrp_trace::set_worker(i as u32);
+                        worker_loop(&queue, &shared, i)
                     })
-                    .collect();
-                (Dispatch::Global(tx), handles)
-            }
-            Some(hw) => {
-                let queues: Arc<Vec<Arc<ShardQueue<Job>>>> =
-                    Arc::new((0..workers).map(|i| Arc::new(ShardQueue::new(i, hw))).collect());
-                let handles = (0..workers)
-                    .map(|i| {
-                        let queue = Arc::clone(&queues[i]);
-                        let shared = Arc::clone(&shared);
-                        std::thread::Builder::new()
-                            .name(format!("rrp-engine-{i}"))
-                            .spawn(move || {
-                                rrp_trace::set_worker(i as u32);
-                                worker_loop_sharded(&queue, &shared, i)
-                            })
-                            .expect("spawn engine worker")
-                    })
-                    .collect();
-                (Dispatch::Sharded(queues), handles)
-            }
-        };
+                    .expect("spawn engine worker")
+            })
+            .collect();
 
         let shutting_down = Arc::new(AtomicBool::new(false));
-        let obs = metrics
-            .as_ref()
-            .and_then(|m| m.addr.as_deref().map(|addr| (addr, m.ready_high_water)))
-            .and_then(|(addr, ready_high_water)| {
-                // per-shard saturation governs readiness on the sharded
-                // engine; the legacy global mark otherwise
-                let hw = high_water.unwrap_or(ready_high_water);
-                let hooks = obs_hooks(&shared, &shutting_down, &dispatch, workers, hw);
-                match ObsServer::bind(addr, hooks) {
-                    Ok(server) => Some(server),
-                    Err(e) => {
-                        // a taken port must not take the planner down with
-                        // it: run without exposition and say so
-                        eprintln!("rrp-engine: metrics server bind {addr} failed: {e}");
-                        None
-                    }
+        let obs = metrics.and_then(|m| m.addr).and_then(|addr| {
+            let hooks = obs_hooks(&shared, &shutting_down, &queues, high_water);
+            match ObsServer::bind(&addr, hooks) {
+                Ok(server) => Some(server),
+                Err(e) => {
+                    // a taken port must not take the planner down with
+                    // it: run without exposition and say so
+                    eprintln!("rrp-engine: metrics server bind {addr} failed: {e}");
+                    None
                 }
-            });
-        Self { dispatch: Some(dispatch), workers: handles, shared, shutting_down, obs }
-    }
-
-    fn dispatch(&self) -> &Dispatch {
-        self.dispatch.as_ref().expect("engine already shut down")
+            }
+        });
+        Self { queues, workers: handles, shared, shutting_down, obs }
     }
 
     /// Enqueue a request; returns immediately with a [`Ticket`]. This
@@ -578,128 +505,46 @@ impl Engine {
     /// intakes go through [`Engine::try_submit`] instead.
     pub fn submit(&self, req: PlanRequest) -> Ticket {
         let (reply, rx) = unbounded();
-        submit_job(&self.shared, self.dispatch(), req, ReplyTo::Channel(reply), None);
+        let (s, job) = new_job(&self.shared, req, ReplyTo::Channel(reply));
+        self.queues[s].push(job);
         Ticket { rx }
     }
 
-    /// Enqueue with admission control: on a sharded engine the request is
-    /// refused with [`Busy`] when its tenant's shard queue is at or over
-    /// the high-water mark. The global engine has no admission bound and
-    /// always accepts.
+    /// Enqueue with admission control: the request is refused with [`Busy`]
+    /// when its tenant's shard queue is at or over the high-water mark.
     pub fn try_submit(&self, req: PlanRequest) -> Result<Ticket, Busy> {
-        match self.dispatch() {
-            Dispatch::Global(_) => Ok(self.submit(req)),
-            Dispatch::Sharded(queues) => {
-                let (reply, rx) = unbounded();
-                try_submit_sharded(&self.shared, queues, req, ReplyTo::Channel(reply))
-                    .map(|()| Ticket { rx })
-            }
-        }
+        let (reply, rx) = unbounded();
+        try_submit(&self.shared, &self.queues, req, ReplyTo::Channel(reply)).map(|()| Ticket { rx })
     }
 
     /// Submit a batch and wait for all responses, preserving input order.
     ///
-    /// On the sharded engine the whole batch completes through one
-    /// [`Wave`] — a single submitter wakeup for `n` responses instead of
-    /// `n` channel wakeups — which is the submit-path lever behind the
-    /// sharded-vs-global `engine_throughput` record pair.
+    /// Per-job accounting (enqueue gauge, span) stays per job, but each
+    /// shard's slice of the batch lands in its queue under one lock and at
+    /// most one wakeup, and the whole batch completes through one [`Wave`]
+    /// — a single submitter wakeup for `n` responses instead of `n` channel
+    /// wakeups.
     pub fn run_batch(&self, reqs: Vec<PlanRequest>) -> Vec<PlanResponse> {
-        match self.dispatch() {
-            Dispatch::Global(_) => {
-                let tickets: Vec<Ticket> = reqs.into_iter().map(|r| self.submit(r)).collect();
-                tickets.into_iter().map(Ticket::wait).collect()
-            }
-            Dispatch::Sharded(queues) => {
-                let wave = Arc::new(Wave::new(reqs.len()));
-                let jobs = reqs.into_iter().enumerate().map(|(idx, req)| (req, idx, None));
-                submit_wave_sharded(&self.shared, queues, &wave, jobs);
-                wave.wait()
-            }
+        let wave = Arc::new(Wave::new(reqs.len()));
+        let mut per_shard: Vec<Vec<Job>> = (0..self.queues.len()).map(|_| Vec::new()).collect();
+        for (idx, req) in reqs.into_iter().enumerate() {
+            let reply = ReplyTo::Wave { wave: Arc::clone(&wave), idx };
+            let (s, job) = new_job(&self.shared, req, reply);
+            per_shard[s].push(job);
         }
-    }
-
-    /// Submit a rolling-horizon re-plan batch, sharing warm-start work
-    /// across tenants whose instances have the same model shape, and wait
-    /// for all responses in input order.
-    ///
-    /// Requests are grouped by shape proxy (horizon + policy). Each
-    /// group's first request is the *leader*: it solves first, and its
-    /// final root-LP basis is handed to every other member of the group as
-    /// a warm-start hint — one factorisation's worth of work serving the
-    /// whole batch. Members still run their own audit pass (bound/big-M
-    /// tightenings are data-dependent, so they cannot be shared soundly)
-    /// and fall back to a cold solve on their own if the leader's basis
-    /// does not fit; correctness never depends on the hint.
-    pub fn run_replan_wave(&self, reqs: Vec<PlanRequest>) -> Vec<PlanResponse> {
-        let n = reqs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // group by shape proxy, first-appearance order
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut by_key: HashMap<u64, usize> = HashMap::new();
-        for (i, req) in reqs.iter().enumerate() {
-            let key = replan_shape_proxy(req);
-            match by_key.get(&key) {
-                Some(&g) => groups[g].push(i),
-                None => {
-                    by_key.insert(key, groups.len());
-                    groups.push(vec![i]);
-                }
+        for (queue, jobs) in self.queues.iter().zip(per_shard) {
+            if !jobs.is_empty() {
+                queue.push_batch(jobs);
             }
         }
-        let mut reqs: Vec<Option<PlanRequest>> = reqs.into_iter().map(Some).collect();
-        let mut slots: Vec<Option<PlanResponse>> = (0..n).map(|_| None).collect();
-        // all group leaders solve first, concurrently across shards
-        let leader_tickets: Vec<(usize, Ticket)> = groups
-            .iter()
-            .filter_map(|g| reqs[g[0]].take().map(|req| (g[0], self.submit(req))))
-            .collect();
-        let mut hints: Vec<Option<Arc<Basis>>> = Vec::with_capacity(groups.len());
-        for (idx, ticket) in leader_tickets {
-            let resp = ticket.wait();
-            hints.push(resp.root_basis.clone());
-            slots[idx] = Some(resp);
-        }
-        // members ride their leader's basis, completing as one wave
-        let members = n - groups.len();
-        let wave = Arc::new(Wave::new(members));
-        let mut member_slots = Vec::with_capacity(members);
-        let mut member_jobs = Vec::with_capacity(members);
-        let dispatch = self.dispatch();
-        for (g, idxs) in groups.iter().enumerate() {
-            for &i in &idxs[1..] {
-                if let Some(req) = reqs[i].take() {
-                    member_jobs.push((req, member_slots.len(), hints[g].clone()));
-                    member_slots.push(i);
-                }
-            }
-        }
-        match dispatch {
-            Dispatch::Sharded(queues) => {
-                submit_wave_sharded(&self.shared, queues, &wave, member_jobs);
-            }
-            Dispatch::Global(_) => {
-                for (req, idx, hint) in member_jobs {
-                    let reply = ReplyTo::Wave { wave: Arc::clone(&wave), idx };
-                    submit_job(&self.shared, dispatch, req, reply, hint);
-                }
-            }
-        }
-        for (w, resp) in wave.wait().into_iter().enumerate() {
-            slots[member_slots[w]] = Some(resp);
-        }
-        let out: Vec<PlanResponse> = slots.into_iter().flatten().collect();
-        debug_assert_eq!(out.len(), n, "every re-plan slot must be filled");
-        out
+        wave.wait()
     }
 
     pub fn worker_count(&self) -> usize {
         self.workers.len()
     }
 
-    /// Number of state shards (1 on the global engine, = workers when
-    /// sharded).
+    /// Number of state shards (= workers).
     pub fn shard_count(&self) -> usize {
         self.shared.shards.len()
     }
@@ -726,7 +571,7 @@ impl Engine {
     /// (snapshot-synced), when a registry exists.
     pub fn render_metrics(&self) -> Option<String> {
         self.shared.registry.as_ref().map(|reg| {
-            sync_registry(&self.shared, reg, self.workers.len());
+            sync_registry(&self.shared, reg);
             reg.render()
         })
     }
@@ -807,17 +652,11 @@ impl Drop for Engine {
         // flip readiness first: scrapers polling `/readyz` see 503 while
         // the queue drains instead of an abrupt connection refusal
         self.shutting_down.store(true, Ordering::SeqCst);
-        // closing the dispatch ends every worker's recv loop once its
-        // queue drains (the obs `/plan` hook may still hold queue Arcs —
-        // the closed flag, not the Arc count, is what stops the workers)
-        match self.dispatch.take() {
-            Some(Dispatch::Global(tx)) => drop(tx),
-            Some(Dispatch::Sharded(queues)) => {
-                for q in queues.iter() {
-                    q.close();
-                }
-            }
-            None => {}
+        // closing a queue ends its worker's recv loop once it drains (the
+        // obs `/plan` hook may still hold queue Arcs — the closed flag, not
+        // the Arc count, is what stops the workers)
+        for q in self.queues.iter() {
+            q.close();
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -831,110 +670,36 @@ impl Drop for Engine {
     }
 }
 
-/// The shard a request lands on: its tenant's hash shard when sharded,
-/// the single shared slice otherwise.
-fn shard_index(shared: &Shared, dispatch: &Dispatch, app_id: &str) -> usize {
-    match dispatch {
-        Dispatch::Global(_) => 0,
-        Dispatch::Sharded(_) => shard_of(app_id, shared.shards.len()),
-    }
-}
-
-/// Trusted-path submission: open the span, account the enqueue on the
-/// request's shard, hand the job to its queue. Never refused.
-fn submit_job(
-    shared: &Shared,
-    dispatch: &Dispatch,
-    req: PlanRequest,
-    reply: ReplyTo,
-    basis_hint: Option<Arc<Basis>>,
-) {
-    let s = shard_index(shared, dispatch, &req.app_id);
+/// Every submission's preamble: account the enqueue on the tenant's shard,
+/// open the request span, emit `Enqueued`. Returns the shard index and the
+/// job to hand to that shard's queue.
+fn new_job(shared: &Shared, req: PlanRequest, reply: ReplyTo) -> (usize, Job) {
+    let s = shard_of(&req.app_id, shared.shards.len());
     shared.shards[s].metrics.enqueue();
     let span = shared.trace.open_span("request", SpanId::ROOT);
     shared.trace.emit(span, EventKind::Enqueued);
-    let job = Job { req, reply, span, basis_hint };
-    match dispatch {
-        Dispatch::Global(tx) => {
-            if tx.send(job).is_err() {
-                panic!("engine workers are gone");
-            }
-        }
-        Dispatch::Sharded(queues) => queues[s].push(job),
-    }
+    (s, Job { req, reply, span })
 }
 
-/// Trusted-path wave submission to a sharded engine: per-job accounting
-/// (enqueue gauge, span) stays per job, but each shard's slice of the
-/// wave lands in its queue under one lock and at most one wakeup — the
-/// batched counterpart of [`submit_job`].
-fn submit_wave_sharded(
-    shared: &Shared,
-    queues: &[Arc<ShardQueue<Job>>],
-    wave: &Arc<Wave<PlanResponse>>,
-    jobs: impl IntoIterator<Item = (PlanRequest, usize, Option<Arc<Basis>>)>,
-) {
-    let mut per_shard: Vec<Vec<Job>> = (0..queues.len()).map(|_| Vec::new()).collect();
-    for (req, idx, basis_hint) in jobs {
-        let s = shard_of(&req.app_id, queues.len());
-        shared.shards[s].metrics.enqueue();
-        let span = shared.trace.open_span("request", SpanId::ROOT);
-        shared.trace.emit(span, EventKind::Enqueued);
-        let reply = ReplyTo::Wave { wave: Arc::clone(wave), idx };
-        per_shard[s].push(Job { req, reply, span, basis_hint });
-    }
-    for (s, shard_jobs) in per_shard.into_iter().enumerate() {
-        if !shard_jobs.is_empty() {
-            queues[s].push_batch(shard_jobs);
-        }
-    }
-}
-
-/// Admission-controlled submission to a sharded engine: refused with
-/// [`Busy`] when the tenant's shard queue is at or over its high-water
-/// mark. Shared by [`Engine::try_submit`] and the HTTP `/plan` intake.
-fn try_submit_sharded(
+/// Admission-controlled submission: refused with [`Busy`] when the
+/// tenant's shard queue is at or over its high-water mark. Shared by
+/// [`Engine::try_submit`] and the HTTP `/plan` intake.
+fn try_submit(
     shared: &Shared,
     queues: &[Arc<ShardQueue<Job>>],
     req: PlanRequest,
     reply: ReplyTo,
 ) -> Result<(), Busy> {
-    let s = shard_of(&req.app_id, queues.len());
-    let state = &shared.shards[s];
-    state.metrics.enqueue();
-    let span = shared.trace.open_span("request", SpanId::ROOT);
-    shared.trace.emit(span, EventKind::Enqueued);
-    let job = Job { req, reply, span, basis_hint: None };
-    match queues[s].try_push(job) {
-        Ok(()) => Ok(()),
-        Err((job, busy)) => {
-            // undo the optimistic enqueue (the +1 above covers this −1,
-            // so the depth gauge never underflows) and account the refusal
-            state.metrics.dequeue();
-            state.metrics.record_busy();
-            shared.trace.close_span(job.span);
-            Err(busy)
-        }
-    }
-}
-
-/// Cheap grouping key for [`Engine::run_replan_wave`]: requests whose
-/// MILP would have the same variable/constraint layout group together.
-/// Horizon and policy determine the DRRP model dimensions; data (demand,
-/// prices) deliberately stays out — surviving data changes is the point
-/// of sharing the leader's basis. A proxy collision across shapes is
-/// harmless: the member's warm attempt fails to fit and the solver runs
-/// cold.
-fn replan_shape_proxy(req: &PlanRequest) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_usize(req.horizon());
-    h.write_u8(match req.policy {
-        PolicyKind::Stochastic => 0,
-        PolicyKind::Deterministic => 1,
-        PolicyKind::DynamicProgram => 2,
-        PolicyKind::OnDemand => 3,
-    });
-    h.finish()
+    let (s, job) = new_job(shared, req, reply);
+    queues[s].try_push(job).map_err(|(job, busy)| {
+        // undo the optimistic enqueue (the +1 in `new_job` covers this −1,
+        // so the depth gauge never underflows) and account the refusal
+        let state = &shared.shards[s];
+        state.metrics.dequeue();
+        state.metrics.record_busy();
+        shared.trace.close_span(job.span);
+        busy
+    })
 }
 
 /// Build the closures the exposition server serves from. All hooks capture
@@ -943,8 +708,7 @@ fn replan_shape_proxy(req: &PlanRequest) -> u64 {
 fn obs_hooks(
     shared: &Arc<Shared>,
     shutting_down: &Arc<AtomicBool>,
-    dispatch: &Dispatch,
-    workers: usize,
+    queues: &Arc<Vec<Arc<ShardQueue<Job>>>>,
     high_water: usize,
 ) -> ObsHooks {
     let metrics_shared = Arc::clone(shared);
@@ -954,10 +718,14 @@ fn obs_hooks(
     let profile_shared = Arc::clone(shared);
     let flight_shared = Arc::clone(shared);
     let slo_shared = Arc::clone(shared);
+    let plan_shared = Arc::clone(shared);
+    // shard queues shut down by flag, so the hook's queue Arcs cannot keep
+    // workers alive past Engine::drop
+    let queues = Arc::clone(queues);
     ObsHooks {
         metrics_text: Box::new(move || match &metrics_shared.registry {
             Some(reg) => {
-                sync_registry(&metrics_shared, reg, workers);
+                sync_registry(&metrics_shared, reg);
                 reg.render()
             }
             None => String::new(),
@@ -1006,161 +774,37 @@ fn obs_hooks(
         } else {
             None
         },
-        // the multi-connection `/plan` intake requires the sharded engine:
-        // its admission control is the per-shard queue bound, and shard
-        // queues shut down by flag (so the hook's queue Arcs cannot keep
-        // workers alive past Engine::drop). The global engine serves
-        // scrapes only.
-        plan: match dispatch {
-            Dispatch::Sharded(queues) => {
-                let plan_shared = Arc::clone(shared);
-                let queues = Arc::clone(queues);
-                Some(Box::new(move |body: &str| {
-                    let req = match parse_plan_request(body) {
-                        Ok(req) => req,
-                        Err(msg) => {
-                            return PlanDecision::Reject {
-                                status: 400,
-                                body: format!("{{\"error\":\"{}\"}}", json_escape(&msg)),
-                            }
-                        }
-                    };
-                    let (reply, rx) = unbounded();
-                    match try_submit_sharded(&plan_shared, &queues, req, ReplyTo::Channel(reply)) {
-                        Err(busy) => PlanDecision::Busy {
-                            retry_after_ms: busy.retry_after_ms,
-                            body: format!(
-                                "{{\"error\":\"busy\",\"shard\":{},\"queue_depth\":{},\
-                                 \"high_water\":{},\"retry_after_ms\":{}}}",
-                                busy.shard, busy.depth, busy.high_water, busy.retry_after_ms
-                            ),
-                        },
-                        Ok(()) => PlanDecision::Accepted(Box::new(move || match rx.try_recv() {
-                            Ok(resp) => Some((200, plan_response_json(&resp))),
-                            Err(TryRecvError::Empty) => None,
-                            Err(TryRecvError::Disconnected) => {
-                                Some((500, "{\"error\":\"planning worker failed\"}".to_string()))
-                            }
-                        })),
+        // the `/plan` intake: admission control is the per-shard queue bound
+        plan: Some(Box::new(move |body: &str| {
+            let req = match wire::parse_plan_request(body) {
+                Ok(req) => req,
+                Err(msg) => {
+                    return PlanDecision::Reject { status: 400, body: wire::error_json(&msg) }
+                }
+            };
+            let (reply, rx) = unbounded();
+            match try_submit(&plan_shared, &queues, req, ReplyTo::Channel(reply)) {
+                Err(busy) => PlanDecision::Busy {
+                    retry_after_ms: busy.retry_after_ms,
+                    body: wire::busy_json(&busy),
+                },
+                Ok(()) => PlanDecision::Accepted(Box::new(move || match rx.try_recv() {
+                    Ok(resp) => Some((200, wire::plan_response_json(&resp))),
+                    Err(TryRecvError::Empty) => None,
+                    Err(TryRecvError::Disconnected) => {
+                        Some((500, wire::WORKER_FAILED_BODY.to_string()))
                     }
-                }))
+                })),
             }
-            Dispatch::Global(_) => None,
-        },
+        })),
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Parse the `/plan` wire format into a [`PlanRequest`]:
-///
-/// ```json
-/// {"app_id": "tenant-1", "policy": "deterministic", "deadline_ms": 250,
-///  "seed": 7, "compute": [0.06, ...], "demand": [0.4, ...]}
-/// ```
-///
-/// `compute` and `demand` must be equal-length non-empty arrays; the
-/// schedule is completed with the paper's EC2 billing rates. `policy`
-/// defaults to `"deterministic"`; `"stochastic"` is rejected (a scenario
-/// tree does not fit the wire format), the other tags map to their
-/// [`PolicyKind`].
-fn parse_plan_request(body: &str) -> Result<PlanRequest, String> {
-    let v: Value = serde_json::from_str(body).map_err(|e| format!("invalid JSON: {e}"))?;
-    let app_id = v
-        .get("app_id")
-        .and_then(Value::as_str)
-        .ok_or("missing string field \"app_id\"")?
-        .to_string();
-    let floats = |field: &str| -> Result<Vec<f64>, String> {
-        v.get(field)
-            .and_then(Value::as_array)
-            .ok_or(format!("missing array field \"{field}\""))?
-            .iter()
-            .map(|x| x.as_f64().ok_or(format!("non-numeric entry in \"{field}\"")))
-            .collect()
-    };
-    let compute = floats("compute")?;
-    let demand = floats("demand")?;
-    if compute.is_empty() || compute.len() != demand.len() {
-        return Err(format!(
-            "\"compute\" ({}) and \"demand\" ({}) must be equal-length and non-empty",
-            compute.len(),
-            demand.len()
-        ));
-    }
-    let policy = match v.get("policy").and_then(Value::as_str).unwrap_or("deterministic") {
-        "deterministic" => PolicyKind::Deterministic,
-        "dynamic-program" => PolicyKind::DynamicProgram,
-        "on-demand" => PolicyKind::OnDemand,
-        "stochastic" => {
-            return Err("policy \"stochastic\" needs a scenario tree; submit in-process".into())
-        }
-        other => return Err(format!("unknown policy \"{other}\"")),
-    };
-    let deadline_ms = v.get("deadline_ms").and_then(Value::as_u64).unwrap_or(1_000);
-    let seed = v.get("seed").and_then(Value::as_u64).unwrap_or(0);
-    Ok(PlanRequest {
-        app_id,
-        vm_class: "m1.small".to_string(),
-        schedule: rrp_core::CostSchedule::ec2(compute, demand, &CostRates::ec2_2011()),
-        params: rrp_core::PlanningParams::default(),
-        tree: None,
-        policy,
-        deadline: Duration::from_millis(deadline_ms),
-        seed,
-    })
-}
-
-/// Serialise a [`PlanResponse`] for the `/plan` route.
-fn plan_response_json(resp: &PlanResponse) -> String {
-    let mut out = String::with_capacity(256);
-    let _ = write!(
-        out,
-        "{{\"app_id\":\"{}\",\"degradation\":\"{}\",\"cache_hit\":{},\
-         \"deadline_met\":{},\"latency_ms\":{:.3},",
-        json_escape(&resp.app_id),
-        resp.degradation.as_str(),
-        resp.cache_hit,
-        resp.deadline_met,
-        resp.latency.as_secs_f64() * 1e3
-    );
-    match (&resp.plan, &resp.rejection) {
-        (Some(plan), _) => {
-            let _ = write!(out, "\"objective\":{:.6},\"rejected\":false}}", plan.objective);
-        }
-        (None, Some(proof)) => {
-            let _ = write!(
-                out,
-                "\"rejected\":true,\"rejection\":\"{}\"}}",
-                json_escape(&proof.to_string())
-            );
-        }
-        (None, None) => {
-            let _ = write!(out, "\"rejected\":false}}");
-        }
-    }
-    out
 }
 
 /// Fold the scalar [`MetricsSnapshot`] state into the registry. The bridge
 /// keeps event-driven series current on its own; point-in-time state
 /// (queue depth, cache hit rate, level totals) is synced here, once per
 /// scrape, using `Counter::set`'s scrape-time semantics.
-fn sync_registry(shared: &Shared, reg: &Registry, workers: usize) {
+fn sync_registry(shared: &Shared, reg: &Registry) {
     let snap = shared.snapshot();
     reg.counter("rrp_completed_total", "Responses produced (cache hits included)", &[])
         .set(snap.completed);
@@ -1195,7 +839,7 @@ fn sync_registry(shared: &Shared, reg: &Registry, workers: usize) {
         &[],
     )
     .set(snap.busy_rejections);
-    reg.gauge("rrp_workers", "Engine worker threads", &[]).set(workers as f64);
+    reg.gauge("rrp_workers", "Engine worker threads", &[]).set(shared.shards.len() as f64);
     reg.gauge("rrp_shards", "Engine state shards", &[]).set(shared.shards.len() as f64);
     for shard in &snap.shards {
         let label = shard.shard.to_string();
@@ -1283,36 +927,29 @@ fn shape_fingerprint(app_id: &str, prepared: &PreparedDrrp) -> u64 {
     h.finish()
 }
 
-/// Global-dispatch worker: all workers share the state slice and the
-/// channel. One wakeup and one reply-channel send per request — the
-/// baseline the sharded engine's batch disciplines are measured against.
-fn worker_loop_global(rx: &Receiver<Job>, shared: &Shared) {
-    let state = &shared.shards[0];
-    while let Ok(job) = rx.recv() {
-        run_job(shared, state, job);
-    }
-}
-
-/// Wave responses a sharded worker buffered while draining one batch.
+/// Wave responses a worker buffered while draining one batch.
 type PendingCompletion = (Arc<Wave<PlanResponse>>, usize, Option<PlanResponse>);
 
-/// Sharded worker: exclusively owns shard `shard`'s state and queue.
+/// One worker: exclusively owns shard `shard`'s state and queue.
 /// Batch-draining the queue means a burst of submissions costs one
 /// condvar wakeup; the jobs then run back-to-back without re-locking,
 /// and their wave completions are filed per wave under one lock
 /// ([`Wave::complete_many`]) after the drain. Channel replies (single
 /// submissions) still deliver immediately — a [`Ticket`] holder is
 /// waiting on each one individually.
-fn worker_loop_sharded(queue: &ShardQueue<Job>, shared: &Shared, shard: usize) {
+fn worker_loop(queue: &ShardQueue<Job>, shared: &Shared, shard: usize) {
     let state = &shared.shards[shard];
     let mut batch = Vec::new();
     let mut completions: Vec<PendingCompletion> = Vec::new();
     while queue.recv_batch(&mut batch) {
         for job in batch.drain(..) {
             state.metrics.dequeue();
-            let Job { req, reply, span, basis_hint } = job;
-            let result =
-                catch_unwind(AssertUnwindSafe(|| process(shared, state, req, span, basis_hint)));
+            let Job { req, reply, span } = job;
+            // a panicking request (malformed instance) must not kill the
+            // worker: the channel reply drops its sender (the [`Ticket`]
+            // reports the panic) and a wave slot is poisoned (the wave
+            // completes; [`Wave::wait`] reports it)
+            let result = catch_unwind(AssertUnwindSafe(|| process(shared, state, req, span)));
             match (reply, result) {
                 (ReplyTo::Channel(tx), Ok(resp)) => {
                     let _ = tx.send(resp);
@@ -1342,31 +979,7 @@ fn worker_loop_sharded(queue: &ShardQueue<Job>, shared: &Shared, shard: usize) {
     }
 }
 
-/// Run one job on its shard and deliver the response. A panicking request
-/// (malformed instance) must not kill the worker: the channel reply drops
-/// its sender (the [`Ticket`] reports the panic) and a wave slot is
-/// poisoned (the wave completes; [`Wave::wait`] reports it).
-fn run_job(shared: &Shared, state: &ShardState, job: Job) {
-    state.metrics.dequeue();
-    let Job { req, reply, span, basis_hint } = job;
-    let result = catch_unwind(AssertUnwindSafe(|| process(shared, state, req, span, basis_hint)));
-    match (reply, result) {
-        (ReplyTo::Channel(tx), Ok(resp)) => {
-            let _ = tx.send(resp);
-        }
-        (ReplyTo::Channel(tx), Err(_)) => drop(tx),
-        (ReplyTo::Wave { wave, idx }, Ok(resp)) => wave.complete(idx, Some(resp)),
-        (ReplyTo::Wave { wave, idx }, Err(_)) => wave.complete(idx, None),
-    }
-}
-
-fn process(
-    shared: &Shared,
-    state: &ShardState,
-    req: PlanRequest,
-    span: SpanId,
-    basis_hint: Option<Arc<Basis>>,
-) -> PlanResponse {
+fn process(shared: &Shared, state: &ShardState, req: PlanRequest, span: SpanId) -> PlanResponse {
     let start = Instant::now();
     let key = req.fingerprint();
     // the request span itself is opened on the submitting thread, so the
@@ -1411,7 +1024,6 @@ fn process(
             cache_hit: true,
             latency,
             deadline_met,
-            root_basis: None,
         };
     }
 
@@ -1471,7 +1083,6 @@ fn process(
             cache_hit: false,
             latency,
             deadline_met,
-            root_basis: None,
         };
     }
     audit.apply(&mut prepared.milp);
@@ -1479,14 +1090,12 @@ fn process(
     // Basis warm start across re-plans: the exact fingerprint missed (new
     // demand/prices), but a same-shape solve may have left its final root
     // basis behind — hand it to the MILP root LP as a dual-feasible hint.
-    // The shard's own side-table wins; a batched wave leader's basis
-    // (`basis_hint`) fills in when the table has nothing for this shape.
     // A stale or mismatched basis only costs the warm attempt; the solver
     // falls back to a cold primal solve on its own.
     let shape = shape_fingerprint(&req.app_id, &prepared);
     let ladder_opts = if shared.opts.warm_start {
         let mut o = shared.opts.clone();
-        o.root_basis = state.cache.lookup_basis(shape).or(basis_hint);
+        o.root_basis = state.cache.lookup_basis(shape);
         o
     } else {
         shared.opts.clone()
@@ -1530,6 +1139,5 @@ fn process(
         cache_hit: false,
         latency,
         deadline_met,
-        root_basis: result.root_basis,
     }
 }

@@ -1,4 +1,4 @@
-//! Scale-out primitives for the sharded engine: the tenant→shard hash,
+//! Scale-out primitives of the engine: the tenant→shard hash,
 //! the bounded per-shard job queue, batched completion waves, and the
 //! per-shard readiness verdict.
 //!
@@ -6,9 +6,7 @@
 //! one shard's queue, plan/basis cache, metrics ledger and in-flight
 //! table, and every request for a tenant lands on the shard its
 //! [`shard_of`] hash picks. The hot submit/complete path therefore touches
-//! only shard-local locks — the global `Mutex<HashMap>` of the
-//! pre-scale-out engine is gone — and the scale-out unit is a shard, not
-//! a lock.
+//! only shard-local locks, and the scale-out unit is a shard, not a lock.
 //!
 //! Two wakeup disciplines keep the path lean on top of the locality win:
 //!
@@ -191,17 +189,13 @@ impl<R> Wave<R> {
         }
     }
 
-    /// File slot `idx`. `None` marks a poisoned slot (the worker panicked
-    /// mid-request); the wave still completes so the submitter is never
-    /// wedged — [`Wave::wait`] surfaces the panic instead.
-    pub fn complete(&self, idx: usize, response: Option<R>) {
-        self.complete_many(std::iter::once((idx, response)));
-    }
-
     /// File a batch of slots under one lock acquisition — the consumer
     /// half of the batch discipline: a worker that drained k same-wave
     /// jobs files their responses with one lock and (when the wave ends
-    /// here) one wakeup instead of k of each.
+    /// here) one wakeup instead of k of each. A `None` response marks a
+    /// poisoned slot (the worker panicked mid-request); the wave still
+    /// completes so the submitter is never wedged — [`Wave::wait`]
+    /// surfaces the panic instead.
     pub fn complete_many(&self, entries: impl IntoIterator<Item = (usize, Option<R>)>) {
         let mut st = self.state.lock();
         for (idx, response) in entries {
@@ -359,10 +353,10 @@ mod tests {
     fn wave_completes_once_and_preserves_order() {
         let w: Wave<&'static str> = Wave::new(3);
         assert!(w.try_take().is_none());
-        w.complete(2, Some("c"));
-        w.complete(0, Some("a"));
+        w.complete_many([(2, Some("c"))]);
+        w.complete_many([(0, Some("a"))]);
         assert!(w.try_take().is_none());
-        w.complete(1, Some("b"));
+        w.complete_many([(1, Some("b"))]);
         assert_eq!(w.wait(), vec!["a", "b", "c"]);
     }
 
@@ -370,8 +364,8 @@ mod tests {
     #[should_panic(expected = "panicked")]
     fn poisoned_wave_surfaces_the_worker_panic() {
         let w: Wave<&'static str> = Wave::new(2);
-        w.complete(0, Some("a"));
-        w.complete(1, None);
+        w.complete_many([(0, Some("a"))]);
+        w.complete_many([(1, None)]);
         let _ = w.wait();
     }
 

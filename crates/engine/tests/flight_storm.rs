@@ -147,7 +147,7 @@ fn profile_surface_and_self_metrics_after_a_storm() {
                 min_dump_interval_ms: 600_000,
                 ..Default::default()
             }),
-            metrics: Some(MetricsConfig { addr: None, ..Default::default() }),
+            metrics: Some(MetricsConfig::default()),
             ..Default::default()
         },
     );

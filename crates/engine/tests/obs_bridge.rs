@@ -127,7 +127,7 @@ fn engine_bridge_agrees_with_the_raw_event_stream() {
         2,
         EngineConfig {
             sink: Some(ring.clone()),
-            metrics: Some(MetricsConfig { addr: None, ..Default::default() }),
+            metrics: Some(MetricsConfig::default()),
             ..Default::default()
         },
     );

@@ -67,14 +67,14 @@ fn slow_request(i: usize) -> PlanRequest {
     req
 }
 
-fn serving_engine(workers: usize, ready_high_water: usize) -> (Engine, SocketAddr) {
+/// An engine serving on an ephemeral port with the given per-shard
+/// admission / readiness bound.
+fn serving_engine(workers: usize, queue_high_water: usize) -> (Engine, SocketAddr) {
     let engine = Engine::with_config(
         workers,
         EngineConfig {
-            metrics: Some(MetricsConfig {
-                addr: Some("127.0.0.1:0".to_string()),
-                ready_high_water,
-            }),
+            metrics: Some(MetricsConfig { addr: Some("127.0.0.1:0".to_string()) }),
+            shard: Some(ShardConfig { queue_high_water }),
             ..Default::default()
         },
     );
@@ -183,27 +183,11 @@ fn readyz_flips_over_high_water_and_recovers() {
     }
 }
 
-fn serving_sharded_engine(workers: usize, queue_high_water: usize) -> (Engine, SocketAddr) {
-    let engine = Engine::with_config(
-        workers,
-        EngineConfig {
-            metrics: Some(MetricsConfig {
-                addr: Some("127.0.0.1:0".to_string()),
-                ..Default::default()
-            }),
-            shard: Some(ShardConfig { queue_high_water }),
-            ..Default::default()
-        },
-    );
-    let addr = engine.metrics_addr().expect("ephemeral metrics server bound");
-    (engine, addr)
-}
-
 #[test]
-fn sharded_readyz_holds_at_the_edge_and_flips_one_over() {
+fn readyz_holds_at_the_edge_and_flips_one_over() {
     // one shard, high-water 1: a backlog of exactly 1 sits *at* the edge
     // and must stay ready — the flip is strictly `depth > high_water`
-    let (engine, addr) = serving_sharded_engine(1, 1);
+    let (engine, addr) = serving_engine(1, 1);
     let (code, _) = http_get(addr, "/readyz").expect("idle readyz");
     assert_eq!(code, 200);
 
@@ -248,7 +232,7 @@ fn sharded_readyz_holds_at_the_edge_and_flips_one_over() {
 
 #[test]
 fn plan_intake_serves_a_tenant_request_over_http() {
-    let (engine, addr) = serving_sharded_engine(2, 128);
+    let (engine, addr) = serving_engine(2, 128);
     let body = r#"{"app_id":"http-tenant","policy":"deterministic","deadline_ms":30000,
         "compute":[0.06,0.06,0.06,0.06],"demand":[0.4,0.8,0.2,0.6]}"#;
     let (code, _, resp) = http_post(addr, "/plan", body).expect("plan intake answered");
@@ -266,6 +250,21 @@ fn plan_intake_serves_a_tenant_request_over_http() {
     // malformed and unsupported intakes are rejected, not crashed on
     let (code, _, resp) = http_post(addr, "/plan", "{not json").expect("bad body answered");
     assert_eq!(code, 400, "{resp}");
+    // hostile numbers stop at the boundary: 400 naming the field, no solve
+    for body in [
+        r#"{"app_id":"x","compute":[0.06],"demand":[1e999]}"#,
+        r#"{"app_id":"x","compute":[0.06,0.06],"demand":[0.4,-0.5]}"#,
+    ] {
+        let (code, _, resp) = http_post(addr, "/plan", body).expect("hostile body answered");
+        assert_eq!(code, 400, "{body}: {resp}");
+        assert!(resp.contains("\\\"demand\\\""), "{resp}");
+    }
+    let (code, _, resp) =
+        http_post(addr, "/plan", r#"{"app_id":"","compute":[0.06],"demand":[0.4]}"#)
+            .expect("empty tenant answered");
+    assert_eq!(code, 400, "{resp}");
+    assert!(resp.contains("app_id"), "{resp}");
+    assert_eq!(engine.metrics().completed, 1, "a refused body must never reach a worker");
     let (code, _, resp) = http_post(
         addr,
         "/plan",
@@ -279,7 +278,7 @@ fn plan_intake_serves_a_tenant_request_over_http() {
 #[test]
 fn plan_intake_backpressure_is_429_with_retry_after() {
     // high-water 0: every untrusted intake is refused at admission
-    let (engine, addr) = serving_sharded_engine(1, 0);
+    let (engine, addr) = serving_engine(1, 0);
     let body = r#"{"app_id":"shed-me","compute":[0.06,0.06],"demand":[0.4,0.2]}"#;
     let (code, head, resp) = http_post(addr, "/plan", body).expect("busy intake answered");
     assert_eq!(code, 429, "{resp}");
@@ -291,13 +290,20 @@ fn plan_intake_backpressure_is_429_with_retry_after() {
 }
 
 #[test]
-fn plan_intake_is_404_on_the_global_engine() {
-    // the unsharded engine attaches no intake hook — the route stays 404
-    // rather than silently accepting work outside admission control
-    let (_engine, addr) = serving_engine(1, 128);
+fn a_default_constructed_serving_engine_answers_plan_intake() {
+    // no `shard` setting at all: the intake is still served, under the
+    // default admission bound
+    let engine = Engine::with_config(
+        1,
+        EngineConfig {
+            metrics: Some(MetricsConfig { addr: Some("127.0.0.1:0".to_string()) }),
+            ..Default::default()
+        },
+    );
+    let addr = engine.metrics_addr().expect("ephemeral metrics server bound");
     let body = r#"{"app_id":"x","compute":[0.06],"demand":[0.4]}"#;
-    let (code, _, _) = http_post(addr, "/plan", body).expect("global intake answered");
-    assert_eq!(code, 404);
+    let (code, _, resp) = http_post(addr, "/plan", body).expect("default intake answered");
+    assert_eq!(code, 200, "{resp}");
 }
 
 #[test]

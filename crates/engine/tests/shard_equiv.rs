@@ -1,11 +1,11 @@
-//! Sharding is a pure performance device: a sharded engine (per-worker
+//! Sharding is a pure performance device: a 4-shard engine (per-worker
 //! plan cache, basis side-table, metrics ledger, and in-flight table)
-//! must be *indistinguishable* from the single-shard engine in what it
-//! computes. On the paper's Fig. 10–12 style evaluation instances the
-//! two configurations must produce byte-identical plans and identical
-//! cache-hit / deadline-miss counters; any divergence is a correctness
-//! bug in the shard hand-off, not a tuning issue. Admission control
-//! (`try_submit` + 429 `Busy`) and the batched re-plan wave ride along.
+//! must be *indistinguishable* from the single-shard `Engine::new(1)` in
+//! what it computes. On the paper's Fig. 10–12 style evaluation instances
+//! the two must produce byte-identical plans and identical cache-hit /
+//! deadline-miss counters; any divergence is a correctness bug in the
+//! shard hand-off, not a tuning issue. Admission control (`try_submit` +
+//! 429 `Busy`) rides along.
 
 use std::time::Duration;
 
@@ -45,13 +45,6 @@ fn evaluation_workload(horizon: usize) -> Vec<PlanRequest> {
     reqs
 }
 
-fn sharded_engine(workers: usize) -> Engine {
-    Engine::with_config(
-        workers,
-        EngineConfig { shard: Some(ShardConfig::default()), ..Default::default() },
-    )
-}
-
 /// The response fields a tenant can observe, rendered for byte-for-byte
 /// comparison (latency and trace timings are excluded — they are the
 /// only fields allowed to differ between configurations).
@@ -87,10 +80,10 @@ fn counter_fingerprint(m: &MetricsSnapshot) -> String {
 }
 
 #[test]
-fn sharded_and_global_engines_are_observably_identical() {
-    let global = Engine::new(1);
-    let sharded = sharded_engine(4);
-    assert_eq!(global.shard_count(), 1);
+fn one_shard_and_four_shard_engines_are_observably_identical() {
+    let single = Engine::new(1);
+    let sharded = Engine::new(4);
+    assert_eq!(single.shard_count(), 1);
     assert_eq!(sharded.shard_count(), 4);
 
     // three re-plan rounds over the same instances: round one misses the
@@ -98,13 +91,13 @@ fn sharded_and_global_engines_are_observably_identical() {
     // because tenant→shard affinity keeps a tenant's repeats on one shard
     for _round in 0..3 {
         for req in evaluation_workload(10) {
-            let g = global.submit(req.clone()).wait();
+            let g = single.submit(req.clone()).wait();
             let s = sharded.submit(req).wait();
-            assert_eq!(observable(&g), observable(&s), "sharded plan diverged from global");
+            assert_eq!(observable(&g), observable(&s), "4-shard plan diverged from 1-shard");
         }
     }
 
-    let (gm, sm) = (global.metrics(), sharded.metrics());
+    let (gm, sm) = (single.metrics(), sharded.metrics());
     assert_eq!(
         counter_fingerprint(&gm),
         counter_fingerprint(&sm),
@@ -117,9 +110,9 @@ fn sharded_and_global_engines_are_observably_identical() {
     assert_eq!(gm.deadline_misses, 0);
 
     // warm-basis side-tables agree too (summed across shards)
-    assert_eq!(global.basis_cache_entries(), sharded.basis_cache_entries());
-    assert_eq!(global.basis_cache_hit_rate(), sharded.basis_cache_hit_rate());
-    assert_eq!(global.cache_len(), sharded.cache_len());
+    assert_eq!(single.basis_cache_entries(), sharded.basis_cache_entries());
+    assert_eq!(single.basis_cache_hit_rate(), sharded.basis_cache_hit_rate());
+    assert_eq!(single.cache_len(), sharded.cache_len());
 
     // per-tenant rows merge identically (sorted by tenant id either way)
     assert_eq!(gm.tenants.len(), sm.tenants.len());
@@ -178,7 +171,7 @@ fn try_submit_refuses_at_the_high_water_mark_and_recovers() {
     assert_eq!(m.busy_rejections, 3);
 
     // a sane high-water accepts
-    let roomy = sharded_engine(2);
+    let roomy = Engine::new(2);
     let resp = match roomy.try_submit(paper_request(VmClass::M1Xlarge, 1, 8)) {
         Ok(t) => t.wait(),
         Err(b) => panic!("idle engine refused admission: {b:?}"),
@@ -187,66 +180,8 @@ fn try_submit_refuses_at_the_high_water_mark_and_recovers() {
 }
 
 #[test]
-fn replan_wave_matches_individual_submissions() {
-    // two shapes (horizons 8 and 10) interleaved across tenants: each
-    // shape group elects a leader whose root basis warm-starts the rest
-    let mut reqs = Vec::new();
-    for day in 0..3u64 {
-        for class in VmClass::EVALUATION {
-            reqs.push(paper_request(class, day, 8));
-            reqs.push(paper_request(class, day, 10));
-        }
-    }
-
-    let wave_engine = sharded_engine(4);
-    let solo_engine = sharded_engine(4);
-    let waved = wave_engine.run_replan_wave(reqs.clone());
-    assert_eq!(waved.len(), reqs.len(), "wave must answer every request");
-
-    for (req, resp) in reqs.iter().zip(&waved) {
-        assert_eq!(req.app_id, resp.app_id, "wave must preserve input order");
-        let solo = solo_engine.submit(req.clone()).wait();
-        // a leader's basis is a warm-start *hint*: the member may pivot
-        // through a different path, but must land on the same optimum
-        let (w, s) = (resp.plan.as_ref(), solo.plan.as_ref());
-        let (w, s) = (w.expect("wave plan"), s.expect("solo plan"));
-        assert!(
-            (w.objective - s.objective).abs() <= 1e-9 * (1.0 + s.objective.abs()),
-            "{}: wave {} vs solo {}",
-            req.app_id,
-            w.objective,
-            s.objective
-        );
-        assert!(w.is_feasible(&req.schedule, &req.params, 1e-6), "{}", req.app_id);
-        assert_eq!(resp.degradation, solo.degradation);
-        assert!(resp.deadline_met, "{}", req.app_id);
-    }
-
-    let m = wave_engine.metrics();
-    assert_eq!(m.completed, waved.len() as u64);
-    assert_eq!(m.deadline_misses, 0);
-}
-
-#[test]
-fn replan_wave_on_the_global_engine_degrades_gracefully() {
-    // the wave API works (and stays correct) without sharding — only the
-    // batching economics change
+fn empty_batch_is_a_no_op() {
     let engine = Engine::new(2);
-    let reqs: Vec<PlanRequest> =
-        VmClass::EVALUATION.iter().map(|&c| paper_request(c, 0, 8)).collect();
-    let out = engine.run_replan_wave(reqs.clone());
-    assert_eq!(out.len(), reqs.len());
-    for (req, resp) in reqs.iter().zip(&out) {
-        assert_eq!(req.app_id, resp.app_id);
-        assert!(resp.plan.is_some());
-        assert!(resp.deadline_met);
-    }
-}
-
-#[test]
-fn empty_wave_and_batch_are_no_ops() {
-    let engine = sharded_engine(2);
-    assert!(engine.run_replan_wave(Vec::new()).is_empty());
     assert!(engine.run_batch(Vec::new()).is_empty());
     assert_eq!(engine.metrics().completed, 0);
 }

@@ -89,7 +89,7 @@ fn deadline_storm_fires_one_alert_and_bundles_exemplar_timelines() {
         EngineConfig {
             prof: Some(slo_only_flight(&dir)),
             slo: Some(SloConfig::default()),
-            metrics: Some(MetricsConfig { addr: None, ..Default::default() }),
+            metrics: Some(MetricsConfig::default()),
             ..Default::default()
         },
     );

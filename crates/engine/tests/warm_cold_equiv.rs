@@ -1,14 +1,14 @@
 //! Warm-started branch & bound (the default) and a cold solver
 //! (`warm_start: false`) must be *indistinguishable* in what they compute:
 //! identical optimal objectives on the paper's Fig. 10–12 style evaluation
-//! instances, agreement with the exact Wagner–Whitin DP on uncapacitated
-//! instances, and sequential/parallel consistency. The warm dual-simplex
-//! path is a pure performance device — any divergence here is a soundness
+//! instances and agreement with the exact Wagner–Whitin DP on
+//! uncapacitated instances. The warm dual-simplex path is a pure
+//! performance device — any divergence here is a soundness
 //! bug, not a tuning issue.
 
 use rrp_core::demand::DemandModel;
 use rrp_core::{CostSchedule, DrrpProblem, PlanningParams};
-use rrp_milp::{solve_parallel, MilpOptions};
+use rrp_milp::MilpOptions;
 use rrp_spotmarket::{CostRates, VmClass};
 
 /// The Fig. 10 evaluation setup: paper-default demand (N(0.4, 0.2) GB/h
@@ -74,17 +74,14 @@ fn warm_and_cold_match_on_capacitated_instances() {
 }
 
 #[test]
-fn parallel_warm_matches_sequential_cold() {
+fn warm_search_takes_the_warm_path_and_matches_cold() {
     let s = paper_schedule(VmClass::C1Medium, 10, 31);
     let peak = s.demand.iter().cloned().fold(0.0_f64, f64::max);
     let params = PlanningParams { capacity: Some(peak * 1.3), ..Default::default() };
     let (milp, _) = DrrpProblem::new(s, params).to_milp();
-    let par_warm = solve_parallel(&milp, &MilpOptions::default()).expect("parallel warm solve");
-    let seq_cold = milp.solve(&cold_opts()).expect("sequential cold solve");
-    assert_close(par_warm.objective, seq_cold.objective, "parallel warm vs sequential cold");
-    // the warm searches really did take the warm path (not all fallbacks)
-    assert!(
-        par_warm.lp_stats.warm_hits > 0,
-        "parallel search on a branching instance should record warm hits"
-    );
+    let warm = milp.solve(&MilpOptions::default()).expect("warm solve");
+    let cold = milp.solve(&cold_opts()).expect("cold solve");
+    assert_close(warm.objective, cold.objective, "warm vs cold");
+    // the warm search really did take the warm path (not all fallbacks)
+    assert!(warm.lp_stats.warm_hits > 0, "search on a branching instance should record warm hits");
 }

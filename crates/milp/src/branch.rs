@@ -1,7 +1,5 @@
 //! Branching-variable selection rules.
 
-use parking_lot::RwLock;
-
 /// Which fractional variable to branch on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Branching {
@@ -22,27 +20,26 @@ struct PcEntry {
     up_cnt: u32,
 }
 
-/// Thread-safe pseudo-cost table shared across B&B workers.
+/// Pseudo-cost table of one branch & bound search.
 #[derive(Debug)]
 pub(crate) struct PseudoCosts {
-    entries: RwLock<Vec<PcEntry>>,
+    entries: Vec<PcEntry>,
 }
 
 impl PseudoCosts {
     pub fn new(ncols: usize) -> Self {
-        Self { entries: RwLock::new(vec![PcEntry::default(); ncols]) }
+        Self { entries: vec![PcEntry::default(); ncols] }
     }
 
     /// Record an observed objective degradation `delta >= 0` from branching
     /// column `col` downward (`up = false`) or upward with fractionality `f`.
-    pub fn record(&self, col: usize, up: bool, frac: f64, delta: f64) {
+    pub fn record(&mut self, col: usize, up: bool, frac: f64, delta: f64) {
         let unit = if up { 1.0 - frac } else { frac };
         if unit <= 1e-9 {
             return;
         }
         let per_unit = (delta / unit).max(0.0);
-        let mut e = self.entries.write();
-        let ent = &mut e[col];
+        let ent = &mut self.entries[col];
         if up {
             ent.up_sum += per_unit;
             ent.up_cnt += 1;
@@ -54,8 +51,7 @@ impl PseudoCosts {
 
     /// Product-rule score; `None` when the column has no history yet.
     pub fn score(&self, col: usize, frac: f64) -> Option<f64> {
-        let e = self.entries.read();
-        let ent = e[col];
+        let ent = self.entries[col];
         if ent.up_cnt == 0 || ent.down_cnt == 0 {
             return None;
         }
@@ -130,7 +126,7 @@ mod tests {
 
     #[test]
     fn pseudo_cost_uses_history() {
-        let pc = PseudoCosts::new(2);
+        let mut pc = PseudoCosts::new(2);
         // column 0: large degradations both ways; column 1: tiny.
         pc.record(0, true, 0.5, 10.0);
         pc.record(0, false, 0.5, 10.0);
@@ -143,7 +139,7 @@ mod tests {
 
     #[test]
     fn record_ignores_degenerate_fraction() {
-        let pc = PseudoCosts::new(1);
+        let mut pc = PseudoCosts::new(1);
         pc.record(0, false, 0.0, 5.0); // frac 0 → unit 0 → ignored
         assert!(pc.score(0, 0.5).is_none());
     }

@@ -7,9 +7,7 @@
 //! * best-bound (best-first) tree search with most-fractional or
 //!   pseudo-cost branching,
 //! * an LP-rounding primal heuristic to find incumbents early,
-//! * relative/absolute gap and node-limit termination,
-//! * optional parallel node processing ([`solve_parallel`]), where workers
-//!   expand batches of frontier nodes concurrently.
+//! * relative/absolute gap and node-limit termination.
 //!
 //! The DRRP and SRRP formulations of the paper are built as [`MilpProblem`]s
 //! by `rrp-core` and solved here.
@@ -37,7 +35,7 @@ mod solver;
 pub use branch::Branching;
 pub use budget::{SolveBudget, SolveStatus, StopReason};
 pub use rrp_lp::simplex::{Basis, VarStatus};
-pub use solver::{solve_budgeted, solve_parallel, LpStats, MilpOptions, MilpSolution, MilpStatus};
+pub use solver::{solve_budgeted, LpStats, MilpOptions, MilpSolution, MilpStatus};
 
 use rrp_lp::{Model, VarId};
 
@@ -88,7 +86,7 @@ impl MilpProblem {
         }
     }
 
-    /// Solve sequentially with the given options.
+    /// Solve with the given options.
     pub fn solve(&self, opts: &MilpOptions) -> Result<MilpSolution, MilpStatus> {
         solver::solve(self, opts)
     }

@@ -2,15 +2,13 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use rayon::prelude::*;
 use rrp_lp::dual;
 use rrp_lp::model::StandardLp;
 use rrp_lp::simplex::{self, Basis};
 use rrp_lp::Status;
-use rrp_trace::{with_worker, EventKind, PruneReason, SpanId, TraceHandle};
+use rrp_trace::{EventKind, PruneReason, SpanId, TraceHandle};
 
 use crate::branch::{self, Branching, PseudoCosts};
 use crate::budget::{SolveBudget, SolveStatus, StopReason};
@@ -32,8 +30,6 @@ pub struct MilpOptions {
     pub branching: Branching,
     /// Run the LP-rounding heuristic every this many nodes (0 disables).
     pub heuristic_period: usize,
-    /// Worker batch size for [`solve_parallel`] (0 = rayon default width).
-    pub parallel_batch: usize,
     /// Warm-start node re-solves with the parent basis via the dual simplex.
     /// On by default; turn off to measure the cold baseline.
     pub warm_start: bool,
@@ -57,7 +53,6 @@ impl Default for MilpOptions {
             node_limit: 1_000_000,
             branching: Branching::default(),
             heuristic_period: 16,
-            parallel_batch: 0,
             warm_start: true,
             root_basis: None,
             trace: TraceHandle::off(),
@@ -157,7 +152,7 @@ struct Node {
     /// Branching depth (overrides.len() undercounts it after compression).
     depth: usize,
     /// Parent LP's optimal basis — warm-start hint for this node's re-solve,
-    /// shared between siblings (and across the parallel frontier).
+    /// shared between siblings.
     basis: Option<Arc<Basis>>,
     id: u64,
 }
@@ -224,29 +219,12 @@ struct Searcher<'a> {
     integers: &'a [usize],
     opts: &'a MilpOptions,
     pc: PseudoCosts,
-    next_id: AtomicU64,
+    next_id: u64,
     /// Span node/LP events land in (the per-solve `milp` span).
     span: SpanId,
-    /// Per-batch-slot scratch LPs: one matrix clone per concurrent lane for
-    /// the whole search instead of one per node. Only the bound vectors are
-    /// rewritten per node; the rayon shim spawns fresh scoped threads per
-    /// batch, so slots (not thread-locals) key the reuse.
-    scratch: Vec<Mutex<Option<StandardLp>>>,
-    lp_solves: AtomicU64,
-    lp_iters: AtomicU64,
-    warm_attempts: AtomicU64,
-    warm_hits: AtomicU64,
+    lp_stats: LpStats,
     /// Final basis of the root node's LP, captured for re-plan warm starts.
-    root_basis: Mutex<Option<Arc<Basis>>>,
-}
-
-/// Lock a mutex, recovering the guard from a poisoned lock (a panicking
-/// solver lane must not wedge the others).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    root_basis: Option<Arc<Basis>>,
 }
 
 impl<'a> Searcher<'a> {
@@ -255,34 +233,16 @@ impl<'a> Searcher<'a> {
         integers: &'a [usize],
         opts: &'a MilpOptions,
         span: SpanId,
-        slots: usize,
     ) -> Self {
         Self {
             base,
             integers,
             opts,
             pc: PseudoCosts::new(base.ncols()),
-            next_id: AtomicU64::new(1),
+            next_id: 1,
             span,
-            scratch: (0..slots.max(1)).map(|_| Mutex::new(None)).collect(),
-            lp_solves: AtomicU64::new(0),
-            lp_iters: AtomicU64::new(0),
-            warm_attempts: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            root_basis: Mutex::new(None),
-        }
-    }
-
-    fn lp_stats(&self) -> LpStats {
-        LpStats {
-            // relaxed-ok: telemetry counter read after the search joined
-            solves: self.lp_solves.load(AtomicOrdering::Relaxed),
-            // relaxed-ok: telemetry counter
-            iterations: self.lp_iters.load(AtomicOrdering::Relaxed),
-            // relaxed-ok: telemetry counter
-            warm_attempts: self.warm_attempts.load(AtomicOrdering::Relaxed),
-            // relaxed-ok: telemetry counter
-            warm_hits: self.warm_hits.load(AtomicOrdering::Relaxed),
+            lp_stats: LpStats::default(),
+            root_basis: None,
         }
     }
 
@@ -308,16 +268,24 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    fn fresh_id(&self) -> u64 {
-        // relaxed-ok: ids only need uniqueness, which fetch_add gives at any ordering
-        self.next_id.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    fn fresh_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
     }
 
-    /// Solve one node's LP relaxation and classify the outcome.
-    /// `slot` picks the scratch LP for this batch lane; `cutoff` is the
-    /// current incumbent objective in min-form (`INFINITY` when none);
-    /// `run_heuristic` enables the rounding heuristic.
-    fn expand(&self, slot: usize, node: &Node, cutoff: f64, run_heuristic: bool) -> Expansion {
+    /// Solve one node's LP relaxation and classify the outcome. `lp` is the
+    /// search's scratch LP (a clone of the base whose bound vectors are
+    /// rewritten per node); `cutoff` is the current incumbent objective in
+    /// min-form (`INFINITY` when none); `run_heuristic` enables the rounding
+    /// heuristic.
+    fn expand(
+        &mut self,
+        lp: &mut StandardLp,
+        node: &Node,
+        cutoff: f64,
+        run_heuristic: bool,
+    ) -> Expansion {
         if self.opts.trace.is_enabled() {
             self.emit(EventKind::NodeOpened {
                 id: node.id,
@@ -325,10 +293,8 @@ impl<'a> Searcher<'a> {
                 bound: self.model_sense(node.bound),
             });
         }
-        // Materialise the node LP in this lane's scratch: shared matrix and
-        // costs, per-node bound vectors rebuilt from the base + overrides.
-        let mut guard = lock(&self.scratch[slot % self.scratch.len()]);
-        let lp = guard.get_or_insert_with(|| self.base.clone());
+        // Materialise the node LP in the scratch: shared matrix and costs,
+        // per-node bound vectors rebuilt from the base + overrides.
         lp.lower.copy_from_slice(&self.base.lower);
         lp.upper.copy_from_slice(&self.base.upper);
         for &(j, l, u) in &node.overrides {
@@ -340,19 +306,11 @@ impl<'a> Searcher<'a> {
         }
 
         let hint = if self.opts.warm_start { node.basis.as_deref() } else { None };
-        if hint.is_some() {
-            // relaxed-ok: telemetry counter
-            self.warm_attempts.fetch_add(1, AtomicOrdering::Relaxed);
-        }
+        self.lp_stats.warm_attempts += u64::from(hint.is_some());
         let warmed = dual::solve_warm_traced(lp, hint, &self.opts.trace, self.span);
-        // relaxed-ok: telemetry counter
-        self.lp_solves.fetch_add(1, AtomicOrdering::Relaxed);
-        // relaxed-ok: telemetry counter
-        self.lp_iters.fetch_add(warmed.raw.iterations as u64, AtomicOrdering::Relaxed);
-        if warmed.warm {
-            // relaxed-ok: telemetry counter
-            self.warm_hits.fetch_add(1, AtomicOrdering::Relaxed);
-        }
+        self.lp_stats.solves += 1;
+        self.lp_stats.iterations += warmed.raw.iterations as u64;
+        self.lp_stats.warm_hits += u64::from(warmed.warm);
         let (raw, basis) = match warmed.raw.status {
             Status::Optimal => (warmed.raw, warmed.basis),
             Status::Infeasible => return self.prune(node.id, PruneReason::Infeasible),
@@ -371,7 +329,7 @@ impl<'a> Searcher<'a> {
         };
         let basis = basis.map(Arc::new);
         if node.id == 0 {
-            *lock(&self.root_basis) = basis.clone();
+            self.root_basis = basis.clone();
         }
         let z: f64 = raw.x.iter().zip(&lp.c).map(|(x, c)| x * c).sum();
 
@@ -401,8 +359,8 @@ impl<'a> Searcher<'a> {
 
         let heuristic = if run_heuristic {
             // try nearest-rounding and ceil-positive (fixed-charge friendly)
-            // and keep the better feasible point; both re-solves run in this
-            // lane's scratch LP, warm-started from the node's basis
+            // and keep the better feasible point; both re-solves run in the
+            // scratch LP, warm-started from the node's basis
             let node_bounds: Vec<(usize, f64, f64)> =
                 self.integers.iter().map(|&j| (j, lp.lower[j], lp.upper[j])).collect();
             let tries = [heuristics::RoundMode::Nearest, heuristics::RoundMode::CeilPositive];
@@ -451,13 +409,13 @@ impl<'a> Searcher<'a> {
     }
 }
 
-/// Sequential best-first branch & bound.
+/// Best-first branch & bound, one node per iteration.
 pub fn solve(problem: &MilpProblem, opts: &MilpOptions) -> Result<MilpSolution, MilpStatus> {
-    drive(problem, opts, 1)
+    drive(problem, opts, None).0
 }
 
 /// Branch & bound under a cooperative [`SolveBudget`]: wall-clock and
-/// node-count limits are checked once per batch inside the search loop.
+/// node-count limits are checked once per node inside the search loop.
 /// Never panics and never runs unbounded — when the budget runs out the
 /// search stops and reports [`SolveStatus::Terminated`] with the best
 /// incumbent found so far and the tightest dual bound.
@@ -466,7 +424,7 @@ pub fn solve_budgeted(
     opts: &MilpOptions,
     budget: &SolveBudget,
 ) -> SolveStatus {
-    let (result, stopped, bound) = drive_with(problem, opts, 1, Some(budget));
+    let (result, stopped, bound) = drive(problem, opts, Some(budget));
     match (stopped, result) {
         // A budget stop that nevertheless proved optimality (the frontier
         // bound already met the gap criterion) is still reported as optimal.
@@ -479,41 +437,18 @@ pub fn solve_budgeted(
     }
 }
 
-/// Parallel branch & bound: expands batches of frontier nodes concurrently
-/// on the rayon thread pool. Results are merged deterministically in batch
-/// order, so repeated runs return identical solutions.
-pub fn solve_parallel(
-    problem: &MilpProblem,
-    opts: &MilpOptions,
-) -> Result<MilpSolution, MilpStatus> {
-    let width = if opts.parallel_batch > 0 {
-        opts.parallel_batch
-    } else {
-        rayon::current_num_threads().max(2) * 2
-    };
-    drive(problem, opts, width)
-}
-
+/// Core search loop. Returns the result, the budget stop reason (if the
+/// search was cut short by `budget`), and the best dual bound in the
+/// model's original sense — the latter two feed [`solve_budgeted`].
 fn drive(
     problem: &MilpProblem,
     opts: &MilpOptions,
-    batch_width: usize,
-) -> Result<MilpSolution, MilpStatus> {
-    drive_with(problem, opts, batch_width, None).0
-}
-
-/// Core search loop. Returns the legacy result, the budget stop reason (if
-/// the search was cut short by `budget`), and the best dual bound in the
-/// model's original sense — the latter two feed [`solve_budgeted`].
-fn drive_with(
-    problem: &MilpProblem,
-    opts: &MilpOptions,
-    batch_width: usize,
     budget: Option<&SolveBudget>,
 ) -> (Result<MilpSolution, MilpStatus>, Option<StopReason>, f64) {
     let base = problem.model.to_standard();
     let solve_span = opts.trace.span("milp", opts.trace_span);
-    let searcher = Searcher::new(&base, &problem.integers, opts, solve_span.id(), batch_width);
+    let mut searcher = Searcher::new(&base, &problem.integers, opts, solve_span.id());
+    let mut scratch = base.clone();
 
     let mut heap: BinaryHeap<Node> = BinaryHeap::new();
     heap.push(Node {
@@ -572,80 +507,54 @@ fn drive_with(
                 break;
             }
         }
-        // pop a batch
+        // pop the best node the incumbent has not already pruned by bound
         let cutoff = incumbent.as_ref().map(|(z, _)| *z).unwrap_or(f64::INFINITY);
-        let mut batch = Vec::with_capacity(batch_width);
-        while batch.len() < batch_width {
-            match heap.pop() {
-                Some(n) if n.bound < cutoff - searcher.gap_slack(cutoff) => batch.push(n),
-                Some(_) => {} // pruned by bound
-                None => break,
-            }
-        }
-        if batch.is_empty() {
+        let live = cutoff - searcher.gap_slack(cutoff);
+        let Some(node) = std::iter::from_fn(|| heap.pop()).find(|n| n.bound < live) else {
             break;
-        }
-        let run_h = opts.heuristic_period > 0
-            && (root || nodes % opts.heuristic_period.max(1) < batch.len());
-        nodes += batch.len();
-
-        let results: Vec<Expansion> = if batch.len() == 1 {
-            vec![searcher.expand(0, &batch[0], cutoff, run_h)]
-        } else {
-            // Tag each expansion's events with its batch slot so traces can
-            // tell concurrent lanes apart (the rayon shim spawns fresh scoped
-            // threads, so there is no stable pool index to use instead). The
-            // slot also picks the lane's scratch LP.
-            let slotted: Vec<(u32, &Node)> =
-                batch.iter().enumerate().map(|(s, n)| (s as u32, n)).collect();
-            slotted
-                .into_par_iter()
-                .map(|(slot, n)| {
-                    with_worker(slot, || searcher.expand(slot as usize, n, cutoff, run_h))
-                })
-                .collect()
         };
+        let run_h =
+            opts.heuristic_period > 0 && (root || nodes.is_multiple_of(opts.heuristic_period));
+        nodes += 1;
 
-        for exp in results {
-            match exp {
-                Expansion::Pruned | Expansion::Infeasible => {}
-                Expansion::Unbounded => {
-                    if root {
-                        if opts.trace.is_enabled() {
-                            solve_span.emit(EventKind::SolveDone {
-                                status: "unbounded",
-                                nodes,
-                                gap: f64::INFINITY,
-                            });
-                        }
-                        return (Err(MilpStatus::Unbounded), None, f64::NEG_INFINITY);
+        match searcher.expand(&mut scratch, &node, cutoff, run_h) {
+            Expansion::Pruned | Expansion::Infeasible => {}
+            Expansion::Unbounded => {
+                if root {
+                    if opts.trace.is_enabled() {
+                        solve_span.emit(EventKind::SolveDone {
+                            status: "unbounded",
+                            nodes,
+                            gap: f64::INFINITY,
+                        });
                     }
-                    // A child LP cannot be unbounded if the root was bounded;
-                    // treat as numerical trouble.
-                    seen_numerical = true;
+                    return (Err(MilpStatus::Unbounded), None, f64::NEG_INFINITY);
                 }
-                Expansion::Numerical => seen_numerical = true,
-                Expansion::Incumbent(z, x) => {
-                    if incumbent.as_ref().is_none_or(|(best, _)| z < *best) {
-                        incumbent = Some((z, x));
-                    }
+                // A child LP cannot be unbounded if the root was bounded;
+                // treat as numerical trouble.
+                seen_numerical = true;
+            }
+            Expansion::Numerical => seen_numerical = true,
+            Expansion::Incumbent(z, x) => {
+                if incumbent.as_ref().is_none_or(|(best, _)| z < *best) {
+                    incumbent = Some((z, x));
                 }
-                Expansion::Branched { children, heuristic } => {
-                    if let Some((hz, hx)) = heuristic {
-                        if incumbent.as_ref().is_none_or(|(best, _)| hz < *best) {
-                            // validate integrality of the heuristic point
-                            let ok = problem
-                                .integers
-                                .iter()
-                                .all(|&j| (hx[j] - hx[j].round()).abs() <= opts.int_tol);
-                            if ok {
-                                incumbent = Some((hz, hx));
-                            }
+            }
+            Expansion::Branched { children, heuristic } => {
+                if let Some((hz, hx)) = heuristic {
+                    if incumbent.as_ref().is_none_or(|(best, _)| hz < *best) {
+                        // validate integrality of the heuristic point
+                        let ok = problem
+                            .integers
+                            .iter()
+                            .all(|&j| (hx[j] - hx[j].round()).abs() <= opts.int_tol);
+                        if ok {
+                            incumbent = Some((hz, hx));
                         }
                     }
-                    for c in children {
-                        heap.push(c);
-                    }
+                }
+                for c in children {
+                    heap.push(c);
                 }
             }
         }
@@ -671,8 +580,8 @@ fn drive_with(
                 gap,
                 nodes,
                 proven_optimal: proven,
-                lp_stats: searcher.lp_stats(),
-                root_basis: lock(&searcher.root_basis).clone(),
+                lp_stats: searcher.lp_stats,
+                root_basis: searcher.root_basis,
             };
             let bound = sol.best_bound;
             (Ok(sol), stopped, bound)

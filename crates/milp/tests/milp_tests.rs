@@ -149,29 +149,6 @@ fn branching_rules_agree() {
 }
 
 #[test]
-fn parallel_matches_sequential() {
-    let weights = [7.0, 5.0, 4.0, 3.0, 1.0, 6.0, 2.0, 8.0, 9.0, 2.5];
-    let values = [13.0, 9.0, 8.0, 5.0, 2.0, 11.0, 3.0, 14.0, 15.0, 4.0];
-    let cap = 21.0;
-    let build = || {
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> =
-            (0..10).map(|i| m.add_var(0.0, 1.0, values[i], &format!("x{i}"))).collect();
-        let terms: Vec<_> = vars.iter().enumerate().map(|(i, &v)| (v, weights[i])).collect();
-        m.add_con(&terms, Cmp::Le, cap);
-        MilpProblem::new(m, vars)
-    };
-    let seq = build().solve(&opts()).unwrap();
-    let par = rrp_milp::solve_parallel(&build(), &opts()).unwrap();
-    assert!(
-        (seq.objective - par.objective).abs() < 1e-6,
-        "seq {} par {}",
-        seq.objective,
-        par.objective
-    );
-}
-
-#[test]
 fn node_limit_respected() {
     // A knapsack with an awkward LP bound; node_limit 1 still yields the
     // heuristic/incumbent or errs with NodeLimit — never hangs.

@@ -102,16 +102,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn parallel_matches_sequential_bb(bip in random_bip()) {
-        let p = build(&bip);
-        let seq = p.solve(&MilpOptions::default());
-        let par = rrp_milp::solve_parallel(&p, &MilpOptions::default());
-        match (seq, par) {
-            (Ok(a), Ok(b)) => prop_assert!((a.objective - b.objective).abs() <= 1e-6,
-                "seq {} vs par {}", a.objective, b.objective),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "divergent: {a:?} vs {b:?}"),
-        }
-    }
 }

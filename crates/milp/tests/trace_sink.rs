@@ -1,17 +1,17 @@
-//! Concurrency tests for telemetry under parallel branch & bound: every
-//! batch slot's events land in the ring sink without corruption, and a
-//! full ring drops-oldest instead of blocking the solver.
+//! Telemetry under branch & bound: every node's events land in the ring
+//! sink exactly once, and a full ring drops-oldest instead of perturbing
+//! or blocking the solve.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use rrp_lp::{Cmp, Model, Sense};
-use rrp_milp::{solve_parallel, MilpOptions, MilpProblem};
+use rrp_milp::{MilpOptions, MilpProblem};
 use rrp_trace::{Event, EventKind, RingSink, TraceHandle};
 
 /// min Σ fᵢχᵢ + cᵢxᵢ s.t. Σ xᵢ ≥ 25, xᵢ − M·χᵢ ≤ 0, 0 ≤ xᵢ ≤ 10 — the
 /// deliberately loose big-M keeps the LP relaxation weak, so branch &
-/// bound opens dozens of nodes and the parallel batches are real.
+/// bound opens dozens of nodes.
 fn fixed_charge(m_coeff: f64) -> MilpProblem {
     let fixed = [7.0, 9.0, 8.0, 6.0, 10.0, 7.5];
     let unit = [1.0, 0.4, 0.7, 1.3, 0.3, 0.9];
@@ -30,15 +30,15 @@ fn fixed_charge(m_coeff: f64) -> MilpProblem {
 }
 
 fn traced_opts(ring: &Arc<RingSink>) -> MilpOptions {
-    MilpOptions { trace: TraceHandle::new(ring.clone()), parallel_batch: 4, ..Default::default() }
+    MilpOptions { trace: TraceHandle::new(ring.clone()), ..Default::default() }
 }
 
 #[test]
-fn parallel_solve_events_land_from_every_lane() {
+fn every_node_event_lands_exactly_once() {
     let problem = fixed_charge(1e5);
     let ring = Arc::new(RingSink::new(100_000));
     let opts = traced_opts(&ring);
-    let sol = solve_parallel(&problem, &opts).expect("fixed charge solves");
+    let sol = problem.solve(&opts).expect("fixed charge solves");
     let events: Vec<Event> = ring.drain();
     assert_eq!(ring.dropped_events(), 0, "ring was large enough");
 
@@ -54,15 +54,6 @@ fn parallel_solve_events_land_from_every_lane() {
     assert_eq!(opened.len(), sol.nodes, "one node_opened per expanded node");
     let unique: HashSet<u64> = opened.iter().copied().collect();
     assert_eq!(unique.len(), opened.len(), "node ids are unique");
-
-    // batch expansion really used more than one worker lane (the root
-    // branches into ≥2 children, so the second batch fills ≥2 slots)
-    let lanes: HashSet<u32> = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::NodeOpened { .. }))
-        .map(|e| e.worker)
-        .collect();
-    assert!(lanes.len() > 1, "expected multiple batch slots, saw lanes {lanes:?}");
 
     // exactly one milp span, balanced, with a final optimal solve_done
     let opens = events
@@ -86,8 +77,12 @@ fn full_ring_drops_oldest_without_blocking_the_solve() {
     let problem = fixed_charge(1e5);
     let ring = Arc::new(RingSink::new(16));
     let opts = traced_opts(&ring);
-    let sol = solve_parallel(&problem, &opts).expect("solve unaffected by a full ring");
+    let sol = problem.solve(&opts).expect("solve unaffected by a full ring");
     assert!(sol.proven_optimal);
+    // the overflowing sink never perturbs the search: same answer and the
+    // same tree as the untraced solve
+    let quiet = problem.solve(&MilpOptions::default()).expect("untraced solve");
+    assert_eq!((sol.objective, sol.nodes), (quiet.objective, quiet.nodes));
 
     assert!(ring.dropped_events() > 0, "a 16-slot ring must overflow on this tree");
     let events = ring.drain();

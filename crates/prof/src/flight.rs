@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
+use rrp_trace::json::escape_into;
 use rrp_trace::{Event, EventKind, Sink};
 
 use crate::profiler::SamplerShared;
@@ -139,7 +140,7 @@ impl FlightRecorder {
         match self.last_trigger() {
             Some(cause) => {
                 out.push('"');
-                json_escape(&mut out, &cause);
+                escape_into(&mut out, &cause);
                 out.push('"');
             }
             None => out.push_str("null"),
@@ -197,7 +198,7 @@ impl FlightRecorder {
     fn render_bundle(&self, cause: &str) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"schema\":\"rrp-postmortem/1\",\"cause\":\"");
-        json_escape(&mut out, cause);
+        escape_into(&mut out, cause);
         out.push_str("\",\"t_us\":");
         let _ = write!(out, "{}", self.now_us());
         out.push_str(",\"ring_seconds\":");
@@ -225,7 +226,7 @@ impl FlightRecorder {
                         out.push(',');
                     }
                     out.push_str("{\"stack\":\"");
-                    json_escape(&mut out, path);
+                    escape_into(&mut out, path);
                     let _ = write!(out, "\",\"count\":{n}}}");
                 }
                 out.push(']');
@@ -335,22 +336,6 @@ pub fn install_panic_hook(recorder: &Arc<FlightRecorder>) {
         }
         prev(info);
     }));
-}
-
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

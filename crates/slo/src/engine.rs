@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rrp_obs::{Registry, OVERFLOW_LABEL};
+use rrp_trace::json::escape_into;
 use rrp_trace::{Event, EventKind, LogHistogram, Sink};
 
 use crate::window::WindowRing;
@@ -836,19 +837,7 @@ fn window_label(secs: u64) -> String {
 
 fn json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(out, s);
     out.push('"');
 }
 

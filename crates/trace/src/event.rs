@@ -303,20 +303,7 @@ fn field_str(out: &mut String, key: &str, v: &str) {
     out.push_str(",\"");
     out.push_str(key);
     out.push_str("\":\"");
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    crate::json::escape_into(out, v);
     out.push('"');
 }
 

@@ -142,8 +142,8 @@ impl TraceHandle {
     /// on a worker other than the submitter) — a guard lives and dies on
     /// one thread, so it also publishes the span name to the current
     /// worker lane's profiler stack and pops it on drop. The lane is
-    /// captured at open so a nested [`with_worker`] scope cannot
-    /// unbalance another lane.
+    /// captured at open so a later [`set_worker`] cannot unbalance another
+    /// lane.
     pub fn span(&self, name: &'static str, parent: SpanId) -> SpanGuard {
         let pushed_lane = self.stack_push(name);
         SpanGuard { handle: self.clone(), id: self.open_span(name, parent), pushed_lane }
@@ -230,8 +230,8 @@ thread_local! {
     static WORKER: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Tag the current thread's events with worker lane `id` (engine worker
-/// index, parallel B&B batch slot, …). Defaults to 0.
+/// Tag the current thread's events with worker lane `id` (the engine
+/// worker index). Defaults to 0.
 pub fn set_worker(id: u32) {
     WORKER.with(|w| w.set(id));
 }
@@ -239,16 +239,6 @@ pub fn set_worker(id: u32) {
 /// The current thread's worker lane.
 pub fn current_worker() -> u32 {
     WORKER.with(Cell::get)
-}
-
-/// Run `f` with the worker lane set to `id`, restoring the previous lane
-/// afterwards — the scoped form used around parallel batch expansion.
-pub fn with_worker<R>(id: u32, f: impl FnOnce() -> R) -> R {
-    let prev = current_worker();
-    set_worker(id);
-    let out = f();
-    set_worker(prev);
-    out
 }
 
 #[cfg(test)]
@@ -289,14 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_lane_is_scoped() {
-        assert_eq!(current_worker(), 0);
-        let seen = with_worker(7, current_worker);
-        assert_eq!(seen, 7);
-        assert_eq!(current_worker(), 0);
-    }
-
-    #[test]
     fn span_guards_publish_profiler_frames() {
         let stacks = Arc::new(SpanStacks::new());
         let h = TraceHandle::with_parts(None, Some(stacks.clone()));
@@ -334,7 +316,9 @@ mod tests {
     fn guard_pops_the_lane_it_pushed() {
         let stacks = Arc::new(SpanStacks::new());
         let h = TraceHandle::with_parts(None, Some(stacks.clone()));
-        let g = with_worker(5, || h.span("rung:full", SpanId::ROOT));
+        set_worker(5);
+        let g = h.span("rung:full", SpanId::ROOT);
+        set_worker(0);
         assert_eq!(stacks.depth(5), 1);
         // lane changed between open and drop: the guard still pops lane 5
         drop(g);

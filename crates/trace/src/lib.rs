@@ -12,8 +12,8 @@
 //! 2. **Never block the solver.** [`RingSink`] drops oldest (counting
 //!    drops) instead of waiting; [`JsonlSink`] takes one short lock per
 //!    line and swallows I/O errors; [`CounterSink`] is all relaxed
-//!    atomics. All sinks are `Sync` — the parallel B&B emits from many
-//!    lanes at once.
+//!    atomics. All sinks are `Sync` — the engine's workers emit from
+//!    many lanes at once.
 //! 3. **Machine-readable.** Events serialise as flat single-line JSON
 //!    tagged by `"ev"`, so a JSONL trace is greppable and the `xtask
 //!    trace` renderer needs no schema.
@@ -38,13 +38,12 @@
 mod event;
 mod handle;
 mod hist;
+pub mod json;
 mod sink;
 mod stack;
 
 pub use event::{Event, EventKind, PruneReason};
-pub use handle::{
-    current_worker, set_worker, with_worker, SpanGuard, SpanId, StackFrameGuard, TraceHandle,
-};
+pub use handle::{current_worker, set_worker, SpanGuard, SpanId, StackFrameGuard, TraceHandle};
 pub use hist::LogHistogram;
 pub use sink::{CounterSink, JsonlSink, NullSink, RingSink, Sink, TeeSink};
 pub use stack::{SpanStacks, MAX_LANES, MAX_STACK_DEPTH};

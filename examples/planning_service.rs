@@ -11,9 +11,10 @@
 //! `cargo run -p xtask -- trace out.jsonl`.
 //!
 //! Pass `--serve-metrics <addr>` (e.g. `127.0.0.1:9184`) to expose
-//! `/metrics`, `/snapshot`, `/healthz` and `/readyz` on that address, and
-//! `--hold <secs>` to keep the engine alive after the demo with a request
-//! trickle — watch it live with `cargo run -p xtask -- watch <addr>`.
+//! `/metrics`, `/snapshot`, `/healthz`, `/readyz` and the `POST /plan`
+//! intake on that address, and `--hold <secs>` to keep the engine alive
+//! after the demo with a request trickle — watch it live with
+//! `cargo run -p xtask -- watch <addr>`.
 //!
 //! Pass `--profile <hz>` to run the continuous span-stack profiler
 //! (render live with `cargo run -p xtask -- prof <addr>` when
@@ -29,19 +30,17 @@
 //!
 //! Pass `--shards <n>` to pick the worker-shard count (default 4; each
 //! worker owns its slice of tenant state — plan cache, basis table,
-//! metrics ledger — keyed by tenant-id hash). `--shards 0` falls back to
-//! the legacy global-dispatch engine for A/B comparison. Pass `--soak <n>`
-//! to follow the demo with an n-tenant submission soak in 512-request
-//! waves (the `engine_soak` bench's wave discipline), reporting req/s,
-//! p99 latency and the deadline-miss rate.
+//! metrics ledger — keyed by tenant-id hash). Pass `--soak <n>` to follow
+//! the demo with an n-tenant submission soak in 512-request waves (the
+//! `engine_soak` bench's wave discipline), reporting req/s, p99 latency
+//! and the deadline-miss rate.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rrp_core::{CostSchedule, PlanningParams, ScenarioTree};
 use rrp_engine::{
-    Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, ProfConfig, ShardConfig,
-    SloConfig,
+    Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, ProfConfig, SloConfig,
 };
 use rrp_spotmarket::{CostRates, EmpiricalDist};
 use rrp_trace::JsonlSink;
@@ -73,18 +72,16 @@ fn main() {
     let mut profile_hz = None;
     let mut flight_dir = None;
     let mut slo = false;
-    // `Some(n)` = sharded engine with n worker shards; `None` = the legacy
-    // global-dispatch baseline (`--shards 0`)
-    let mut shards: Option<usize> = Some(4);
+    let mut shards = 4usize;
     let mut soak_tenants = 0usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--slo" => slo = true,
             "--shards" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => shards = (n > 0).then_some(n),
-                None => {
-                    eprintln!("--shards needs a count (0 = legacy global dispatch)");
+                Some(n) if n > 0 => shards = n,
+                _ => {
+                    eprintln!("--shards needs a positive worker-shard count");
                     std::process::exit(2);
                 }
             },
@@ -133,8 +130,7 @@ fn main() {
             other => eprintln!("ignoring unknown argument {other}"),
         }
     }
-    let metrics =
-        metrics_addr.clone().map(|addr| MetricsConfig { addr: Some(addr), ..Default::default() });
+    let metrics = metrics_addr.clone().map(|addr| MetricsConfig { addr: Some(addr) });
     // either flag arms the prof subsystem: `--profile` picks the sampling
     // rate, `--flight-dir` arms the recorder's dumps (with the default
     // 97 Hz sampler so bundles carry a profile), and the panic hook rides
@@ -146,8 +142,6 @@ fn main() {
         ..Default::default()
     });
     let slo = slo.then(SloConfig::default);
-    let workers = shards.unwrap_or(4);
-    let shard = shards.map(|_| ShardConfig::default());
     let engine = {
         let sink = trace_path.as_ref().map(|p| {
             Arc::new(JsonlSink::create(p).expect("create trace file")) as Arc<dyn rrp_trace::Sink>
@@ -155,22 +149,11 @@ fn main() {
         let count_solver_events =
             sink.is_some() || metrics.is_some() || prof.is_some() || slo.is_some();
         Engine::with_config(
-            workers,
-            EngineConfig {
-                sink,
-                count_solver_events,
-                metrics,
-                prof,
-                slo,
-                shard,
-                ..Default::default()
-            },
+            shards,
+            EngineConfig { sink, count_solver_events, metrics, prof, slo, ..Default::default() },
         )
     };
-    match shards {
-        Some(n) => println!("engine: {n} worker shard(s), per-tenant state sharded by id hash\n"),
-        None => println!("engine: 4 workers, legacy global dispatch (--shards 0)\n"),
-    }
+    println!("engine: {shards} worker shard(s), per-tenant state sharded by id hash\n");
     if let Some(dir) = &flight_dir {
         println!("flight recorder armed — post-mortems dump to {dir}/\n");
     }

@@ -57,7 +57,7 @@ fn main() {
             4,
             EngineConfig {
                 count_solver_events: true,
-                metrics: Some(MetricsConfig { addr: Some(addr.clone()), ..Default::default() }),
+                metrics: Some(MetricsConfig { addr: Some(addr.clone()) }),
                 ..Default::default()
             },
         ),
