@@ -104,6 +104,7 @@ fn engine_throughput(c: &mut Criterion) {
         nodes: metrics.milp_nodes_total,
         objective,
         extras: Vec::new(),
+        tags: Vec::new(),
     });
 
     // The observability overhead record: metrics exposition on, with a
@@ -236,6 +237,7 @@ fn cold_run_with_scraper(requests: &[PlanRequest]) -> Record {
         nodes: metrics.milp_nodes_total,
         objective,
         extras: Vec::new(),
+        tags: Vec::new(),
     }
 }
 

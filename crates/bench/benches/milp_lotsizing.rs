@@ -83,6 +83,7 @@ fn measure(label: &str, milp: &MilpProblem, opts: &MilpOptions) -> Record {
         nodes: sol.nodes as u64,
         objective: sol.objective,
         extras: Vec::new(),
+        tags: Vec::new(),
     }
     .with_extra("nodes_per_sec", nodes / (wall_ms / 1e3).max(1e-9))
     .with_extra("lp_iters_per_node", sol.lp_stats.iterations as f64 / nodes)

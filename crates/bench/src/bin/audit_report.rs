@@ -44,6 +44,7 @@ fn solve_and_record(records: &mut Vec<Record>, instance: String, milp: &MilpProb
             nodes: sol.nodes as u64,
             objective: sol.objective,
             extras: Vec::new(),
+            tags: Vec::new(),
         }),
         Err(e) => eprintln!("warning: {instance}: solve failed: {e:?}"),
     }

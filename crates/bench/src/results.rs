@@ -28,6 +28,45 @@ pub struct Record {
     /// `nodes_per_sec`, `warm_hit_rate`). `benchdiff` ignores fields it
     /// does not know, so extras never break the regression gate.
     pub extras: Vec<(String, f64)>,
+    /// Extra named text fields, appended after `extras` (the provenance
+    /// stamp: see [`Record::stamped`]).
+    pub tags: Vec<(String, String)>,
+}
+
+/// Where and how a record was measured — the fields planbench stamps on
+/// its sets, so a baseline from another host or toolchain is recognisable
+/// as such instead of reading as a regression.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Provenance {
+    pub nproc: usize,
+    pub commit: String,
+    pub rustc: String,
+    pub profile: &'static str,
+}
+
+impl Provenance {
+    /// The host and build this process runs as (`unknown` where `git` or
+    /// `rustc` cannot be asked).
+    pub fn here() -> Self {
+        fn tool_line(program: &str, args: &[&str]) -> String {
+            std::process::Command::new(program)
+                .args(args)
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+        }
+        // a record measured on uncommitted changes must not pass for HEAD's
+        let dirty = tool_line("git", &["status", "--porcelain", "--untracked-files=no"]);
+        let suffix = if dirty.is_empty() || dirty == "unknown" { "" } else { "+dirty" };
+        Self {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            commit: tool_line("git", &["rev-parse", "HEAD"]) + suffix,
+            rustc: tool_line("rustc", &["-V"]),
+            profile: if cfg!(debug_assertions) { "debug" } else { "release" },
+        }
+    }
 }
 
 impl Record {
@@ -39,6 +78,7 @@ impl Record {
             nodes: 0,
             objective: f64::NAN,
             extras: Vec::new(),
+            tags: Vec::new(),
         }
     }
 
@@ -46,6 +86,18 @@ impl Record {
     #[must_use]
     pub fn with_extra(mut self, key: impl Into<String>, value: f64) -> Self {
         self.extras.push((key.into(), value));
+        self
+    }
+
+    /// Stamp the record with where it was measured (builder-style).
+    #[must_use]
+    pub fn stamped(mut self, p: &Provenance) -> Self {
+        self.extras.push(("nproc".to_string(), p.nproc as f64));
+        for (key, value) in
+            [("commit", &p.commit[..]), ("rustc", &p.rustc[..]), ("profile", p.profile)]
+        {
+            self.tags.push((key.to_string(), value.to_string()));
+        }
         self
     }
 }
@@ -155,6 +207,12 @@ fn render_record(out: &mut String, r: &Record) {
         out.push(':');
         push_json_f64(out, *value);
     }
+    for (key, value) in &r.tags {
+        out.push(',');
+        push_json_str(out, key);
+        out.push(':');
+        push_json_str(out, value);
+    }
     out.push('}');
 }
 
@@ -191,7 +249,14 @@ mod tests {
     use super::*;
 
     fn rec(instance: &str, wall_ms: f64, nodes: u64, objective: f64) -> Record {
-        Record { instance: instance.into(), wall_ms, nodes, objective, extras: Vec::new() }
+        Record {
+            instance: instance.into(),
+            wall_ms,
+            nodes,
+            objective,
+            extras: Vec::new(),
+            tags: Vec::new(),
+        }
     }
 
     #[test]
@@ -218,6 +283,20 @@ mod tests {
             .with_extra("warm_hit_rate", 0.875)]);
         assert!(json.contains("\"nodes_per_sec\":1234.5"), "{json}");
         assert!(json.contains("\"warm_hit_rate\":0.875"), "{json}");
+    }
+
+    #[test]
+    fn provenance_stamp_appends_text_fields() {
+        let p = Provenance {
+            nproc: 2,
+            commit: "abc123".to_string(),
+            rustc: "rustc 1.95.0".to_string(),
+            profile: "release",
+        };
+        let json = render_json(&[Record::timing("a/1", 1.5).stamped(&p)]);
+        assert!(json.contains("\"nproc\":2.0"), "{json}");
+        assert!(json.contains("\"commit\":\"abc123\""), "{json}");
+        assert!(json.contains("\"rustc\":\"rustc 1.95.0\",\"profile\":\"release\"}"), "{json}");
     }
 
     #[test]

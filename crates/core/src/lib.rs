@@ -50,4 +50,4 @@ pub use fallback::on_demand_plan;
 pub use fingerprint::fingerprint_instance;
 pub use reservation::{ReservationLedger, ReservedTerm};
 pub use scenario::ScenarioTree;
-pub use srrp::SrrpProblem;
+pub use srrp::{FlModel, SrrpProblem};

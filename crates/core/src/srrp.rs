@@ -39,19 +39,23 @@ pub struct SrrpPlan {
     pub gap: f64,
 }
 
-/// The FL MILP together with the column maps needed to read a solution
-/// vector back into vertex decisions (see [`SrrpProblem::solve_milp_fl`]).
-struct FlModel {
-    milp: MilpProblem,
+/// The facility-location MILP of an uncapacitated SRRP instance together
+/// with the column maps needed to read a solution vector back into vertex
+/// decisions. Built by [`SrrpProblem::build_fl`] and solved by
+/// [`SrrpProblem::solve_milp_fl`]; public so that the model build and the
+/// root LP can be timed apart from outside the crate.
+#[derive(Debug, Clone)]
+pub struct FlModel {
+    pub milp: MilpProblem,
     /// `ycol[v][u - τ(v)]` — column of `y[v,u]`, `usize::MAX` when stage `u`
     /// has no net demand (no variable).
-    ycol: Vec<Vec<usize>>,
+    pub ycol: Vec<Vec<usize>>,
     /// `chi_cols[v]` — column of `χ_v` (`usize::MAX` for the root).
-    chi_cols: Vec<usize>,
+    pub chi_cols: Vec<usize>,
     /// Per-stage net demand after initial-inventory netting.
-    net: Vec<f64>,
+    pub net: Vec<f64>,
     /// Constant holding cost induced by the initial inventory ε.
-    eps_cost: f64,
+    pub eps_cost: f64,
 }
 
 impl SrrpProblem {
@@ -359,7 +363,12 @@ impl SrrpProblem {
 
     /// Build the FL model plus the column maps needed to read a solution
     /// back out (shared by the plain and budgeted FL solves).
-    fn build_fl(&self) -> FlModel {
+    ///
+    /// # Panics
+    /// On a capacitated instance or a tree with stochastic demand — the
+    /// reformulation covers neither (see [`Self::solve_milp`] for the
+    /// routing).
+    pub fn build_fl(&self) -> FlModel {
         assert!(self.params.capacity.is_none(), "FL reformulation is uncapacitated-only");
         assert!(
             !self.tree.has_stochastic_demand(),

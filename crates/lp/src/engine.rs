@@ -178,27 +178,33 @@ impl BasisEngine for DenseEngine {
     }
 }
 
-/// One product-form eta: pivot row plus the sparse entries of `d`.
-#[derive(Debug, Clone)]
+/// One product-form eta in the engine's arena: the basis position it
+/// replaced, its pivot, and where its entries end in `eta_entries`.
+#[derive(Debug, Clone, Copy)]
 struct Eta {
     r: usize,
     dr: f64,
-    idx: Vec<usize>,
-    val: Vec<f64>,
+    end: usize,
 }
 
 /// Production engine: sparse LU + PFI eta file.
+///
+/// The eta file is an arena: `eta_entries` holds the `(row, value)` nonzeros
+/// of every eta's `d = B⁻¹a_q` back to back (pivot row excluded) and `etas`
+/// says where each one ends. A refactorisation empties both and keeps their
+/// capacity, so a pivot allocates nothing.
 #[derive(Debug)]
 pub struct SparseEngine {
     lu: Option<LuFactors>,
     etas: Vec<Eta>,
+    eta_entries: Vec<(usize, f64)>,
     max_etas: usize,
     work: Vec<f64>,
 }
 
 impl Default for SparseEngine {
     fn default() -> Self {
-        Self { lu: None, etas: Vec::new(), max_etas: 64, work: Vec::new() }
+        Self { lu: None, etas: Vec::new(), eta_entries: Vec::new(), max_etas: 64, work: Vec::new() }
     }
 }
 
@@ -210,22 +216,29 @@ impl SparseEngine {
     pub fn with_max_etas(max_etas: usize) -> Self {
         Self { max_etas, ..Self::default() }
     }
+
+    /// The `(row, value)` entries of eta `e`.
+    fn entries(&self, e: usize) -> &[(usize, f64)] {
+        let start = if e == 0 { 0 } else { self.etas[e - 1].end };
+        &self.eta_entries[start..self.etas[e].end]
+    }
 }
 
 impl BasisEngine for SparseEngine {
     fn refactor(&mut self, a: &Csc, basis: &[usize]) -> Result<(), Singular> {
         self.lu = Some(LuFactors::factorize(a, basis)?);
         self.etas.clear();
+        self.eta_entries.clear();
         Ok(())
     }
 
     fn ftran(&mut self, rhs: &mut [f64]) {
         let lu = self.lu.as_ref().expect("refactor before ftran");
         lu.solve(rhs, &mut self.work);
-        for eta in &self.etas {
+        for (e, eta) in self.etas.iter().enumerate() {
             let t = rhs[eta.r] / eta.dr;
             if t != 0.0 {
-                for (&i, &v) in eta.idx.iter().zip(&eta.val) {
+                for &(i, v) in self.entries(e) {
                     rhs[i] -= v * t;
                 }
             }
@@ -234,9 +247,9 @@ impl BasisEngine for SparseEngine {
     }
 
     fn btran(&mut self, rhs: &mut [f64]) {
-        for eta in self.etas.iter().rev() {
+        for (e, eta) in self.etas.iter().enumerate().rev() {
             let mut acc = rhs[eta.r];
-            for (&i, &v) in eta.idx.iter().zip(&eta.val) {
+            for &(i, v) in self.entries(e) {
                 acc -= v * rhs[i];
             }
             rhs[eta.r] = acc / eta.dr;
@@ -253,15 +266,12 @@ impl BasisEngine for SparseEngine {
         if dr.abs() <= 1e-9 {
             return Err(());
         }
-        let mut idx = Vec::new();
-        let mut val = Vec::new();
         for (i, &v) in d.iter().enumerate() {
             if i != r && v != 0.0 {
-                idx.push(i);
-                val.push(v);
+                self.eta_entries.push((i, v));
             }
         }
-        self.etas.push(Eta { r, dr, idx, val });
+        self.etas.push(Eta { r, dr, end: self.eta_entries.len() });
         Ok(())
     }
 

@@ -8,10 +8,16 @@
 //!   constraints, minimise/maximise objective).
 //! * [`StandardLp`] — the computational form `min cᵀx, Ax = b, l ≤ x ≤ u`
 //!   obtained by adding one slack per row.
-//! * [`simplex::solve`] — a bounded-variable, two-phase primal simplex with
-//!   pluggable basis engines: a dense explicit-inverse engine (reference,
-//!   used for cross-checking) and a sparse LU engine with product-form
-//!   updates (used for real workloads such as SRRP scenario trees).
+//! * [`solve_warm`] — the production entry point: a bounded-variable dual
+//!   simplex, warm-started from a [`Basis`] after a bound change and, with
+//!   no hint, started from the all-slack basis whenever that basis is dual
+//!   feasible (every minimise-cost rental model). Its pivot row, ratio test
+//!   and reduced-cost update touch only the columns the row reaches.
+//! * [`simplex::solve_sparse`] / [`simplex::solve_dense`] — the two-phase
+//!   primal simplex the dual path falls back to (dual-infeasible start,
+//!   stall, every infeasibility verdict), over pluggable basis engines: a
+//!   sparse LU engine with product-form updates, and a dense
+//!   explicit-inverse engine kept as the cross-checking reference.
 //!
 //! The solver reports primal values, duals, reduced costs and a solution
 //! [`Status`]. Determinism: no randomness, no global state; identical inputs

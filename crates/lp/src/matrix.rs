@@ -1,9 +1,13 @@
-//! Compressed sparse column (CSC) matrices and sparse vectors.
+//! Compressed sparse column (CSC) matrices, their row-major mirror, and
+//! sparse vectors.
 //!
-//! The simplex solver only ever needs column access to the constraint
-//! matrix, so CSC is the single storage format. Entries within a column are
-//! kept sorted by row index with no duplicates; [`CscBuilder`] enforces this
-//! by accumulating triplets and merging.
+//! CSC is the storage the model is built in and the format every
+//! column-oriented kernel (FTRAN right-hand sides, pricing, factorisation)
+//! reads. Entries within a column are kept sorted by row index with no
+//! duplicates; [`CscBuilder`] enforces this by accumulating triplets and
+//! merging. The dual simplex additionally needs *rows* of `A` — its pivot
+//! row is a combination of the few rows where `B⁻ᵀe_r` is nonzero — so
+//! [`Csc::to_rows`] makes a row-major copy ([`Csr`]), once per model.
 
 /// A sparse vector as parallel (index, value) arrays, not necessarily sorted.
 #[derive(Debug, Clone, Default)]
@@ -36,6 +40,27 @@ impl SparseVec {
         for (&i, &v) in self.idx.iter().zip(&self.val) {
             dense[i] += v;
         }
+    }
+}
+
+/// Row-major mirror of a [`Csc`] matrix; entries within a row are sorted by
+/// column index.
+#[derive(Debug, Clone)]
+pub struct Csr {
+    rowptr: Vec<usize>,
+    colind: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl Csr {
+    pub fn nnz(&self) -> usize {
+        self.colind.len()
+    }
+
+    /// Iterate `(column, value)` over row `i`.
+    pub fn row_iter(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let span = self.rowptr[i]..self.rowptr[i + 1];
+        self.colind[span.clone()].iter().copied().zip(self.values[span].iter().copied())
     }
 }
 
@@ -93,6 +118,28 @@ impl Csc {
         for (i, v) in self.col_iter(j) {
             out[i] += v * scale;
         }
+    }
+
+    /// Row-major copy of the matrix.
+    pub fn to_rows(&self) -> Csr {
+        let mut rowptr = vec![0usize; self.nrows + 1];
+        for &i in &self.rowind {
+            rowptr[i + 1] += 1;
+        }
+        for i in 0..self.nrows {
+            rowptr[i + 1] += rowptr[i];
+        }
+        let mut next = rowptr.clone();
+        let mut colind = vec![0usize; self.nnz()];
+        let mut values = vec![0.0f64; self.nnz()];
+        for j in 0..self.ncols {
+            for (i, v) in self.col_iter(j) {
+                colind[next[i]] = j;
+                values[next[i]] = v;
+                next[i] += 1;
+            }
+        }
+        Csr { rowptr, colind, values }
     }
 
     /// Dense matrix-vector product `A x` (used by tests and residual checks).
@@ -212,6 +259,20 @@ mod tests {
         let mut out = vec![0.0; 3];
         m.col_axpy(0, 2.0, &mut out);
         assert_eq!(out, vec![2.0, 0.0, -4.0]);
+    }
+
+    #[test]
+    fn row_major_copy_mirrors_columns() {
+        // A = [[1, 0, 4], [2, 3, 0]]
+        let mut b = CscBuilder::new(2, 3);
+        b.push(0, 0, 1.0);
+        b.push(1, 0, 2.0);
+        b.push(1, 1, 3.0);
+        b.push(0, 2, 4.0);
+        let rows = b.build().to_rows();
+        assert_eq!(rows.nnz(), 4);
+        assert_eq!(rows.row_iter(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 4.0)]);
+        assert_eq!(rows.row_iter(1).collect::<Vec<_>>(), vec![(0, 2.0), (1, 3.0)]);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! LP model builder and conversion to computational standard form.
 
-use crate::matrix::{Csc, CscBuilder};
+use std::sync::Arc;
+
+use crate::matrix::{Csc, CscBuilder, Csr};
 use crate::solution::{Solution, Status};
 
 /// Index of a decision variable in a [`Model`].
@@ -142,11 +144,10 @@ impl Model {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
-        for (j, v) in self.vars.iter().enumerate() {
+        for v in &self.vars {
             lower.push(v.lower);
             upper.push(v.upper);
             c.push(v.obj * obj_scale);
-            let _ = j;
         }
         let mut b = Vec::with_capacity(m);
         for (i, con) in self.cons.iter().enumerate() {
@@ -165,7 +166,7 @@ impl Model {
             c.push(0.0);
             b.push(con.rhs);
         }
-        StandardLp { a: builder.build(), b, c, lower, upper, nstruct: n, obj_scale }
+        StandardLp::new(builder.build(), b, c, lower, upper, n, obj_scale)
     }
 
     /// Solve with the sparse engine (the default production path).
@@ -197,9 +198,32 @@ pub struct StandardLp {
     pub nstruct: usize,
     /// `+1` if the original model minimised, `-1` if it maximised.
     pub obj_scale: f64,
+    /// Row-major copy of `a`, built once in [`StandardLp::new`] and shared
+    /// by every clone: branch & bound clones the LP into a scratch whose
+    /// bounds it rewrites per node, and the matrix never changes.
+    rows: Arc<Csr>,
 }
 
 impl StandardLp {
+    /// Assemble a standard-form LP (and the row-major copy of `a`).
+    pub fn new(
+        a: Csc,
+        b: Vec<f64>,
+        c: Vec<f64>,
+        lower: Vec<f64>,
+        upper: Vec<f64>,
+        nstruct: usize,
+        obj_scale: f64,
+    ) -> Self {
+        let rows = Arc::new(a.to_rows());
+        Self { a, b, c, lower, upper, nstruct, obj_scale, rows }
+    }
+
+    /// Row-major view of the constraint matrix.
+    pub fn rows(&self) -> &Csr {
+        &self.rows
+    }
+
     pub fn nrows(&self) -> usize {
         self.a.nrows()
     }

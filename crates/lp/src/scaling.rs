@@ -97,15 +97,15 @@ pub fn scale(lp: &StandardLp, passes: usize) -> (StandardLp, Scaling) {
             builder.push(i, j, v * row[i] * col[j]);
         }
     }
-    let scaled = StandardLp {
-        a: builder.build(),
-        b: lp.b.iter().zip(&row).map(|(b, r)| b * r).collect(),
-        c: lp.c.iter().zip(&col).map(|(c, s)| c * s).collect(),
-        lower: lp.lower.iter().zip(&col).map(|(l, s)| l / s).collect(),
-        upper: lp.upper.iter().zip(&col).map(|(u, s)| u / s).collect(),
-        nstruct: lp.nstruct,
-        obj_scale: lp.obj_scale,
-    };
+    let scaled = StandardLp::new(
+        builder.build(),
+        lp.b.iter().zip(&row).map(|(b, r)| b * r).collect(),
+        lp.c.iter().zip(&col).map(|(c, s)| c * s).collect(),
+        lp.lower.iter().zip(&col).map(|(l, s)| l / s).collect(),
+        lp.upper.iter().zip(&col).map(|(u, s)| u / s).collect(),
+        lp.nstruct,
+        lp.obj_scale,
+    );
     (scaled, Scaling { row, col })
 }
 

@@ -140,6 +140,8 @@ struct Simplex<'a, E: BasisEngine> {
     basis: Vec<usize>,
     vstat: Vec<VStat>,
     x: Vec<f64>,
+    /// Right-hand-side scratch of [`Self::recompute_basic_values`].
+    rhs: Vec<f64>,
     iterations: usize,
     degenerate_run: usize,
     bland: bool,
@@ -162,6 +164,7 @@ impl<'a, E: BasisEngine> Simplex<'a, E> {
             basis: Vec::new(),
             vstat: Vec::new(),
             x: vec![0.0; n],
+            rhs: vec![0.0; m],
             iterations: 0,
             degenerate_run: 0,
             bland: false,
@@ -241,16 +244,17 @@ impl<'a, E: BasisEngine> Simplex<'a, E> {
     /// x_B = B⁻¹ (b − N x_N)
     fn recompute_basic_values(&mut self) {
         let lp = self.lp;
-        let mut rhs = lp.b.clone();
+        let rhs = &mut self.rhs;
+        rhs.copy_from_slice(&lp.b);
         for j in 0..self.n {
             if !matches!(self.vstat[j], VStat::Basic(_)) {
                 let v = self.x[j];
                 if v != 0.0 {
-                    lp.a.col_axpy(j, -v, &mut rhs);
+                    lp.a.col_axpy(j, -v, rhs);
                 }
             }
         }
-        self.engine.ftran(&mut rhs);
+        self.engine.ftran(rhs);
         for (r, &j) in self.basis.iter().enumerate() {
             self.x[j] = rhs[r];
         }
@@ -318,19 +322,11 @@ impl<'a, E: BasisEngine> Simplex<'a, E> {
             y.copy_from_slice(&cb);
             self.engine.btran(&mut y);
 
-            // Pricing.
-            let entering = self.price(phase1, &y);
-            let (q, sigma, dq) = match entering {
-                Some(e) => e,
-                None => {
-                    if phase1 && self.total_infeasibility() > FEAS_TOL {
-                        // phase-1 optimum with residual infeasibility
-                        return Ok(()); // caller declares Infeasible
-                    }
-                    return Ok(());
-                }
+            // Pricing. No entering column ends the phase: optimal in phase
+            // 2; in phase 1 the caller reads the residual infeasibility.
+            let Some((q, sigma)) = self.price(phase1, &y) else {
+                return Ok(());
             };
-            let _ = dq;
 
             // d = B⁻¹ a_q
             for v in d.iter_mut() {
@@ -364,9 +360,6 @@ impl<'a, E: BasisEngine> Simplex<'a, E> {
                 }
             } else {
                 self.degenerate_run = 0;
-                if !self.bland {
-                    // keep Dantzig
-                }
             }
             self.x[q] += sigma * t;
             for (r, &j) in self.basis.iter().enumerate() {
@@ -421,10 +414,10 @@ impl<'a, E: BasisEngine> Simplex<'a, E> {
         }
     }
 
-    /// Choose the entering column. Returns `(column, direction, reduced cost)`.
-    fn price(&self, phase1: bool, y: &[f64]) -> Option<(usize, f64, f64)> {
+    /// Choose the entering column. Returns `(column, direction)`.
+    fn price(&self, phase1: bool, y: &[f64]) -> Option<(usize, f64)> {
         let lp = self.lp;
-        let mut best: Option<(usize, f64, f64)> = None;
+        let mut best: Option<(usize, f64, f64)> = None; // (column, direction, |d_j|)
         for j in 0..self.n {
             let stat = self.vstat[j];
             if matches!(stat, VStat::Basic(_)) {
@@ -453,15 +446,15 @@ impl<'a, E: BasisEngine> Simplex<'a, E> {
                 continue;
             }
             if self.bland {
-                return Some((j, sigma, dj));
+                return Some((j, sigma));
             }
             let score = dj.abs();
             match best {
-                Some((_, _, b)) if b.abs() >= score => {}
-                _ => best = Some((j, sigma, dj)),
+                Some((_, _, b)) if b >= score => {}
+                _ => best = Some((j, sigma, score)),
             }
         }
-        best
+        best.map(|(j, sigma, _)| (j, sigma))
     }
 
     fn ratio_test(&self, phase1: bool, q: usize, sigma: f64, d: &[f64]) -> RatioOutcome {

@@ -134,3 +134,165 @@ proptest! {
         prop_assert!((zp - zw).abs() <= 1e-7 * (1.0 + zp.abs()));
     }
 }
+
+/// What a random bounded LP is built to exercise on the hint-less path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Flavour {
+    /// Minimise, costs ≥ 0, every column resting at a finite lower bound:
+    /// the slack basis is dual feasible and the dual simplex finishes.
+    DualStart,
+    /// Some costs negative: the slack basis is dual infeasible → primal.
+    NegativeCosts,
+    /// A maximise model with positive profits → primal.
+    Maximise,
+    /// Dual-feasible start, contradictory rows: the dual path finds no
+    /// entering column and the primal confirms the verdict.
+    Infeasible,
+    /// A cost-improving ray: only the primal can say so.
+    Unbounded,
+    /// 0/±1 coefficients, zero right-hand sides, duplicated rows.
+    Degenerate,
+    /// `DualStart` with rows scaled over six orders of magnitude.
+    BadlyScaled,
+}
+
+const FLAVOURS: [Flavour; 7] = [
+    Flavour::DualStart,
+    Flavour::NegativeCosts,
+    Flavour::Maximise,
+    Flavour::Infeasible,
+    Flavour::Unbounded,
+    Flavour::Degenerate,
+    Flavour::BadlyScaled,
+];
+
+/// A random LP of the given flavour. Feasible flavours are built around a
+/// random interior point, so feasibility never hangs on a tolerance.
+fn random_lp(flavour: Flavour, seed: u64) -> StandardLp {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(2..9usize);
+    let m = rng.gen_range(1..8usize);
+    let sense = if flavour == Flavour::Maximise { Sense::Maximize } else { Sense::Minimize };
+    let degenerate = flavour == Flavour::Degenerate;
+    let mut model = Model::new(sense);
+    let mut point = Vec::with_capacity(n);
+    for j in 0..n {
+        let lower = if degenerate { 0.0 } else { rng.gen_range(-2.0..1.0f64) };
+        let upper = lower + rng.gen_range(0.5..4.0f64);
+        let cost = match flavour {
+            Flavour::NegativeCosts => rng.gen_range(-3.0..3.0f64),
+            Flavour::Degenerate => f64::from(rng.gen_range(0..3u32)),
+            _ => rng.gen_range(0.0..3.0f64),
+        };
+        model.add_var(lower, upper, cost, &format!("x{j}"));
+        point.push(if degenerate { lower } else { rng.gen_range(lower..upper) });
+    }
+    let mut rows: Vec<(Vec<(usize, f64)>, Cmp, f64)> = Vec::new();
+    for _ in 0..m {
+        let mut terms = Vec::new();
+        for j in 0..n {
+            if rng.gen_bool(0.5) {
+                let coeff = if degenerate {
+                    f64::from(rng.gen_range(0..2i32) * 2 - 1)
+                } else {
+                    rng.gen_range(-2.0..2.0f64)
+                };
+                terms.push((j, coeff));
+            }
+        }
+        if terms.is_empty() {
+            terms.push((rng.gen_range(0..n), 1.0));
+        }
+        let at_point: f64 = terms.iter().map(|&(j, c)| c * point[j]).sum();
+        let scale =
+            if flavour == Flavour::BadlyScaled { 10f64.powi(rng.gen_range(-3..4i32)) } else { 1.0 };
+        for t in &mut terms {
+            t.1 *= scale;
+        }
+        let slack = if degenerate { 0.0 } else { rng.gen_range(0.1..1.0f64) };
+        let row = match rng.gen_range(0..3u32) {
+            0 => (terms, Cmp::Le, (at_point + slack) * scale),
+            1 => (terms, Cmp::Ge, (at_point - slack) * scale),
+            _ => (terms, Cmp::Eq, at_point * scale),
+        };
+        if degenerate && rng.gen_bool(0.3) {
+            rows.push(row.clone());
+        }
+        rows.push(row);
+    }
+    for (terms, cmp, rhs) in &rows {
+        model.add_con(terms, *cmp, *rhs);
+    }
+    match flavour {
+        Flavour::Infeasible => {
+            // Σ x ≥ Σ upper + 1 cannot hold inside the boxes
+            let terms: Vec<_> = (0..n).map(|j| (j, 1.0)).collect();
+            let cap: f64 = (0..n).map(|j| model.var_bounds(j).1).sum();
+            model.add_con(&terms, Cmp::Ge, cap + 1.0);
+        }
+        Flavour::Unbounded => {
+            // a column no row mentions, free to fall with a positive cost
+            model.add_var(f64::NEG_INFINITY, 0.0, 1.0, "ray");
+        }
+        _ => {}
+    }
+    model.to_standard()
+}
+
+fn objective(lp: &StandardLp, x: &[f64]) -> f64 {
+    x.iter().zip(&lp.c).map(|(x, c)| x * c).sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hint-less `solve_warm` — dual-first from the slack basis when that
+    /// basis is dual feasible, two-phase primal otherwise — agrees with the
+    /// sparse and the dense primal on status and objective, never reports
+    /// itself warm, and never takes an infeasibility verdict from the dual.
+    #[test]
+    fn hintless_solve_matches_both_primals((pick, seed) in (0usize..7, any::<u64>())) {
+        let flavour = FLAVOURS[pick];
+        let lp = random_lp(flavour, seed);
+        let cold = dual::solve_warm(&lp, None);
+        let sparse = simplex::solve_sparse(&lp);
+        let dense = simplex::solve_dense(&lp);
+
+        prop_assert!(!cold.warm, "a hint-less solve is never a warm hit");
+        prop_assert!(cold.raw.status == sparse.status && sparse.status == dense.status,
+            "{flavour:?}: status diverged: cold {:?} sparse {:?} dense {:?}",
+            cold.raw.status, sparse.status, dense.status);
+        match flavour {
+            Flavour::Infeasible => {
+                prop_assert_eq!(cold.raw.status, Status::Infeasible);
+                prop_assert!(cold.cold_dual_abandoned,
+                    "the verdict must come from the primal after the dual gave up");
+            }
+            Flavour::Unbounded => {
+                prop_assert_eq!(cold.raw.status, Status::Unbounded);
+                prop_assert!(!cold.cold_dual_abandoned, "dual-infeasible start: primal only");
+            }
+            Flavour::Maximise => prop_assert!(!cold.cold_dual_abandoned),
+            _ => prop_assert_eq!(cold.raw.status, Status::Optimal),
+        }
+        if cold.raw.status == Status::Optimal {
+            let (zc, zs, zd) = (
+                objective(&lp, &cold.raw.x), objective(&lp, &sparse.x), objective(&lp, &dense.x));
+            prop_assert!((zc - zs).abs() <= 1e-6 * (1.0 + zs.abs()),
+                "{flavour:?}: cold {zc} vs sparse primal {zs}");
+            prop_assert!((zc - zd).abs() <= 1e-6 * (1.0 + zd.abs()),
+                "{flavour:?}: cold {zc} vs dense primal {zd}");
+            for j in 0..lp.ncols() {
+                prop_assert!(cold.raw.x[j] >= lp.lower[j] - 1e-6);
+                prop_assert!(cold.raw.x[j] <= lp.upper[j] + 1e-6);
+            }
+            let ax = lp.a.mul_dense(&cold.raw.x);
+            for (i, (ax_i, b_i)) in ax.iter().zip(&lp.b).enumerate() {
+                prop_assert!((ax_i - b_i).abs() <= 1e-6 * (1.0 + b_i.abs()),
+                    "{flavour:?}: row {i} residual {}", ax_i - b_i);
+            }
+            prop_assert!(cold.basis.is_some(), "optimal solve must snapshot a basis");
+        }
+    }
+}

@@ -118,6 +118,9 @@ pub struct LpStats {
     pub warm_attempts: u64,
     /// Solves completed on the warm dual-simplex path.
     pub warm_hits: u64,
+    /// Hint-less solves that started on the dual simplex from the slack
+    /// basis and were abandoned to the two-phase primal.
+    pub cold_dual_abandoned: u64,
 }
 
 impl LpStats {
@@ -311,6 +314,7 @@ impl<'a> Searcher<'a> {
         self.lp_stats.solves += 1;
         self.lp_stats.iterations += warmed.raw.iterations as u64;
         self.lp_stats.warm_hits += u64::from(warmed.warm);
+        self.lp_stats.cold_dual_abandoned += u64::from(warmed.cold_dual_abandoned);
         let (raw, basis) = match warmed.raw.status {
             Status::Optimal => (warmed.raw, warmed.basis),
             Status::Infeasible => return self.prune(node.id, PruneReason::Infeasible),

@@ -205,3 +205,54 @@ fn tighten_bounds_absorbs_roundoff_crossings() {
     assert!(sol.values[x].abs() <= 1e-9, "x pinned to its point interval");
     assert!((sol.values[y] - 1.0).abs() <= 1e-6, "y carries the demand alone");
 }
+
+/// Fixed-charge lot-sizing: min Σ setup·y + unit·x + hold·s with demand
+/// balance and x ≤ cap·y. All costs ≥ 0, so every hint-less node LP starts
+/// (and normally ends) on the dual simplex from the slack basis.
+fn lot_sizing(horizon: usize) -> MilpProblem {
+    let cap = 6.0;
+    let mut m = Model::new(Sense::Minimize);
+    let mut integers = Vec::new();
+    let mut prev_stock = None;
+    for t in 0..horizon {
+        let x = m.add_var(0.0, cap, 0.4, &format!("x{t}"));
+        let y = m.add_var(0.0, 1.0, 3.0 + (t % 3) as f64, &format!("y{t}"));
+        let s = m.add_var(0.0, f64::INFINITY, 0.2, &format!("s{t}"));
+        let mut balance = vec![(x, 1.0), (s, -1.0)];
+        balance.extend(prev_stock.map(|p| (p, 1.0)));
+        m.add_con(&balance, Cmp::Eq, 1.0 + ((t * 5) % 4) as f64);
+        m.add_con(&[(x, 1.0), (y, -cap)], Cmp::Le, 0.0);
+        integers.push(y);
+        prev_stock = Some(s);
+    }
+    MilpProblem::new(m, integers)
+}
+
+/// The dual-first cold start must not leak into the warm-start telemetry:
+/// a solve is a warm hit only when it was entered with a hint, so
+/// `warm_hits ≤ warm_attempts ≤ solves` whatever path finished the LP, and
+/// a search with warm starts off reports none at all.
+#[test]
+fn lp_stats_count_dual_first_solves_as_cold() {
+    let lots = lot_sizing(8);
+    let warm = lots.solve(&opts()).unwrap().lp_stats;
+    assert!(warm.warm_hits <= warm.warm_attempts, "{warm:?}");
+    assert!(warm.warm_attempts < warm.solves, "the root LP has no hint: {warm:?}");
+    assert!(warm.warm_hits > 0, "a branching search should warm-start its children: {warm:?}");
+
+    let cold = lots.solve(&MilpOptions { warm_start: false, ..opts() }).unwrap().lp_stats;
+    assert!(cold.solves > 1, "{cold:?}");
+    assert_eq!((cold.warm_attempts, cold.warm_hits), (0, 0), "{cold:?}");
+    assert!(cold.cold_dual_abandoned <= cold.solves, "{cold:?}");
+
+    // a maximise model never starts on the dual: nothing to abandon
+    let weights = [7.0, 5.0, 4.0, 3.0, 1.0, 6.0, 2.0, 8.0];
+    let mut m = Model::new(Sense::Maximize);
+    let vars: Vec<_> =
+        (0..8).map(|i| m.add_var(0.0, 1.0, weights[i] + 0.5, &format!("x{i}"))).collect();
+    let terms: Vec<_> = vars.iter().zip(weights).map(|(&v, w)| (v, w)).collect();
+    m.add_con(&terms, Cmp::Le, 17.0);
+    let knap = MilpProblem::new(m, vars).solve(&MilpOptions { warm_start: false, ..opts() });
+    let knap = knap.unwrap().lp_stats;
+    assert_eq!((knap.warm_hits, knap.cold_dual_abandoned), (0, 0), "{knap:?}");
+}
