@@ -117,7 +117,8 @@ impl DrrpProblem {
         // Single-period (l,S) inequalities, valid for the uncapacitated
         // model: a slot's demand is covered by carried stock or a rental —
         // β_{t−1} + D_t·χ_t ≥ D_t. They sharpen the notoriously weak big-M
-        // relaxation (χ = α/B) and keep the B&B tree small.
+        // relaxation (χ = α/B) and keep the B&B tree small. The planners
+        // answer this case from `exact_dp`; the MILP stays its oracle.
         if self.params.capacity.is_none() {
             for t in 0..t_max {
                 if s.demand[t] <= 0.0 {
@@ -166,14 +167,14 @@ impl DrrpProblem {
             .collect()
     }
 
-    /// Solve via branch & bound. Uses Wagner–Whitin automatically when the
-    /// capacity constraint is absent ([`crate::wagner_whitin`] is exact and
-    /// orders of magnitude faster); pass `force_milp` to bypass that.
+    /// Solve to optimality: from [`exact_dp`] when the instance has an exact
+    /// answer without branch & bound, else through the MILP
+    /// ([`Self::solve_milp`] bypasses the routing).
     pub fn solve(&self) -> Result<RentalPlan, MilpStatus> {
-        if self.params.capacity.is_none() {
-            return Ok(crate::wagner_whitin::solve(&self.schedule, &self.params));
+        match exact_dp(&self.schedule, &self.params) {
+            Some(plan) => Ok(plan),
+            None => self.solve_milp(&MilpOptions::default()),
         }
-        self.solve_milp(&MilpOptions::default())
     }
 
     /// Always solve through the MILP path.
@@ -219,6 +220,21 @@ impl DrrpProblem {
     pub fn cost_of(&self, plan: &RentalPlan) -> f64 {
         plan_from_decisions(&self.schedule, plan.alpha.clone(), plan.beta.clone(), plan.chi.clone())
             .objective
+    }
+}
+
+/// The exact optimum of a DRRP instance that needs no branch & bound, or
+/// `None` when only the MILP of [`DrrpProblem::to_milp`] is exact for it.
+/// This is the one place that routes an instance class to its exact method:
+///
+/// * `capacity: None` — the paper's §V setting, constraint (3) omitted — is
+///   uncapacitated lot-sizing, answered by [`crate::wagner_whitin`] in
+///   `O(T²)`;
+/// * `capacity: Some(_)` has no exact DP here yet and goes to branch & bound.
+pub fn exact_dp(schedule: &CostSchedule, params: &PlanningParams) -> Option<RentalPlan> {
+    match params.capacity {
+        None => Some(crate::wagner_whitin::solve(schedule, params)),
+        Some(_) => None,
     }
 }
 
@@ -368,6 +384,15 @@ mod tests {
         // objective = cp + gen·1 + out·1 = 0.2 + 0.05 + 0.17
         assert!((plan.objective - 0.42).abs() < 1e-6, "{}", plan.objective);
         assert!((plan.breakdown.transfer_out - 0.17).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exact_dp_routes_only_uncapacitated_instances() {
+        let s = schedule(vec![0.4, 0.3], vec![0.3, 0.7]);
+        let uncapacitated = exact_dp(&s, &PlanningParams::default()).expect("lot-sizing has a DP");
+        assert!(uncapacitated.is_feasible(&s, &PlanningParams::default(), 1e-9));
+        let capped = PlanningParams { capacity: Some(1.0), ..Default::default() };
+        assert!(exact_dp(&s, &capped).is_none(), "capacitated DRRP goes to branch & bound");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   demand is always covered.
 //! * **Wagner–Whitin** ([`wagner_whitin`]) — the exact dynamic-programming
 //!   solution of the uncapacitated case, confirming the paper's
-//!   "dynamic lot-sizing" identification and serving as an independent
-//!   cross-check and fast path.
+//!   "dynamic lot-sizing" identification. [`drrp::exact_dp`] routes every
+//!   uncapacitated instance to it, and the MILP stays its cross-check.
 //! * **Scenario trees** ([`scenario`]) and **bid-dependent dynamic
 //!   sampling** ([`sampling`], paper Eq. 10).
 //! * **SRRP** ([`srrp`]) — the multistage recourse model solved through its

@@ -2,13 +2,15 @@
 //! Wagner–Whitin → on-demand-only. Every rung either answers with a
 //! demand-feasible plan or records why it fell through; the bottom rung is
 //! a closed-form construction, so the ladder is total on feasible
-//! instances.
+//! instances. The DRRP and DP rungs take the exact answer
+//! [`rrp_core::drrp::exact_dp`] routes to whenever one exists (uncapacitated
+//! instances, by Wagner–Whitin); only the rest reach branch & bound.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use rrp_core::drrp::DrrpVars;
-use rrp_core::{on_demand_plan, wagner_whitin, DrrpProblem, PlanOutcome, RentalPlan, SrrpProblem};
+use rrp_core::drrp::{exact_dp, DrrpVars};
+use rrp_core::{on_demand_plan, DrrpProblem, PlanOutcome, RentalPlan, SrrpProblem};
 use rrp_milp::{Basis, MilpOptions, MilpProblem, SolveBudget, SolveStatus};
 use rrp_trace::{EventKind, SpanId, TraceHandle};
 
@@ -84,8 +86,9 @@ enum Attempt {
 
 /// Run the ladder from the request's policy rung downwards under a shared
 /// wall-clock/node budget. The MILP rungs check the budget cooperatively
-/// inside branch & bound; the DP and on-demand rungs are O(T²)/O(T) and
-/// run unconditionally, so a feasible plan always comes back.
+/// inside branch & bound; the exact DP (on whichever DRRP rung answers from
+/// it) and the on-demand rung are O(T²)/O(T) and run unconditionally, so a
+/// feasible plan always comes back.
 pub fn run_ladder(req: &PlanRequest, opts: &MilpOptions, budget: &SolveBudget) -> LadderResult {
     run_ladder_prepared(req, opts, budget, None)
 }
@@ -172,6 +175,10 @@ fn attempt_level(
             commit_srrp(&srrp, req, outcome)
         }
         DegradationLevel::Deterministic => {
+            // an instance with an exact DP answer never reaches the MILP
+            if let Some(plan) = exact_dp(&req.schedule, &req.params) {
+                return Attempt::Answer(plan, RungOutcome::Solved, None);
+            }
             // reuse the audit gate's (strengthened) instance when present
             if let Some(prep) = prepared {
                 return match prep.milp.solve_budgeted(opts, budget) {
@@ -205,15 +212,10 @@ fn attempt_level(
                 PlanOutcome::Failed(e) => Attempt::Miss(RungOutcome::Failed(format!("{e:?}"))),
             }
         }
-        DegradationLevel::DynamicProgram => {
-            if req.params.capacity.is_some() {
-                return Attempt::Miss(RungOutcome::Skipped(
-                    "Wagner-Whitin DP is uncapacitated-only",
-                ));
-            }
-            let plan = wagner_whitin::solve(&req.schedule, &req.params);
-            Attempt::Answer(plan, RungOutcome::Solved, None)
-        }
+        DegradationLevel::DynamicProgram => match exact_dp(&req.schedule, &req.params) {
+            Some(plan) => Attempt::Answer(plan, RungOutcome::Solved, None),
+            None => Attempt::Miss(RungOutcome::Skipped("Wagner-Whitin DP is uncapacitated-only")),
+        },
         DegradationLevel::OnDemandOnly => {
             let plan = on_demand_plan(&req.schedule, &req.params);
             Attempt::Answer(plan, RungOutcome::Solved, None)

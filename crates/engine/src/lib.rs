@@ -13,6 +13,8 @@
 //!   budget the request falls down the ladder SRRP → DRRP → Wagner–Whitin
 //!   DP → on-demand-only; the bottom rung is closed-form, so every request
 //!   gets a demand-feasible plan, tagged with its [`DegradationLevel`].
+//!   Uncapacitated DRRP never reaches branch & bound: the DRRP rung answers
+//!   it exactly from Wagner–Whitin ([`rrp_core::drrp::exact_dp`]).
 //! * **Warm-start caching** ([`cache`]) — answers are keyed by a canonical
 //!   problem fingerprint (schedule + demand + tree shape); identical
 //!   problems hit, even from different tenants of the same shard.
@@ -83,3 +85,4 @@ pub use rrp_prof::ProfConfig;
 pub use rrp_slo::SloConfig;
 pub use service::{Engine, EngineConfig, MetricsConfig, ShardConfig, Ticket};
 pub use shard::{shard_of, Busy};
+pub use wire::MAX_HORIZON;

@@ -1033,7 +1033,9 @@ fn process(shared: &Shared, state: &ShardState, req: PlanRequest, span: SpanId) 
     // of the requested policy. A provably infeasible request is rejected
     // for the cost of a propagation pass (no branch & bound, no panic on
     // the on-demand floor); otherwise the audit's bound/big-M tightenings
-    // are kept and the strengthened instance feeds the Deterministic rung.
+    // are kept and the strengthened instance feeds the Deterministic rung
+    // whenever it runs branch & bound (capacitated requests: the rest have
+    // an exact DP answer and never touch it).
     let mut prepared = PreparedDrrp::from_request(&req);
     let hints: Vec<UpperBoundHint> = prepared
         .problem

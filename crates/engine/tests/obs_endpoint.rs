@@ -8,7 +8,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use rrp_core::{CostSchedule, PlanningParams, ScenarioTree};
-use rrp_engine::{Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, ShardConfig};
+use rrp_engine::{
+    Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, ShardConfig, MAX_HORIZON,
+};
 use rrp_obs::text::parse;
 use rrp_spotmarket::{CostRates, EmpiricalDist};
 
@@ -264,6 +266,12 @@ fn plan_intake_serves_a_tenant_request_over_http() {
             .expect("empty tenant answered");
     assert_eq!(code, 400, "{resp}");
     assert!(resp.contains("app_id"), "{resp}");
+    // an absurd horizon stops at the boundary too, before any O(T²) work
+    let series = vec!["0.25"; MAX_HORIZON + 1].join(",");
+    let body = format!(r#"{{"app_id":"x","compute":[{series}],"demand":[{series}]}}"#);
+    let (code, _, resp) = http_post(addr, "/plan", &body).expect("long horizon answered");
+    assert_eq!(code, 400, "{resp}");
+    assert!(resp.contains("\\\"compute\\\"") && resp.contains("horizon cap"), "{resp}");
     assert_eq!(engine.metrics().completed, 1, "a refused body must never reach a worker");
     let (code, _, resp) = http_post(
         addr,

@@ -106,8 +106,13 @@ proptest! {
             2,
             EngineConfig { sink: Some(ring.clone()), ..Default::default() },
         );
+        // the DRRP request is capacitated so that it reaches branch & bound
+        // (uncapacitated DRRP is answered by the DP, with no MILP spans);
+        // the 0.1 floor keeps the capacity positive on all-zero demand
+        let peak = schedule.demand.iter().cloned().fold(0.1, f64::max);
+        let capped = PlanningParams { capacity: Some(1.2 * peak), ..params };
         let reqs = vec![
-            request(PolicyKind::Deterministic, &schedule, &params, &tree),
+            request(PolicyKind::Deterministic, &schedule, &capped, &tree),
             request(PolicyKind::Stochastic, &schedule, &params, &tree),
         ];
         let responses = engine.run_batch(reqs);

@@ -17,6 +17,8 @@
 //! Everything is deterministic in the seed, and each [`crate::VmClass`] has
 //! a canonical default seed so "the archive" is stable across runs.
 
+use std::sync::OnceLock;
+
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal, Poisson};
 use rrp_timeseries::{EventSeries, TimeSeries};
@@ -93,10 +95,12 @@ impl ArchiveParams {
 }
 
 impl SpotArchive {
-    /// Canonical archive for a class (fixed per-class seed).
+    /// Canonical archive for a class (fixed per-class seed). Generated once
+    /// per class and process; every call returns a clone of that archive.
     pub fn canonical(class: VmClass) -> Self {
-        let seed = 0x5EED_0000 + class.power_rank() as u64;
-        Self::generate(class, seed)
+        static CANONICAL: [OnceLock<SpotArchive>; 4] = [const { OnceLock::new() }; 4];
+        let rank = class.power_rank();
+        CANONICAL[rank - 1].get_or_init(|| Self::generate(class, 0x5EED_0000 + rank as u64)).clone()
     }
 
     /// Generate with an explicit seed and default parameters.

@@ -194,7 +194,9 @@ fn main() {
     // each deterministic tenant re-plans three times with drifting demand:
     // the exact fingerprint misses the plan cache every round, but the
     // problem *shape* is unchanged, so the engine hands the previous round's
-    // root basis to the solver and the root LP re-solves warm
+    // root basis to the solver and the root LP re-solves warm. The wave is
+    // capacitated (1.2× peak demand): uncapacitated DRRP is answered by the
+    // Wagner–Whitin DP and never reaches the LP
     for round in 1..=3u32 {
         let replans: Vec<PlanRequest> = (0..16)
             .filter(|i| matches!(policies[i % policies.len()], PolicyKind::Deterministic))
@@ -203,6 +205,8 @@ fn main() {
                 for d in &mut req.schedule.demand {
                     *d += 0.01 * round as f64;
                 }
+                let peak = req.schedule.demand.iter().cloned().fold(0.0, f64::max);
+                req.params.capacity = Some(1.2 * peak);
                 req
             })
             .collect();

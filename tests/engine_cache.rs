@@ -145,7 +145,8 @@ fn responses_bit_identical_across_worker_counts() {
 /// A rolling-horizon re-plan: same tenant and model shape, shifted demand.
 /// The exact fingerprint misses the plan cache, but the basis side-table
 /// hits, warm-starting the new root LP — and the answer is identical to a
-/// warm-start-disabled engine's.
+/// warm-start-disabled engine's. Capacitated, because only capacitated DRRP
+/// reaches branch & bound (uncapacitated requests are answered by the DP).
 #[test]
 fn replan_hits_the_basis_side_table() {
     let det_request = |seed: u64| {
@@ -153,6 +154,8 @@ fn replan_hits_the_basis_side_table() {
         req.app_id = "replan-tenant".into();
         req.policy = PolicyKind::Deterministic;
         req.tree = None;
+        let peak = req.schedule.demand.iter().cloned().fold(0.0, f64::max);
+        req.params.capacity = Some(1.2 * peak);
         req
     };
 

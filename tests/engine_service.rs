@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rrp_core::{CostSchedule, PlanningParams, ScenarioTree};
-use rrp_engine::{DegradationLevel, Engine, PlanRequest, PolicyKind};
+use rrp_core::{wagner_whitin, CostSchedule, PlanningParams, ScenarioTree};
+use rrp_engine::{DegradationLevel, Engine, PlanRequest, PolicyKind, RungOutcome};
 use rrp_spotmarket::{CostRates, EmpiricalDist};
 
 fn schedule(horizon: usize, seed: u64) -> CostSchedule {
@@ -91,29 +91,45 @@ fn sixty_four_concurrent_requests_meet_deadlines() {
 #[test]
 fn tight_deadline_falls_down_the_ladder() {
     let engine = Engine::new(2);
-    // an already-expired budget: both MILP rungs must stop at node zero
-    // and the DP floor answers
+    // an already-expired budget: the SRRP rung stops at node zero, and the
+    // uncapacitated DRRP below it is answered exactly by the DP, which
+    // needs no budget
     let mut req = request(0, PolicyKind::Stochastic, Duration::ZERO);
     req.app_id = "hurried".into();
     let s = req.schedule.clone();
     let params = req.params;
 
     let resp = engine.submit(req).wait();
-    assert!(
-        resp.degradation > DegradationLevel::Full,
-        "expected a fallback below SRRP, got {:?}",
-        resp.degradation
-    );
-    assert_eq!(resp.degradation, DegradationLevel::DynamicProgram, "trace: {:?}", resp.trace);
+    assert_eq!(resp.degradation, DegradationLevel::Deterministic, "trace: {:?}", resp.trace);
     assert!(resp.expect_plan().is_feasible(&s, &params, 1e-6));
-    // the trace records the rungs that ran out of budget above the answer
-    assert_eq!(resp.trace.len(), 3, "trace: {:?}", resp.trace);
+    let exact = wagner_whitin::solve(&s, &params).objective;
+    assert!((resp.expect_plan().objective - exact).abs() <= 1e-9 * (1.0 + exact));
+    // the trace records the rung that ran out of budget above the answer
+    assert_eq!(resp.trace.len(), 2, "trace: {:?}", resp.trace);
     assert_eq!(resp.trace[0].level, DegradationLevel::Full);
-    assert_eq!(resp.trace[1].level, DegradationLevel::Deterministic);
+    assert!(matches!(resp.trace[0].outcome, RungOutcome::Exhausted(_)), "{:?}", resp.trace);
+    assert_eq!(resp.trace[1].outcome, RungOutcome::Solved);
+
+    // capacitated: both MILP rungs stop at node zero, the DP rung skips the
+    // instance, and the on-demand floor answers
+    let mut req = request(1, PolicyKind::Stochastic, Duration::ZERO);
+    req.app_id = "hurried-capped".into();
+    let peak = req.schedule.demand.iter().cloned().fold(0.0, f64::max);
+    req.params.capacity = Some(1.2 * peak);
+    let (s, params) = (req.schedule.clone(), req.params);
+
+    let resp = engine.submit(req).wait();
+    assert_eq!(resp.degradation, DegradationLevel::OnDemandOnly, "trace: {:?}", resp.trace);
+    assert!(resp.expect_plan().is_feasible(&s, &params, 1e-6));
+    let levels: Vec<DegradationLevel> = resp.trace.iter().map(|e| e.level).collect();
+    assert_eq!(levels, DegradationLevel::ALL, "trace: {:?}", resp.trace);
+    assert!(matches!(resp.trace[1].outcome, RungOutcome::Exhausted(_)), "{:?}", resp.trace);
+    assert!(matches!(resp.trace[2].outcome, RungOutcome::Skipped(_)), "{:?}", resp.trace);
 
     let m = engine.metrics();
-    assert_eq!(m.level_dynamic_program, 1);
-    assert_eq!(m.deadline_misses, 1);
+    assert_eq!(m.level_deterministic, 1);
+    assert_eq!(m.level_on_demand_only, 1);
+    assert_eq!(m.deadline_misses, 2);
 }
 
 #[test]
