@@ -28,9 +28,9 @@
 //!   and high-water), cache hit rate, audit/rejection counts, bounded
 //!   per-tenant tables, p50/p99 latency as a serialisable snapshot.
 //! * **Exposition** ([`MetricsConfig`]) — opt-in [`rrp_obs`] wiring: a
-//!   trace→metrics bridge feeding a labeled registry, served over HTTP as
-//!   `/metrics` (Prometheus text), `/snapshot` (JSON), `/healthz`,
-//!   `/readyz`, and the `POST /plan` intake.
+//!   labeled registry synced from the engine's ledgers at scrape time,
+//!   served over HTTP as `/metrics` (Prometheus text), `/snapshot` (JSON),
+//!   `/healthz`, `/readyz`, and the `POST /plan` intake.
 //!
 //! ```
 //! use std::time::Duration;

@@ -1,5 +1,6 @@
-//! Engine observability: lock-light counters updated on the worker hot
-//! path, exported as a serialisable point-in-time snapshot.
+//! Engine observability: the per-shard request ledger — lock-light
+//! counters updated on the worker hot path — read at scrape time into a
+//! serialisable point-in-time snapshot and the `/metrics` registry.
 //!
 //! Latencies land in a fixed-size log-scale histogram
 //! ([`rrp_trace::LogHistogram`]): constant memory however long the engine
@@ -18,7 +19,7 @@ use rrp_trace::{CounterSink, LogHistogram};
 use serde::Serialize;
 
 use crate::cache::PlanCache;
-use crate::request::DegradationLevel;
+use crate::request::{DegradationLevel, TraceEntry};
 
 /// Cap on distinct tenants tracked in the per-tenant table. Requests from
 /// tenants beyond the cap fold into one [`TENANT_OVERFLOW`] row — the same
@@ -103,7 +104,8 @@ pub struct MetricsSnapshot {
     /// Simplex iterations across all LP solves (same source and caveat).
     pub lp_iters_total: u64,
     /// Median relative gap of solves that stopped on a budget
-    /// (`terminated:*`); 0 when none did or telemetry is off.
+    /// (`terminated:*`) holding an incumbent; 0 when none did or telemetry
+    /// is off.
     pub gap_at_timeout_p50: f64,
     /// Highest queue depth observed since the engine started.
     pub queue_depth_high_water: usize,
@@ -118,6 +120,32 @@ pub struct MetricsSnapshot {
     pub shards: Vec<ShardSnapshot>,
 }
 
+/// A latency distribution plus its exact sum — what a Prometheus summary
+/// exposes — recorded lock-free on the response path.
+#[derive(Debug, Default)]
+pub(crate) struct LatencyLedger {
+    /// Milliseconds, in fixed-size log buckets.
+    pub hist: LogHistogram,
+    sum_us: AtomicU64,
+}
+
+impl LatencyLedger {
+    fn record(&self, latency: Duration) {
+        self.hist.record(latency.as_secs_f64() * 1e3);
+        self.sum_us.fetch_add(latency.as_micros() as u64, Ordering::Relaxed);
+    }
+
+    /// Fold `other` in (bucket-wise histogram add, summed sums).
+    fn merge_from(&self, other: &LatencyLedger) {
+        self.hist.merge_from(&other.hist);
+        self.sum_us.fetch_add(other.sum_us.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
+    pub fn sum_ms(&self) -> f64 {
+        self.sum_us.load(Ordering::Relaxed) as f64 / 1e3
+    }
+}
+
 /// Internal mutable counters. Everything on the per-response path is an
 /// atomic, including the latency histogram buckets.
 #[derive(Debug, Default)]
@@ -129,8 +157,11 @@ pub(crate) struct Metrics {
     audits: AtomicU64,
     audit_rejections: AtomicU64,
     busy_rejections: AtomicU64,
-    /// Response latencies in milliseconds (fixed-size log buckets).
-    latencies: LogHistogram,
+    /// Response latencies.
+    latencies: LatencyLedger,
+    /// Wall-clock of every ladder rung attempt, indexed like
+    /// [`DegradationLevel::ALL`].
+    rung_latencies: [LatencyLedger; 4],
     queue_high_water: AtomicUsize,
     /// Per-tenant rows; one short lock per completed response, far off the
     /// solver hot path.
@@ -154,7 +185,14 @@ impl Metrics {
         if !deadline_met {
             self.deadline_misses.fetch_add(1, Ordering::Relaxed);
         }
-        self.latencies.record(latency.as_secs_f64() * 1e3);
+        self.latencies.record(latency);
+    }
+
+    /// Account each ladder rung attempt's wall-clock to its rung.
+    pub fn record_rungs(&self, trace: &[TraceEntry]) {
+        for step in trace {
+            self.rung_latencies[level_index(step.level)].record(step.elapsed);
+        }
     }
 
     /// One pre-solve audit-gate run.
@@ -171,7 +209,7 @@ impl Metrics {
         if !deadline_met {
             self.deadline_misses.fetch_add(1, Ordering::Relaxed);
         }
-        self.latencies.record(latency.as_secs_f64() * 1e3);
+        self.latencies.record(latency);
     }
 
     /// A request refused at admission (shard queue over high-water). No
@@ -277,7 +315,7 @@ pub(crate) fn merged_snapshot(
         for (acc, c) in level_counts.iter_mut().zip(&m.level_counts) {
             *acc += c.load(Ordering::Relaxed);
         }
-        latencies.merge_from(&m.latencies);
+        latencies.merge_from(&m.latencies.hist);
         cache_hits += cache.hits();
         cache_misses += cache.misses();
         for (tenant, c) in m.tenants.lock().iter() {
@@ -331,6 +369,20 @@ pub(crate) fn merged_snapshot(
         tenants,
         shards,
     }
+}
+
+/// The request and per-rung latency ledgers merged across shards, for the
+/// `/metrics` view (rungs indexed like [`DegradationLevel::ALL`]).
+pub(crate) fn merged_latencies(parts: &[&Metrics]) -> (LatencyLedger, [LatencyLedger; 4]) {
+    let request = LatencyLedger::default();
+    let rungs: [LatencyLedger; 4] = Default::default();
+    for m in parts {
+        request.merge_from(&m.latencies);
+        for (acc, rung) in rungs.iter().zip(&m.rung_latencies) {
+            acc.merge_from(rung);
+        }
+    }
+    (request, rungs)
 }
 
 /// Index of a level in `level_counts` (the order of

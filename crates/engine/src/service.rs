@@ -27,17 +27,20 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use rrp_audit::{audit_milp_with, AuditOptions, UpperBoundHint};
 use rrp_core::fingerprint::Fnv64;
 use rrp_milp::{MilpOptions, SolveBudget};
-use rrp_obs::{MetricsSink, ObsHooks, ObsServer, PlanDecision, Readiness, Registry};
+use rrp_obs::{ObsHooks, ObsServer, PlanDecision, Readiness, Registry};
 use rrp_prof::{install_panic_hook, FlightRecorder, ProfConfig, Profiler, SamplerShared};
 use rrp_slo::{SloConfig, SloEngine};
 use rrp_trace::json::escape_into;
-use rrp_trace::{CounterSink, EventKind, Sink, SpanId, SpanStacks, TeeSink, TraceHandle};
+use rrp_trace::{
+    CounterSink, EventKind, PruneReason, Sink, SpanId, SpanStacks, TeeSink, TraceHandle,
+    SOLVE_STATUSES,
+};
 use serde::Serialize;
 
 use crate::cache::{CacheEntry, PlanCache};
 use crate::ladder::{run_ladder_with, LadderConfig, PreparedDrrp};
-use crate::metrics::{merged_snapshot, Metrics, MetricsSnapshot};
-use crate::request::{PlanRequest, PlanResponse};
+use crate::metrics::{merged_latencies, merged_snapshot, Metrics, MetricsSnapshot, TenantSnapshot};
+use crate::request::{DegradationLevel, PlanRequest, PlanResponse};
 use crate::shard::{shard_of, shard_readiness, Busy, ShardQueue, Wave};
 use crate::wire;
 
@@ -59,10 +62,11 @@ pub struct EngineConfig {
     /// sink behind the full event pipeline.
     pub count_solver_events: bool,
     /// Pull-based metrics exposition ([`rrp_obs`]). `None` (the default)
-    /// builds no registry, no bridge and no server — the engine is exactly
-    /// as before. `Some` tees a [`MetricsSink`] into the event pipeline
-    /// (enabling tracing) and, when [`MetricsConfig::addr`] is set, serves
-    /// `/metrics`, `/snapshot`, `/healthz`, `/readyz` and `/plan` on it.
+    /// builds no registry and no server — the engine is exactly as before.
+    /// `Some` builds a registry that each scrape syncs from the engine's
+    /// request and solver ledgers (so it implies `count_solver_events`)
+    /// and, when [`MetricsConfig::addr`] is set, serves `/metrics`,
+    /// `/snapshot`, `/healthz`, `/readyz` and `/plan` on it.
     pub metrics: Option<MetricsConfig>,
     /// Continuous profiling + flight recorder ([`rrp_prof`]). `None` (the
     /// default) builds neither. `Some` publishes every worker's open-span
@@ -90,7 +94,7 @@ pub struct EngineConfig {
 pub struct MetricsConfig {
     /// Address to serve on, e.g. `"127.0.0.1:9184"` (`:0` picks an
     /// ephemeral port — read it back via [`Engine::metrics_addr`]).
-    /// `None` keeps the registry and bridge without an HTTP server.
+    /// `None` keeps the registry without an HTTP server.
     pub addr: Option<String>,
 }
 
@@ -176,14 +180,15 @@ struct Shared {
     shards: Vec<ShardState>,
     opts: MilpOptions,
     trace: TraceHandle,
-    /// Aggregates solver events for [`MetricsSnapshot`]; only fed while
-    /// `trace` is enabled.
+    /// The solver-event ledger behind [`MetricsSnapshot`] and `/metrics`;
+    /// only fed while `trace` is enabled.
     counters: Arc<CounterSink>,
-    /// The combined sink behind `trace` (tee of counters, bridge, external)
-    /// — kept so snapshots can report [`Sink::dropped_events`] without
-    /// downcasting. `None` when tracing is off.
+    /// The combined sink behind `trace` (counters, teed with the flight
+    /// recorder, SLO engine and external sink when present) — kept so
+    /// snapshots can report [`Sink::dropped_events`] without downcasting.
+    /// `None` when tracing is off.
     event_sink: Option<Arc<dyn Sink>>,
-    /// Metrics registry the [`MetricsSink`] bridge writes into; `None`
+    /// Metrics registry, synced from the ledgers at every scrape; `None`
     /// unless the engine was built with [`EngineConfig::metrics`].
     registry: Option<Arc<Registry>>,
     /// Profiler + flight recorder; `None` unless built with
@@ -375,14 +380,12 @@ impl Engine {
         let stacks = prof_parts.as_ref().map(|(s, _)| Arc::clone(s));
         let flight = prof_parts.as_ref().map(|(_, f)| Arc::clone(f));
 
-        // the event pipeline: counters always lead the tee; the metrics
-        // bridge, flight recorder and any external sink follow. Tracing
-        // turns on if any consumer beyond the bare counters exists (or
-        // was asked for).
+        // the event pipeline: counters always lead the tee; the flight
+        // recorder, SLO engine and any external sink follow. Tracing turns
+        // on if any consumer beyond the bare counters exists, or counting
+        // was asked for — a metrics registry is a view of the counters.
+        let count_solver_events = count_solver_events || registry.is_some();
         let mut fanout: Vec<Arc<dyn Sink>> = Vec::new();
-        if let Some(reg) = &registry {
-            fanout.push(Arc::new(MetricsSink::new(Arc::clone(reg))));
-        }
         if let Some(f) = &flight {
             fanout.push(Arc::clone(f) as Arc<dyn Sink>);
         }
@@ -800,10 +803,11 @@ fn obs_hooks(
     }
 }
 
-/// Fold the scalar [`MetricsSnapshot`] state into the registry. The bridge
-/// keeps event-driven series current on its own; point-in-time state
-/// (queue depth, cache hit rate, level totals) is synced here, once per
-/// scrape, using `Counter::set`'s scrape-time semantics.
+/// Write the `/metrics` view of the engine's ledgers into the registry,
+/// once per scrape: the per-shard request ledgers (merged into a
+/// [`MetricsSnapshot`] plus latency histograms), the solver-event ledger
+/// ([`CounterSink`]), and the SLO and profiling state when present.
+/// Nothing writes the registry between scrapes.
 fn sync_registry(shared: &Shared, reg: &Registry) {
     let snap = shared.snapshot();
     reg.counter("rrp_completed_total", "Responses produced (cache hits included)", &[])
@@ -874,6 +878,8 @@ fn sync_registry(shared: &Shared, reg: &Registry) {
         )
         .set(served);
     }
+    sync_request_ledger(shared, &snap.tenants, reg);
+    sync_solver_ledger(&shared.counters, reg);
     if let Some(slo) = &shared.slo {
         slo.sync_registry(reg);
     }
@@ -911,6 +917,85 @@ fn sync_registry(shared: &Shared, reg: &Registry) {
             .set(u64::from(last.as_deref() == Some(cause)) as f64);
         }
     }
+}
+
+/// Per-tenant counters and latency summaries from the request ledgers.
+/// Tenants are ranked by request volume, so a fold past the series cap
+/// keeps the busiest tenants and sums the rest into `__other__`.
+fn sync_request_ledger(shared: &Shared, tenants: &[TenantSnapshot], reg: &Registry) {
+    let mut ranked: Vec<&TenantSnapshot> = tenants.iter().collect();
+    ranked.sort_by(|a, b| b.requests.cmp(&a.requests).then_with(|| a.tenant.cmp(&b.tenant)));
+    let families: [(&'static str, &'static str, fn(&TenantSnapshot) -> u64); 4] = [
+        ("rrp_requests_total", "Requests completed, per tenant", |t| t.requests),
+        ("rrp_deadline_miss_total", "Responses later than their deadline, per tenant", |t| {
+            t.deadline_misses
+        }),
+        (
+            "rrp_audit_rejections_total",
+            "Requests statically rejected by the audit gate, per tenant",
+            |t| t.audit_rejections,
+        ),
+        ("rrp_cache_hits_total", "Requests answered from the warm-start cache, per tenant", |t| {
+            t.cache_hits
+        }),
+    ];
+    for (name, help, count) in families {
+        let rows: Vec<(&str, u64)> =
+            ranked.iter().map(|t| (t.tenant.as_str(), count(t))).filter(|&(_, n)| n > 0).collect();
+        reg.set_counter_family(name, help, "tenant", &rows);
+    }
+
+    let parts: Vec<&Metrics> = shared.shards.iter().map(|s| &s.metrics).collect();
+    let (request, rungs) = merged_latencies(&parts);
+    reg.summary("rrp_request_latency_ms", "Pickup-to-response latency (ms)", &[])
+        .set(&request.hist, request.sum_ms());
+    for (level, ledger) in DegradationLevel::ALL.into_iter().zip(&rungs) {
+        reg.summary(
+            "rrp_rung_latency_ms",
+            "Wall-clock per degradation-ladder rung attempt (ms)",
+            &[("rung", level.as_str())],
+        )
+        .set(&ledger.hist, ledger.sum_ms());
+    }
+}
+
+/// Branch & bound and LP counters from the solver-event ledger.
+fn sync_solver_ledger(c: &CounterSink, reg: &Registry) {
+    // relaxed-ok: observational counters, read once per scrape
+    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    reg.counter("rrp_milp_nodes_opened_total", "Branch & bound nodes opened", &[])
+        .set(load(&c.milp_nodes));
+    for (reason, n) in PruneReason::ALL.into_iter().zip(&c.nodes_pruned) {
+        reg.counter(
+            "rrp_milp_nodes_pruned_total",
+            "Branch & bound nodes closed without branching, by reason",
+            &[("reason", reason.as_str())],
+        )
+        .set(load(n));
+    }
+    reg.counter(
+        "rrp_milp_nodes_integral_total",
+        "Branch & bound nodes whose LP optimum was integral",
+        &[],
+    )
+    .set(load(&c.nodes_integral));
+    reg.counter("rrp_milp_incumbents_total", "Incumbent improvements", &[])
+        .set(load(&c.incumbents));
+    for (status, n) in SOLVE_STATUSES.into_iter().zip(&c.solves) {
+        reg.counter(
+            "rrp_milp_solves_total",
+            "Branch & bound searches finished, by final status",
+            &[("status", status)],
+        )
+        .set(load(n));
+    }
+    reg.summary("rrp_milp_gap_at_timeout", "Relative gap of solves stopped by a budget", &[])
+        .set(&c.gap_at_timeout, c.gap_at_timeout_sum());
+    reg.counter("rrp_lp_solves_total", "LP solves finished", &[]).set(load(&c.lp_solves));
+    reg.counter("rrp_lp_iters_total", "Simplex iterations across all LP solves", &[])
+        .set(load(&c.lp_iters));
+    reg.counter("rrp_lp_refactorisations_total", "Basis (re)factorisations", &[])
+        .set(load(&c.refactorisations));
 }
 
 /// Key for the basis side-table: tenant identity plus the *dimensions* of
@@ -1118,6 +1203,7 @@ fn process(shared: &Shared, state: &ShardState, req: PlanRequest, span: SpanId) 
     let latency = start.elapsed();
     let deadline_met = latency <= req.deadline;
     state.metrics.record(result.level, latency, deadline_met);
+    state.metrics.record_rungs(&result.trace);
     state.metrics.record_tenant(&req.app_id, false, false, deadline_met);
     shared.trace.emit(
         span,

@@ -4,43 +4,36 @@
 //! streams you inspect after the fact), this crate is the *live* half: an
 //! operator watching the engine under load needs a scrapeable endpoint,
 //! per-tenant breakdowns, and a liveness/readiness signal — without
-//! retaining a single event. Three std-only layers:
+//! retaining a single event. Two std-only layers:
 //!
 //! * **Labeled registry** ([`registry`]) — counters, gauges, and
-//!   `LogHistogram`-backed summaries keyed by `(name, label-set)`. Handles
-//!   are `Arc`ed atomics: registration takes one short lock, every update
-//!   after that is a relaxed atomic. A bounded label-cardinality guard
+//!   `LogHistogram`-fed summaries keyed by `(name, label-set)`. It is a
+//!   scrape-time view: it consumes no events, and producers `set` it from
+//!   their own ledgers once per scrape. A bounded label-cardinality guard
 //!   routes excess series (e.g. hostile tenant ids) into one `__other__`
 //!   bucket instead of growing without bound.
-//! * **Trace→metrics bridge** ([`bridge`]) — [`MetricsSink`] implements
-//!   [`rrp_trace::Sink`] and folds the solver event stream into labeled
-//!   series (per-rung latency, per-prune-reason node counts, per-tenant
-//!   request / deadline-miss / audit-rejection counts) as events pass by.
 //! * **Exposition server** ([`server`]) — a tiny hand-rolled HTTP/1.1
 //!   responder on `std::net::TcpListener` (loopback-oriented) serving
 //!   `/metrics` in Prometheus text format, `/snapshot` as JSON, and
 //!   `/healthz` + `/readyz` probes, with graceful shutdown.
 //!
 //! ```
-//! use std::sync::Arc;
 //! use rrp_obs::Registry;
 //!
-//! let reg = Arc::new(Registry::new());
-//! let served = reg.counter("rrp_requests_total", "Requests served", &[("tenant", "a")]);
-//! served.inc();
+//! let reg = Registry::new();
+//! // a scrape-time sync: the per-tenant ledger lives with the producer
+//! reg.set_counter_family("rrp_requests_total", "Requests served", "tenant", &[("a", 3)]);
 //! let text = reg.render();
-//! assert!(text.contains("rrp_requests_total{tenant=\"a\"} 1"));
+//! assert!(text.contains("rrp_requests_total{tenant=\"a\"} 3"));
 //! // and the text parses back (the registry appends its own
 //! // rrp_obs_series_overflow_total self-metric, hence 2 samples):
 //! assert_eq!(rrp_obs::text::parse(&text).expect("valid exposition").len(), 2);
 //! ```
 
-pub mod bridge;
 pub mod registry;
 pub mod server;
 pub mod text;
 
-pub use bridge::MetricsSink;
 pub use registry::{Counter, Gauge, Registry, Summary, OVERFLOW_LABEL};
 pub use server::{ObsHooks, ObsServer, PendingPlan, PlanDecision, Readiness};
 pub use text::{parse, Sample};

@@ -1,19 +1,23 @@
 //! The labeled metrics registry: `(name, label-set)` → counter / gauge /
 //! summary, with a bounded label-cardinality guard.
 //!
-//! Registration (`counter` / `gauge` / `summary`) takes one short lock and
-//! returns an `Arc`ed handle; every update through the handle afterwards is
-//! a relaxed atomic — callers on hot paths register once and hold the
-//! handle. Series keys are the *canonical* rendered label set (pairs sorted
-//! by key, values escaped), so `[("a","1"),("b","2")]` and
-//! `[("b","2"),("a","1")]` are the same series.
+//! The registry is a scrape-time view: it counts nothing itself. Every
+//! write is a `set` from a ledger the producer owns (the engine's request
+//! and solver ledgers, the SLO engine, the profiler), made once per scrape
+//! just before [`Registry::render`]. Registration takes one short lock and
+//! returns an `Arc`ed handle. Series keys are the *canonical* rendered
+//! label set (pairs sorted by key, values escaped), so
+//! `[("a","1"),("b","2")]` and `[("b","2"),("a","1")]` are the same series.
 //!
 //! **Cardinality guard.** A scrape endpoint keyed by tenant-controlled
 //! strings must not let one hostile tenant grow the registry without bound:
 //! once a family holds `series_cap` distinct label sets, further *new*
 //! label sets fold into a single `__other__` series (same label keys,
 //! every value `__other__`) and the overflow is counted and exposed as
-//! `rrp_obs_series_overflow_total`.
+//! `rrp_obs_series_overflow_total`. A `set` through a folded handle keeps
+//! the last writer, so producers with a long tail fold it themselves
+//! first: [`Registry::set_counter_family`] sums the tail into `__other__`,
+//! and `rrp-slo` keeps the most pessimistic value.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,22 +37,12 @@ pub const OVERFLOW_LABEL: &str = "__other__";
 /// Quantiles every summary exposes.
 const SUMMARY_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
 
-/// A monotonically increasing series handle. `set` exists for scrape-time
-/// synchronisation from an authoritative atomic elsewhere (the engine's own
-/// counters) — such a counter must only ever be `set` to non-decreasing
-/// values, never mixed with `inc`/`add`.
-#[derive(Clone)]
+/// A monotonically increasing series handle, `set` at scrape time from an
+/// authoritative counter elsewhere — only ever to non-decreasing values.
+#[derive(Clone, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Overwrite with an authoritative value (scrape-time sync).
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
@@ -60,7 +54,7 @@ impl Counter {
 }
 
 /// A point-in-time `f64` series handle (stored as bits in an `AtomicU64`).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
@@ -73,47 +67,43 @@ impl Gauge {
     }
 }
 
+#[derive(Default)]
 struct SummaryInner {
-    hist: LogHistogram,
-    /// Running sum of observations, `f64` bits updated by CAS.
-    sum_bits: AtomicU64,
+    /// `f64` bits of the answer to each of [`SUMMARY_QUANTILES`].
+    quantiles: [AtomicU64; 3],
+    /// `f64` bits of the sum of observations.
+    sum: AtomicU64,
+    count: AtomicU64,
 }
 
-/// A distribution series handle backed by [`LogHistogram`]: lock-free
-/// observation, constant memory, quantile answers within ~9.05% relative
-/// error. Exposed in Prometheus text as a `summary` (quantiles + `_sum` +
+/// A distribution series handle: a [`LogHistogram`] ledger's quantiles
+/// (within ~9.05% relative error) and count plus its sum, as of the last
+/// `set`. Exposed in Prometheus text as a `summary` (quantiles + `_sum` +
 /// `_count`).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Summary(Arc<SummaryInner>);
 
 impl Summary {
-    pub fn observe(&self, v: f64) {
-        self.0.hist.record(v);
-        let mut cur = self.0.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.0.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
+    /// Overwrite with `hist`'s quantiles and count and the ledger's `sum`
+    /// of observations (scrape-time sync).
+    pub fn set(&self, hist: &LogHistogram, sum: f64) {
+        for (slot, q) in self.0.quantiles.iter().zip(SUMMARY_QUANTILES) {
+            slot.store(hist.quantile(q).to_bits(), Ordering::Relaxed);
         }
+        self.0.sum.store(sum.to_bits(), Ordering::Relaxed);
+        self.0.count.store(hist.count(), Ordering::Relaxed);
     }
 
     pub fn count(&self) -> u64 {
-        self.0.hist.count()
-    }
-
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.0.hist.quantile(q)
+        self.0.count.load(Ordering::Relaxed)
     }
 
     pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
+        f64::from_bits(self.0.sum.load(Ordering::Relaxed))
+    }
+
+    fn quantile_at(&self, i: usize) -> f64 {
+        f64::from_bits(self.0.quantiles[i].load(Ordering::Relaxed))
     }
 }
 
@@ -148,8 +138,7 @@ struct Family {
 }
 
 /// The metric store behind `/metrics`. Shared as `Arc<Registry>` between
-/// the bridge (event-time updates), the engine (scrape-time sync), and the
-/// exposition server (render).
+/// the producers' scrape-time syncs and the exposition server (render).
 pub struct Registry {
     families: Mutex<BTreeMap<&'static str, Family>>,
     series_cap: usize,
@@ -192,7 +181,7 @@ impl Registry {
     /// Cap-aware producers (e.g. `rrp-slo`'s per-tenant sync) use it to
     /// fold their own long tails *before* registration, so the folded
     /// series carries a meaningful aggregate instead of whichever value
-    /// raced in last.
+    /// was set last.
     pub fn series_cap(&self) -> usize {
         self.series_cap
     }
@@ -205,7 +194,7 @@ impl Registry {
     ) -> Counter {
         match self.register(name, help, labels, Kind::Counter) {
             Some(Series::Counter(c)) => c,
-            _ => Counter(Arc::new(AtomicU64::new(0))), // detached (type conflict)
+            _ => Counter::default(), // detached (type conflict)
         }
     }
 
@@ -217,7 +206,7 @@ impl Registry {
     ) -> Gauge {
         match self.register(name, help, labels, Kind::Gauge) {
             Some(Series::Gauge(g)) => g,
-            _ => Gauge(Arc::new(AtomicU64::new(0))),
+            _ => Gauge::default(),
         }
     }
 
@@ -229,11 +218,43 @@ impl Registry {
     ) -> Summary {
         match self.register(name, help, labels, Kind::Summary) {
             Some(Series::Summary(s)) => s,
-            _ => Summary(Arc::new(SummaryInner {
-                hist: LogHistogram::new(),
-                sum_bits: AtomicU64::new(0),
-            })),
+            _ => Summary::default(),
         }
+    }
+
+    /// Scrape-time sync of a counter family keyed by one label whose values
+    /// come and go (a per-tenant ledger): afterwards the family holds
+    /// exactly `rows`, swapped in under one lock so a concurrent render
+    /// never sees it half-written. `rows` come in priority order; past the
+    /// series cap the first `cap − 1` keep their own series and the rest
+    /// are *summed* into `__other__`, so the family's total is preserved.
+    pub fn set_counter_family(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        key: &'static str,
+        rows: &[(&str, u64)],
+    ) {
+        let named = if rows.len() > self.series_cap { self.series_cap - 1 } else { rows.len() };
+        let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+        for (i, &(value, n)) in rows.iter().enumerate() {
+            let label = if i < named { value } else { OVERFLOW_LABEL };
+            *totals.entry(canonical_labels(&[(key, label)])).or_default() += n;
+        }
+        let mut families = self.families.lock();
+        let family = families.entry(name).or_insert_with(|| Family {
+            kind: Kind::Counter,
+            help,
+            series: BTreeMap::new(),
+        });
+        if family.kind != Kind::Counter {
+            self.type_conflicts.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        family.series = totals
+            .into_iter()
+            .map(|(labels, n)| (labels, Series::Counter(Counter(Arc::new(AtomicU64::new(n))))))
+            .collect();
     }
 
     /// Shared registration path; `None` signals a family type conflict.
@@ -269,12 +290,9 @@ impl Registry {
             folded_key
         };
         let fresh = match kind {
-            Kind::Counter => Series::Counter(Counter(Arc::new(AtomicU64::new(0)))),
-            Kind::Gauge => Series::Gauge(Gauge(Arc::new(AtomicU64::new(0)))),
-            Kind::Summary => Series::Summary(Summary(Arc::new(SummaryInner {
-                hist: LogHistogram::new(),
-                sum_bits: AtomicU64::new(0),
-            }))),
+            Kind::Counter => Series::Counter(Counter::default()),
+            Kind::Gauge => Series::Gauge(Gauge::default()),
+            Kind::Summary => Series::Summary(Summary::default()),
         };
         let handle = clone_series(&fresh);
         family.series.insert(key, fresh);
@@ -300,13 +318,13 @@ impl Registry {
                         let _ = writeln!(out, "{name}{} {}", braced(labels), fmt_f64(g.value()));
                     }
                     Series::Summary(s) => {
-                        for q in SUMMARY_QUANTILES {
+                        for (i, q) in SUMMARY_QUANTILES.into_iter().enumerate() {
                             let with_q = if labels.is_empty() {
                                 format!("{{quantile=\"{q}\"}}")
                             } else {
                                 format!("{{{labels},quantile=\"{q}\"}}")
                             };
-                            let _ = writeln!(out, "{name}{with_q} {}", fmt_f64(s.quantile(q)));
+                            let _ = writeln!(out, "{name}{with_q} {}", fmt_f64(s.quantile_at(i)));
                         }
                         let _ = writeln!(out, "{name}_sum{} {}", braced(labels), fmt_f64(s.sum()));
                         let _ = writeln!(out, "{name}_count{} {}", braced(labels), s.count());
@@ -368,17 +386,18 @@ mod tests {
     fn counters_render_and_accumulate() {
         let reg = Registry::new();
         let a = reg.counter("req_total", "Requests", &[("tenant", "a")]);
-        let b = reg.counter("req_total", "Requests", &[("tenant", "b")]);
-        a.inc();
-        a.add(2);
-        b.inc();
+        reg.counter("req_total", "Requests", &[("tenant", "b")]).set(1);
+        a.set(3);
         // re-registration returns the same underlying series
         let a2 = reg.counter("req_total", "Requests", &[("tenant", "a")]);
-        a2.inc();
+        a2.set(4);
         let text = reg.render();
         assert!(text.contains("# TYPE req_total counter"), "{text}");
         assert!(text.contains("req_total{tenant=\"a\"} 4"), "{text}");
         assert!(text.contains("req_total{tenant=\"b\"} 1"), "{text}");
+        // a family sync accumulates rows sharing a label into one series
+        reg.set_counter_family("hits_total", "Hits", "tenant", &[("a", 2), ("a", 5)]);
+        assert!(reg.render().contains("hits_total{tenant=\"a\"} 7"));
     }
 
     #[test]
@@ -386,9 +405,8 @@ mod tests {
         let reg = Registry::new();
         let x = reg.counter("m", "h", &[("a", "1"), ("b", "2")]);
         let y = reg.counter("m", "h", &[("b", "2"), ("a", "1")]);
-        x.inc();
-        y.inc();
-        assert_eq!(x.get(), 2);
+        x.set(2);
+        assert_eq!(y.get(), 2);
         assert!(reg.render().contains("m{a=\"1\",b=\"2\"} 2"));
     }
 
@@ -406,9 +424,11 @@ mod tests {
     fn summaries_expose_quantiles_sum_count() {
         let reg = Registry::new();
         let s = reg.summary("lat_ms", "Latency", &[("rung", "full")]);
+        let hist = LogHistogram::new();
         for i in 1..=100 {
-            s.observe(i as f64);
+            hist.record(i as f64);
         }
+        s.set(&hist, 5050.0);
         assert_eq!(s.count(), 100);
         assert!((s.sum() - 5050.0).abs() < 1e-9);
         let text = reg.render();
@@ -416,7 +436,7 @@ mod tests {
         assert!(text.contains("lat_ms_sum{rung=\"full\"} 5050"), "{text}");
         assert!(text.contains("lat_ms_count{rung=\"full\"} 100"), "{text}");
         // quantile answer within the documented histogram error
-        let p50 = s.quantile(0.5);
+        let p50 = s.quantile_at(0);
         assert!((p50 - 51.0).abs() / 51.0 <= 0.0906, "p50 {p50}");
     }
 
@@ -424,24 +444,53 @@ mod tests {
     fn cardinality_guard_folds_into_other() {
         let reg = Registry::with_series_cap(2);
         for i in 0..5 {
-            let c = reg.counter("t_total", "h", &[("tenant", &format!("t{i}"))]);
-            c.inc();
+            reg.counter("t_total", "h", &[("tenant", &format!("t{i}"))]).set(1);
         }
         assert_eq!(reg.overflowed(), 3);
         let text = reg.render();
         assert!(text.contains("t_total{tenant=\"t0\"} 1"), "{text}");
         assert!(text.contains("t_total{tenant=\"t1\"} 1"), "{text}");
-        // t2..t4 all fold into one __other__ series
-        assert!(text.contains("t_total{tenant=\"__other__\"} 3"), "{text}");
+        // t2..t4 all land on one __other__ series
+        assert!(text.contains("t_total{tenant=\"__other__\"} 1"), "{text}");
         assert!(!text.contains("tenant=\"t3\""), "{text}");
         assert!(text.contains("rrp_obs_series_overflow_total 3"), "{text}");
     }
 
     #[test]
+    fn family_sync_sums_the_tail_and_replaces_stale_rows() {
+        let reg = Registry::with_series_cap(3);
+        let rows = [("a", 9), ("b", 5), ("c", 2), ("d", 1)];
+        reg.set_counter_family("t_total", "h", "tenant", &rows);
+        let text = reg.render();
+        assert!(text.contains("t_total{tenant=\"a\"} 9"), "{text}");
+        assert!(text.contains("t_total{tenant=\"b\"} 5"), "{text}");
+        // c and d are summed, not last-writer
+        assert!(text.contains("t_total{tenant=\"__other__\"} 3"), "{text}");
+        // the next sync's ranking replaces the family wholesale: `b` drops
+        // into the tail instead of lingering with a stale value
+        reg.set_counter_family("t_total", "h", "tenant", &[("a", 9), ("c", 6), ("b", 5), ("d", 1)]);
+        let text = reg.render();
+        assert!(!text.contains("tenant=\"b\""), "{text}");
+        assert!(text.contains("t_total{tenant=\"__other__\"} 6"), "{text}");
+        assert_eq!(reg.overflowed(), 0, "a pre-folded family never trips the guard");
+    }
+
+    #[test]
+    fn hostile_tenant_ids_stay_parseable() {
+        let reg = Registry::new();
+        let hostile = "a\"b\\c\nd";
+        reg.set_counter_family("rrp_requests_total", "h", "tenant", &[(hostile, 1)]);
+        let text = reg.render();
+        let samples = crate::text::parse(&text).expect("hostile labels must not tear the format");
+        let req =
+            samples.iter().find(|s| s.name == "rrp_requests_total").expect("tenant series present");
+        assert_eq!(req.label("tenant"), Some(hostile));
+    }
+
+    #[test]
     fn type_conflict_yields_detached_handle() {
         let reg = Registry::new();
-        let c = reg.counter("x", "h", &[]);
-        c.inc();
+        reg.counter("x", "h", &[]).set(1);
         let g = reg.gauge("x", "h", &[]); // wrong type: detached
         g.set(99.0);
         let text = reg.render();
@@ -452,17 +501,22 @@ mod tests {
     #[test]
     fn concurrent_updates_lose_nothing() {
         let reg = Arc::new(Registry::new());
-        let c = reg.counter("n", "h", &[]);
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = c.clone();
+            for t in 0..4 {
+                let reg = Arc::clone(&reg);
                 s.spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc();
+                    for i in 0..16 {
+                        let label = format!("{t}-{i}");
+                        reg.counter("n", "h", &[("k", &label)]).set(i + 1);
+                        reg.counter("shared", "h", &[]).set(7);
                     }
                 });
             }
         });
-        assert_eq!(c.get(), 40_000);
+        let samples = crate::text::parse(&reg.render()).expect("render parses");
+        let named: Vec<_> = samples.iter().filter(|s| s.name == "n").collect();
+        assert_eq!(named.len(), 64, "every concurrently registered series landed");
+        assert_eq!(named.iter().map(|s| s.value).sum::<f64>(), 4.0 * 136.0);
+        assert_eq!(reg.counter("shared", "h", &[]).get(), 7);
     }
 }

@@ -219,9 +219,11 @@ nan_g NaN
     #[test]
     fn registry_output_parses_fully() {
         let reg = crate::Registry::new();
-        reg.counter("a_total", "A", &[("t", "x\"y\\z")]).add(3);
+        reg.counter("a_total", "A", &[("t", "x\"y\\z")]).set(3);
         reg.gauge("g", "G", &[]).set(1.5);
-        reg.summary("s_ms", "S", &[("rung", "full")]).observe(4.0);
+        let hist = rrp_trace::LogHistogram::new();
+        hist.record(4.0);
+        reg.summary("s_ms", "S", &[("rung", "full")]).set(&hist, 4.0);
         let text = reg.render();
         let samples = parse(&text).expect("registry render must parse");
         // 1 counter + 1 gauge + (3 quantiles + sum + count) + overflow counter

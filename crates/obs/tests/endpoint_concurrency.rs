@@ -51,19 +51,22 @@ fn concurrent_scrapes_never_tear() {
     let server = ObsServer::bind("127.0.0.1:0", hooks).expect("ephemeral bind");
     let addr = server.local_addr();
 
-    // writers: grow labeled series (hostile labels included) nonstop
+    // writers: sync labeled series (hostile labels included) nonstop, the
+    // way a producer's scrape-time sync does
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..2)
         .map(|w| {
             let reg = Arc::clone(&reg);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                let hist = rrp_trace::LogHistogram::new();
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let tenant = format!("t\"{w}\\{}\n", i % 8);
-                    reg.counter("scraped_total", "Updates", &[("tenant", &tenant)]).inc();
+                    reg.counter("scraped_total", "Updates", &[("tenant", &tenant)]).set(i);
                     reg.gauge("depth", "Depth", &[]).set(i as f64);
-                    reg.summary("lat_ms", "Latency", &[("rung", "full")]).observe(i as f64);
+                    hist.record(i as f64);
+                    reg.summary("lat_ms", "Latency", &[("rung", "full")]).set(&hist, i as f64);
                     i += 1;
                 }
             })

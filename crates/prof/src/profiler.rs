@@ -21,7 +21,7 @@ use std::time::Duration;
 use rrp_trace::{SpanStacks, MAX_LANES};
 
 /// Aggregation state shared between the sampler thread and its readers
-/// (`/profile`, bundle dumps, the metrics bridge).
+/// (`/profile`, bundle dumps, the `/metrics` sync).
 pub struct SamplerShared {
     stacks: Arc<SpanStacks>,
     stop: AtomicBool,

@@ -21,6 +21,10 @@ pub enum PruneReason {
 }
 
 impl PruneReason {
+    /// Every reason, in declaration order — `reason as usize` indexes it.
+    pub const ALL: [PruneReason; 3] =
+        [PruneReason::Bound, PruneReason::Infeasible, PruneReason::Numerical];
+
     pub fn as_str(self) -> &'static str {
         match self {
             PruneReason::Bound => "bound",
@@ -29,6 +33,17 @@ impl PruneReason {
         }
     }
 }
+
+/// The closed set of `solve_done` status tags: budget stops report
+/// `terminated:*` so counters can sample the gap at timeout.
+pub const SOLVE_STATUSES: [&str; 6] = [
+    "optimal",
+    "terminated:deadline",
+    "terminated:node_limit",
+    "infeasible",
+    "unbounded",
+    "numerical",
+];
 
 /// Typed event payloads, one variant per observation the solve path makes.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +79,8 @@ pub enum EventKind {
     BoundImproved { bound: f64 },
     /// Gap timeline sample: taken whenever incumbent or bound moves.
     GapSample { best_bound: f64, incumbent: f64, gap: f64 },
-    /// The B&B search finished (any way); `gap` is the final relative gap.
+    /// The B&B search finished (any way); `status` is one of
+    /// [`SOLVE_STATUSES`] and `gap` is the final relative gap.
     SolveDone { status: &'static str, nodes: usize, gap: f64 },
 
     // --- audit layer ------------------------------------------------------

@@ -42,7 +42,7 @@ pub mod json;
 mod sink;
 mod stack;
 
-pub use event::{Event, EventKind, PruneReason};
+pub use event::{Event, EventKind, PruneReason, SOLVE_STATUSES};
 pub use handle::{current_worker, set_worker, SpanGuard, SpanId, StackFrameGuard, TraceHandle};
 pub use hist::LogHistogram;
 pub use sink::{CounterSink, JsonlSink, NullSink, RingSink, Sink, TeeSink};

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, SOLVE_STATUSES};
 use crate::hist::LogHistogram;
 
 /// Receives every emitted [`Event`]. Implementations must be cheap and
@@ -164,13 +164,20 @@ impl Sink for TeeSink {
     }
 }
 
-/// Lock-free aggregate counters over the event stream — the bridge from
-/// per-event telemetry to `MetricsSnapshot`-style scalars. Always safe to
-/// leave attached: every update is a relaxed atomic.
+/// Lock-free aggregate counters over the event stream: the engine's
+/// solver-event ledger, read at scrape time by its `MetricsSnapshot` and
+/// `/metrics` views. Always safe to leave attached: every update is a
+/// relaxed atomic (the gap sum, once per budget-stopped solve, a CAS).
 #[derive(Default)]
 pub struct CounterSink {
     /// Branch & bound nodes opened.
     pub milp_nodes: AtomicU64,
+    /// Nodes closed without branching, indexed like [`crate::PruneReason::ALL`].
+    pub nodes_pruned: [AtomicU64; 3],
+    /// Nodes whose LP optimum was integral.
+    pub nodes_integral: AtomicU64,
+    /// Branch & bound searches finished, indexed like [`SOLVE_STATUSES`].
+    pub solves: [AtomicU64; 6],
     /// Total simplex iterations across all LP solves.
     pub lp_iters: AtomicU64,
     /// LP solves finished.
@@ -182,8 +189,11 @@ pub struct CounterSink {
     /// Basis (re)factorisations.
     pub refactorisations: AtomicU64,
     /// Relative gaps reported by solves that stopped on a budget
-    /// (`solve_done` with a `terminated:*` status).
+    /// (`solve_done` with a `terminated:*` status) holding an incumbent; a
+    /// stop without one has no finite gap and is not sampled.
     pub gap_at_timeout: LogHistogram,
+    /// Sum of the samples in `gap_at_timeout`, as `f64` bits.
+    gap_at_timeout_sum: AtomicU64,
     /// Events seen in total.
     pub events: AtomicU64,
 }
@@ -191,6 +201,11 @@ pub struct CounterSink {
 impl CounterSink {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sum of the gaps sampled into `gap_at_timeout`.
+    pub fn gap_at_timeout_sum(&self) -> f64 {
+        f64::from_bits(self.gap_at_timeout_sum.load(Ordering::Relaxed))
     }
 }
 
@@ -200,6 +215,12 @@ impl Sink for CounterSink {
         match &ev.kind {
             EventKind::NodeOpened { .. } => {
                 self.milp_nodes.fetch_add(1, Ordering::Relaxed);
+            }
+            EventKind::NodePruned { reason, .. } => {
+                self.nodes_pruned[*reason as usize].fetch_add(1, Ordering::Relaxed);
+            }
+            EventKind::NodeIntegral { .. } => {
+                self.nodes_integral.fetch_add(1, Ordering::Relaxed);
             }
             EventKind::LpSolved { iters, warm, .. } => {
                 self.lp_solves.fetch_add(1, Ordering::Relaxed);
@@ -214,8 +235,18 @@ impl Sink for CounterSink {
             EventKind::Refactored { .. } => {
                 self.refactorisations.fetch_add(1, Ordering::Relaxed);
             }
-            EventKind::SolveDone { status, gap, .. } if status.starts_with("terminated") => {
-                self.gap_at_timeout.record(*gap);
+            EventKind::SolveDone { status, gap, .. } => {
+                if let Some(i) = SOLVE_STATUSES.iter().position(|s| s == status) {
+                    self.solves[i].fetch_add(1, Ordering::Relaxed);
+                }
+                if status.starts_with("terminated") && gap.is_finite() {
+                    self.gap_at_timeout.record(*gap);
+                    let _ = self.gap_at_timeout_sum.fetch_update(
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                        |bits| Some((f64::from_bits(bits) + gap).to_bits()),
+                    );
+                }
             }
             _ => {}
         }
@@ -280,10 +311,23 @@ mod tests {
         c.emit(&ev(EventKind::NodeOpened { id: 1, depth: 0, bound: 0.0 }));
         c.emit(&ev(EventKind::NodeOpened { id: 2, depth: 1, bound: 0.5 }));
         c.emit(&ev(EventKind::LpSolved { iters: 11, status: "optimal", warm: true }));
+        c.emit(&ev(EventKind::NodePruned { id: 2, reason: crate::PruneReason::Infeasible }));
+        c.emit(&ev(EventKind::NodeIntegral { id: 1, objective: 1.0 }));
         c.emit(&ev(EventKind::IncumbentImproved { objective: 1.0 }));
         c.emit(&ev(EventKind::SolveDone { status: "terminated:deadline", nodes: 2, gap: 0.25 }));
+        c.emit(&ev(EventKind::SolveDone {
+            status: "terminated:deadline",
+            nodes: 0,
+            gap: f64::INFINITY,
+        }));
         c.emit(&ev(EventKind::SolveDone { status: "optimal", nodes: 2, gap: 0.0 }));
         assert_eq!(c.milp_nodes.load(Ordering::Relaxed), 2);
+        assert_eq!(c.nodes_pruned[1].load(Ordering::Relaxed), 1);
+        assert_eq!(c.nodes_integral.load(Ordering::Relaxed), 1);
+        assert_eq!(c.solves[0].load(Ordering::Relaxed), 1, "optimal");
+        assert_eq!(c.solves[1].load(Ordering::Relaxed), 2, "terminated:deadline");
+        // the stop without an incumbent has no gap to sample
+        assert_eq!(c.gap_at_timeout_sum(), 0.25);
         assert_eq!(c.lp_iters.load(Ordering::Relaxed), 11);
         assert_eq!(c.lp_warm.load(Ordering::Relaxed), 1);
         assert_eq!(c.incumbents.load(Ordering::Relaxed), 1);

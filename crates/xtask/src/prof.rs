@@ -17,12 +17,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use serde_json::Value;
+
+use crate::watch::http_get;
 
 /// Maximum bar width in glyphs (matches the watch dashboard).
 const WIDTH: usize = 32;
@@ -199,19 +198,6 @@ pub(crate) fn render_table(rows: &[PhaseRow], total: u64, top: usize, color: boo
         );
     }
     out
-}
-
-/// Minimal HTTP/1.1 GET returning (status, body).
-fn http_get(addr: &str, path: &str) -> Option<(u16, String)> {
-    let mut s = TcpStream::connect(addr).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
-    s.write_all(format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes()).ok()?;
-    let mut raw = Vec::new();
-    s.read_to_end(&mut raw).ok()?;
-    let text = String::from_utf8(raw).ok()?;
-    let (head, body) = text.split_once("\r\n\r\n")?;
-    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-    Some((status, body.to_string()))
 }
 
 #[cfg(test)]

@@ -148,7 +148,7 @@ struct WatchState {
 
 /// Minimal HTTP/1.1 GET returning (status, body). `None` on any socket
 /// error — connection refused after a successful frame means shutdown.
-/// Shared with the `slo` subcommand for its live `/slo` scrape.
+/// Shared with the `slo` and `prof` subcommands for their live scrapes.
 pub(crate) fn http_get(addr: &str, path: &str) -> Option<(u16, String)> {
     let mut s = TcpStream::connect(addr).ok()?;
     s.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
