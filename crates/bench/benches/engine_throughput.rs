@@ -288,13 +288,13 @@ fn prof_overhead_records(requests: &[PlanRequest]) -> [Record; 2] {
 }
 
 /// The SLO-overhead pair for the CI `slo-overhead` gate: cold 64-request
-/// batches with the SLO engine off vs on (default objectives, burn-rate
-/// windows, and tail sampling — the healthy path, where retention
-/// assembles then discards every timeline).
+/// batches with SLO ledgers off vs on (default objectives, burn-rate
+/// windows, and tail sampling — the healthy path, where nothing is
+/// retained and no exemplar is cut).
 ///
 /// Both sides keep the trace pipeline on (`count_solver_events`), so the
-/// pair isolates the SLO engine's own cost — ledger updates, window
-/// rings, timeline capture — instead of re-measuring the cost of turning
+/// pair isolates the SLO layer's own cost — the lifecycle ring, ledger
+/// rows, window rings — instead of re-measuring the cost of turning
 /// tracing on, which the `+counters` record already carries.
 ///
 /// Same interleaved min-of-pairs protocol as [`prof_overhead_records`],

@@ -1,6 +1,8 @@
 //! Engine observability: the per-shard request ledger — lock-light
 //! counters updated on the worker hot path — read at scrape time into a
-//! serialisable point-in-time snapshot and the `/metrics` registry.
+//! serialisable point-in-time snapshot, the `/metrics` registry and, on
+//! SLO engines, the `/slo` view: each tenant row also carries the
+//! tenant's SLO ledger.
 //!
 //! Latencies land in a fixed-size log-scale histogram
 //! ([`rrp_trace::LogHistogram`]): constant memory however long the engine
@@ -15,16 +17,18 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use rrp_slo::{SloConfig, SloLog, SloView, TenantSlo};
 use rrp_trace::{CounterSink, LogHistogram};
 use serde::Serialize;
 
 use crate::cache::PlanCache;
 use crate::request::{DegradationLevel, TraceEntry};
 
-/// Cap on distinct tenants tracked in the per-tenant table. Requests from
-/// tenants beyond the cap fold into one [`TENANT_OVERFLOW`] row — the same
-/// bounded-cardinality discipline the metrics registry applies, so a flood
-/// of unique tenant ids cannot grow either without bound.
+/// Cap on distinct tenants tracked in each shard's tenant table. Requests
+/// from tenants beyond the cap fold into one [`TENANT_OVERFLOW`] row — the
+/// same bounded-cardinality discipline the metrics registry applies, so a
+/// flood of unique tenant ids cannot grow either without bound. The one
+/// table serves `/snapshot`, `/metrics` and `/slo` alike.
 pub const TENANT_TABLE_CAP: usize = 64;
 
 /// Name of the fold-in row for tenants past [`TENANT_TABLE_CAP`].
@@ -58,12 +62,36 @@ pub struct TenantSnapshot {
     pub deadline_misses: u64,
 }
 
-#[derive(Debug, Default, Clone)]
-struct TenantCounters {
+/// One tenant's row in a shard's table.
+#[derive(Default)]
+pub(crate) struct TenantRow {
     requests: u64,
     cache_hits: u64,
     audit_rejections: u64,
     deadline_misses: u64,
+    /// The tenant's SLO ledger (engines built with `EngineConfig::slo`).
+    slo: Option<Box<TenantSlo>>,
+}
+
+impl TenantRow {
+    /// Account one completed response.
+    pub fn count(&mut self, cache_hit: bool, rejected: bool, deadline_met: bool) {
+        self.requests += 1;
+        self.cache_hits += u64::from(cache_hit);
+        self.audit_rejections += u64::from(rejected);
+        self.deadline_misses += u64::from(!deadline_met);
+    }
+
+    pub fn slo(&mut self, cfg: &SloConfig) -> &mut TenantSlo {
+        self.slo.get_or_insert_with(|| Box::new(TenantSlo::new(cfg)))
+    }
+}
+
+/// One shard's tenant rows plus, on SLO engines, its exemplar/alert log.
+#[derive(Default)]
+struct TenantTable {
+    rows: HashMap<String, TenantRow>,
+    slo: SloLog,
 }
 
 /// Point-in-time view of the engine's counters. Serialisable so it can be
@@ -147,8 +175,9 @@ impl LatencyLedger {
 }
 
 /// Internal mutable counters. Everything on the per-response path is an
-/// atomic, including the latency histogram buckets.
-#[derive(Debug, Default)]
+/// atomic, including the latency histogram buckets, except the tenant
+/// table's one short lock.
+#[derive(Default)]
 pub(crate) struct Metrics {
     completed: AtomicU64,
     queue_depth: AtomicUsize,
@@ -165,7 +194,7 @@ pub(crate) struct Metrics {
     queue_high_water: AtomicUsize,
     /// Per-tenant rows; one short lock per completed response, far off the
     /// solver hot path.
-    tenants: Mutex<HashMap<String, TenantCounters>>,
+    tenants: Mutex<TenantTable>,
 }
 
 impl Metrics {
@@ -223,37 +252,36 @@ impl Metrics {
         self.queue_depth.load(Ordering::Relaxed)
     }
 
-    /// Account one completed response to its tenant. Distinct from
-    /// [`Metrics::record`]/[`Metrics::record_rejection`] so the global
-    /// counters stay atomics; this one takes a short lock.
-    pub fn record_tenant(&self, tenant: &str, cache_hit: bool, rejected: bool, deadline_met: bool) {
-        fn bump(row: &mut TenantCounters, cache_hit: bool, rejected: bool, deadline_met: bool) {
-            row.requests += 1;
-            if cache_hit {
-                row.cache_hits += 1;
-            }
-            if rejected {
-                row.audit_rejections += 1;
-            }
-            if !deadline_met {
-                row.deadline_misses += 1;
-            }
-        }
-        let mut tenants = self.tenants.lock();
+    /// Fold this shard's SLO rows and log into a scrape-time view.
+    pub fn fold_slo(&self, view: &mut SloView) {
+        let table = self.tenants.lock();
+        let rows = table.rows.iter().filter_map(|(t, row)| Some((t.as_str(), row.slo.as_deref()?)));
+        view.add_shard(rows, &table.slo);
+    }
+
+    /// Run `f` on `tenant`'s row and the shard's SLO log under the tenant
+    /// table's one short lock — distinct from [`Metrics::record`] so the
+    /// global counters stay atomics. `f` gets the row's key: the tenant, or
+    /// [`TENANT_OVERFLOW`] once the table is full.
+    pub fn with_row<R>(
+        &self,
+        tenant: &str,
+        f: impl FnOnce(&str, &mut TenantRow, &mut SloLog) -> R,
+    ) -> R {
+        let mut table = self.tenants.lock();
+        let TenantTable { rows, slo } = &mut *table;
         // known tenants take the no-alloc path: `get_mut` by `&str` instead
         // of `entry(String)`, which would build a key String per call
-        if let Some(row) = tenants.get_mut(tenant) {
-            bump(row, cache_hit, rejected, deadline_met);
-            return;
+        if let Some(row) = rows.get_mut(tenant) {
+            return f(tenant, row, slo);
         }
-        let key = if tenants.len() < TENANT_TABLE_CAP { tenant } else { TENANT_OVERFLOW };
+        let key = if rows.len() < TENANT_TABLE_CAP { tenant } else { TENANT_OVERFLOW };
         // the overflow row is hit once per request past the cap — reuse the
         // same no-alloc path before falling through to the one-time insert
-        if let Some(row) = tenants.get_mut(key) {
-            bump(row, cache_hit, rejected, deadline_met);
-            return;
+        if let Some(row) = rows.get_mut(key) {
+            return f(key, row, slo);
         }
-        bump(tenants.entry(key.to_string()).or_default(), cache_hit, rejected, deadline_met);
+        f(key, rows.entry(key.to_string()).or_default(), slo)
     }
 
     /// Single-ledger snapshot — [`merged_snapshot`] over one part. The
@@ -293,7 +321,7 @@ pub(crate) fn merged_snapshot(
     trace_dropped_events: u64,
 ) -> MetricsSnapshot {
     let latencies = LogHistogram::new();
-    let mut tenant_acc: HashMap<String, TenantCounters> = HashMap::new();
+    let mut tenant_acc: HashMap<String, TenantRow> = HashMap::new();
     let mut shards = Vec::with_capacity(parts.len());
     let (mut completed, mut deadline_misses, mut audits) = (0u64, 0u64, 0u64);
     let (mut audit_rejections, mut busy_rejections) = (0u64, 0u64);
@@ -318,7 +346,7 @@ pub(crate) fn merged_snapshot(
         latencies.merge_from(&m.latencies.hist);
         cache_hits += cache.hits();
         cache_misses += cache.misses();
-        for (tenant, c) in m.tenants.lock().iter() {
+        for (tenant, c) in m.tenants.lock().rows.iter() {
             let row = tenant_acc.entry(tenant.clone()).or_default();
             row.requests += c.requests;
             row.cache_hits += c.cache_hits;
@@ -422,9 +450,9 @@ mod tests {
         let m = Metrics::default();
         let cache = PlanCache::new();
         m.record(DegradationLevel::Full, Duration::from_millis(3), true);
-        m.record_tenant("acme", false, false, true);
+        m.with_row("acme", |_, row, _| row.count(false, false, true));
         m.record(DegradationLevel::OnDemandOnly, Duration::from_millis(9), false);
-        m.record_tenant("acme", false, false, false);
+        m.with_row("acme", |_, row, _| row.count(false, false, false));
         let snap = m.snapshot(&cache, &CounterSink::new(), 7);
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.level_full, 1);
@@ -504,13 +532,13 @@ mod tests {
         // nearest-rank rounding boundary a 1-vs-1 split would land on
         m0.record(DegradationLevel::Full, Duration::from_millis(5), true);
         m0.record(DegradationLevel::Full, Duration::from_millis(5), true);
-        m0.record_tenant("a", false, false, true);
-        m0.record_tenant("a", false, false, true);
+        m0.with_row("a", |_, row, _| row.count(false, false, true));
+        m0.with_row("a", |_, row, _| row.count(false, false, true));
         m0.dequeue();
         m1.enqueue();
         m1.enqueue();
         m1.record(DegradationLevel::Deterministic, Duration::from_millis(50), false);
-        m1.record_tenant("b", false, false, false);
+        m1.with_row("b", |_, row, _| row.count(false, false, false));
         m1.record_busy();
         m1.dequeue();
         let snap = merged_snapshot(&[(&m0, &c0), (&m1, &c1)], &CounterSink::new(), 0);
@@ -535,10 +563,10 @@ mod tests {
     fn tenant_table_folds_overflow_into_other() {
         let m = Metrics::default();
         for i in 0..TENANT_TABLE_CAP + 10 {
-            m.record_tenant(&format!("tenant-{i:03}"), false, false, true);
+            m.with_row(&format!("tenant-{i:03}"), |_, row, _| row.count(false, false, true));
         }
         // known tenants keep their own rows even after the cap is reached
-        m.record_tenant("tenant-000", true, false, true);
+        m.with_row("tenant-000", |_, row, _| row.count(true, false, true));
         let snap = m.snapshot(&PlanCache::new(), &CounterSink::new(), 0);
         assert_eq!(snap.tenants.len(), TENANT_TABLE_CAP + 1);
         let other =

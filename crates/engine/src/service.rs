@@ -2,11 +2,11 @@
 //! — each request is CPU-bound MILP work, so plain threads are the right
 //! shape.
 //!
-//! Tenant state (plan cache, basis side-table, metrics/SLO ledgers,
-//! in-flight table) splits into one [`ShardState`] per worker, requests
-//! hash to their tenant's shard ([`shard_of`]), and each worker exclusively
-//! owns its shard: the hot submit/complete path touches only shard-local
-//! locks. Per-shard queues are bounded by admission control
+//! Tenant state (plan cache, basis side-table, the request ledger and its
+//! SLO rows, in-flight table) splits into one [`ShardState`] per worker,
+//! requests hash to their tenant's shard ([`shard_of`]), and each worker
+//! exclusively owns its shard: the hot submit/complete path touches only
+//! shard-local locks. Per-shard queues are bounded by admission control
 //! ([`Engine::try_submit`] refuses over the high-water mark with a [`Busy`]
 //! carrying a `Retry-After` hint) and batch-drained, so a burst of `n`
 //! submissions costs one worker wakeup; [`Engine::run_batch`] completes
@@ -28,8 +28,10 @@ use rrp_audit::{audit_milp_with, AuditOptions, UpperBoundHint};
 use rrp_core::fingerprint::Fnv64;
 use rrp_milp::{MilpOptions, SolveBudget};
 use rrp_obs::{ObsHooks, ObsServer, PlanDecision, Readiness, Registry};
-use rrp_prof::{install_panic_hook, FlightRecorder, ProfConfig, Profiler, SamplerShared};
-use rrp_slo::{SloConfig, SloEngine};
+use rrp_prof::{
+    install_panic_hook, FlightRecorder, FlightRing, ProfConfig, Profiler, SamplerShared,
+};
+use rrp_slo::{Done, SloConfig, SloView};
 use rrp_trace::json::escape_into;
 use rrp_trace::{
     CounterSink, EventKind, PruneReason, Sink, SpanId, SpanStacks, TeeSink, TraceHandle,
@@ -40,7 +42,7 @@ use serde::Serialize;
 use crate::cache::{CacheEntry, PlanCache};
 use crate::ladder::{run_ladder_with, LadderConfig, PreparedDrrp};
 use crate::metrics::{merged_latencies, merged_snapshot, Metrics, MetricsSnapshot, TenantSnapshot};
-use crate::request::{DegradationLevel, PlanRequest, PlanResponse};
+use crate::request::{DegradationLevel, PlanRequest, PlanResponse, RungOutcome};
 use crate::shard::{shard_of, shard_readiness, Busy, ShardQueue, Wave};
 use crate::wire;
 
@@ -71,17 +73,20 @@ pub struct EngineConfig {
     /// Continuous profiling + flight recorder ([`rrp_prof`]). `None` (the
     /// default) builds neither. `Some` publishes every worker's open-span
     /// path through the lock-free span stacks, starts the sampler thread
-    /// (when `sample_hz > 0`), and tees an always-on [`FlightRecorder`]
-    /// into the event pipeline whose triggers dump post-mortem bundles.
-    /// With a metrics server, `/profile` and `/flight` come alive too.
+    /// (when `sample_hz > 0`), tees the engine's lifecycle [`FlightRing`]
+    /// (sized by this config) into the event pipeline, and arms a
+    /// [`FlightRecorder`] whose triggers — the spike ones fed by the
+    /// workers — dump post-mortem bundles. With a metrics server,
+    /// `/profile` and `/flight` come alive too.
     pub prof: Option<ProfConfig>,
     /// Per-tenant SLO accounting ([`rrp_slo`]). `None` (the default)
-    /// builds no SLO engine. `Some` tees an [`SloEngine`] into the event
-    /// pipeline (enabling tracing): rolling error budgets, multi-window
-    /// burn-rate alerts, and tail-sampled request timelines. With a
-    /// metrics server, `/slo` and the `rrp_slo_*` families come alive;
-    /// with profiling, a burn-rate breach fires the `slo_burn_rate`
-    /// flight trigger so the bundle carries the tenant's exemplars.
+    /// keeps none. `Some` gives every row of the per-shard request ledger
+    /// the tenant's SLO ledger — rolling error budgets, multi-window
+    /// burn-rate alerts — and retains tail-sampled exemplars cut from the
+    /// lifecycle [`FlightRing`] (so it turns tracing on). With a metrics
+    /// server, `/slo` and the `rrp_slo_*` families come alive; with
+    /// profiling, a burn-rate breach fires the `slo_burn_rate` flight
+    /// trigger so the bundle carries the tenant's exemplars.
     pub slo: Option<SloConfig>,
     /// Per-shard queue options. The engine always runs one [`ShardState`] +
     /// bounded queue per worker with tenant→shard affinity by id hash;
@@ -132,8 +137,8 @@ struct Job {
 
 /// Profiling runtime, present when the engine was built with
 /// [`EngineConfig::prof`]. The [`Profiler`] owns the sampler thread
-/// (joined when the last `Arc<Shared>` drops); the recorder also sits
-/// inside the trace pipeline as a sink.
+/// (joined when the last `Arc<Shared>` drops); the recorder reads the
+/// engine's ring.
 struct ProfRuntime {
     _profiler: Profiler,
     sampler: Arc<SamplerShared>,
@@ -146,7 +151,7 @@ struct ProfRuntime {
 struct InflightEntry {
     /// Engine-assigned request id — the same id the request's
     /// `RequestDone` event carries, so the in-flight table, the flight
-    /// ring and the SLO exemplar store agree on identity.
+    /// ring and the SLO exemplars agree on identity.
     request_id: u64,
     tenant: String,
     level: &'static str,
@@ -183,10 +188,10 @@ struct Shared {
     /// The solver-event ledger behind [`MetricsSnapshot`] and `/metrics`;
     /// only fed while `trace` is enabled.
     counters: Arc<CounterSink>,
-    /// The combined sink behind `trace` (counters, teed with the flight
-    /// recorder, SLO engine and external sink when present) — kept so
-    /// snapshots can report [`Sink::dropped_events`] without downcasting.
-    /// `None` when tracing is off.
+    /// The combined sink behind `trace` (counters, teed with the ring and
+    /// the external sink when present) — kept so snapshots can report
+    /// [`Sink::dropped_events`] without downcasting. `None` when tracing
+    /// is off.
     event_sink: Option<Arc<dyn Sink>>,
     /// Metrics registry, synced from the ledgers at every scrape; `None`
     /// unless the engine was built with [`EngineConfig::metrics`].
@@ -194,9 +199,10 @@ struct Shared {
     /// Profiler + flight recorder; `None` unless built with
     /// [`EngineConfig::prof`].
     prof: Option<ProfRuntime>,
-    /// Per-tenant SLO engine; `None` unless built with
-    /// [`EngineConfig::slo`]. Also teed into the trace pipeline as a sink.
-    slo: Option<Arc<SloEngine>>,
+    /// The lifecycle ring in the trace pipeline; `Some` with `prof`/`slo`.
+    ring: Option<Arc<FlightRing>>,
+    /// SLO options; `Some` gives every tenant row its SLO ledger.
+    slo: Option<SloConfig>,
     /// Engine-assigned request ids, stamped into every `RequestDone`
     /// event (and the in-flight table) whether or not profiling is on.
     next_request_id: AtomicU64,
@@ -218,6 +224,24 @@ impl Shared {
         let parts: Vec<(&Metrics, &PlanCache)> =
             self.shards.iter().map(|s| (&s.metrics, &s.cache)).collect();
         merged_snapshot(&parts, &self.counters, dropped)
+    }
+
+    /// The `/slo` view: every shard's tenant rows and SLO log, folded now.
+    fn slo_view(&self) -> Option<SloView> {
+        let cfg = self.slo.as_ref()?;
+        let mut view = SloView::new(cfg, self.trace.now_us());
+        for shard in &self.shards {
+            shard.metrics.fold_slo(&mut view);
+        }
+        Some(view)
+    }
+
+    /// The post-mortem bundle's engine sections, in schema order.
+    fn write_bundle_sections(&self, out: &mut String) {
+        out.push_str(",\"metrics\":");
+        self.snapshot().serialize_json(out);
+        let _ = write!(out, ",\"inflight\":{},\"slo\":", self.inflight_json());
+        out.push_str(&self.slo_view().map_or_else(|| "null".to_string(), |v| v.status_json()));
     }
 
     fn cache_len(&self) -> usize {
@@ -371,30 +395,20 @@ impl Engine {
             config;
         let counters = Arc::new(CounterSink::new());
         let registry = metrics.as_ref().map(|_| Arc::new(Registry::new()));
+        // the lifecycle ring both the flight recorder and the SLO exemplars
+        // read, sized by the profiler's options when there are any
+        let ring = (prof.is_some() || slo.is_some())
+            .then(|| Arc::new(FlightRing::new(prof.as_ref().unwrap_or(&ProfConfig::default()))));
+        let stacks = prof.as_ref().map(|_| Arc::new(SpanStacks::new()));
 
-        // profiling: span-stack publication + the always-on flight
-        // recorder, which joins the event pipeline as one more sink
-        let prof_parts = prof
-            .as_ref()
-            .map(|p| (Arc::new(SpanStacks::new()), Arc::new(FlightRecorder::new(p.clone()))));
-        let stacks = prof_parts.as_ref().map(|(s, _)| Arc::clone(s));
-        let flight = prof_parts.as_ref().map(|(_, f)| Arc::clone(f));
-
-        // the event pipeline: counters always lead the tee; the flight
-        // recorder, SLO engine and any external sink follow. Tracing turns
-        // on if any consumer beyond the bare counters exists, or counting
-        // was asked for — a metrics registry is a view of the counters.
+        // the event pipeline: counters always lead the tee; the ring and
+        // any external sink follow. Tracing turns on if either exists, or
+        // counting was asked for — a metrics registry is a view of the
+        // counters.
         let count_solver_events = count_solver_events || registry.is_some();
         let mut fanout: Vec<Arc<dyn Sink>> = Vec::new();
-        if let Some(f) = &flight {
-            fanout.push(Arc::clone(f) as Arc<dyn Sink>);
-        }
-        // the SLO engine follows the flight recorder so that when a
-        // burn-rate alert fires mid-emit, the RequestDone that tripped it
-        // is already in the flight ring the bundle serialises
-        let slo_engine = slo.map(|cfg| Arc::new(SloEngine::new(cfg)));
-        if let Some(s) = &slo_engine {
-            fanout.push(Arc::clone(s) as Arc<dyn Sink>);
+        if let Some(r) = &ring {
+            fanout.push(Arc::clone(r) as Arc<dyn Sink>);
         }
         if let Some(external) = sink {
             fanout.push(external);
@@ -411,11 +425,12 @@ impl Engine {
             (TraceHandle::with_parts(Some(Arc::clone(&combined)), stacks.clone()), Some(combined))
         };
 
-        let prof_rt = prof.zip(prof_parts).map(|(p, (stacks, flight))| {
+        let prof_rt = prof.zip(stacks).zip(ring.clone()).map(|((p, stacks), ring)| {
             let profiler = Profiler::start(stacks, p.sample_hz);
             let sampler = profiler.shared();
-            flight.set_sampler(Arc::clone(&sampler));
-            if p.panic_hook {
+            let panic_hook = p.panic_hook;
+            let flight = Arc::new(FlightRecorder::new(p, ring, Some(Arc::clone(&sampler))));
+            if panic_hook {
                 install_panic_hook(&flight);
             }
             ProfRuntime { _profiler: profiler, sampler, flight }
@@ -430,43 +445,18 @@ impl Engine {
             event_sink,
             registry,
             prof: prof_rt,
-            slo: slo_engine,
+            ring,
+            slo,
             next_request_id: AtomicU64::new(0),
         });
         if let Some(rt) = &shared.prof {
-            // Weak closures: the recorder lives inside the pipeline the
-            // shared state holds, so strong captures would cycle and leak
+            // Weak: the recorder lives inside the shared state it reads, so
+            // a strong capture would cycle and leak
             let weak = Arc::downgrade(&shared);
-            rt.flight.set_snapshot_provider(Box::new(move || match weak.upgrade() {
-                Some(s) => {
-                    let mut out = String::with_capacity(512);
-                    s.snapshot().serialize_json(&mut out);
-                    out
-                }
-                None => "null".to_string(),
+            rt.flight.set_bundle_sections(Box::new(move |out| match weak.upgrade() {
+                Some(s) => s.write_bundle_sections(out),
+                None => out.push_str(",\"metrics\":null,\"inflight\":null,\"slo\":null"),
             }));
-            let weak = Arc::downgrade(&shared);
-            rt.flight.set_inflight_provider(Box::new(move || match weak.upgrade() {
-                Some(s) => s.inflight_json(),
-                None => "[]".to_string(),
-            }));
-            if let Some(slo) = &shared.slo {
-                // bundle side: the recorder pulls the SLO status (strong
-                // Arc is fine — the recorder is not reachable from the
-                // SLO engine except through the Weak hook below)
-                let slo_for_bundle = Arc::clone(slo);
-                rt.flight.set_slo_provider(Box::new(move || slo_for_bundle.status_json()));
-                // alert side: a burn-rate breach dumps a post-mortem whose
-                // `slo` section carries the offending tenant's exemplars.
-                // Weak, because the flight recorder sits in the pipeline
-                // the SLO engine's hook would otherwise keep alive.
-                let weak_flight = Arc::downgrade(&rt.flight);
-                slo.set_alert_hook(Box::new(move |_alert| {
-                    if let Some(f) = weak_flight.upgrade() {
-                        let _ = f.trigger("slo_burn_rate");
-                    }
-                }));
-            }
         }
 
         let high_water = shard.unwrap_or_default().queue_high_water;
@@ -633,19 +623,28 @@ impl Engine {
     /// exemplar timelines), when the engine was built with
     /// [`EngineConfig::slo`].
     pub fn slo_status_json(&self) -> Option<String> {
-        self.shared.slo.as_ref().map(|s| s.status_json())
+        self.shared.slo_view().map(|v| v.status_json())
     }
 
-    /// The SLO engine itself, when one was configured.
-    pub fn slo(&self) -> Option<&Arc<SloEngine>> {
-        self.shared.slo.as_ref()
+    /// The SLO view folded across shards right now, when configured.
+    pub fn slo(&self) -> Option<SloView> {
+        self.shared.slo_view()
     }
 
     /// Feed one sim episode's planned vs realised cost into `tenant`'s
-    /// cost-ratio objective. No-op without [`EngineConfig::slo`].
+    /// cost-ratio objective, on the tenant's shard. No-op without
+    /// [`EngineConfig::slo`].
     pub fn slo_record_cost(&self, tenant: &str, planned: f64, realised: f64) {
-        if let Some(s) = &self.shared.slo {
-            s.record_cost(tenant, planned, realised);
+        let Some(cfg) = &self.shared.slo else { return };
+        let state = &self.shared.shards[shard_of(tenant, self.shared.shards.len())];
+        let t_us = self.shared.trace.now_us();
+        let alert = state.metrics.with_row(tenant, |key, row, log| {
+            log.record_cost(cfg, key, row.slo(cfg), t_us, planned, realised)
+        });
+        if alert {
+            if let Some(rt) = &self.shared.prof {
+                let _ = rt.flight.trigger("slo_burn_rate");
+            }
         }
     }
 }
@@ -772,7 +771,7 @@ fn obs_hooks(
         },
         slo_json: if shared.slo.is_some() {
             Some(Box::new(move || {
-                slo_shared.slo.as_ref().map(|s| s.status_json()).unwrap_or_default()
+                slo_shared.slo_view().map(|v| v.status_json()).unwrap_or_default()
             }))
         } else {
             None
@@ -806,7 +805,7 @@ fn obs_hooks(
 /// Write the `/metrics` view of the engine's ledgers into the registry,
 /// once per scrape: the per-shard request ledgers (merged into a
 /// [`MetricsSnapshot`] plus latency histograms), the solver-event ledger
-/// ([`CounterSink`]), and the SLO and profiling state when present.
+/// ([`CounterSink`]), and the SLO view and profiling state when present.
 /// Nothing writes the registry between scrapes.
 fn sync_registry(shared: &Shared, reg: &Registry) {
     let snap = shared.snapshot();
@@ -880,10 +879,10 @@ fn sync_registry(shared: &Shared, reg: &Registry) {
     }
     sync_request_ledger(shared, &snap.tenants, reg);
     sync_solver_ledger(&shared.counters, reg);
-    if let Some(slo) = &shared.slo {
-        slo.sync_registry(reg);
+    if let Some(view) = shared.slo_view() {
+        view.sync_registry(reg);
     }
-    if let Some(rt) = &shared.prof {
+    if let (Some(rt), Some(ring)) = (&shared.prof, &shared.ring) {
         reg.counter("rrp_prof_samples_total", "Profiler stack samples accumulated", &[])
             .set(rt.sampler.samples_total());
         reg.gauge("rrp_prof_distinct_paths", "Distinct span paths seen by the profiler", &[])
@@ -891,13 +890,13 @@ fn sync_registry(shared: &Shared, reg: &Registry) {
         reg.counter("rrp_flight_dumps_total", "Post-mortem bundles dumped", &[])
             .set(rt.flight.dumps_fired());
         reg.gauge("rrp_flight_ring_events", "Trace events held in the flight ring", &[])
-            .set(rt.flight.ring_len() as f64);
+            .set(ring.len() as f64);
         reg.counter(
             "rrp_flight_ring_dropped_total",
             "Flight-ring events evicted by the hard cap",
             &[],
         )
-        .set(rt.flight.ring_dropped());
+        .set(ring.dropped());
         // the cause taxonomy is closed, so every series can be synced
         // explicitly — no stale 1s after the latest trigger moves on
         let last = rt.flight.last_trigger();
@@ -1066,7 +1065,6 @@ fn worker_loop(queue: &ShardQueue<Job>, shared: &Shared, shard: usize) {
 
 fn process(shared: &Shared, state: &ShardState, req: PlanRequest, span: SpanId) -> PlanResponse {
     let start = Instant::now();
-    let key = req.fingerprint();
     // the request span itself is opened on the submitting thread, so the
     // profiler frame is published here, on the worker lane that owns it
     let _frame = shared.trace.stack_frame("request");
@@ -1074,32 +1072,73 @@ fn process(shared: &Shared, state: &ShardState, req: PlanRequest, span: SpanId) 
     let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
     let _inflight = InflightGuard::track(state, shared.prof.is_some(), &req, request_id);
     shared.trace.emit(span, EventKind::Dequeued);
+    let (resp, outcome) = answer(shared, state, req, span, start);
+    finish(shared, state, span, request_id, &resp, outcome);
+    resp
+}
 
+/// Every completion's epilogue: emit `RequestDone`, account the response
+/// to its tenant's ledger row — on SLO engines to the row's objectives
+/// too, cutting a retained request's exemplar from the ring — and close
+/// the span. Then, outside the tenant lock, feed the flight recorder's
+/// spike triggers and dump a burn-rate alert's bundle.
+fn finish(
+    shared: &Shared,
+    state: &ShardState,
+    span: SpanId,
+    request_id: u64,
+    resp: &PlanResponse,
+    outcome: &'static str,
+) {
+    let (level, deadline_met) = (resp.degradation.as_str(), resp.deadline_met);
+    let latency_us = resp.latency.as_micros() as u64;
+    // `emit` is a no-op when tracing is off, but its *argument* is still
+    // built — gate the tenant-id clone out, which is pure submit-path
+    // overhead under a cache-hit storm
+    if shared.trace.is_enabled() {
+        let tenant = resp.app_id.clone();
+        let done =
+            EventKind::RequestDone { request_id, tenant, level, outcome, latency_us, deadline_met };
+        shared.trace.emit(span, done);
+    }
+    // the trace clock, read only by engines that keep a ring
+    let t_us = if shared.ring.is_some() { shared.trace.now_us() } else { 0 };
+    let (tenant, rejected) = (resp.app_id.as_str(), resp.rejection.is_some());
+    let alert = state.metrics.with_row(tenant, |key, row, log| {
+        row.count(resp.cache_hit, rejected, deadline_met);
+        let (Some(cfg), Some(ring)) = (&shared.slo, &shared.ring) else { return false };
+        let done = Done { request_id, tenant, level, outcome, latency_us, deadline_met, t_us };
+        log.record_request(cfg, key, row.slo(cfg), &done, |max| ring.cut(span, max))
+    });
+    shared.trace.close_span(span);
+    if let Some(rt) = &shared.prof {
+        let exhausted =
+            resp.trace.iter().filter(|s| matches!(s.outcome, RungOutcome::Exhausted(_))).count();
+        rt.flight.note_outcome(t_us, deadline_met, exhausted);
+        if alert {
+            let _ = rt.flight.trigger("slo_burn_rate");
+        }
+    }
+}
+
+/// Decide the response — cache hit, audit rejection or ladder answer —
+/// and account it to the shard's global counters. Returns it with its
+/// `RequestDone` outcome label.
+fn answer(
+    shared: &Shared,
+    state: &ShardState,
+    req: PlanRequest,
+    span: SpanId,
+    start: Instant,
+) -> (PlanResponse, &'static str) {
+    let key = req.fingerprint();
     let cached = state.cache.lookup(key);
     shared.trace.emit(span, EventKind::CacheLookup { hit: cached.is_some() });
     if let Some(entry) = cached {
         let latency = start.elapsed();
         let deadline_met = latency <= req.deadline;
         state.metrics.record(entry.degradation, latency, deadline_met);
-        state.metrics.record_tenant(&req.app_id, true, false, deadline_met);
-        // `emit` is a no-op when tracing is off, but its *argument* is
-        // still built — gate the tenant-id clone out of the cache-hit
-        // path, which is pure submit-path overhead under a hit storm
-        if shared.trace.is_enabled() {
-            shared.trace.emit(
-                span,
-                EventKind::RequestDone {
-                    request_id,
-                    tenant: req.app_id.clone(),
-                    level: entry.degradation.as_str(),
-                    outcome: "cache_hit",
-                    latency_us: latency.as_micros() as u64,
-                    deadline_met,
-                },
-            );
-        }
-        shared.trace.close_span(span);
-        return PlanResponse {
+        let resp = PlanResponse {
             app_id: req.app_id,
             fingerprint: key,
             plan: Some(entry.plan),
@@ -1110,6 +1149,7 @@ fn process(shared: &Shared, state: &ShardState, req: PlanRequest, span: SpanId) 
             latency,
             deadline_met,
         };
+        return (resp, "cache_hit");
     }
 
     // Pre-solve audit gate. Every ladder answer must satisfy the schedule's
@@ -1147,20 +1187,7 @@ fn process(shared: &Shared, state: &ShardState, req: PlanRequest, span: SpanId) 
         let latency = start.elapsed();
         let deadline_met = latency <= req.deadline;
         state.metrics.record_rejection(latency, deadline_met);
-        state.metrics.record_tenant(&req.app_id, false, true, deadline_met);
-        shared.trace.emit(
-            span,
-            EventKind::RequestDone {
-                request_id,
-                tenant: req.app_id.clone(),
-                level: req.policy.start_level().as_str(),
-                outcome: "rejected",
-                latency_us: latency.as_micros() as u64,
-                deadline_met,
-            },
-        );
-        shared.trace.close_span(span);
-        return PlanResponse {
+        let resp = PlanResponse {
             app_id: req.app_id,
             fingerprint: key,
             plan: None,
@@ -1171,6 +1198,7 @@ fn process(shared: &Shared, state: &ShardState, req: PlanRequest, span: SpanId) 
             latency,
             deadline_met,
         };
+        return (resp, "rejected");
     }
     audit.apply(&mut prepared.milp);
 
@@ -1204,20 +1232,7 @@ fn process(shared: &Shared, state: &ShardState, req: PlanRequest, span: SpanId) 
     let deadline_met = latency <= req.deadline;
     state.metrics.record(result.level, latency, deadline_met);
     state.metrics.record_rungs(&result.trace);
-    state.metrics.record_tenant(&req.app_id, false, false, deadline_met);
-    shared.trace.emit(
-        span,
-        EventKind::RequestDone {
-            request_id,
-            tenant: req.app_id.clone(),
-            level: result.level.as_str(),
-            outcome: "ok",
-            latency_us: latency.as_micros() as u64,
-            deadline_met,
-        },
-    );
-    shared.trace.close_span(span);
-    PlanResponse {
+    let resp = PlanResponse {
         app_id: req.app_id,
         fingerprint: key,
         plan: Some(result.plan),
@@ -1227,5 +1242,6 @@ fn process(shared: &Shared, state: &ShardState, req: PlanRequest, span: SpanId) 
         cache_hit: false,
         latency,
         deadline_met,
-    }
+    };
+    (resp, "ok")
 }

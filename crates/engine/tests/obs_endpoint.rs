@@ -3,46 +3,16 @@
 //! `/readyz` flips to 503 while the queue sits over the high-water mark
 //! and during shutdown, and dropping the engine takes the listener down.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use rrp_core::{CostSchedule, PlanningParams, ScenarioTree};
 use rrp_engine::{
     Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, ShardConfig, MAX_HORIZON,
 };
+use rrp_obs::http_request;
 use rrp_obs::text::parse;
 use rrp_spotmarket::{CostRates, EmpiricalDist};
-
-fn http_get(addr: SocketAddr, path: &str) -> Option<(u16, String)> {
-    let mut s = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
-    s.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes()).ok()?;
-    let mut raw = Vec::new();
-    s.read_to_end(&mut raw).ok()?;
-    let text = String::from_utf8(raw).ok()?;
-    let (head, body) = text.split_once("\r\n\r\n")?;
-    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-    Some((status, body.to_string()))
-}
-
-/// POST returning `(status, full head, body)` — the head carries
-/// `Retry-After` on a 429.
-fn http_post(addr: SocketAddr, path: &str, body: &str) -> Option<(u16, String, String)> {
-    let mut s = TcpStream::connect_timeout(&addr, Duration::from_secs(5)).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(30))).ok()?;
-    s.write_all(
-        format!("POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}", body.len())
-            .as_bytes(),
-    )
-    .ok()?;
-    let mut raw = Vec::new();
-    s.read_to_end(&mut raw).ok()?;
-    let text = String::from_utf8(raw).ok()?;
-    let (head, body) = text.split_once("\r\n\r\n")?;
-    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-    Some((status, head.to_string(), body.to_string()))
-}
 
 fn request(i: usize, horizon: usize) -> PlanRequest {
     let demand: Vec<f64> = (0..horizon).map(|t| 0.2 + 0.15 * ((i + t) % 5) as f64).collect();
@@ -93,7 +63,8 @@ fn concurrent_scrapes_during_solves_parse_and_carry_families() {
         .map(|_| {
             std::thread::spawn(move || {
                 for _ in 0..25 {
-                    let (code, body) = http_get(addr, "/metrics").expect("scrape answered");
+                    let (code, _, body) =
+                        http_request(addr, "GET", "/metrics", None).expect("scrape answered");
                     assert_eq!(code, 200);
                     parse(&body).unwrap_or_else(|e| panic!("torn exposition: {e}\n{body}"));
                     std::thread::sleep(Duration::from_millis(2));
@@ -109,7 +80,7 @@ fn concurrent_scrapes_during_solves_parse_and_carry_families() {
 
     // after the batch, the exposition carries every advertised family with
     // per-tenant and per-rung label splits
-    let (code, body) = http_get(addr, "/metrics").expect("final scrape");
+    let (code, _, body) = http_request(addr, "GET", "/metrics", None).expect("final scrape");
     assert_eq!(code, 200);
     let samples = parse(&body).expect("final exposition parses");
     for family in [
@@ -139,11 +110,11 @@ fn concurrent_scrapes_during_solves_parse_and_carry_families() {
     );
 
     // /snapshot serves the JSON mirror, /healthz stays trivially up
-    let (code, body) = http_get(addr, "/snapshot").expect("snapshot");
+    let (code, _, body) = http_request(addr, "GET", "/snapshot", None).expect("snapshot");
     assert_eq!(code, 200);
     assert!(body.contains("\"completed\":24"), "{body}");
     assert!(body.contains("\"tenants\":["), "{body}");
-    let (code, body) = http_get(addr, "/healthz").expect("healthz");
+    let (code, _, body) = http_request(addr, "GET", "/healthz", None).expect("healthz");
     assert_eq!(code, 200);
     assert_eq!(body, "ok\n");
 }
@@ -152,7 +123,7 @@ fn concurrent_scrapes_during_solves_parse_and_carry_families() {
 fn readyz_flips_over_high_water_and_recovers() {
     // 1 worker, high-water 0: any queued request makes the engine not-ready
     let (engine, addr) = serving_engine(1, 0);
-    let (code, _) = http_get(addr, "/readyz").expect("idle readyz");
+    let (code, _, _) = http_request(addr, "GET", "/readyz", None).expect("idle readyz");
     assert_eq!(code, 200);
 
     // pile up work faster than one worker drains it, then poll for the flip
@@ -160,7 +131,8 @@ fn readyz_flips_over_high_water_and_recovers() {
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut saw_503 = false;
     while Instant::now() < deadline {
-        let (code, body) = http_get(addr, "/readyz").expect("readyz under load");
+        let (code, _, body) =
+            http_request(addr, "GET", "/readyz", None).expect("readyz under load");
         if code == 503 {
             assert!(body.contains("over high-water"), "{body}");
             saw_503 = true;
@@ -176,7 +148,7 @@ fn readyz_flips_over_high_water_and_recovers() {
     // drained: ready again
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        let (code, _) = http_get(addr, "/readyz").expect("readyz after drain");
+        let (code, _, _) = http_request(addr, "GET", "/readyz", None).expect("readyz after drain");
         if code == 200 {
             break;
         }
@@ -190,14 +162,15 @@ fn readyz_holds_at_the_edge_and_flips_one_over() {
     // one shard, high-water 1: a backlog of exactly 1 sits *at* the edge
     // and must stay ready — the flip is strictly `depth > high_water`
     let (engine, addr) = serving_engine(1, 1);
-    let (code, _) = http_get(addr, "/readyz").expect("idle readyz");
+    let (code, _, _) = http_request(addr, "GET", "/readyz", None).expect("idle readyz");
     assert_eq!(code, 200);
 
     let blocker = engine.submit(slow_request(0));
     // while the single request is in flight the depth is exactly the
     // high-water mark: every poll must stay 200 (no premature flip)
     for _ in 0..5 {
-        let (code, body) = http_get(addr, "/readyz").expect("readyz at the edge");
+        let (code, _, body) =
+            http_request(addr, "GET", "/readyz", None).expect("readyz at the edge");
         assert_eq!(code, 200, "503 at depth == high_water: {body}");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -207,7 +180,8 @@ fn readyz_holds_at_the_edge_and_flips_one_over() {
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut saw_503 = false;
     while Instant::now() < deadline {
-        let (code, body) = http_get(addr, "/readyz").expect("readyz over the edge");
+        let (code, _, body) =
+            http_request(addr, "GET", "/readyz", None).expect("readyz over the edge");
         if code == 503 {
             assert!(body.contains("over high-water"), "{body}");
             saw_503 = true;
@@ -223,7 +197,7 @@ fn readyz_holds_at_the_edge_and_flips_one_over() {
     }
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        let (code, _) = http_get(addr, "/readyz").expect("readyz after drain");
+        let (code, _, _) = http_request(addr, "GET", "/readyz", None).expect("readyz after drain");
         if code == 200 {
             break;
         }
@@ -237,7 +211,8 @@ fn plan_intake_serves_a_tenant_request_over_http() {
     let (engine, addr) = serving_engine(2, 128);
     let body = r#"{"app_id":"http-tenant","policy":"deterministic","deadline_ms":30000,
         "compute":[0.06,0.06,0.06,0.06],"demand":[0.4,0.8,0.2,0.6]}"#;
-    let (code, _, resp) = http_post(addr, "/plan", body).expect("plan intake answered");
+    let (code, _, resp) =
+        http_request(addr, "POST", "/plan", Some(body)).expect("plan intake answered");
     assert_eq!(code, 200, "{resp}");
     assert!(resp.contains("\"app_id\":\"http-tenant\""), "{resp}");
     assert!(resp.contains("\"objective\":"), "{resp}");
@@ -250,33 +225,41 @@ fn plan_intake_serves_a_tenant_request_over_http() {
     assert!(m.tenants.iter().any(|t| t.tenant == "http-tenant"));
 
     // malformed and unsupported intakes are rejected, not crashed on
-    let (code, _, resp) = http_post(addr, "/plan", "{not json").expect("bad body answered");
+    let (code, _, resp) =
+        http_request(addr, "POST", "/plan", Some("{not json")).expect("bad body answered");
     assert_eq!(code, 400, "{resp}");
     // hostile numbers stop at the boundary: 400 naming the field, no solve
     for body in [
         r#"{"app_id":"x","compute":[0.06],"demand":[1e999]}"#,
         r#"{"app_id":"x","compute":[0.06,0.06],"demand":[0.4,-0.5]}"#,
     ] {
-        let (code, _, resp) = http_post(addr, "/plan", body).expect("hostile body answered");
+        let (code, _, resp) =
+            http_request(addr, "POST", "/plan", Some(body)).expect("hostile body answered");
         assert_eq!(code, 400, "{body}: {resp}");
         assert!(resp.contains("\\\"demand\\\""), "{resp}");
     }
-    let (code, _, resp) =
-        http_post(addr, "/plan", r#"{"app_id":"","compute":[0.06],"demand":[0.4]}"#)
-            .expect("empty tenant answered");
+    let (code, _, resp) = http_request(
+        addr,
+        "POST",
+        "/plan",
+        Some(r#"{"app_id":"","compute":[0.06],"demand":[0.4]}"#),
+    )
+    .expect("empty tenant answered");
     assert_eq!(code, 400, "{resp}");
     assert!(resp.contains("app_id"), "{resp}");
     // an absurd horizon stops at the boundary too, before any O(T²) work
     let series = vec!["0.25"; MAX_HORIZON + 1].join(",");
     let body = format!(r#"{{"app_id":"x","compute":[{series}],"demand":[{series}]}}"#);
-    let (code, _, resp) = http_post(addr, "/plan", &body).expect("long horizon answered");
+    let (code, _, resp) =
+        http_request(addr, "POST", "/plan", Some(&body)).expect("long horizon answered");
     assert_eq!(code, 400, "{resp}");
     assert!(resp.contains("\\\"compute\\\"") && resp.contains("horizon cap"), "{resp}");
     assert_eq!(engine.metrics().completed, 1, "a refused body must never reach a worker");
-    let (code, _, resp) = http_post(
+    let (code, _, resp) = http_request(
         addr,
+        "POST",
         "/plan",
-        r#"{"app_id":"x","policy":"stochastic","compute":[0.06],"demand":[0.4]}"#,
+        Some(r#"{"app_id":"x","policy":"stochastic","compute":[0.06],"demand":[0.4]}"#),
     )
     .expect("stochastic answered");
     assert_eq!(code, 400, "{resp}");
@@ -288,7 +271,8 @@ fn plan_intake_backpressure_is_429_with_retry_after() {
     // high-water 0: every untrusted intake is refused at admission
     let (engine, addr) = serving_engine(1, 0);
     let body = r#"{"app_id":"shed-me","compute":[0.06,0.06],"demand":[0.4,0.2]}"#;
-    let (code, head, resp) = http_post(addr, "/plan", body).expect("busy intake answered");
+    let (code, head, resp) =
+        http_request(addr, "POST", "/plan", Some(body)).expect("busy intake answered");
     assert_eq!(code, 429, "{resp}");
     assert!(head.contains("Retry-After: "), "429 must carry Retry-After:\n{head}");
     assert!(resp.contains("busy"), "{resp}");
@@ -310,7 +294,8 @@ fn a_default_constructed_serving_engine_answers_plan_intake() {
     );
     let addr = engine.metrics_addr().expect("ephemeral metrics server bound");
     let body = r#"{"app_id":"x","compute":[0.06],"demand":[0.4]}"#;
-    let (code, _, resp) = http_post(addr, "/plan", body).expect("default intake answered");
+    let (code, _, resp) =
+        http_request(addr, "POST", "/plan", Some(body)).expect("default intake answered");
     assert_eq!(code, 200, "{resp}");
 }
 
@@ -324,8 +309,8 @@ fn readyz_reports_shutting_down_while_the_queue_drains() {
     let poller = std::thread::spawn(move || {
         let deadline = Instant::now() + Duration::from_secs(30);
         while Instant::now() < deadline {
-            match http_get(addr, "/readyz") {
-                Some((503, body)) if body.contains("shutting down") => return true,
+            match http_request(addr, "GET", "/readyz", None) {
+                Some((503, _, body)) if body.contains("shutting down") => return true,
                 Some(_) => std::thread::sleep(Duration::from_millis(1)),
                 None => return false, // listener already gone
             }
@@ -344,12 +329,12 @@ fn readyz_reports_shutting_down_while_the_queue_drains() {
 fn drop_takes_the_listener_down() {
     let (engine, addr) = serving_engine(2, 128);
     let _ = engine.run_batch((0..4).map(|i| request(i, 5)).collect());
-    let (code, _) = http_get(addr, "/healthz").expect("alive before drop");
+    let (code, _, _) = http_request(addr, "GET", "/healthz", None).expect("alive before drop");
     assert_eq!(code, 200);
     drop(engine);
     // the listener thread is joined by drop, so the port is closed; a
     // lingering TIME_WAIT accept would still refuse the request body
-    let gone = http_get(addr, "/healthz").is_none();
+    let gone = http_request(addr, "GET", "/healthz", None).is_none();
     assert!(gone, "metrics server survived engine drop");
 }
 

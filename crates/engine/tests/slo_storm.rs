@@ -68,7 +68,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 /// Flight config with every built-in trigger disabled: the only way a
-/// bundle lands in `dir` is the SLO engine's `slo_burn_rate` hook.
+/// bundle lands in `dir` is a burn-rate alert's `slo_burn_rate` trigger.
 fn slo_only_flight(dir: &Path) -> ProfConfig {
     ProfConfig {
         sample_hz: 997,
@@ -137,7 +137,7 @@ fn deadline_storm_fires_one_alert_and_bundles_exemplar_timelines() {
     let (retained, _dropped) = slo.exemplar_counts();
     assert!(retained >= misses as u64, "each miss retains a timeline ({retained} < {misses})");
 
-    // the alert's hook pulled the flight recorder's trigger — exactly one
+    // the alert pulled the flight recorder's trigger — exactly one
     // bundle, named after the SLO cause, carrying the tenant's timelines
     assert_eq!(engine.flight_dumps(), 1, "the slo hook is the only live trigger");
     let flight = engine.flight_status_json().expect("flight status");

@@ -15,7 +15,8 @@
 //! * **Exposition server** ([`server`]) — a tiny hand-rolled HTTP/1.1
 //!   responder on `std::net::TcpListener` (loopback-oriented) serving
 //!   `/metrics` in Prometheus text format, `/snapshot` as JSON, and
-//!   `/healthz` + `/readyz` probes, with graceful shutdown.
+//!   `/healthz` + `/readyz` probes, with graceful shutdown — plus the one
+//!   minimal client ([`http_request`]) the tests and tooling scrape with.
 //!
 //! ```
 //! use rrp_obs::Registry;
@@ -35,5 +36,5 @@ pub mod server;
 pub mod text;
 
 pub use registry::{Counter, Gauge, Registry, Summary, OVERFLOW_LABEL};
-pub use server::{ObsHooks, ObsServer, PendingPlan, PlanDecision, Readiness};
+pub use server::{http_request, ObsHooks, ObsServer, PendingPlan, PlanDecision, Readiness};
 pub use text::{parse, Sample};

@@ -3,7 +3,7 @@
 //!
 //! The registry is a scrape-time view: it counts nothing itself. Every
 //! write is a `set` from a ledger the producer owns (the engine's request
-//! and solver ledgers, the SLO engine, the profiler), made once per scrape
+//! and solver ledgers, the SLO view, the profiler), made once per scrape
 //! just before [`Registry::render`]. Registration takes one short lock and
 //! returns an `Arc`ed handle. Series keys are the *canonical* rendered
 //! label set (pairs sorted by key, values escaped), so

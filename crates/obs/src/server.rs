@@ -533,40 +533,35 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+/// A minimal HTTP/1.1 client for this server's routes: send one request
+/// (`body` with a `Content-Length`) and read the `Connection: close`
+/// response to its end. Returns `(status, head, body)`; `None` on any
+/// socket error or malformed response — a refused connect after a good
+/// scrape means the server went away.
+pub fn http_request<A: ToSocketAddrs>(
+    addr: A,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> Option<(u16, String, String)> {
+    let addr = addr.to_socket_addrs().ok()?.next()?;
+    let mut s = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).ok()?;
+    s.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
+    let (body, len) = (body.unwrap_or(""), body.map_or(0, str::len));
+    let head = format!("{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {len}\r\n");
+    s.write_all(format!("{head}\r\n{body}").as_bytes()).ok()?;
+    let mut raw = Vec::new();
+    s.read_to_end(&mut raw).ok()?;
+    let text = String::from_utf8(raw).ok()?;
+    let (head, body) = text.split_once("\r\n\r\n")?;
+    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
+    Some((status, head.to_string(), body.to_string()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use parking_lot::Mutex;
-
-    /// Minimal test-side HTTP request returning (status, headers, body).
-    pub(crate) fn http_request(
-        addr: SocketAddr,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Option<(u16, String, String)> {
-        let mut s = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).ok()?;
-        s.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
-        let body = body.unwrap_or("");
-        s.write_all(
-            format!(
-                "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .ok()?;
-        let mut raw = Vec::new();
-        s.read_to_end(&mut raw).ok()?;
-        let text = String::from_utf8(raw).ok()?;
-        let (head, body) = text.split_once("\r\n\r\n")?;
-        let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-        Some((status, head.to_string(), body.to_string()))
-    }
-
-    pub(crate) fn http_get(addr: SocketAddr, path: &str) -> Option<(u16, String)> {
-        http_request(addr, "GET", path, None).map(|(status, _, body)| (status, body))
-    }
 
     fn test_hooks(ready: Arc<AtomicBool>) -> ObsHooks {
         ObsHooks {
@@ -593,39 +588,39 @@ mod tests {
             ObsServer::bind("127.0.0.1:0", test_hooks(Arc::clone(&ready))).expect("ephemeral bind");
         let addr = server.local_addr();
 
-        let (code, body) = http_get(addr, "/metrics").expect("metrics scrape");
+        let (code, _, body) = http_request(addr, "GET", "/metrics", None).expect("metrics scrape");
         assert_eq!(code, 200);
         assert_eq!(body, "m_total 1\n");
 
-        let (code, body) = http_get(addr, "/snapshot").expect("snapshot fetch");
+        let (code, _, body) = http_request(addr, "GET", "/snapshot", None).expect("snapshot fetch");
         assert_eq!(code, 200);
         assert!(body.contains("\"completed\":1"));
 
-        let (code, _) = http_get(addr, "/healthz").expect("healthz");
+        let (code, _, _) = http_request(addr, "GET", "/healthz", None).expect("healthz");
         assert_eq!(code, 200);
 
-        let (code, body) = http_get(addr, "/readyz").expect("readyz up");
+        let (code, _, body) = http_request(addr, "GET", "/readyz", None).expect("readyz up");
         assert_eq!(code, 200);
         assert_eq!(body, "ok\n");
 
         ready.store(false, Ordering::SeqCst);
-        let (code, body) = http_get(addr, "/readyz").expect("readyz degraded");
+        let (code, _, body) = http_request(addr, "GET", "/readyz", None).expect("readyz degraded");
         assert_eq!(code, 503);
         assert!(body.contains("high-water"), "{body}");
 
-        let (code, body) = http_get(addr, "/profile").expect("profile fetch");
+        let (code, _, body) = http_request(addr, "GET", "/profile", None).expect("profile fetch");
         assert_eq!(code, 200);
         assert_eq!(body, "request;milp 3\n");
 
-        let (code, body) = http_get(addr, "/flight").expect("flight fetch");
+        let (code, _, body) = http_request(addr, "GET", "/flight", None).expect("flight fetch");
         assert_eq!(code, 200);
         assert!(body.contains("\"ring_events\":2"), "{body}");
 
-        let (code, body) = http_get(addr, "/slo").expect("slo fetch");
+        let (code, _, body) = http_request(addr, "GET", "/slo", None).expect("slo fetch");
         assert_eq!(code, 200);
         assert!(body.contains("rrp-slo/1"), "{body}");
 
-        let (code, _) = http_get(addr, "/nope").expect("unknown route");
+        let (code, _, _) = http_request(addr, "GET", "/nope", None).expect("unknown route");
         assert_eq!(code, 404);
     }
 
@@ -638,9 +633,9 @@ mod tests {
         hooks.slo_json = None;
         let server = ObsServer::bind("127.0.0.1:0", hooks).expect("ephemeral bind");
         let addr = server.local_addr();
-        assert_eq!(http_get(addr, "/profile").expect("profile").0, 404);
-        assert_eq!(http_get(addr, "/flight").expect("flight").0, 404);
-        assert_eq!(http_get(addr, "/slo").expect("slo").0, 404);
+        assert_eq!(http_request(addr, "GET", "/profile", None).expect("profile").0, 404);
+        assert_eq!(http_request(addr, "GET", "/flight", None).expect("flight").0, 404);
+        assert_eq!(http_request(addr, "GET", "/slo", None).expect("slo").0, 404);
     }
 
     #[test]
@@ -653,7 +648,7 @@ mod tests {
         // and /plan without an intake hook is 404, not 405
         let (code, _, _) = http_request(addr, "POST", "/plan", Some("{}")).expect("plan post");
         assert_eq!(code, 404);
-        let (code, _) = http_get(addr, "/plan").expect("plan get");
+        let (code, _, _) = http_request(addr, "GET", "/plan", None).expect("plan get");
         assert_eq!(code, 405, "GET /plan is the wrong method even with no hook");
     }
 
@@ -662,12 +657,12 @@ mod tests {
         let ready = Arc::new(AtomicBool::new(true));
         let mut server = ObsServer::bind("127.0.0.1:0", test_hooks(ready)).expect("ephemeral bind");
         let addr = server.local_addr();
-        assert!(http_get(addr, "/healthz").is_some(), "alive before shutdown");
+        assert!(http_request(addr, "GET", "/healthz", None).is_some(), "alive before shutdown");
         server.shutdown();
         server.shutdown(); // second call is a no-op
                            // the listener is gone: either the connect fails outright or the
                            // connection is never answered
-        if let Some((code, _)) = http_get(addr, "/healthz") {
+        if let Some((code, _, _)) = http_request(addr, "GET", "/healthz", None) {
             panic!("server answered after shutdown with {code}");
         }
     }
@@ -687,7 +682,8 @@ mod tests {
         // scrapes must keep answering promptly while all of those sit open
         let t0 = Instant::now();
         for _ in 0..3 {
-            let (code, _) = http_get(addr, "/healthz").expect("healthz during loris");
+            let (code, _, _) =
+                http_request(addr, "GET", "/healthz", None).expect("healthz during loris");
             assert_eq!(code, 200);
         }
         assert!(
@@ -709,7 +705,8 @@ mod tests {
                 .map(|i| {
                     s.spawn(move || {
                         let path = if i % 2 == 0 { "/metrics" } else { "/snapshot" };
-                        let (code, body) = http_get(addr, path).expect("scrape");
+                        let (code, _, body) =
+                            http_request(addr, "GET", path, None).expect("scrape");
                         assert_eq!(code, 200);
                         assert!(!body.is_empty());
                     })

@@ -3,26 +3,11 @@
 //! exposition body — every scrape parses in full, counters only move
 //! forward, and `/readyz` flips with the readiness hook.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use rrp_obs::text::parse;
-use rrp_obs::{ObsHooks, ObsServer, Readiness, Registry};
-
-fn http_get(addr: SocketAddr, path: &str) -> Option<(u16, String)> {
-    let mut s = TcpStream::connect_timeout(&addr, Duration::from_secs(2)).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
-    s.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes()).ok()?;
-    let mut raw = Vec::new();
-    s.read_to_end(&mut raw).ok()?;
-    let text = String::from_utf8(raw).ok()?;
-    let (head, body) = text.split_once("\r\n\r\n")?;
-    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-    Some((status, body.to_string()))
-}
+use rrp_obs::{http_request, ObsHooks, ObsServer, Readiness, Registry};
 
 #[test]
 fn concurrent_scrapes_never_tear() {
@@ -80,7 +65,8 @@ fn concurrent_scrapes_never_tear() {
             std::thread::spawn(move || {
                 let mut last_total = 0.0f64;
                 for _ in 0..40 {
-                    let (code, body) = http_get(addr, "/metrics").expect("scrape answered");
+                    let (code, _, body) =
+                        http_request(addr, "GET", "/metrics", None).expect("scrape answered");
                     assert_eq!(code, 200);
                     let samples =
                         parse(&body).unwrap_or_else(|e| panic!("torn exposition: {e}\n{body}"));
@@ -127,13 +113,14 @@ fn readyz_follows_the_hook_under_load() {
     let server = ObsServer::bind("127.0.0.1:0", hooks).expect("ephemeral bind");
     let addr = server.local_addr();
 
-    let (code, _) = http_get(addr, "/readyz").expect("readyz");
+    let (code, _, _) = http_request(addr, "GET", "/readyz", None).expect("readyz");
     assert_eq!(code, 200);
     queue.store(9, Ordering::SeqCst);
-    let (code, body) = http_get(addr, "/readyz").expect("readyz over high-water");
+    let (code, _, body) =
+        http_request(addr, "GET", "/readyz", None).expect("readyz over high-water");
     assert_eq!(code, 503);
     assert!(body.contains("over high-water"), "{body}");
     queue.store(0, Ordering::SeqCst);
-    let (code, _) = http_get(addr, "/readyz").expect("readyz recovered");
+    let (code, _, _) = http_request(addr, "GET", "/readyz", None).expect("readyz recovered");
     assert_eq!(code, 200);
 }

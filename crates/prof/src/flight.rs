@@ -1,15 +1,18 @@
-//! The flight-recorder half: an always-on bounded ring of recent trace
-//! events plus trigger detection, dumping a post-mortem bundle when an
-//! incident fires.
+//! The flight-recorder half: the engine's bounded ring of recent
+//! lifecycle events, plus trigger detection that dumps a post-mortem
+//! bundle when an incident fires.
 //!
-//! The recorder is a [`Sink`] teed into the engine's event pipeline.
-//! Every event lands in the ring (bounded by both a retention horizon
-//! and a hard event cap); two event-driven triggers watch the stream —
-//! a sliding-window spike of deadline-missed requests and a spike of
-//! `exhausted:*` ladder rungs — and external triggers (`readyz` flip,
-//! panic hook, sim SLO breach) arrive via [`FlightRecorder::trigger`].
-//! A fired trigger is debounced (`min_dump_interval_ms`): one incident
-//! produces one bundle, not one per symptom.
+//! [`FlightRing`] is the one lifecycle [`Sink`] the engine tees beside
+//! its solver counters (bounded by both a retention horizon and a hard
+//! event cap). The SLO ledger cuts exemplar timelines out of it and the
+//! [`FlightRecorder`] serialises it into bundles. The recorder itself
+//! consumes no events: the engine's workers feed its two spike triggers
+//! (deadline-missed requests and `exhausted:*` ladder rungs within a
+//! sliding window) through [`FlightRecorder::note_outcome`], and external
+//! triggers (`readyz` flip, panic hook, SLO burn rate, sim SLO breach)
+//! arrive via [`FlightRecorder::trigger`]. A fired trigger is debounced
+//! (`min_dump_interval_ms`): one incident produces one bundle, not one
+//! per symptom.
 //!
 //! Dumping happens inline on the triggering thread. That is a deliberate
 //! trade: triggers are rare by construction (debounced, spike-gated) and
@@ -24,39 +27,130 @@ use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
 use rrp_trace::json::escape_into;
-use rrp_trace::{Event, EventKind, Sink};
+use rrp_trace::{Event, EventKind, Sink, SpanId};
 
 use crate::profiler::SamplerShared;
 use crate::ProfConfig;
 
-/// Providers the engine wires in after construction (the recorder must
-/// exist before the engine's shared state does, since it sits inside the
-/// trace pipeline that state holds).
-#[derive(Default)]
-struct Providers {
-    /// Metrics snapshot as a JSON object string.
-    snapshot_json: Option<Box<dyn Fn() -> String + Send + Sync>>,
-    /// In-flight request table as a JSON array string.
-    inflight_json: Option<Box<dyn Fn() -> String + Send + Sync>>,
-    /// SLO engine status (budgets, alerts, exemplar timelines) as a JSON
-    /// object string — so a burn-rate bundle carries the offending
-    /// tenant's tail-sampled timelines alongside the event ring.
-    slo_json: Option<Box<dyn Fn() -> String + Send + Sync>>,
-    /// Profiler aggregates for the bundle's `samples` section.
-    samples: Option<Arc<SamplerShared>>,
+/// Bounded ring of recent lifecycle events: pruned to `ring_seconds` of
+/// trace time and capped at `ring_events` (cap evictions are counted).
+pub struct FlightRing {
+    seconds: u64,
+    cap: usize,
+    events: Mutex<VecDeque<Event>>,
+    dropped: AtomicU64,
+}
+
+impl FlightRing {
+    /// A ring sized by `cfg.ring_seconds` and `cfg.ring_events`.
+    pub fn new(cfg: &ProfConfig) -> Self {
+        Self {
+            seconds: cfg.ring_seconds,
+            cap: cfg.ring_events,
+            events: Mutex::new(VecDeque::new()),
+            dropped: AtomicU64::new(0),
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        crate::lock(&self.events).len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Events evicted by the hard cap (time-pruning is by design and not
+    /// counted as loss).
+    pub fn dropped(&self) -> u64 {
+        // relaxed-ok: telemetry counter, nothing gates on it
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Cut request span `root`'s subtree out of the ring: its `request`
+    /// span open through its `RequestDone`, keeping only events of spans
+    /// opened under it. At most `max` events are kept — the `RequestDone`
+    /// always among them — and the rest are counted as truncated. A root
+    /// whose open has aged out is cut from the oldest retained event.
+    pub fn cut(&self, root: SpanId, max: usize) -> (Vec<Event>, u64) {
+        let ring = crate::lock(&self.events);
+        let start = ring
+            .iter()
+            .rposition(|e| e.span == root && matches!(e.kind, EventKind::SpanOpen { .. }))
+            .unwrap_or(0);
+        let mut spans = vec![root];
+        let mut events = Vec::new();
+        let mut truncated = 0;
+        for ev in ring.range(start..) {
+            let done = ev.span == root && matches!(ev.kind, EventKind::RequestDone { .. });
+            match &ev.kind {
+                EventKind::SpanOpen { parent, .. } if ev.span != root => {
+                    if !spans.contains(parent) {
+                        continue;
+                    }
+                    spans.push(ev.span);
+                }
+                _ if !spans.contains(&ev.span) => continue,
+                _ => {}
+            }
+            if done || events.len() + 1 < max {
+                events.push(ev.clone());
+            } else {
+                truncated += 1;
+            }
+            if done {
+                break;
+            }
+        }
+        (events, truncated)
+    }
+}
+
+impl Sink for FlightRing {
+    fn emit(&self, ev: &Event) {
+        // Solver-layer events (per-node, per-simplex-iteration) are
+        // deliberately not recorded: they arrive thousands per request,
+        // would age the lifecycle events a post-mortem actually needs out
+        // of the ring in milliseconds, and the mutex push per event would
+        // show up in engine throughput. The profiler's samples are the
+        // intended window into solver internals; the ring keeps request
+        // lifecycle, ladder, audit and solve summaries.
+        match &ev.kind {
+            EventKind::SimplexIter { .. }
+            | EventKind::Refactored { .. }
+            | EventKind::LpSolved { .. }
+            | EventKind::NodeOpened { .. }
+            | EventKind::NodePruned { .. }
+            | EventKind::NodeIntegral { .. }
+            | EventKind::IncumbentImproved { .. }
+            | EventKind::BoundImproved { .. }
+            | EventKind::GapSample { .. } => return,
+            _ => {}
+        }
+        let mut ring = crate::lock(&self.events);
+        ring.push_back(ev.clone());
+        let horizon = ev.t_us.saturating_sub(self.seconds * 1_000_000);
+        while ring.front().is_some_and(|e| e.t_us < horizon) {
+            ring.pop_front();
+        }
+        while ring.len() > self.cap {
+            ring.pop_front();
+            // relaxed-ok: telemetry counter
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 pub struct FlightRecorder {
     cfg: ProfConfig,
     /// Monotonic origin for debounce and bundle timestamps.
     origin: Instant,
-    ring: Mutex<VecDeque<Event>>,
-    /// Events evicted by the hard cap (time-pruning is by design and
-    /// not counted as loss).
-    ring_dropped: AtomicU64,
+    ring: Arc<FlightRing>,
+    /// Profiler aggregates for the bundle's `samples` section.
+    samples: Option<Arc<SamplerShared>>,
     dumps: AtomicU64,
     last_trigger: Mutex<Option<String>>,
-    /// Timestamps (event `t_us`) of recent deadline misses / exhausted
+    /// Timestamps (trace `t_us`) of recent deadline misses / exhausted
     /// rungs, pruned to the spike window.
     miss_window: Mutex<VecDeque<u64>>,
     exhaust_window: Mutex<VecDeque<u64>>,
@@ -64,23 +158,30 @@ pub struct FlightRecorder {
     last_fired_us: Mutex<Option<u64>>,
     /// `readyz` edge detector for [`FlightRecorder::note_ready`].
     was_ready: AtomicBool,
-    providers: Mutex<Providers>,
+    /// Writes the bundle's `metrics`, `inflight` and `slo` sections, each
+    /// with its `,"key":` — set by the engine, which owns them, once its
+    /// shared state (holding this recorder) exists.
+    sections: Mutex<Option<Box<dyn Fn(&mut String) + Send + Sync>>>,
 }
 
 impl FlightRecorder {
-    pub fn new(cfg: ProfConfig) -> Self {
+    pub fn new(
+        cfg: ProfConfig,
+        ring: Arc<FlightRing>,
+        samples: Option<Arc<SamplerShared>>,
+    ) -> Self {
         Self {
             cfg,
             origin: Instant::now(),
-            ring: Mutex::new(VecDeque::new()),
-            ring_dropped: AtomicU64::new(0),
+            ring,
+            samples,
             dumps: AtomicU64::new(0),
             last_trigger: Mutex::new(None),
             miss_window: Mutex::new(VecDeque::new()),
             exhaust_window: Mutex::new(VecDeque::new()),
             last_fired_us: Mutex::new(None),
             was_ready: AtomicBool::new(true),
-            providers: Mutex::new(Providers::default()),
+            sections: Mutex::new(None),
         }
     }
 
@@ -89,29 +190,8 @@ impl FlightRecorder {
         self.origin.elapsed().as_micros() as u64
     }
 
-    pub fn set_snapshot_provider(&self, f: Box<dyn Fn() -> String + Send + Sync>) {
-        crate::lock(&self.providers).snapshot_json = Some(f);
-    }
-
-    pub fn set_inflight_provider(&self, f: Box<dyn Fn() -> String + Send + Sync>) {
-        crate::lock(&self.providers).inflight_json = Some(f);
-    }
-
-    pub fn set_slo_provider(&self, f: Box<dyn Fn() -> String + Send + Sync>) {
-        crate::lock(&self.providers).slo_json = Some(f);
-    }
-
-    pub fn set_sampler(&self, s: Arc<SamplerShared>) {
-        crate::lock(&self.providers).samples = Some(s);
-    }
-
-    pub fn ring_len(&self) -> usize {
-        crate::lock(&self.ring).len()
-    }
-
-    pub fn ring_dropped(&self) -> u64 {
-        // relaxed-ok: telemetry counters, nothing gates on them
-        self.ring_dropped.load(Ordering::Relaxed)
+    pub fn set_bundle_sections(&self, f: Box<dyn Fn(&mut String) + Send + Sync>) {
+        *crate::lock(&self.sections) = Some(f);
     }
 
     pub fn dumps_fired(&self) -> u64 {
@@ -126,17 +206,15 @@ impl FlightRecorder {
     /// `/flight` status document: ring occupancy and trigger history.
     pub fn status_json(&self) -> String {
         let mut out = String::with_capacity(256);
-        out.push_str("{\"ring_events\":");
-        let _ = write!(out, "{}", self.ring_len());
-        out.push_str(",\"ring_cap\":");
-        let _ = write!(out, "{}", self.cfg.ring_events);
-        out.push_str(",\"ring_seconds\":");
-        let _ = write!(out, "{}", self.cfg.ring_seconds);
-        out.push_str(",\"ring_dropped\":");
-        let _ = write!(out, "{}", self.ring_dropped());
-        out.push_str(",\"dumps\":");
-        let _ = write!(out, "{}", self.dumps_fired());
-        out.push_str(",\"last_trigger\":");
+        let _ = write!(
+            out,
+            "{{\"ring_events\":{},\"ring_cap\":{},\"ring_seconds\":{},\"ring_dropped\":{},\"dumps\":{},\"last_trigger\":",
+            self.ring.len(),
+            self.cfg.ring_events,
+            self.cfg.ring_seconds,
+            self.ring.dropped(),
+            self.dumps_fired()
+        );
         match self.last_trigger() {
             Some(cause) => {
                 out.push('"');
@@ -160,11 +238,23 @@ impl FlightRecorder {
         }
     }
 
+    /// Feed one completed request at trace time `t_us` to the spike
+    /// triggers: a missed deadline counts toward `deadline_miss_spike`,
+    /// each of its `exhausted` ladder rungs toward `budget_exhaustion`.
+    pub fn note_outcome(&self, t_us: u64, deadline_met: bool, exhausted: usize) {
+        if !deadline_met && self.spike(&self.miss_window, t_us, 1, self.cfg.deadline_miss_spike) {
+            let _ = self.trigger("deadline_miss_spike");
+        }
+        if exhausted > 0
+            && self.spike(&self.exhaust_window, t_us, exhausted, self.cfg.budget_exhaustion_spike)
+        {
+            let _ = self.trigger("budget_exhaustion");
+        }
+    }
+
     /// Fire a trigger: record the cause, and — unless debounced — dump a
-    /// bundle to the configured directory. External callers (readiness,
-    /// panic hook, sim SLO gate) use this directly; event-driven spikes
-    /// arrive via [`Sink::emit`]. Returns whether the incident fired
-    /// (false when the debounce window swallowed it).
+    /// bundle to the configured directory. Returns whether the incident
+    /// fired (false when the debounce window swallowed it).
     pub fn trigger(&self, cause: &str) -> bool {
         {
             let mut last = crate::lock(&self.last_fired_us);
@@ -199,26 +289,21 @@ impl FlightRecorder {
         let mut out = String::with_capacity(4096);
         out.push_str("{\"schema\":\"rrp-postmortem/1\",\"cause\":\"");
         escape_into(&mut out, cause);
-        out.push_str("\",\"t_us\":");
-        let _ = write!(out, "{}", self.now_us());
-        out.push_str(",\"ring_seconds\":");
-        let _ = write!(out, "{}", self.cfg.ring_seconds);
-        out.push_str(",\"ring_dropped\":");
-        let _ = write!(out, "{}", self.ring_dropped());
-        out.push_str(",\"events\":[");
-        {
-            let ring = crate::lock(&self.ring);
-            for (i, ev) in ring.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                ev.write_json(&mut out);
+        let _ = write!(
+            out,
+            "\",\"t_us\":{},\"ring_seconds\":{},\"ring_dropped\":{},\"events\":[",
+            self.now_us(),
+            self.cfg.ring_seconds,
+            self.ring.dropped()
+        );
+        for (i, ev) in crate::lock(&self.ring.events).iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
+            ev.write_json(&mut out);
         }
-        out.push(']');
-        let providers = crate::lock(&self.providers);
-        out.push_str(",\"samples\":");
-        match &providers.samples {
+        out.push_str("],\"samples\":");
+        match &self.samples {
             Some(s) => {
                 out.push('[');
                 for (i, (path, n)) in s.entries().iter().enumerate() {
@@ -234,28 +319,18 @@ impl FlightRecorder {
             }
             None => out.push_str("[],\"samples_total\":0"),
         }
-        out.push_str(",\"metrics\":");
-        match &providers.snapshot_json {
-            Some(f) => out.push_str(&f()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"inflight\":");
-        match &providers.inflight_json {
-            Some(f) => out.push_str(&f()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"slo\":");
-        match &providers.slo_json {
-            Some(f) => out.push_str(&f()),
-            None => out.push_str("null"),
+        match &*crate::lock(&self.sections) {
+            Some(f) => f(&mut out),
+            None => out.push_str(",\"metrics\":null,\"inflight\":null,\"slo\":null"),
         }
         out.push('}');
         out
     }
 
-    /// Slide `window` to `[t_us - spike_window, t_us]`, admit `t_us`, and
-    /// report whether occupancy reached `threshold`.
-    fn spike(&self, window: &Mutex<VecDeque<u64>>, t_us: u64, threshold: u32) -> bool {
+    /// Slide `window` to `[t_us - spike_window, t_us]`, admit `n`
+    /// occurrences at `t_us`, and report whether occupancy reached
+    /// `threshold`.
+    fn spike(&self, window: &Mutex<VecDeque<u64>>, t_us: u64, n: usize, threshold: u32) -> bool {
         if threshold == 0 {
             return false;
         }
@@ -264,63 +339,10 @@ impl FlightRecorder {
         while w.front().is_some_and(|&t| t < horizon) {
             w.pop_front();
         }
-        w.push_back(t_us);
+        for _ in 0..n {
+            w.push_back(t_us);
+        }
         w.len() >= threshold as usize
-    }
-}
-
-impl Sink for FlightRecorder {
-    fn emit(&self, ev: &Event) {
-        // Solver-layer events (per-node, per-simplex-iteration) are
-        // deliberately not recorded: they arrive thousands per request,
-        // would age the lifecycle events a post-mortem actually needs out
-        // of the ring in milliseconds, and the mutex push per event would
-        // show up in engine throughput. The profiler's samples are the
-        // intended window into solver internals; the ring keeps request
-        // lifecycle, ladder, audit and solve summaries.
-        match &ev.kind {
-            EventKind::SimplexIter { .. }
-            | EventKind::Refactored { .. }
-            | EventKind::LpSolved { .. }
-            | EventKind::NodeOpened { .. }
-            | EventKind::NodePruned { .. }
-            | EventKind::NodeIntegral { .. }
-            | EventKind::IncumbentImproved { .. }
-            | EventKind::BoundImproved { .. }
-            | EventKind::GapSample { .. } => return,
-            _ => {}
-        }
-        {
-            let mut ring = crate::lock(&self.ring);
-            ring.push_back(ev.clone());
-            let horizon = ev.t_us.saturating_sub(self.cfg.ring_seconds * 1_000_000);
-            while ring.front().is_some_and(|e| e.t_us < horizon) {
-                ring.pop_front();
-            }
-            while ring.len() > self.cfg.ring_events {
-                ring.pop_front();
-                // relaxed-ok: telemetry counter
-                self.ring_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        match &ev.kind {
-            EventKind::RequestDone { deadline_met: false, .. }
-                if self.spike(&self.miss_window, ev.t_us, self.cfg.deadline_miss_spike) =>
-            {
-                let _ = self.trigger("deadline_miss_spike");
-            }
-            EventKind::LadderStep { outcome, .. }
-                if outcome.starts_with("exhausted:")
-                    && self.spike(
-                        &self.exhaust_window,
-                        ev.t_us,
-                        self.cfg.budget_exhaustion_spike,
-                    ) =>
-            {
-                let _ = self.trigger("budget_exhaustion");
-            }
-            _ => {}
-        }
     }
 }
 
@@ -341,7 +363,6 @@ pub fn install_panic_hook(recorder: &Arc<FlightRecorder>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrp_trace::SpanId;
 
     fn cfg() -> ProfConfig {
         ProfConfig {
@@ -354,42 +375,54 @@ mod tests {
         }
     }
 
-    fn done(t_us: u64, met: bool) -> Event {
-        Event {
+    fn recorder(c: ProfConfig) -> FlightRecorder {
+        let ring = Arc::new(FlightRing::new(&c));
+        FlightRecorder::new(c, ring, None)
+    }
+
+    fn ev(t_us: u64, span: u64, kind: EventKind) -> Event {
+        Event { t_us, worker: 0, span: SpanId(span), kind }
+    }
+
+    fn done(t_us: u64, span: u64) -> Event {
+        ev(
             t_us,
-            worker: 0,
-            span: SpanId::ROOT,
-            kind: EventKind::RequestDone {
-                request_id: 0,
+            span,
+            EventKind::RequestDone {
+                request_id: span,
                 tenant: "t".to_string(),
                 level: "full",
                 outcome: "ok",
                 latency_us: 1,
-                deadline_met: met,
+                deadline_met: true,
             },
-        }
+        )
+    }
+
+    fn open(t_us: u64, span: u64, name: &'static str, parent: u64) -> Event {
+        ev(t_us, span, EventKind::SpanOpen { name, parent: SpanId(parent) })
     }
 
     #[test]
     fn miss_spike_fires_inside_the_window_only() {
-        let rec = FlightRecorder::new(cfg());
-        rec.emit(&done(0, false));
-        rec.emit(&done(100, false));
+        let rec = recorder(cfg());
+        rec.note_outcome(0, false, 0);
+        rec.note_outcome(100, false, 0);
         assert_eq!(rec.dumps_fired(), 0, "two misses stay under the threshold");
         // third miss arrives after the window slid past the first two
-        rec.emit(&done(5_000_000, false));
+        rec.note_outcome(5_000_000, false, 0);
         assert_eq!(rec.dumps_fired(), 0);
-        rec.emit(&done(5_000_100, false));
-        rec.emit(&done(5_000_200, false));
+        rec.note_outcome(5_000_100, false, 0);
+        rec.note_outcome(5_000_200, false, 0);
         assert_eq!(rec.dumps_fired(), 1, "three misses in-window fire");
         assert_eq!(rec.last_trigger().as_deref(), Some("deadline_miss_spike"));
     }
 
     #[test]
     fn met_deadlines_do_not_count() {
-        let rec = FlightRecorder::new(cfg());
+        let rec = recorder(cfg());
         for i in 0..10 {
-            rec.emit(&done(i * 100, true));
+            rec.note_outcome(i * 100, true, 0);
         }
         assert_eq!(rec.dumps_fired(), 0);
     }
@@ -398,11 +431,29 @@ mod tests {
     fn debounce_coalesces_one_incident_into_one_dump() {
         let mut c = cfg();
         c.min_dump_interval_ms = 60_000;
-        let rec = FlightRecorder::new(c);
+        let rec = recorder(c);
         for i in 0..20 {
-            rec.emit(&done(i * 100, false));
+            rec.note_outcome(i * 100, false, 0);
         }
         assert_eq!(rec.dumps_fired(), 1, "the storm fires exactly once");
+    }
+
+    #[test]
+    fn budget_exhaustion_fires_once_inside_the_window() {
+        let mut c = cfg();
+        c.deadline_miss_spike = 0;
+        c.budget_exhaustion_spike = 4;
+        c.min_dump_interval_ms = 60_000;
+        let rec = recorder(c);
+        rec.note_outcome(0, true, 2);
+        rec.note_outcome(100, true, 1);
+        assert_eq!(rec.dumps_fired(), 0, "three exhausted rungs stay under the threshold");
+        // the fourth lands in-window; the rest of the storm is debounced
+        for i in 0..10 {
+            rec.note_outcome(200 + i * 100, true, 2);
+        }
+        assert_eq!(rec.dumps_fired(), 1, "the exhaustion storm fires exactly once");
+        assert_eq!(rec.last_trigger().as_deref(), Some("budget_exhaustion"));
     }
 
     #[test]
@@ -410,20 +461,53 @@ mod tests {
         let mut c = cfg();
         c.ring_seconds = 1;
         c.ring_events = 4;
-        let rec = FlightRecorder::new(c);
+        let ring = FlightRing::new(&c);
         for i in 0..8 {
-            rec.emit(&done(i * 1_000, true));
+            ring.emit(&done(i * 1_000, i + 1));
         }
-        assert_eq!(rec.ring_len(), 4, "hard cap holds");
-        assert_eq!(rec.ring_dropped(), 4);
+        assert_eq!(ring.len(), 4, "hard cap holds");
+        assert_eq!(ring.dropped(), 4);
         // an event far in the future ages everything else out
-        rec.emit(&done(10_000_000, true));
-        assert_eq!(rec.ring_len(), 1, "retention horizon pruned the rest");
+        ring.emit(&done(10_000_000, 99));
+        assert_eq!(ring.len(), 1, "retention horizon pruned the rest");
+    }
+
+    #[test]
+    fn cut_keeps_only_the_request_subtree() {
+        let ring = FlightRing::new(&ProfConfig::default());
+        ring.emit(&open(0, 1, "request", 0));
+        ring.emit(&open(1, 9, "request", 0)); // a neighbour's request
+        ring.emit(&ev(2, 1, EventKind::Enqueued));
+        ring.emit(&open(3, 2, "rung:full", 1));
+        ring.emit(&open(4, 10, "rung:full", 9)); // the neighbour's rung
+        ring.emit(&ev(5, 2, EventKind::SimplexIter { phase: 2, iter: 1, objective: 0.0 }));
+        ring.emit(&ev(
+            6,
+            2,
+            EventKind::LadderStep { level: "full", outcome: "ok".to_string(), elapsed_us: 1 },
+        ));
+        ring.emit(&ev(7, 2, EventKind::SpanClose));
+        ring.emit(&ev(8, 10, EventKind::SpanClose));
+        ring.emit(&done(9, 1));
+        ring.emit(&ev(10, 1, EventKind::SpanClose));
+        let (events, truncated) = ring.cut(SpanId(1), 64);
+        let tags: Vec<&str> = events.iter().map(|e| e.kind.tag()).collect();
+        assert_eq!(
+            tags,
+            ["span_open", "enqueued", "span_open", "ladder_step", "span_close", "request_done"]
+        );
+        assert_eq!(truncated, 0);
+        assert!(events.iter().all(|e| e.span == SpanId(1) || e.span == SpanId(2)));
+        // a tight cap keeps the head of the subtree and always the completion
+        let (events, truncated) = ring.cut(SpanId(1), 3);
+        let tags: Vec<&str> = events.iter().map(|e| e.kind.tag()).collect();
+        assert_eq!(tags, ["span_open", "enqueued", "request_done"]);
+        assert_eq!(truncated, 3);
     }
 
     #[test]
     fn readiness_flip_triggers_on_the_falling_edge_only() {
-        let rec = FlightRecorder::new(cfg());
+        let rec = recorder(cfg());
         rec.note_ready(true);
         assert_eq!(rec.dumps_fired(), 0);
         rec.note_ready(false);
@@ -439,11 +523,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut c = cfg();
         c.bundle_dir = Some(dir.clone());
-        let rec = FlightRecorder::new(c);
-        rec.set_snapshot_provider(Box::new(|| "{\"completed\":7}".to_string()));
-        rec.set_inflight_provider(Box::new(|| "[{\"tenant\":\"a\"}]".to_string()));
+        let ring = Arc::new(FlightRing::new(&c));
+        let rec = FlightRecorder::new(c, Arc::clone(&ring), None);
+        rec.set_bundle_sections(Box::new(|out| {
+            out.push_str(
+                ",\"metrics\":{\"completed\":7},\"inflight\":[{\"tenant\":\"a\"}],\"slo\":null",
+            )
+        }));
         for i in 0..3 {
-            rec.emit(&done(i, false));
+            ring.emit(&done(i, i + 1));
+            rec.note_outcome(i, false, 0);
         }
         let files: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
         assert_eq!(files.len(), 1, "exactly one bundle: {files:?}");
@@ -458,8 +547,10 @@ mod tests {
 
     #[test]
     fn status_json_reports_ring_and_trigger_state() {
-        let rec = FlightRecorder::new(cfg());
-        rec.emit(&done(0, true));
+        let c = cfg();
+        let ring = Arc::new(FlightRing::new(&c));
+        let rec = FlightRecorder::new(c, Arc::clone(&ring), None);
+        ring.emit(&done(0, 1));
         let s = rec.status_json();
         assert!(s.contains("\"ring_events\":1"), "{s}");
         assert!(s.contains("\"last_trigger\":null"), "{s}");

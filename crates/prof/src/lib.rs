@@ -12,16 +12,17 @@
 //! instrumented workers pay only the seqlocked push/pop per span —
 //! no allocation, no locks, no coordination with the sampler.
 //!
-//! **Flight recorder** ([`FlightRecorder`]): an always-on bounded ring of
-//! recent trace events plus trigger detection. When a trigger fires —
-//! deadline-miss spike, budget-exhaustion spike, `readyz` flip, panic,
-//! sim SLO breach, or an explicit external cause — it dumps a post-mortem
-//! bundle (JSON: cause, recent events, profiler samples, metrics
-//! snapshot, in-flight request table) into a configurable directory,
+//! **Flight recorder** ([`FlightRecorder`]): trigger detection over the
+//! engine-owned [`FlightRing`] of recent lifecycle events. When a trigger
+//! fires — deadline-miss spike, budget-exhaustion spike (both fed by the
+//! engine's workers), `readyz` flip, panic, SLO burn rate, sim SLO
+//! breach, or an explicit external cause — it dumps a post-mortem bundle
+//! (JSON: cause, recent events, profiler samples, metrics snapshot,
+//! in-flight request table, SLO status) into a configurable directory,
 //! rendered by `cargo run -p xtask -- postmortem <bundle.json>`.
 //!
 //! Both halves hang off [`ProfConfig`], which the engine embeds as
-//! `EngineConfig::prof`.
+//! `EngineConfig::prof`; it also sizes the ring.
 
 mod flight;
 mod profiler;
@@ -29,7 +30,7 @@ mod profiler;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-pub use flight::{install_panic_hook, FlightRecorder};
+pub use flight::{install_panic_hook, FlightRecorder, FlightRing};
 pub use profiler::{Profiler, SamplerShared};
 
 /// Lock a mutex, recovering the guard from a poisoned lock: everything
@@ -49,7 +50,8 @@ pub struct ProfConfig {
     /// Sampler frequency. 0 disables the sampler thread (the flight
     /// recorder still runs; its bundles just carry no samples).
     pub sample_hz: u32,
-    /// Flight-ring retention horizon: events older than this are pruned.
+    /// Flight-ring retention horizon (trace time): events older than this
+    /// are pruned.
     pub ring_seconds: u64,
     /// Hard cap on ring occupancy (guards against event storms inside
     /// the retention window).

@@ -1,31 +1,24 @@
-//! The SLO engine: a trace [`Sink`] that keeps per-tenant error-budget
-//! ledgers, fires multi-window burn-rate alerts, and tail-samples request
-//! timelines into a bounded exemplar store.
+//! Per-tenant SLO state and its scrape-time views.
 //!
-//! Hot-path cost is deliberately lopsided: solver-layer events (simplex
-//! iterations, B&B nodes, gap samples) return after one `match` arm and a
-//! relaxed timestamp update; only the ~8 lifecycle events per request take
-//! the state mutex. The overhead gate in `benches/engine_throughput.rs`
-//! holds the whole crate under 2% of engine throughput.
+//! The engine owns the tenant table: each row of its per-shard request
+//! ledger carries a [`TenantSlo`] (three objectives' window rings, a
+//! latency histogram, the last cost ratio), and each shard keeps one
+//! [`SloLog`] of retained exemplars and fired alerts beside it, all under
+//! the shard's one tenant lock. `/slo`, the `rrp_slo_*` families and the
+//! post-mortem bundle's `slo` section are renders of an [`SloView`] folded
+//! from those rows at scrape time — no event is aggregated twice.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 use rrp_obs::{Registry, OVERFLOW_LABEL};
 use rrp_trace::json::escape_into;
-use rrp_trace::{Event, EventKind, LogHistogram, Sink};
+use rrp_trace::{Event, LogHistogram};
 
 use crate::window::WindowRing;
-use crate::{lock, SloConfig};
+use crate::SloConfig;
 
-/// Requests tracked for timeline assembly at once. Requests beyond this
-/// (or whose spans leaked through a worker panic) still get full budget
-/// accounting — they just cannot become exemplars.
-const MAX_ACTIVE_TIMELINES: usize = 1_024;
-/// Span→root entries retained; same degradation contract as above.
-const MAX_SPAN_ROOTS: usize = 8 * MAX_ACTIVE_TIMELINES;
 /// Latency samples a tenant needs before tail retention activates (the
 /// tail of an empty histogram is noise).
 const TAIL_MIN_COUNT: u64 = 32;
@@ -34,36 +27,28 @@ const MAX_ALERT_EXEMPLARS: usize = 8;
 /// Alert records retained for `/slo` (alerts_total keeps counting).
 const MAX_ALERTS: usize = 32;
 
-/// The per-tenant objectives the engine accounts for.
+/// The per-tenant objectives, indexed by discriminant in every ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Objective {
+enum Objective {
     /// Fraction of requests missing their deadline.
-    DeadlineMiss,
+    DeadlineMiss = 0,
     /// Fraction of requests slower than `SloConfig::latency_slo_ms`.
-    Latency,
+    Latency = 1,
     /// Fraction of sim episodes whose realised/planned cost ratio
     /// exceeds `SloConfig::cost_ratio_max`.
-    CostRatio,
+    CostRatio = 2,
 }
 
 /// Every objective, in ledger/report order.
-pub const OBJECTIVES: [Objective; 3] =
+const OBJECTIVES: [Objective; 3] =
     [Objective::DeadlineMiss, Objective::Latency, Objective::CostRatio];
 
 impl Objective {
-    pub fn as_str(self) -> &'static str {
+    fn as_str(self) -> &'static str {
         match self {
             Objective::DeadlineMiss => "deadline_miss",
             Objective::Latency => "latency",
             Objective::CostRatio => "cost_ratio",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Objective::DeadlineMiss => 0,
-            Objective::Latency => 1,
-            Objective::CostRatio => 2,
         }
     }
 
@@ -99,7 +84,17 @@ pub struct Alert {
     pub exemplar_request_ids: Vec<u64>,
 }
 
-type AlertHook = Box<dyn Fn(&Alert) + Send + Sync>;
+/// One completed request, as its tenant's SLO ledger accounts it.
+pub struct Done<'a> {
+    pub request_id: u64,
+    pub tenant: &'a str,
+    pub level: &'static str,
+    pub outcome: &'static str,
+    pub latency_us: u64,
+    pub deadline_met: bool,
+    /// Trace time of the completion.
+    pub t_us: u64,
+}
 
 /// Rolling state of one objective for one tenant.
 struct ObjectiveState {
@@ -131,33 +126,11 @@ impl ObjectiveState {
         self.slow.record(t_us, bad);
     }
 
-    /// Budget fraction left over the slow pair's long window: 1.0 with an
-    /// untouched budget, 0.0 exactly exhausted, negative when overspent.
-    fn budget_remaining(&self, cfg: &SloConfig, budget: f64, now_us: u64) -> f64 {
-        if budget <= 0.0 {
-            return 1.0;
-        }
-        let (bad, total) = self.slow.tally(cfg.slow_windows_s.1, now_us);
-        if total == 0 {
-            return 1.0;
-        }
-        1.0 - bad as f64 / (budget * total as f64)
-    }
-
-    /// Burn rate over one window (0 when the window is empty).
-    fn window_burn(&self, ring: Ring, window_s: u64, budget: f64, now_us: u64) -> f64 {
-        if budget <= 0.0 {
-            return 0.0;
-        }
-        let r = match ring {
+    fn ring(&self, ring: Ring) -> &WindowRing {
+        match ring {
             Ring::Fast => &self.fast,
             Ring::Slow => &self.slow,
-        };
-        let (bad, total) = r.tally(window_s, now_us);
-        if total == 0 {
-            return 0.0;
         }
-        bad as f64 / total as f64 / budget
     }
 
     /// Pair burn: the min over both windows, 0 until both have
@@ -170,13 +143,7 @@ impl ObjectiveState {
         budget: f64,
         now_us: u64,
     ) -> f64 {
-        if budget <= 0.0 {
-            return 0.0;
-        }
-        let r = match ring {
-            Ring::Fast => &self.fast,
-            Ring::Slow => &self.slow,
-        };
+        let r = self.ring(ring);
         let (bad_s, total_s) = r.tally(short_s, now_us);
         let (bad_l, total_l) = r.tally(long_s, now_us);
         if total_s < min_samples.max(1) || total_l < min_samples.max(1) {
@@ -186,6 +153,18 @@ impl ObjectiveState {
         let burn_l = bad_l as f64 / total_l as f64 / budget;
         burn_s.min(burn_l)
     }
+
+    fn row(&self, cfg: &SloConfig, now_us: u64) -> ObjectiveRow {
+        ObjectiveRow {
+            total: self.total,
+            bad: self.bad,
+            alerting: self
+                .last_alert_us
+                .is_some_and(|t| now_us.saturating_sub(t) < cfg.alert_cooldown_s * 1_000_000),
+            windows: window_set(cfg)
+                .map(|(ring, window_s)| self.ring(ring).tally(window_s, now_us)),
+        }
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -194,7 +173,9 @@ enum Ring {
     Slow,
 }
 
-struct TenantState {
+/// One tenant's SLO ledger: a row of the engine's per-shard request
+/// ledger carries one when the engine runs with `EngineConfig::slo`.
+pub struct TenantSlo {
     objectives: [ObjectiveState; 3],
     latency_ms: LogHistogram,
     requests: u64,
@@ -203,8 +184,8 @@ struct TenantState {
     cost_ratio: f64,
 }
 
-impl TenantState {
-    fn new(cfg: &SloConfig) -> Self {
+impl TenantSlo {
+    pub fn new(cfg: &SloConfig) -> Self {
         Self {
             objectives: [
                 ObjectiveState::new(cfg),
@@ -217,42 +198,71 @@ impl TenantState {
         }
     }
 
-    /// Lifetime event volume across objectives (sync's ranking key).
-    fn volume(&self) -> u64 {
-        self.objectives.iter().map(|o| o.total).sum()
+    /// Evaluate both window pairs of `obj`; a trip stamps the cooldown
+    /// and returns `(window, burn)`.
+    fn burn_alert(
+        &mut self,
+        cfg: &SloConfig,
+        obj: Objective,
+        now_us: u64,
+    ) -> Option<(&'static str, f64)> {
+        let budget = obj.budget(cfg);
+        let min_samples = obj.min_samples(cfg);
+        let os = &mut self.objectives[obj as usize];
+        if budget <= 0.0
+            || os
+                .last_alert_us
+                .is_some_and(|last| now_us.saturating_sub(last) < cfg.alert_cooldown_s * 1_000_000)
+        {
+            return None;
+        }
+        let fast = os.pair_burn(Ring::Fast, cfg.fast_windows_s, min_samples, budget, now_us);
+        let slow = os.pair_burn(Ring::Slow, cfg.slow_windows_s, min_samples, budget, now_us);
+        let fired = if fast >= cfg.fast_burn {
+            ("fast", fast)
+        } else if slow >= cfg.slow_burn {
+            ("slow", slow)
+        } else {
+            return None;
+        };
+        os.last_alert_us = Some(now_us);
+        Some(fired)
+    }
+
+    fn row(&self, tenant: &str, cfg: &SloConfig, now_us: u64) -> SloRow {
+        SloRow {
+            tenant: tenant.to_string(),
+            requests: self.requests,
+            p99_latency_ms: self.latency_ms.quantile(0.99),
+            cost_ratio: self.cost_ratio,
+            objectives: self.objectives.each_ref().map(|os| os.row(cfg, now_us)),
+        }
     }
 }
 
-/// A request timeline being assembled (events so far, overflow count).
-#[derive(Default)]
-struct Timeline {
-    events: Vec<Event>,
-    truncated: u64,
-}
-
 /// A retained timeline: the request's identity, why it was kept, and its
-/// causal event sequence.
+/// span subtree cut from the engine's event ring.
+#[derive(Clone)]
 struct Exemplar {
     request_id: u64,
     tenant: String,
     /// `"deadline"`, `"latency"` or `"tail"`.
     reason: &'static str,
-    level: String,
-    outcome: String,
+    level: &'static str,
+    outcome: &'static str,
     latency_us: u64,
     deadline_met: bool,
     t_us: u64,
-    events: Vec<Event>,
+    /// Shared, so folding a view per scrape copies no events.
+    events: Arc<[Event]>,
     truncated: u64,
 }
 
+/// One shard's SLO side-state: retained exemplars (oldest evicted past
+/// `max_exemplars`), the last fired alerts, and the counters `/slo`
+/// reports. The engine keeps it under the shard's tenant lock.
 #[derive(Default)]
-struct Inner {
-    tenants: HashMap<String, TenantState>,
-    /// Open span → owning request span (root). Entries die at span close.
-    root_of: HashMap<u64, u64>,
-    /// Request span → timeline buffer, finalized at `RequestDone`.
-    active: HashMap<u64, Timeline>,
+pub struct SloLog {
     exemplars: VecDeque<Exemplar>,
     alerts: VecDeque<Alert>,
     alerts_total: u64,
@@ -260,128 +270,297 @@ struct Inner {
     dropped: u64,
 }
 
-/// The per-tenant SLO engine. Joins the engine's trace fanout as a
-/// [`Sink`]; see the crate docs for the full wiring.
-pub struct SloEngine {
-    cfg: SloConfig,
-    /// High-water trace timestamp — the engine's notion of "now".
-    now_us: AtomicU64,
-    inner: Mutex<Inner>,
-    alert_hook: Mutex<Option<AlertHook>>,
+impl SloLog {
+    /// Account one completed request to `st`, the ledger row `key` (the
+    /// tenant, or `__other__` past the table cap). A request that missed
+    /// its deadline, broke the latency SLO or sits in the tenant's tail
+    /// is retained with the events `cut(max_exemplar_events)` returns;
+    /// every other one is dropped without touching `cut`. Returns whether
+    /// a burn-rate alert fired.
+    pub fn record_request(
+        &mut self,
+        cfg: &SloConfig,
+        key: &str,
+        st: &mut TenantSlo,
+        done: &Done<'_>,
+        cut: impl FnOnce(usize) -> (Vec<Event>, u64),
+    ) -> bool {
+        let latency_ms = done.latency_us as f64 / 1e3;
+        st.requests += 1;
+        st.latency_ms.record(latency_ms);
+        let latency_bad = latency_ms > cfg.latency_slo_ms;
+        let tail_floor = st.latency_ms.quantile(cfg.tail_quantile) * cfg.tail_margin;
+        let reason = if !done.deadline_met {
+            Some("deadline")
+        } else if latency_bad {
+            Some("latency")
+        } else if st.latency_ms.count() >= TAIL_MIN_COUNT && latency_ms > tail_floor {
+            Some("tail")
+        } else {
+            None
+        };
+        st.objectives[Objective::DeadlineMiss as usize].record(done.t_us, !done.deadline_met);
+        st.objectives[Objective::Latency as usize].record(done.t_us, latency_bad);
+
+        match reason {
+            Some(reason) => {
+                let (events, truncated) = cut(cfg.max_exemplar_events);
+                while self.exemplars.len() >= cfg.max_exemplars.max(1) {
+                    self.exemplars.pop_front();
+                    self.dropped += 1; // evicted by the store cap
+                }
+                self.exemplars.push_back(Exemplar {
+                    request_id: done.request_id,
+                    tenant: done.tenant.to_string(),
+                    reason,
+                    level: done.level,
+                    outcome: done.outcome,
+                    latency_us: done.latency_us,
+                    deadline_met: done.deadline_met,
+                    t_us: done.t_us,
+                    events: events.into(),
+                    truncated,
+                });
+                self.retained += 1;
+            }
+            None => self.dropped += 1,
+        }
+        let miss = self.check_burn(cfg, key, st, Objective::DeadlineMiss, done.t_us);
+        let slow = self.check_burn(cfg, key, st, Objective::Latency, done.t_us);
+        miss || slow
+    }
+
+    /// Feed one sim episode's realised vs planned cost at trace time
+    /// `t_us`: bad when `realised / planned > cost_ratio_max`. Returns
+    /// whether a burn-rate alert fired.
+    pub fn record_cost(
+        &mut self,
+        cfg: &SloConfig,
+        key: &str,
+        st: &mut TenantSlo,
+        t_us: u64,
+        planned: f64,
+        realised: f64,
+    ) -> bool {
+        let ratio = if planned > f64::EPSILON { realised / planned } else { f64::NAN };
+        st.cost_ratio = ratio;
+        let bad = ratio.is_finite() && ratio > cfg.cost_ratio_max;
+        st.objectives[Objective::CostRatio as usize].record(t_us, bad);
+        self.check_burn(cfg, key, st, Objective::CostRatio, t_us)
+    }
+
+    /// A tripped `(key, objective)` pair records an alert (bounded list)
+    /// linking the tenant's latest exemplars.
+    fn check_burn(
+        &mut self,
+        cfg: &SloConfig,
+        key: &str,
+        st: &mut TenantSlo,
+        obj: Objective,
+        now_us: u64,
+    ) -> bool {
+        let Some((window, burn)) = st.burn_alert(cfg, obj, now_us) else {
+            return false;
+        };
+        let exemplar_request_ids = self
+            .exemplars
+            .iter()
+            .rev()
+            .filter(|e| e.tenant == key)
+            .take(MAX_ALERT_EXEMPLARS)
+            .map(|e| e.request_id)
+            .collect();
+        self.alerts_total += 1;
+        while self.alerts.len() >= MAX_ALERTS {
+            self.alerts.pop_front();
+        }
+        self.alerts.push_back(Alert {
+            tenant: key.to_string(),
+            objective: obj.as_str(),
+            window,
+            burn,
+            t_us: now_us,
+            exemplar_request_ids,
+        });
+        true
+    }
 }
 
-impl SloEngine {
-    pub fn new(cfg: SloConfig) -> Self {
-        Self {
-            cfg,
-            now_us: AtomicU64::new(0),
-            inner: Mutex::new(Inner::default()),
-            alert_hook: Mutex::new(None),
+/// One objective of one view row: lifetime totals, whether its cooldown
+/// is running, and `(bad, total)` over each reported window.
+#[derive(Clone, Copy)]
+struct ObjectiveRow {
+    total: u64,
+    bad: u64,
+    alerting: bool,
+    /// Indexed like [`window_set`]; the last is the slow pair's long
+    /// window, the one the budget is spent over.
+    windows: [(u64, u64); 4],
+}
+
+impl ObjectiveRow {
+    /// Burn rate over window `w` (0 when the window is empty).
+    fn burn(&self, w: usize, budget: f64) -> f64 {
+        let (bad, total) = self.windows[w];
+        if budget <= 0.0 || total == 0 {
+            return 0.0;
+        }
+        bad as f64 / total as f64 / budget
+    }
+
+    /// Budget fraction left over the slow pair's long window: 1.0 with an
+    /// untouched budget, 0.0 exactly exhausted, negative when overspent.
+    fn budget_remaining(&self, budget: f64) -> f64 {
+        let (bad, total) = self.windows[3];
+        if budget <= 0.0 || total == 0 {
+            return 1.0;
+        }
+        1.0 - bad as f64 / (budget * total as f64)
+    }
+}
+
+/// One tenant row of an [`SloView`].
+#[derive(Clone)]
+struct SloRow {
+    tenant: String,
+    requests: u64,
+    p99_latency_ms: f64,
+    cost_ratio: f64,
+    objectives: [ObjectiveRow; 3],
+}
+
+impl SloRow {
+    /// Lifetime event volume across objectives (the ranking key).
+    fn volume(&self) -> u64 {
+        self.objectives.iter().map(|o| o.total).sum()
+    }
+
+    /// Fold another shard's row of the same tenant (`__other__`): tallies
+    /// sum, p99 and cost ratio keep the worst.
+    fn merge(&mut self, other: &SloRow) {
+        self.requests += other.requests;
+        self.p99_latency_ms = self.p99_latency_ms.max(other.p99_latency_ms);
+        self.cost_ratio = self.cost_ratio.max(other.cost_ratio);
+        for (mine, theirs) in self.objectives.iter_mut().zip(&other.objectives) {
+            mine.total += theirs.total;
+            mine.bad += theirs.bad;
+            mine.alerting |= theirs.alerting;
+            for (m, t) in mine.windows.iter_mut().zip(&theirs.windows) {
+                *m = (m.0 + t.0, m.1 + t.1);
+            }
         }
     }
+}
 
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
+/// The scrape-time SLO view: every shard's tenant rows and [`SloLog`]
+/// folded at `now_us`. Named tenants live on one shard, so their rows are
+/// exact; `__other__` rows are summed across shards.
+#[derive(Clone, Default)]
+pub struct SloView {
+    cfg: SloConfig,
+    now_us: u64,
+    /// Ranked by event volume, then name.
+    rows: Vec<SloRow>,
+    /// Oldest first, at most `max_exemplars`.
+    exemplars: Vec<Exemplar>,
+    /// Oldest first, at most [`MAX_ALERTS`].
+    alerts: Vec<Alert>,
+    alerts_total: u64,
+    retained: u64,
+    dropped: u64,
+}
+
+impl SloView {
+    pub fn new(cfg: &SloConfig, now_us: u64) -> Self {
+        Self { cfg: cfg.clone(), now_us, ..Self::default() }
     }
 
-    /// Install the breach callback (the engine points this at the flight
-    /// recorder's `slo_burn_rate` trigger). Called after the alert is
-    /// recorded and the state lock is released, so the hook may call back
-    /// into [`SloEngine::status_json`].
-    pub fn set_alert_hook(&self, hook: AlertHook) {
-        *lock(&self.alert_hook) = Some(hook);
+    /// Fold one shard's ledger rows and log into the view.
+    pub fn add_shard<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = (&'a str, &'a TenantSlo)>,
+        log: &SloLog,
+    ) {
+        for (tenant, st) in rows {
+            let row = st.row(tenant, &self.cfg, self.now_us);
+            match self.rows.iter_mut().find(|r| r.tenant == tenant) {
+                Some(r) => r.merge(&row),
+                None => self.rows.push(row),
+            }
+        }
+        self.rows.sort_by(|a, b| b.volume().cmp(&a.volume()).then_with(|| a.tenant.cmp(&b.tenant)));
+        self.alerts_total += log.alerts_total;
+        self.retained += log.retained;
+        self.dropped += log.dropped;
+        self.exemplars.extend(log.exemplars.iter().cloned());
+        self.exemplars.sort_by_key(|e| e.t_us);
+        let evicted = self.exemplars.len().saturating_sub(self.cfg.max_exemplars.max(1));
+        self.exemplars.drain(..evicted);
+        self.dropped += evicted as u64;
+        self.alerts.extend(log.alerts.iter().cloned());
+        self.alerts.sort_by_key(|a| a.t_us);
+        self.alerts.drain(..self.alerts.len().saturating_sub(MAX_ALERTS));
     }
 
     /// Alerts fired since start (including ones evicted from the bounded
     /// alert list).
     pub fn alerts_total(&self) -> u64 {
-        lock(&self.inner).alerts_total
+        self.alerts_total
     }
 
     /// The retained alert records, oldest first.
-    pub fn alerts(&self) -> Vec<Alert> {
-        lock(&self.inner).alerts.iter().cloned().collect()
+    pub fn alerts(&self) -> &[Alert] {
+        &self.alerts
     }
 
     /// Timelines retained / discarded so far.
     pub fn exemplar_counts(&self) -> (u64, u64) {
-        let inner = lock(&self.inner);
-        (inner.retained, inner.dropped)
-    }
-
-    /// Feed one sim episode's realised vs planned cost for `tenant`.
-    /// Bad when `realised / planned > cost_ratio_max`. Uses the engine's
-    /// trace high-water as "now" (episodes have no event timestamp).
-    pub fn record_cost(&self, tenant: &str, planned: f64, realised: f64) {
-        // relaxed-ok: monotone high-water read, staleness only skews a window edge
-        let now_us = self.now_us.load(Ordering::Relaxed);
-        let ratio = if planned > f64::EPSILON { realised / planned } else { f64::NAN };
-        let bad = ratio.is_finite() && ratio > self.cfg.cost_ratio_max;
-        let mut fired = Vec::new();
-        {
-            let mut guard = lock(&self.inner);
-            let inner = &mut *guard;
-            let key = tenant_key(&self.cfg, &mut inner.tenants, tenant);
-            let st = entry(&self.cfg, &mut inner.tenants, &key);
-            st.cost_ratio = ratio;
-            st.objectives[Objective::CostRatio.index()].record(now_us.max(1), bad);
-            self.check_burn(inner, &key, Objective::CostRatio, now_us.max(1), &mut fired);
-        }
-        self.fire(&fired);
+        (self.retained, self.dropped)
     }
 
     /// The `/slo` body: budget table, burn rates per window, alert list,
     /// and the retained exemplar timelines. Schema `rrp-slo/1`.
     pub fn status_json(&self) -> String {
-        // relaxed-ok: monotone high-water read for display
-        let now_us = self.now_us.load(Ordering::Relaxed);
-        let inner = lock(&self.inner);
         let mut out = String::with_capacity(2048);
         out.push_str("{\"schema\":\"rrp-slo/1\",");
-        let _ = write!(out, "\"now_us\":{now_us},\"alerts_total\":{},", inner.alerts_total);
+        let _ = write!(out, "\"now_us\":{},\"alerts_total\":{},", self.now_us, self.alerts_total);
         let _ = write!(
             out,
             "\"exemplars\":{{\"retained\":{},\"dropped\":{},\"stored\":{}}},",
-            inner.retained,
-            inner.dropped,
-            inner.exemplars.len()
+            self.retained,
+            self.dropped,
+            self.exemplars.len()
         );
 
         out.push_str("\"tenants\":[");
-        let mut order: Vec<(&String, &TenantState)> = inner.tenants.iter().collect();
-        order.sort_by(|a, b| b.1.volume().cmp(&a.1.volume()).then_with(|| a.0.cmp(b.0)));
-        for (i, (name, st)) in order.iter().enumerate() {
+        for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"tenant\":");
-            json_string(&mut out, name);
-            let _ = write!(out, ",\"requests\":{},\"p99_latency_ms\":", st.requests);
-            json_f64(&mut out, st.latency_ms.quantile(0.99));
+            json_string(&mut out, &row.tenant);
+            let _ = write!(out, ",\"requests\":{},\"p99_latency_ms\":", row.requests);
+            json_f64(&mut out, row.p99_latency_ms);
             out.push_str(",\"cost_ratio\":");
-            json_f64(&mut out, st.cost_ratio);
+            json_f64(&mut out, row.cost_ratio);
             out.push_str(",\"objectives\":[");
-            for (j, obj) in OBJECTIVES.iter().enumerate() {
+            for (j, (obj, os)) in OBJECTIVES.iter().zip(&row.objectives).enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let os = &st.objectives[obj.index()];
                 let budget = obj.budget(&self.cfg);
                 let _ = write!(out, "{{\"objective\":\"{}\",\"budget\":", obj.as_str());
                 json_f64(&mut out, budget);
                 let _ = write!(out, ",\"events\":{},\"bad\":{}", os.total, os.bad);
                 out.push_str(",\"budget_remaining\":");
-                json_f64(&mut out, os.budget_remaining(&self.cfg, budget, now_us));
-                let alerting = os.last_alert_us.is_some_and(|t| {
-                    now_us.saturating_sub(t) < self.cfg.alert_cooldown_s * 1_000_000
-                });
-                let _ = write!(out, ",\"alerting\":{alerting},\"burn\":[");
-                for (k, (ring, window_s)) in window_set(&self.cfg).into_iter().enumerate() {
+                json_f64(&mut out, os.budget_remaining(budget));
+                let _ = write!(out, ",\"alerting\":{},\"burn\":[", os.alerting);
+                for (k, (_, window_s)) in window_set(&self.cfg).into_iter().enumerate() {
                     if k > 0 {
                         out.push(',');
                     }
                     let _ = write!(out, "{{\"window\":\"{}\",\"rate\":", window_label(window_s));
-                    json_f64(&mut out, os.window_burn(ring, window_s, budget, now_us));
+                    json_f64(&mut out, os.burn(k, budget));
                     out.push('}');
                 }
                 out.push_str("]}");
@@ -391,7 +570,7 @@ impl SloEngine {
         out.push_str("],");
 
         out.push_str("\"alerts\":[");
-        for (i, a) in inner.alerts.iter().enumerate() {
+        for (i, a) in self.alerts.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -415,16 +594,16 @@ impl SloEngine {
         out.push_str("],");
 
         out.push_str("\"exemplar_timelines\":[");
-        for (i, ex) in inner.exemplars.iter().enumerate() {
+        for (i, ex) in self.exemplars.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(out, "{{\"request_id\":{},\"tenant\":", ex.request_id);
             json_string(&mut out, &ex.tenant);
             let _ = write!(out, ",\"reason\":\"{}\",\"level\":", ex.reason);
-            json_string(&mut out, &ex.level);
+            json_string(&mut out, ex.level);
             out.push_str(",\"outcome\":");
-            json_string(&mut out, &ex.outcome);
+            json_string(&mut out, ex.outcome);
             let _ = write!(
                 out,
                 ",\"latency_us\":{},\"deadline_met\":{},\"t_us\":{},\"truncated\":{},\"events\":[",
@@ -442,96 +621,79 @@ impl SloEngine {
         out
     }
 
-    /// Fold current state into the metrics registry (`rrp_slo_*`
-    /// families), called once per scrape. Cap-aware: per-tenant series
-    /// are emitted for the top tenants by event volume such that each
-    /// family stays within the registry's series cap, and the rest fold
-    /// into a `__other__` series carrying the *most pessimistic* value
-    /// (min budget remaining, max burn) — the folded series still means
-    /// something, instead of whichever tenant synced last.
+    /// Write the `rrp_slo_*` families into the registry, once per scrape.
+    /// Cap-aware: per-tenant series are emitted for the top tenants by
+    /// event volume such that each family stays within the registry's
+    /// series cap, and the rest fold into a `__other__` series carrying
+    /// the *most pessimistic* value (min budget remaining, max burn) — the
+    /// folded series still means something, instead of whichever tenant
+    /// synced last.
     pub fn sync_registry(&self, reg: &Registry) {
-        // relaxed-ok: monotone high-water read for display
-        let now_us = self.now_us.load(Ordering::Relaxed);
-        let inner = lock(&self.inner);
+        const BUDGET_HELP: &str =
+            "Error budget left over the slow window (1 = untouched, <0 overspent)";
+        const BURN_HELP: &str = "Error-budget burn rate per window (1 = sustainable spend)";
         let cap = reg.series_cap();
-        let windows = window_set(&self.cfg);
+        let windows = window_set(&self.cfg).map(|(_, window_s)| window_label(window_s));
         // reserve one slot per family for the fold bucket
         let budget_tenants = (cap / OBJECTIVES.len()).saturating_sub(1).max(1);
         let burn_tenants = (cap / (OBJECTIVES.len() * windows.len())).saturating_sub(1).max(1);
 
-        let mut order: Vec<(&String, &TenantState)> = inner.tenants.iter().collect();
-        order.sort_by(|a, b| b.1.volume().cmp(&a.1.volume()).then_with(|| a.0.cmp(b.0)));
-
         // fold accumulators: worst value per objective (budget) and per
         // objective × window (burn)
-        let mut fold_budget = [f64::INFINITY; 3];
-        let mut fold_budget_any = false;
-        let mut fold_burn = vec![0.0f64; OBJECTIVES.len() * windows.len()];
-        let mut fold_burn_any = false;
-
-        for (rank, (name, st)) in order.iter().enumerate() {
-            let folded_name = name.as_str() == OVERFLOW_LABEL;
-            for obj in OBJECTIVES {
-                let os = &st.objectives[obj.index()];
+        let mut fold_budget: Option<[f64; 3]> = None;
+        let mut fold_burn: Option<[[f64; 4]; 3]> = None;
+        for (rank, row) in self.rows.iter().enumerate() {
+            let folded_name = row.tenant == OVERFLOW_LABEL;
+            for (k, (obj, os)) in OBJECTIVES.iter().zip(&row.objectives).enumerate() {
                 let budget = obj.budget(&self.cfg);
-                let remaining = os.budget_remaining(&self.cfg, budget, now_us);
+                let remaining = os.budget_remaining(budget);
                 if rank < budget_tenants && !folded_name {
                     reg.gauge(
                         "rrp_slo_budget_remaining",
-                        "Error budget left over the slow window (1 = untouched, <0 overspent)",
-                        &[("tenant", name), ("objective", obj.as_str())],
+                        BUDGET_HELP,
+                        &[("tenant", &row.tenant), ("objective", obj.as_str())],
                     )
                     .set(remaining);
                 } else {
-                    fold_budget[obj.index()] = fold_budget[obj.index()].min(remaining);
-                    fold_budget_any = true;
+                    let fold = fold_budget.get_or_insert([f64::INFINITY; 3]);
+                    fold[k] = fold[k].min(remaining);
                 }
-                for (w, &(ring, window_s)) in windows.iter().enumerate() {
-                    let burn = os.window_burn(ring, window_s, budget, now_us);
+                for (w, label) in windows.iter().enumerate() {
+                    let burn = os.burn(w, budget);
                     if rank < burn_tenants && !folded_name {
                         reg.gauge(
                             "rrp_slo_burn_rate",
-                            "Error-budget burn rate per window (1 = sustainable spend)",
+                            BURN_HELP,
                             &[
-                                ("tenant", name),
+                                ("tenant", &row.tenant),
                                 ("objective", obj.as_str()),
-                                ("window", &window_label(window_s)),
+                                ("window", label),
                             ],
                         )
                         .set(burn);
                     } else {
-                        let slot = obj.index() * windows.len() + w;
-                        fold_burn[slot] = fold_burn[slot].max(burn);
-                        fold_burn_any = true;
+                        let fold = fold_burn.get_or_insert([[0.0; 4]; 3]);
+                        fold[k][w] = fold[k][w].max(burn);
                     }
                 }
             }
         }
-        if fold_budget_any {
-            for obj in OBJECTIVES {
-                let v = fold_budget[obj.index()];
-                reg.gauge(
-                    "rrp_slo_budget_remaining",
-                    "Error budget left over the slow window (1 = untouched, <0 overspent)",
-                    &[("tenant", OVERFLOW_LABEL), ("objective", obj.as_str())],
-                )
-                .set(if v.is_finite() { v } else { 1.0 });
-            }
+        for (obj, v) in OBJECTIVES.iter().zip(fold_budget.iter().flatten()) {
+            reg.gauge(
+                "rrp_slo_budget_remaining",
+                BUDGET_HELP,
+                &[("tenant", OVERFLOW_LABEL), ("objective", obj.as_str())],
+            )
+            .set(if v.is_finite() { *v } else { 1.0 });
         }
-        if fold_burn_any {
-            for obj in OBJECTIVES {
-                for (w, &(_, window_s)) in windows.iter().enumerate() {
-                    reg.gauge(
-                        "rrp_slo_burn_rate",
-                        "Error-budget burn rate per window (1 = sustainable spend)",
-                        &[
-                            ("tenant", OVERFLOW_LABEL),
-                            ("objective", obj.as_str()),
-                            ("window", &window_label(window_s)),
-                        ],
-                    )
-                    .set(fold_burn[obj.index() * windows.len() + w]);
-                }
+        for (obj, burns) in OBJECTIVES.iter().zip(fold_burn.iter().flatten()) {
+            for (label, burn) in windows.iter().zip(burns) {
+                reg.gauge(
+                    "rrp_slo_burn_rate",
+                    BURN_HELP,
+                    &[("tenant", OVERFLOW_LABEL), ("objective", obj.as_str()), ("window", label)],
+                )
+                .set(*burn);
             }
         }
 
@@ -540,274 +702,20 @@ impl SloEngine {
             "Tenants tracked by the SLO engine (fold bucket included)",
             &[],
         )
-        .set(inner.tenants.len() as f64);
-        reg.counter("rrp_slo_alerts_total", "Burn-rate alerts fired", &[]).set(inner.alerts_total);
+        .set(self.rows.len() as f64);
+        reg.counter("rrp_slo_alerts_total", "Burn-rate alerts fired", &[]).set(self.alerts_total);
         reg.counter(
             "rrp_slo_exemplars_retained_total",
             "Request timelines retained by the tail sampler",
             &[],
         )
-        .set(inner.retained);
+        .set(self.retained);
         reg.counter(
             "rrp_slo_exemplars_dropped_total",
             "Request timelines discarded (healthy, untracked, or evicted)",
             &[],
         )
-        .set(inner.dropped);
-    }
-
-    fn on_lifecycle(&self, ev: &Event) {
-        let mut guard = lock(&self.inner);
-        let inner = &mut *guard;
-        match &ev.kind {
-            EventKind::SpanOpen { name, parent } => {
-                if *name == "request" {
-                    if inner.root_of.len() < MAX_SPAN_ROOTS {
-                        // growth-ok: capped above; entries die at span close
-                        inner.root_of.insert(ev.span.0, ev.span.0);
-                    }
-                    if inner.active.len() < MAX_ACTIVE_TIMELINES {
-                        // growth-ok: capped above; removed at RequestDone
-                        inner.active.insert(ev.span.0, Timeline::default());
-                    }
-                    append(&mut inner.active, ev.span.0, ev, self.cfg.max_exemplar_events);
-                } else if let Some(&root) = inner.root_of.get(&parent.0) {
-                    if inner.root_of.len() < MAX_SPAN_ROOTS {
-                        // growth-ok: capped above; entries die at span close
-                        inner.root_of.insert(ev.span.0, root);
-                    }
-                    append(&mut inner.active, root, ev, self.cfg.max_exemplar_events);
-                }
-            }
-            EventKind::SpanClose => {
-                if let Some(root) = inner.root_of.remove(&ev.span.0) {
-                    append(&mut inner.active, root, ev, self.cfg.max_exemplar_events);
-                }
-            }
-            _ => {
-                if let Some(&root) = inner.root_of.get(&ev.span.0) {
-                    append(&mut inner.active, root, ev, self.cfg.max_exemplar_events);
-                }
-            }
-        }
-    }
-
-    fn on_done(&self, ev: &Event) {
-        let EventKind::RequestDone { request_id, tenant, level, outcome, latency_us, deadline_met } =
-            &ev.kind
-        else {
-            return;
-        };
-        let latency_ms = *latency_us as f64 / 1e3;
-        let mut fired = Vec::new();
-        {
-            let mut guard = lock(&self.inner);
-            let inner = &mut *guard;
-            let timeline = inner.active.remove(&ev.span.0).map(|mut tl| {
-                if tl.events.len() < self.cfg.max_exemplar_events {
-                    tl.events.push(ev.clone());
-                } else {
-                    tl.truncated += 1;
-                }
-                tl
-            });
-
-            let key = tenant_key(&self.cfg, &mut inner.tenants, tenant);
-            let st = entry(&self.cfg, &mut inner.tenants, &key);
-            st.requests += 1;
-            st.latency_ms.record(latency_ms);
-            let latency_bad = latency_ms > self.cfg.latency_slo_ms;
-            let tail_floor = st.latency_ms.quantile(self.cfg.tail_quantile) * self.cfg.tail_margin;
-            let reason = if !*deadline_met {
-                Some("deadline")
-            } else if latency_bad {
-                Some("latency")
-            } else if st.latency_ms.count() >= TAIL_MIN_COUNT && latency_ms > tail_floor {
-                Some("tail")
-            } else {
-                None
-            };
-            st.objectives[Objective::DeadlineMiss.index()].record(ev.t_us, !*deadline_met);
-            st.objectives[Objective::Latency.index()].record(ev.t_us, latency_bad);
-
-            match (reason, timeline) {
-                (Some(reason), Some(tl)) => {
-                    while inner.exemplars.len() >= self.cfg.max_exemplars.max(1) {
-                        inner.exemplars.pop_front();
-                        inner.dropped += 1; // evicted by the store cap
-                    }
-                    inner.exemplars.push_back(Exemplar {
-                        request_id: *request_id,
-                        tenant: tenant.clone(),
-                        reason,
-                        level: (*level).to_string(),
-                        outcome: (*outcome).to_string(),
-                        latency_us: *latency_us,
-                        deadline_met: *deadline_met,
-                        t_us: ev.t_us,
-                        events: tl.events,
-                        truncated: tl.truncated,
-                    });
-                    inner.retained += 1;
-                }
-                _ => inner.dropped += 1,
-            }
-
-            self.check_burn(inner, &key, Objective::DeadlineMiss, ev.t_us, &mut fired);
-            self.check_burn(inner, &key, Objective::Latency, ev.t_us, &mut fired);
-        }
-        self.fire(&fired);
-    }
-
-    /// Evaluate both window pairs for `(tenant, objective)`; a trip
-    /// records the alert (bounded list), stamps the cooldown, and queues
-    /// it for the hook.
-    fn check_burn(
-        &self,
-        inner: &mut Inner,
-        tenant: &str,
-        obj: Objective,
-        now_us: u64,
-        fired: &mut Vec<Alert>,
-    ) {
-        let budget = obj.budget(&self.cfg);
-        let min_samples = obj.min_samples(&self.cfg);
-        let Some(st) = inner.tenants.get_mut(tenant) else {
-            return;
-        };
-        let os = &mut st.objectives[obj.index()];
-        if budget <= 0.0 {
-            return;
-        }
-        if let Some(last) = os.last_alert_us {
-            if now_us.saturating_sub(last) < self.cfg.alert_cooldown_s * 1_000_000 {
-                return;
-            }
-        }
-        let fast = os.pair_burn(Ring::Fast, self.cfg.fast_windows_s, min_samples, budget, now_us);
-        let slow = os.pair_burn(Ring::Slow, self.cfg.slow_windows_s, min_samples, budget, now_us);
-        let (window, burn) = if fast >= self.cfg.fast_burn {
-            ("fast", fast)
-        } else if slow >= self.cfg.slow_burn {
-            ("slow", slow)
-        } else {
-            return;
-        };
-        os.last_alert_us = Some(now_us);
-        let exemplar_request_ids: Vec<u64> = inner
-            .exemplars
-            .iter()
-            .rev()
-            .filter(|e| e.tenant == tenant)
-            .take(MAX_ALERT_EXEMPLARS)
-            .map(|e| e.request_id)
-            .collect();
-        let alert = Alert {
-            tenant: tenant.to_string(),
-            objective: obj.as_str(),
-            window,
-            burn,
-            t_us: now_us,
-            exemplar_request_ids,
-        };
-        inner.alerts_total += 1;
-        while inner.alerts.len() >= MAX_ALERTS {
-            inner.alerts.pop_front();
-        }
-        inner.alerts.push_back(alert.clone());
-        fired.push(alert);
-    }
-
-    /// Run the breach hook outside the state lock (it may call back into
-    /// `status_json`, e.g. via the flight recorder's bundle provider).
-    fn fire(&self, fired: &[Alert]) {
-        if fired.is_empty() {
-            return;
-        }
-        let hook = lock(&self.alert_hook);
-        if let Some(h) = hook.as_ref() {
-            for a in fired {
-                h(a);
-            }
-        }
-    }
-}
-
-impl Sink for SloEngine {
-    fn emit(&self, ev: &Event) {
-        match &ev.kind {
-            EventKind::RequestDone { .. } => {
-                // cross-lane monotonicity only shifts a window edge by the lanes' skew
-                // relaxed-ok: high-water timestamp
-                self.now_us.fetch_max(ev.t_us, Ordering::Relaxed);
-                self.on_done(ev);
-            }
-            EventKind::SpanOpen { .. }
-            | EventKind::SpanClose
-            | EventKind::Enqueued
-            | EventKind::Dequeued
-            | EventKind::CacheLookup { .. }
-            | EventKind::AuditGate { .. }
-            | EventKind::LadderStep { .. }
-            | EventKind::SolveDone { .. } => {
-                // relaxed-ok: same high-water clock as above
-                self.now_us.fetch_max(ev.t_us, Ordering::Relaxed);
-                self.on_lifecycle(ev);
-            }
-            // solver-layer events (simplex iters, B&B nodes, gap samples)
-            // stay off the lock *and* off the shared clock line: at
-            // millions of events per second a contended fetch_max is the
-            // whole overhead budget — one match arm and out
-            _ => {}
-        }
-    }
-}
-
-/// Resolve the ledger key for `tenant`: itself while the table has room,
-/// `__other__` once the cap is hit (matching the registry's fold label so
-/// `/slo` and `/metrics` tell one story).
-fn tenant_key(cfg: &SloConfig, tenants: &mut HashMap<String, TenantState>, tenant: &str) -> String {
-    if tenants.contains_key(tenant) {
-        return tenant.to_string();
-    }
-    let named = tenants.len() - usize::from(tenants.contains_key(OVERFLOW_LABEL));
-    if named < cfg.max_tenants.max(1) {
-        tenant.to_string()
-    } else {
-        OVERFLOW_LABEL.to_string()
-    }
-}
-
-/// Fetch-or-create the ledger for a resolved key.
-fn entry<'a>(
-    cfg: &SloConfig,
-    tenants: &'a mut HashMap<String, TenantState>,
-    key: &str,
-) -> &'a mut TenantState {
-    if !tenants.contains_key(key) {
-        // growth-ok: keys pass through tenant_key's cap first, so the
-        // table holds at most max_tenants named entries plus __other__
-        tenants.insert(key.to_string(), TenantState::new(cfg));
-    }
-    tenants.get_mut(key).unwrap_or_else(|| unreachable_entry())
-}
-
-/// `entry` inserted the key above; this path is statically dead but keeps
-/// the lookup panic-free for the lint gate.
-fn unreachable_entry<'a>() -> &'a mut TenantState {
-    // a failed re-lookup after insert means the allocator itself lied;
-    // leak one default ledger rather than aborting the worker
-    Box::leak(Box::new(TenantState::new(&SloConfig::default())))
-}
-
-fn append(active: &mut HashMap<u64, Timeline>, root: u64, ev: &Event, cap: usize) {
-    if let Some(tl) = active.get_mut(&root) {
-        if tl.events.len() < cap {
-            // growth-ok: capped by max_exemplar_events just above
-            tl.events.push(ev.clone());
-        } else {
-            tl.truncated += 1;
-        }
+        .set(self.dropped);
     }
 }
 
@@ -857,165 +765,174 @@ fn json_f64(out: &mut String, v: f64) {
 
 #[cfg(test)]
 mod tests {
-    use rrp_trace::SpanId;
+    use std::collections::HashMap;
 
     use super::*;
 
-    fn cfg() -> SloConfig {
-        SloConfig::default()
+    /// One shard's worth of engine glue: a tenant table of SLO rows and
+    /// the shard's log.
+    struct Shard {
+        cfg: SloConfig,
+        rows: HashMap<String, TenantSlo>,
+        log: SloLog,
+        now_us: u64,
     }
 
-    fn done(span: u64, t_us: u64, tenant: &str, request_id: u64, deadline_met: bool) -> Event {
-        Event {
-            t_us,
-            worker: 0,
-            span: SpanId(span),
-            kind: EventKind::RequestDone {
+    impl Shard {
+        fn new() -> Self {
+            Self {
+                cfg: SloConfig::default(),
+                rows: HashMap::new(),
+                log: SloLog::default(),
+                now_us: 0,
+            }
+        }
+
+        fn done(&mut self, t_us: u64, tenant: &str, request_id: u64, deadline_met: bool) -> bool {
+            self.done_in(t_us, tenant, request_id, deadline_met, 1_000)
+        }
+
+        fn done_in(
+            &mut self,
+            t_us: u64,
+            tenant: &str,
+            request_id: u64,
+            deadline_met: bool,
+            latency_us: u64,
+        ) -> bool {
+            self.now_us = t_us;
+            let st =
+                self.rows.entry(tenant.to_string()).or_insert_with(|| TenantSlo::new(&self.cfg));
+            let done = Done {
                 request_id,
-                tenant: tenant.to_string(),
+                tenant,
                 level: "full",
                 outcome: "ok",
-                latency_us: 1_000,
+                latency_us,
                 deadline_met,
-            },
+                t_us,
+            };
+            self.log.record_request(&self.cfg, tenant, st, &done, |_| (Vec::new(), 0))
         }
-    }
 
-    fn open(span: u64, t_us: u64, name: &'static str, parent: u64) -> Event {
-        Event {
-            t_us,
-            worker: 0,
-            span: SpanId(span),
-            kind: EventKind::SpanOpen { name, parent: SpanId(parent) },
+        fn cost(&mut self, tenant: &str, planned: f64, realised: f64) -> bool {
+            let st =
+                self.rows.entry(tenant.to_string()).or_insert_with(|| TenantSlo::new(&self.cfg));
+            self.log.record_cost(&self.cfg, tenant, st, self.now_us, planned, realised)
+        }
+
+        fn view(&self) -> SloView {
+            let mut view = SloView::new(&self.cfg, self.now_us);
+            view.add_shard(self.rows.iter().map(|(k, v)| (k.as_str(), v)), &self.log);
+            view
         }
     }
 
     #[test]
     fn storm_fires_exactly_one_fast_alert_with_exemplars() {
-        let slo = SloEngine::new(cfg());
+        let mut slo = Shard::new();
         for i in 0..20u64 {
-            slo.emit(&open(i + 1, i * 1_000, "request", 0));
-            slo.emit(&done(i + 1, i * 1_000 + 500, "storm", i, false));
+            slo.done(i * 1_000 + 500, "storm", i, false);
         }
-        assert_eq!(slo.alerts_total(), 1, "cooldown must debounce to one alert");
-        let alerts = slo.alerts();
+        let view = slo.view();
+        assert_eq!(view.alerts_total(), 1, "cooldown must debounce to one alert");
+        let alerts = view.alerts();
         assert_eq!(alerts[0].tenant, "storm");
         assert_eq!(alerts[0].objective, "deadline_miss");
         assert_eq!(alerts[0].window, "fast");
-        assert!(alerts[0].burn >= cfg().fast_burn, "burn {}", alerts[0].burn);
+        assert!(alerts[0].burn >= slo.cfg.fast_burn, "burn {}", alerts[0].burn);
         assert!(!alerts[0].exemplar_request_ids.is_empty(), "alert links exemplars");
         // the alert fired at the min_samples'th request
         assert_eq!(alerts[0].t_us, 9 * 1_000 + 500);
-        let (retained, _) = slo.exemplar_counts();
+        let (retained, _) = view.exemplar_counts();
         assert!(retained >= 10, "misses are retained ({retained})");
     }
 
     #[test]
     fn healthy_traffic_fires_nothing_and_retains_nothing() {
-        let slo = SloEngine::new(cfg());
+        let mut slo = Shard::new();
         for i in 0..200u64 {
-            slo.emit(&open(i + 1, i * 1_000, "request", 0));
-            slo.emit(&done(i + 1, i * 1_000 + 500, "calm", i, true));
+            slo.done(i * 1_000 + 500, "calm", i, true);
         }
-        assert_eq!(slo.alerts_total(), 0);
-        let (retained, dropped) = slo.exemplar_counts();
+        let view = slo.view();
+        assert_eq!(view.alerts_total(), 0);
+        let (retained, dropped) = view.exemplar_counts();
         assert_eq!(retained, 0, "uniform healthy latencies must not tail-sample");
         assert_eq!(dropped, 200);
     }
 
     #[test]
     fn alert_needs_min_samples() {
-        let slo = SloEngine::new(cfg());
+        let mut slo = Shard::new();
         for i in 0..5u64 {
-            slo.emit(&done(i + 1, i * 1_000, "few", i, false));
+            slo.done(i * 1_000, "few", i, false);
         }
-        assert_eq!(slo.alerts_total(), 0, "5 misses < min_samples 10");
+        assert_eq!(slo.view().alerts_total(), 0, "5 misses < min_samples 10");
     }
 
     #[test]
     fn latency_objective_has_its_own_budget() {
-        let slo = SloEngine::new(cfg());
+        let mut slo = Shard::new();
         for i in 0..20u64 {
-            let mut ev = done(i + 1, i * 1_000, "slowpoke", i, true);
-            if let EventKind::RequestDone { latency_us, .. } = &mut ev.kind {
-                *latency_us = 400_000; // 400 ms > 250 ms SLO
-            }
-            slo.emit(&ev);
+            slo.done_in(i * 1_000, "slowpoke", i, true, 400_000); // 400 ms > 250 ms SLO
         }
-        let alerts = slo.alerts();
-        assert_eq!(alerts.len(), 1);
-        assert_eq!(alerts[0].objective, "latency");
+        let view = slo.view();
+        assert_eq!(view.alerts().len(), 1);
+        assert_eq!(view.alerts()[0].objective, "latency");
     }
 
     #[test]
     fn cost_objective_is_fed_out_of_band() {
-        let slo = SloEngine::new(cfg());
-        slo.emit(&done(1, 1_000, "pin-now", 0, true)); // advance trace time
-        for _ in 0..8 {
-            slo.record_cost("overrun", 1.0, 2.0); // ratio 2.0 > 1.5
-        }
-        let alerts = slo.alerts();
+        let mut slo = Shard::new();
+        slo.done(1_000, "pin-now", 0, true); // advance trace time
+        let fired: Vec<bool> = (0..8).map(|_| slo.cost("overrun", 1.0, 2.0)).collect(); // 2.0 > 1.5
+        assert_eq!(fired.iter().filter(|&&f| f).count(), 1, "{fired:?}");
+        let view = slo.view();
+        let alerts = view.alerts();
         assert_eq!(alerts.len(), 1, "{:?}", alerts);
         assert_eq!(alerts[0].tenant, "overrun");
         assert_eq!(alerts[0].objective, "cost_ratio");
         // healthy episodes never alert
-        let calm = SloEngine::new(cfg());
+        let mut calm = Shard::new();
         for _ in 0..8 {
-            calm.record_cost("fine", 1.0, 1.1);
+            calm.cost("fine", 1.0, 1.1);
         }
-        assert_eq!(calm.alerts_total(), 0);
+        assert_eq!(calm.view().alerts_total(), 0);
     }
 
     #[test]
-    fn timelines_assemble_the_span_subtree() {
-        let slo = SloEngine::new(cfg());
-        slo.emit(&open(1, 0, "request", 0));
-        slo.emit(&Event { t_us: 1, worker: 0, span: SpanId(1), kind: EventKind::Enqueued });
-        slo.emit(&open(2, 2, "rung:full", 1));
-        slo.emit(&Event {
-            t_us: 3,
-            worker: 0,
-            span: SpanId(2),
-            kind: EventKind::LadderStep { level: "full", outcome: "ok".to_string(), elapsed_us: 1 },
-        });
-        slo.emit(&Event { t_us: 4, worker: 0, span: SpanId(2), kind: EventKind::SpanClose });
-        slo.emit(&done(1, 5, "t", 7, false)); // miss → retained
-        let json = slo.status_json();
-        assert!(json.contains("\"request_id\":7"), "{json}");
-        assert!(json.contains("\"reason\":\"deadline\""), "{json}");
-        assert!(json.contains("\"ev\":\"ladder_step\""), "{json}");
-        assert!(json.contains("\"ev\":\"span_open\""), "{json}");
-        // solver events never enter timelines
-        assert!(!json.contains("simplex_iter"), "{json}");
-    }
-
-    #[test]
-    fn hook_runs_outside_the_lock_and_may_reenter() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-        let slo = Arc::new(SloEngine::new(cfg()));
-        let seen = Arc::new(AtomicUsize::new(0));
-        let reentrant = Arc::clone(&slo);
-        let seen2 = Arc::clone(&seen);
-        slo.set_alert_hook(Box::new(move |a| {
-            assert_eq!(a.tenant, "storm");
-            let _ = reentrant.status_json(); // must not deadlock
-            seen2.fetch_add(1, Ordering::SeqCst);
-        }));
-        for i in 0..15u64 {
-            slo.emit(&done(i + 1, i * 1_000, "storm", i, false));
+    fn other_rows_sum_across_shards() {
+        let mut a = Shard::new();
+        let mut b = Shard::new();
+        for i in 0..4u64 {
+            a.done(i * 1_000, OVERFLOW_LABEL, i, false);
+            b.done(i * 1_000, OVERFLOW_LABEL, 10 + i, true);
         }
-        assert_eq!(seen.load(Ordering::SeqCst), 1);
+        b.done(9_000, "named", 20, true);
+        let mut view = SloView::new(&a.cfg, 9_000);
+        for s in [&a, &b] {
+            view.add_shard(s.rows.iter().map(|(k, v)| (k.as_str(), v)), &s.log);
+        }
+        let v: serde_json::Value = serde_json::from_str(&view.status_json()).expect("valid JSON");
+        let tenants = v.get("tenants").and_then(|t| t.as_array()).expect("tenants");
+        assert_eq!(tenants.len(), 2, "one __other__ row, one named");
+        let other = &tenants[0];
+        assert_eq!(other.get("tenant").and_then(|t| t.as_str()), Some(OVERFLOW_LABEL));
+        assert_eq!(other.get("requests").and_then(|r| r.as_u64()), Some(8));
+        let dm = &other.get("objectives").and_then(|o| o.as_array()).expect("objectives")[0];
+        assert_eq!(dm.get("events").and_then(|e| e.as_u64()), Some(8));
+        assert_eq!(dm.get("bad").and_then(|e| e.as_u64()), Some(4));
+        assert_eq!(view.exemplar_counts(), (4, 5));
     }
 
     #[test]
     fn status_json_parses_and_reports_the_drained_budget() {
-        let slo = SloEngine::new(cfg());
+        let mut slo = Shard::new();
         for i in 0..20u64 {
-            slo.emit(&done(i + 1, i * 1_000, "storm", i, false));
+            slo.done(i * 1_000, "storm", i, false);
         }
         let v: serde_json::Value =
-            serde_json::from_str(&slo.status_json()).expect("status_json is valid JSON");
+            serde_json::from_str(&slo.view().status_json()).expect("status_json is valid JSON");
         let s =
             |v: &serde_json::Value, k: &str| v.get(k).and_then(|x| x.as_str()).map(String::from);
         assert_eq!(s(&v, "schema").as_deref(), Some("rrp-slo/1"));

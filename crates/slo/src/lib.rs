@@ -5,51 +5,39 @@
 //! answers *is each tenant getting the service they were promised, and if
 //! not, which request shows why*.
 //!
-//! **SLO engine** ([`SloEngine`]): per-tenant objectives — deadline-miss
-//! rate, plan-latency threshold, realised/planned cost ratio (fed by
-//! `rrp-sim` soaks) — each with a rolling error-budget ledger and
-//! Google-SRE-style multi-window burn-rate alerting. An alert fires when
-//! the budget burns faster than a threshold over *both* windows of a pair
-//! (fast 5m/1h catches cliffs, slow 6h/3d catches slow leaks). All window
-//! arithmetic runs on trace timestamps (`Event::t_us`), never the wall
-//! clock, so seeded storms and trace replays alert deterministically.
+//! **Objectives** ([`TenantSlo`]): per-tenant deadline-miss rate,
+//! plan-latency threshold, realised/planned cost ratio (fed by `rrp-sim`
+//! soaks) — each with a rolling error-budget ledger and Google-SRE-style
+//! multi-window burn-rate alerting. An alert fires when the budget burns
+//! faster than a threshold over *both* windows of a pair (fast 5m/1h
+//! catches cliffs, slow 6h/3d catches slow leaks). All window arithmetic
+//! runs on the trace clock (the one that stamps `Event::t_us`), never a
+//! second clock, so seeded storms alert deterministically.
 //!
-//! **Tail sampler**: every request assembles a lightweight causal
-//! timeline (queue → audit → rung ladder → LP/B&B spans, keyed by the
-//! engine-assigned request id), but only timelines that breach an
-//! objective or land in the latency tail are retained, in a bounded
-//! exemplar store linked from the alert that fired. The healthy 99% of
-//! traffic costs a handful of clones and is discarded at completion.
+//! **Tail sampler** ([`SloLog`]): only requests that breach an objective
+//! or land in the latency tail are retained, each with its span subtree
+//! (queue → audit → rung ladder → solve summaries) cut from the engine's
+//! flight ring, in a bounded exemplar store linked from the alert that
+//! fired. The healthy 99% of traffic costs no exemplar work at all.
 //!
-//! The engine embeds this as `EngineConfig::slo`; `/slo` serves
-//! [`SloEngine::status_json`], `rrp_slo_*` metric families land in the
-//! `rrp-obs` registry via [`SloEngine::sync_registry`], and burn-rate
-//! breaches fire a `slo_burn_rate` flight-recorder trigger so post-mortem
-//! bundles carry the offending tenant's exemplar timelines.
+//! This crate keeps no tenant table and consumes no events: the engine
+//! embeds it as `EngineConfig::slo`, stores a [`TenantSlo`] in each row
+//! of its per-shard request ledger and an [`SloLog`] per shard, and
+//! serves `/slo`, the `rrp_slo_*` families and the post-mortem bundle's
+//! `slo` section as renders of an [`SloView`] folded at scrape time. A
+//! burn-rate breach fires the flight recorder's `slo_burn_rate` trigger.
 
 mod engine;
 mod window;
 
-use std::sync::{Mutex, MutexGuard};
-
-pub use engine::{Alert, Objective, SloEngine, OBJECTIVES};
-
-/// Lock a mutex, recovering the guard from a poisoned lock: everything
-/// this crate protects is observational (ledgers, timelines, exemplars),
-/// and a panicking instrumented thread must not also wedge the SLO
-/// accounting that exists to notice the damage.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+pub use engine::{Alert, Done, SloLog, SloView, TenantSlo};
 
 /// SLO options (engine: `EngineConfig::slo`). Budgets are *bad-event
 /// fractions*: a `deadline_miss_budget` of 0.01 promises 99% of requests
 /// meet their deadline; burn rate is the observed bad fraction divided by
 /// that budget, so burn 1.0 spends the budget exactly at the sustainable
-/// rate and burn 14.4 exhausts a 3-day budget in five hours.
+/// rate and burn 14.4 exhausts a 3-day budget in five hours. Tenants past
+/// the engine's tenant-table cap share one `__other__` ledger.
 #[derive(Debug, Clone)]
 pub struct SloConfig {
     /// Tolerated deadline-miss fraction per tenant (0 disables the
@@ -80,9 +68,6 @@ pub struct SloConfig {
     /// A fired (tenant, objective) alert suppresses re-fires for this
     /// long — one incident, one alert.
     pub alert_cooldown_s: u64,
-    /// Tenant-table cap: further tenants fold into `__other__` (same
-    /// convention as the `rrp-obs` registry's series cap).
-    pub max_tenants: usize,
     /// Exemplar-store cap: retaining past this evicts the oldest.
     pub max_exemplars: usize,
     /// Events kept per timeline; the rest are counted as truncated.
@@ -111,7 +96,6 @@ impl Default for SloConfig {
             min_samples: 10,
             cost_min_samples: 4,
             alert_cooldown_s: 3_600,
-            max_tenants: 16,
             max_exemplars: 32,
             max_exemplar_events: 64,
             tail_quantile: 0.99,

@@ -84,11 +84,6 @@ impl TraceHandle {
         self.inner.is_some()
     }
 
-    /// The span-stack publication surface, when profiling is wired in.
-    pub fn stacks(&self) -> Option<&Arc<SpanStacks>> {
-        self.inner.as_ref().and_then(|i| i.stacks.as_ref())
-    }
-
     /// Microseconds since the trace origin (0 when disabled).
     pub fn now_us(&self) -> u64 {
         match &self.inner {

@@ -7,8 +7,7 @@
 //!
 //! 1. **Zero cost when off.** Instrumented code holds a [`TraceHandle`];
 //!    the default handle is disabled and every emit is one branch — no
-//!    clock read, no allocation, no lock. [`NullSink`] exists for slots
-//!    that require a sink object.
+//!    clock read, no allocation, no lock.
 //! 2. **Never block the solver.** [`RingSink`] drops oldest (counting
 //!    drops) instead of waiting; [`JsonlSink`] takes one short lock per
 //!    line and swallows I/O errors; [`CounterSink`] is all relaxed
@@ -45,5 +44,5 @@ mod stack;
 pub use event::{Event, EventKind, PruneReason, SOLVE_STATUSES};
 pub use handle::{current_worker, set_worker, SpanGuard, SpanId, StackFrameGuard, TraceHandle};
 pub use hist::LogHistogram;
-pub use sink::{CounterSink, JsonlSink, NullSink, RingSink, Sink, TeeSink};
+pub use sink::{CounterSink, JsonlSink, RingSink, Sink, TeeSink};
 pub use stack::{SpanStacks, MAX_LANES, MAX_STACK_DEPTH};

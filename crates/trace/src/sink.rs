@@ -28,17 +28,6 @@ pub trait Sink: Send + Sync {
     }
 }
 
-/// Discards everything. Useful when a sink slot must be filled but no
-/// telemetry is wanted; prefer [`crate::TraceHandle::off`] where possible
-/// (it skips even the timestamp read).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    #[inline]
-    fn emit(&self, _ev: &Event) {}
-}
-
 /// Fixed-capacity in-memory ring. When full it drops the *oldest* event
 /// and counts the drop — the solver never blocks on a slow consumer.
 pub struct RingSink {

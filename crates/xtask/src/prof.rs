@@ -19,9 +19,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use rrp_obs::http_request;
 use serde_json::Value;
-
-use crate::watch::http_get;
 
 /// Maximum bar width in glyphs (matches the watch dashboard).
 const WIDTH: usize = 32;
@@ -90,12 +89,12 @@ fn load(source: &str) -> Result<String, String> {
         return Ok(body);
     }
     if source.contains(':') {
-        return match http_get(source, "/profile") {
-            Some((200, body)) => Ok(body),
-            Some((404, _)) => {
+        return match http_request(source, "GET", "/profile", None) {
+            Some((200, _, body)) => Ok(body),
+            Some((404, ..)) => {
                 Err(format!("{source} serves no profile — engine runs without `ProfConfig`"))
             }
-            Some((code, _)) => Err(format!("{source}/profile answered HTTP {code}")),
+            Some((code, ..)) => Err(format!("{source}/profile answered HTTP {code}")),
             None => Err(format!("cannot reach {source}/profile")),
         };
     }

@@ -11,9 +11,8 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use rrp_obs::http_request;
 use serde_json::Value;
-
-use crate::watch;
 
 /// Waterfall bar width in glyphs.
 const WATERFALL_WIDTH: usize = 40;
@@ -50,9 +49,9 @@ pub fn run(args: &[String]) -> ExitCode {
             }
         }
     } else {
-        match watch::http_get(&input, "/slo") {
-            Some((200, b)) => b,
-            Some((code, b)) => {
+        match http_request(input.as_str(), "GET", "/slo", None) {
+            Some((200, _, b)) => b,
+            Some((code, _, b)) => {
                 eprintln!("slo: {input}/slo answered HTTP {code}: {}", b.trim());
                 return ExitCode::FAILURE;
             }

@@ -20,11 +20,11 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use rrp_obs::http_request;
 use rrp_obs::text::{parse, Sample};
 
 /// Sparkline glyphs, low to high (same palette as the trace report).
@@ -75,11 +75,12 @@ pub fn run(args: &[String]) -> ExitCode {
         // the server — so back off and retry instead of dying on the
         // first miss
         let mut failure: Option<String> = None;
-        match http_get(&addr, "/metrics") {
-            Some((200, body)) => match parse(&body) {
+        match http_request(addr.as_str(), "GET", "/metrics", None) {
+            Some((200, _, body)) => match parse(&body) {
                 Ok(samples) => {
                     failures = 0;
-                    let ready = http_get(&addr, "/readyz");
+                    let ready = http_request(addr.as_str(), "GET", "/readyz", None)
+                        .map(|(code, _, body)| (code, body));
                     frame += 1;
                     let screen = render(&addr, frame, interval, &samples, ready, &mut state);
                     // clear + home, then repaint — no raw mode, no alt screen
@@ -90,7 +91,7 @@ pub fn run(args: &[String]) -> ExitCode {
                     failure = Some(format!("{addr}/metrics returned an unparseable body: {e}"));
                 }
             },
-            Some((code, _)) => failure = Some(format!("{addr}/metrics answered HTTP {code}")),
+            Some((code, ..)) => failure = Some(format!("{addr}/metrics answered HTTP {code}")),
             None => failure = Some(format!("cannot reach {addr}/metrics")),
         }
         if let Some(why) = failure {
@@ -144,21 +145,6 @@ struct WatchState {
     queue: VecDeque<f64>,
     /// One depth history per shard, indexed by shard id (sharded engines).
     shard_queues: Vec<VecDeque<f64>>,
-}
-
-/// Minimal HTTP/1.1 GET returning (status, body). `None` on any socket
-/// error — connection refused after a successful frame means shutdown.
-/// Shared with the `slo` and `prof` subcommands for their live scrapes.
-pub(crate) fn http_get(addr: &str, path: &str) -> Option<(u16, String)> {
-    let mut s = TcpStream::connect(addr).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
-    s.write_all(format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes()).ok()?;
-    let mut raw = Vec::new();
-    s.read_to_end(&mut raw).ok()?;
-    let text = String::from_utf8(raw).ok()?;
-    let (head, body) = text.split_once("\r\n\r\n")?;
-    let status: u16 = head.split_whitespace().nth(1)?.parse().ok()?;
-    Some((status, body.to_string()))
 }
 
 fn value(samples: &[Sample], name: &str) -> Option<f64> {
@@ -303,7 +289,7 @@ fn render(
         );
     }
 
-    // SLO panel (present only when the engine runs an SLO engine)
+    // SLO panel (present only when the engine keeps SLO ledgers)
     if let Some(alerts) = value(samples, "rrp_slo_alerts_total") {
         let tenants = value(samples, "rrp_slo_tenants").unwrap_or(0.0);
         let retained = value(samples, "rrp_slo_exemplars_retained_total").unwrap_or(0.0);
