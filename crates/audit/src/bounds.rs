@@ -289,7 +289,7 @@ fn apply_update(
             trace: trace.clone(),
         });
     }
-    // snap tiny crossings exactly as presolve does
+    // a crossing within TOL is rounding noise: snap it shut
     if lower[j] > upper[j] {
         lower[j] = upper[j];
     }

@@ -50,6 +50,6 @@ pub use numerics::NumericsReport;
 pub use report::{audit_milp, audit_milp_with, audit_model, AuditOptions, AuditReport};
 pub use structure::{DanglingColumn, ParallelRows};
 
-/// Bound-comparison tolerance, shared with `rrp_lp::presolve` so the audit
-/// and presolve agree on what counts as a crossing bound.
+/// Bound-comparison tolerance: bounds that cross by no more than this are
+/// snapped together, not reported as a crossing.
 pub const TOL: f64 = rrp_lp::BOUND_TOL;

@@ -2,9 +2,10 @@
 //! Wagner–Whitin DP on uncapacitated DRRP instances of growing horizon —
 //! quantifying the value of the paper's "dynamic lot-sizing" observation.
 //!
-//! Besides the stderr report, the run persists node-throughput records —
-//! warm dual-simplex B&B vs a cold (`warm_start: false`) baseline on a
-//! capacitated DRRP instance and on a correlated binary knapsack — into
+//! Besides the stderr report, the run persists search counts — warm
+//! dual-simplex B&B vs a cold (`warm_start: false`) baseline on a
+//! capacitated DRRP instance and on a correlated binary knapsack: nodes,
+//! objective, LP solves, simplex iterations and warm hits — into
 //! `results/BENCH_milp.json` for `xtask benchdiff`.
 
 use std::time::Instant;
@@ -69,25 +70,16 @@ fn bench_lotsizing(c: &mut Criterion) {
     persist_records();
 }
 
-/// Solve once and turn the search statistics into a BENCH record: wall
-/// clock, tree size, and the warm-start extras (`nodes_per_sec`,
-/// `lp_iters_per_node`, `warm_hit_rate`) the perf acceptance gate reads.
+/// Solve once and turn the search statistics into a BENCH record: the
+/// wall clock for the reader, and the counts the gate checks.
 fn measure(label: &str, milp: &MilpProblem, opts: &MilpOptions) -> Record {
     let t0 = Instant::now();
     let sol = milp.solve(opts).expect("bench instance is feasible");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let nodes = sol.nodes.max(1) as f64;
-    Record {
-        instance: label.to_string(),
-        wall_ms,
-        nodes: sol.nodes as u64,
-        objective: sol.objective,
-        extras: Vec::new(),
-        tags: Vec::new(),
-    }
-    .with_extra("nodes_per_sec", nodes / (wall_ms / 1e3).max(1e-9))
-    .with_extra("lp_iters_per_node", sol.lp_stats.iterations as f64 / nodes)
-    .with_extra("warm_hit_rate", sol.lp_stats.warm_hit_rate())
+    Record::new(label, wall_ms, sol.nodes as u64, sol.objective)
+        .with_count("lp_solves", sol.lp_stats.solves)
+        .with_count("lp_iters", sol.lp_stats.iterations)
+        .with_count("warm_hits", sol.lp_stats.warm_hits)
 }
 
 /// One instance solved warm (`opts`) and cold (`opts` with `warm_start`
@@ -113,16 +105,11 @@ fn warm_cold_pair(
     [warm, cold]
 }
 
-/// The warm-vs-cold node-throughput comparison on a capacitated DRRP
-/// instance (capacity binds, so the tree is non-trivial) and on the n=18
-/// knapsack, plus the shim's timing records, merged into this bench's
-/// namespace of BENCH_milp.json.
+/// The warm-vs-cold comparison on a capacitated DRRP instance (capacity
+/// binds, so the tree is non-trivial) and on the n=18 knapsack, written to
+/// BENCH_milp.json.
 fn persist_records() {
-    let mut records: Vec<Record> = criterion::take_results()
-        .into_iter()
-        .map(|r| Record::timing(r.label, r.mean_ns as f64 / 1e6))
-        .collect();
-
+    let mut records = Vec::new();
     let horizon = 24;
     let s = instance(horizon);
     let peak = s.demand.iter().cloned().fold(0.0_f64, f64::max);
@@ -143,10 +130,7 @@ fn persist_records() {
         &MilpOptions { node_limit: 50_000, ..Default::default() },
     ));
 
-    match results::merge_json("BENCH_milp.json", "milp_lotsizing", &records) {
-        Ok(path) => eprintln!("wrote {} ({} records)", path.display(), records.len()),
-        Err(e) => eprintln!("warning: could not write BENCH_milp.json: {e}"),
-    }
+    results::write_json("BENCH_milp.json", &records).expect("write BENCH_milp.json");
 }
 
 criterion_group!(benches, bench_lotsizing);

@@ -9,7 +9,6 @@
 //! cargo run --release -p rrp-bench --bin ablation_bid_level
 //! ```
 
-use rayon::prelude::*;
 use rrp_bench::{header, EvalDay, DEMAND_SEED};
 use rrp_core::policy::Policy;
 use rrp_core::rolling::{simulate, MarketEnv, RollingConfig};
@@ -28,7 +27,6 @@ fn main() {
     );
     for q in [0.05, 0.25, 0.50, 0.75, 0.95, 1.0] {
         let rows: Vec<(f64, usize, f64, usize)> = (0..days)
-            .into_par_iter()
             .map(|day| {
                 let d = EvalDay::new(class, day, 0.4, DEMAND_SEED + day as u64);
                 let bid = quantile(&d.history, q);

@@ -10,7 +10,6 @@
 //! cargo run --release -p rrp-bench --bin ablation_replan
 //! ```
 
-use rayon::prelude::*;
 use rrp_bench::{header, EvalDay, DEMAND_SEED};
 use rrp_core::policy::Policy;
 use rrp_core::rolling::{simulate, MarketEnv, ReplanMode, RollingConfig};
@@ -19,7 +18,6 @@ use rrp_spotmarket::{CostRates, VmClass};
 
 fn run(class: VmClass, policy: Policy, replan: ReplanMode, days: usize) -> f64 {
     (0..days)
-        .into_par_iter()
         .map(|day| {
             let d = EvalDay::new(class, day, 0.4, DEMAND_SEED + day as u64);
             let env = MarketEnv {

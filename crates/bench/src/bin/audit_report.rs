@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Besides the printed reports, every solved instance lands as a record
-//! (instance, wall-ms, nodes, objective) in `results/BENCH_audit.json` —
-//! the persisted bench trajectory future PRs diff against.
+//! (instance, wall-ms, nodes, objective) in `results/BENCH_audit.json`,
+//! which `xtask benchdiff` gates against the committed copy.
 
 use std::time::Instant;
 
@@ -38,14 +38,12 @@ fn solve_and_record(records: &mut Vec<Record>, instance: String, milp: &MilpProb
     let opts = MilpOptions::default();
     let t0 = Instant::now();
     match milp.solve(&opts) {
-        Ok(sol) => records.push(Record {
+        Ok(sol) => records.push(Record::new(
             instance,
-            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-            nodes: sol.nodes as u64,
-            objective: sol.objective,
-            extras: Vec::new(),
-            tags: Vec::new(),
-        }),
+            t0.elapsed().as_secs_f64() * 1e3,
+            sol.nodes as u64,
+            sol.objective,
+        )),
         Err(e) => eprintln!("warning: {instance}: solve failed: {e:?}"),
     }
 }
@@ -103,10 +101,7 @@ fn main() {
     solve_and_record(&mut records, "audit/fixed_charge/loose".to_string(), &loose);
     solve_and_record(&mut records, "audit/fixed_charge/tightened".to_string(), &tightened);
 
-    match results::write_json("BENCH_audit.json", &records) {
-        Ok(path) => println!("\nwrote {} ({} records)", path.display(), records.len()),
-        Err(e) => eprintln!("warning: could not write BENCH_audit.json: {e}"),
-    }
+    results::write_json("BENCH_audit.json", &records).expect("write BENCH_audit.json");
 }
 
 /// min Σ fᵢχᵢ + cᵢxᵢ  s.t.  Σ xᵢ ≥ 25,  xᵢ − M·χᵢ ≤ 0,  0 ≤ xᵢ ≤ 10.

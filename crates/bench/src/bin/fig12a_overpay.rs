@@ -10,7 +10,6 @@
 //! cargo run --release -p rrp-bench --bin fig12a_overpay
 //! ```
 
-use rayon::prelude::*;
 use rrp_bench::{header, EvalDay, DEMAND_SEED};
 use rrp_core::eval::overpay_pct;
 use rrp_core::policy::Policy;
@@ -39,7 +38,6 @@ fn main() {
 
     for class in VmClass::EVALUATION {
         let per_day: Vec<(f64, [f64; 5])> = (0..days)
-            .into_par_iter()
             .map(|day| {
                 let d = EvalDay::new(class, day, 0.4, DEMAND_SEED + day as u64);
                 // day-ahead SARIMA forecast as the *-predict bid source

@@ -1,6 +1,13 @@
-//! The persisted bench trajectory: machine-readable measurement records
-//! written to `results/BENCH_*.json` at the workspace root, so future PRs
-//! can diff solver performance instead of eyeballing stderr.
+//! The persisted bench trajectory: machine-readable records written to
+//! `results/BENCH_*.json` at the workspace root, one file per bench, which
+//! `xtask benchdiff` gates against the committed copy.
+//!
+//! A record's numbers other than `wall_ms` are counts and objectives the
+//! program makes — nodes, LP iterations, cache hits — and they repeat to the
+//! last digit on any host, so the gate compares them exactly. `wall_ms` is
+//! printed beside them for the reader and never gated: wall time on a shared
+//! host drifts by more than most real changes move it. Every row also
+//! carries a text provenance stamp (commit, toolchain, profile, CPUs).
 //!
 //! The format is deliberately minimal — a JSON array of flat records — and
 //! written with std only (the bench binaries must not drag the solver's
@@ -12,42 +19,54 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One measurement: an instance label, its wall-clock cost, and — when the
-/// run solved something — search-tree size and objective value.
+use rrp_trace::json::escape_into;
+
+/// One measurement: an instance label, its wall-clock cost, and the counts
+/// the run produced.
 #[derive(Debug, Clone)]
 pub struct Record {
-    /// Instance / benchmark label, e.g. `"engine_throughput/cold_64req/4"`.
+    /// Instance / benchmark label, e.g. `"milp_lotsizing/drrp_cap24/warm"`.
     pub instance: String,
-    /// Mean wall-clock per run, milliseconds.
+    /// Wall-clock of the measured run, milliseconds. Shown, never gated.
     pub wall_ms: f64,
-    /// Branch & bound nodes opened (0 for timing-only records).
+    /// Branch & bound nodes opened.
     pub nodes: u64,
-    /// Objective value (`NaN` serialises as `null` for timing-only records).
+    /// Objective value (`NaN` serialises as `null` where nothing is
+    /// optimised).
     pub objective: f64,
-    /// Extra named measurements appended as additional JSON fields (e.g.
-    /// `nodes_per_sec`, `warm_hit_rate`). `benchdiff` ignores fields it
-    /// does not know, so extras never break the regression gate.
-    pub extras: Vec<(String, f64)>,
-    /// Extra named text fields, appended after `extras` (the provenance
-    /// stamp: see [`Record::stamped`]).
-    pub tags: Vec<(String, String)>,
+    /// Further gated counts, appended as named integer fields (e.g.
+    /// `lp_iters`, `warm_hits`). Raw counts, not ratios of them, so a moved
+    /// field says which count moved.
+    pub counts: Vec<(&'static str, u64)>,
 }
 
-/// Where and how a record was measured — the fields planbench stamps on
-/// its sets, so a baseline from another host or toolchain is recognisable
-/// as such instead of reading as a regression.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Provenance {
-    pub nproc: usize,
-    pub commit: String,
-    pub rustc: String,
-    pub profile: &'static str,
+impl Record {
+    pub fn new(instance: impl Into<String>, wall_ms: f64, nodes: u64, objective: f64) -> Self {
+        Self { instance: instance.into(), wall_ms, nodes, objective, counts: Vec::new() }
+    }
+
+    /// Append a named count (builder-style).
+    #[must_use]
+    pub fn with_count(mut self, key: &'static str, value: u64) -> Self {
+        self.counts.push((key, value));
+        self
+    }
+}
+
+/// Where and how the records were measured, stamped on every row as text
+/// (the gate ignores text), so a row from another host or toolchain is
+/// recognisable as such.
+struct Provenance {
+    commit: String,
+    rustc: String,
+    profile: &'static str,
+    nproc: usize,
 }
 
 impl Provenance {
     /// The host and build this process runs as (`unknown` where `git` or
     /// `rustc` cannot be asked).
-    pub fn here() -> Self {
+    fn here() -> Self {
         fn tool_line(program: &str, args: &[&str]) -> String {
             std::process::Command::new(program)
                 .args(args)
@@ -61,50 +80,17 @@ impl Provenance {
         let dirty = tool_line("git", &["status", "--porcelain", "--untracked-files=no"]);
         let suffix = if dirty.is_empty() || dirty == "unknown" { "" } else { "+dirty" };
         Self {
-            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
             commit: tool_line("git", &["rev-parse", "HEAD"]) + suffix,
             rustc: tool_line("rustc", &["-V"]),
             profile: if cfg!(debug_assertions) { "debug" } else { "release" },
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
-    }
-}
-
-impl Record {
-    /// A timing-only record (no solve attached).
-    pub fn timing(instance: impl Into<String>, wall_ms: f64) -> Self {
-        Self {
-            instance: instance.into(),
-            wall_ms,
-            nodes: 0,
-            objective: f64::NAN,
-            extras: Vec::new(),
-            tags: Vec::new(),
-        }
-    }
-
-    /// Append a named extra measurement (builder-style).
-    #[must_use]
-    pub fn with_extra(mut self, key: impl Into<String>, value: f64) -> Self {
-        self.extras.push((key.into(), value));
-        self
-    }
-
-    /// Stamp the record with where it was measured (builder-style).
-    #[must_use]
-    pub fn stamped(mut self, p: &Provenance) -> Self {
-        self.extras.push(("nproc".to_string(), p.nproc as f64));
-        for (key, value) in
-            [("commit", &p.commit[..]), ("rustc", &p.rustc[..]), ("profile", p.profile)]
-        {
-            self.tags.push((key.to_string(), value.to_string()));
-        }
-        self
     }
 }
 
 /// `results/` at the workspace root (created on demand). Benches run with
 /// the package dir as cwd, so the path is anchored at compile time instead.
-pub fn results_dir() -> io::Result<PathBuf> {
+fn results_dir() -> io::Result<PathBuf> {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let root = manifest
         .parent()
@@ -115,102 +101,47 @@ pub fn results_dir() -> io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Serialise `records` as a JSON array and write it to
-/// `results/<file_name>` atomically enough for CI (write + rename is
-/// overkill for a report artefact; a plain write suffices).
-pub fn write_json(file_name: &str, records: &[Record]) -> io::Result<PathBuf> {
+/// Stamp `records` with this host's provenance, serialise them as a JSON
+/// array and write it to `results/<file_name>`, reporting the path on
+/// stderr. Each bench owns its file and rewrites it whole.
+pub fn write_json(file_name: &str, records: &[Record]) -> io::Result<()> {
     let path = results_dir()?.join(file_name);
-    fs::write(&path, render_json(records))?;
-    Ok(path)
+    fs::write(&path, render_json(records, &Provenance::here()))?;
+    eprintln!("wrote {} ({} records)", path.display(), records.len());
+    Ok(())
 }
 
-/// Merge `records` into `results/<file_name>`: records already in the file
-/// whose instance starts with `prefix` are replaced by this run; records
-/// from other benches (different prefix) are kept verbatim. This lets
-/// several bench binaries share one `BENCH_*.json` — each owns its own
-/// instance namespace and reruns idempotently.
-///
-/// The file is rewritten from its own one-record-per-line layout, so only
-/// files produced by [`write_json`]/[`merge_json`] round-trip; a
-/// hand-edited file with records spanning lines loses the foreign records.
-pub fn merge_json(file_name: &str, prefix: &str, records: &[Record]) -> io::Result<PathBuf> {
-    let path = results_dir()?.join(file_name);
-    let existing = fs::read_to_string(&path).unwrap_or_default();
-    fs::write(&path, merge_rendered(&existing, prefix, records))?;
-    Ok(path)
-}
-
-/// The pure half of [`merge_json`]: line-filter `existing`, dropping this
-/// run's `prefix` namespace, and append the fresh records.
-fn merge_rendered(existing: &str, prefix: &str, records: &[Record]) -> String {
-    let mut kept: Vec<&str> = Vec::new();
-    for line in existing.lines() {
-        let body = line.trim().trim_end_matches(',');
-        if !body.starts_with('{') {
-            continue;
-        }
-        // instance labels never contain quotes (bench code picks them),
-        // so a plain split is enough to read the label back
-        let instance =
-            body.strip_prefix("{\"instance\":\"").and_then(|rest| rest.split('"').next());
-        match instance {
-            Some(name) if name.starts_with(prefix) => {} // superseded
-            Some(_) => kept.push(body),
-            None => {}
-        }
-    }
-    let mut out = String::from("[\n");
-    let mut first = true;
-    for line in &kept {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("  ");
-        out.push_str(line);
-    }
-    for r in records {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("  ");
-        render_record(&mut out, r);
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-fn render_json(records: &[Record]) -> String {
+fn render_json(records: &[Record], stamp: &Provenance) -> String {
     let mut out = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
         out.push_str("  ");
-        render_record(&mut out, r);
+        render_record(&mut out, r, stamp);
     }
     out.push_str("\n]\n");
     out
 }
 
-fn render_record(out: &mut String, r: &Record) {
+fn render_record(out: &mut String, r: &Record, stamp: &Provenance) {
     out.push_str("{\"instance\":");
     push_json_str(out, &r.instance);
     let _ = write!(out, ",\"wall_ms\":");
     push_json_f64(out, r.wall_ms);
     let _ = write!(out, ",\"nodes\":{},\"objective\":", r.nodes);
     push_json_f64(out, r.objective);
-    for (key, value) in &r.extras {
-        out.push(',');
-        push_json_str(out, key);
-        out.push(':');
-        push_json_f64(out, *value);
+    for (key, value) in &r.counts {
+        let _ = write!(out, ",\"{key}\":{value}");
     }
-    for (key, value) in &r.tags {
-        out.push(',');
-        push_json_str(out, key);
-        out.push(':');
+    let nproc = stamp.nproc.to_string();
+    for (key, value) in [
+        ("commit", &stamp.commit[..]),
+        ("rustc", &stamp.rustc[..]),
+        ("profile", stamp.profile),
+        ("nproc", &nproc[..]),
+    ] {
+        let _ = write!(out, ",\"{key}\":");
         push_json_str(out, value);
     }
     out.push('}');
@@ -218,16 +149,7 @@ fn render_record(out: &mut String, r: &Record) {
 
 fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(out, s);
     out.push('"');
 }
 
@@ -248,21 +170,20 @@ fn push_json_f64(out: &mut String, v: f64) {
 mod tests {
     use super::*;
 
-    fn rec(instance: &str, wall_ms: f64, nodes: u64, objective: f64) -> Record {
-        Record {
-            instance: instance.into(),
-            wall_ms,
-            nodes,
-            objective,
-            extras: Vec::new(),
-            tags: Vec::new(),
+    fn stamp() -> Provenance {
+        Provenance {
+            commit: "abc123".to_string(),
+            rustc: "rustc 1.95.0".to_string(),
+            profile: "release",
+            nproc: 2,
         }
     }
 
     #[test]
     fn records_render_as_valid_flat_json() {
-        let records = [rec("a/1", 12.5, 37, 3.75), Record::timing("b \"q\"", 0.25)];
-        let json = render_json(&records);
+        let records =
+            [Record::new("a/1", 12.5, 37, 3.75), Record::new("b \"q\"", 0.25, 0, f64::NAN)];
+        let json = render_json(&records, &stamp());
         assert!(json.starts_with("[\n"), "{json}");
         assert!(json.contains("\"instance\":\"a/1\",\"wall_ms\":12.5,\"nodes\":37"), "{json}");
         assert!(json.contains("\"objective\":null"), "{json}");
@@ -271,53 +192,39 @@ mod tests {
 
     #[test]
     fn integral_floats_keep_a_decimal_point() {
-        let json = render_json(&[rec("x", 3.0, 0, 2.0)]);
+        let json = render_json(&[Record::new("x", 3.0, 0, 2.0)], &stamp());
         assert!(json.contains("\"wall_ms\":3.0"), "{json}");
         assert!(json.contains("\"objective\":2.0"), "{json}");
     }
 
     #[test]
     fn extras_append_as_named_fields() {
-        let json = render_json(&[Record::timing("a/1", 1.5)
-            .with_extra("nodes_per_sec", 1234.5)
-            .with_extra("warm_hit_rate", 0.875)]);
-        assert!(json.contains("\"nodes_per_sec\":1234.5"), "{json}");
-        assert!(json.contains("\"warm_hit_rate\":0.875"), "{json}");
+        let json = render_json(
+            &[Record::new("a/1", 1.5, 9, 1.0)
+                .with_count("lp_iters", 1234)
+                .with_count("warm_hits", 7)],
+            &stamp(),
+        );
+        assert!(json.contains("\"objective\":1.0,\"lp_iters\":1234,\"warm_hits\":7,"), "{json}");
     }
 
     #[test]
-    fn provenance_stamp_appends_text_fields() {
-        let p = Provenance {
-            nproc: 2,
-            commit: "abc123".to_string(),
-            rustc: "rustc 1.95.0".to_string(),
-            profile: "release",
-        };
-        let json = render_json(&[Record::timing("a/1", 1.5).stamped(&p)]);
-        assert!(json.contains("\"nproc\":2.0"), "{json}");
-        assert!(json.contains("\"commit\":\"abc123\""), "{json}");
-        assert!(json.contains("\"rustc\":\"rustc 1.95.0\",\"profile\":\"release\"}"), "{json}");
-    }
-
-    #[test]
-    fn merge_replaces_own_prefix_and_keeps_foreign_records() {
-        let existing = render_json(&[
-            rec("alpha/1", 1.0, 0, f64::NAN),
-            rec("beta/1", 2.0, 5, 9.0),
-            rec("alpha/2", 3.0, 0, f64::NAN),
-        ]);
-        let merged = merge_rendered(&existing, "alpha/", &[rec("alpha/3", 7.0, 1, 4.0)]);
-        assert!(!merged.contains("alpha/1"), "{merged}");
-        assert!(!merged.contains("alpha/2"), "{merged}");
-        assert!(merged.contains("beta/1"), "{merged}");
-        assert!(merged.contains("alpha/3"), "{merged}");
-        // the merged file still parses as a flat JSON array shape
-        assert!(merged.starts_with("[\n") && merged.ends_with("]\n"), "{merged}");
-    }
-
-    #[test]
-    fn merge_into_empty_is_write() {
-        let merged = merge_rendered("", "x/", &[rec("x/1", 1.0, 0, f64::NAN)]);
-        assert_eq!(merged, render_json(&[rec("x/1", 1.0, 0, f64::NAN)]));
+    fn every_written_row_carries_provenance() {
+        let records = [
+            Record::new("a/1", 1.5, 3, 2.5).with_count("lp_iters", 40),
+            Record::new("a/2", 0.5, 0, f64::NAN),
+        ];
+        let json = render_json(&records, &stamp());
+        let rows: Vec<&str> = json.lines().filter(|l| l.trim_start().starts_with('{')).collect();
+        assert_eq!(rows.len(), records.len(), "{json}");
+        for row in rows {
+            assert!(
+                row.trim_end_matches(',').ends_with(
+                    ",\"commit\":\"abc123\",\"rustc\":\"rustc 1.95.0\",\"profile\":\"release\",\
+                     \"nproc\":\"2\"}"
+                ),
+                "{row}"
+            );
+        }
     }
 }

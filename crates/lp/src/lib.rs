@@ -39,14 +39,12 @@ pub mod engine;
 pub mod lu;
 pub mod matrix;
 pub mod model;
-pub mod presolve;
 pub mod scaling;
 pub mod simplex;
 pub mod solution;
 
 pub use dual::{solve_warm, solve_warm_traced, WarmResult};
 pub use model::{Cmp, Model, Sense, StandardLp, VarId};
-pub use presolve::{presolve, InfeasibleRow, PresolveOutcome, Presolved};
 pub use simplex::{Basis, VarStatus};
 pub use solution::{Solution, Status};
 
@@ -57,6 +55,5 @@ pub const OPT_TOL: f64 = 1e-9;
 /// Pivot magnitude below which a candidate pivot is rejected as unstable.
 pub const PIVOT_TOL: f64 = 1e-10;
 /// Tolerance for comparing variable bounds (crossing detection and
-/// tightening). Shared by [`presolve`] and the `rrp-audit` static analysis
-/// pass so the two agree on what counts as proven infeasibility.
+/// tightening) in the `rrp-audit` static analysis pass.
 pub const BOUND_TOL: f64 = 1e-9;

@@ -10,8 +10,6 @@
 //! - `--deny all` — explicit CI mode (failing on unjustified findings
 //!   and allowlist problems is also the default; the flag documents it)
 //! - `--json <path|->` — write machine-readable findings JSON
-//! - `--bench-out <path>` — append the run's wall time to a
-//!   `results/BENCH_*.json`-format record file for the regression gate
 //!
 //! When `GITHUB_STEP_SUMMARY` is set, a markdown summary (findings per
 //! lint, justified/unjustified split) is appended to it.
@@ -19,7 +17,6 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -27,7 +24,6 @@ use rrp_lint::findings::render_json;
 
 pub fn run(args: &[String]) -> ExitCode {
     let mut json_out: Option<String> = None;
-    let mut bench_out: Option<String> = None;
     let mut deny_all = false;
     let mut i = 0;
     while i < args.len() {
@@ -47,16 +43,6 @@ pub fn run(args: &[String]) -> ExitCode {
                 }
                 None => {
                     eprintln!("analyze: --json needs a path (or `-` for stdout)");
-                    return ExitCode::from(2);
-                }
-            },
-            "--bench-out" => match args.get(i + 1) {
-                Some(p) => {
-                    bench_out = Some(p.clone());
-                    i += 2;
-                }
-                None => {
-                    eprintln!("analyze: --bench-out needs a path");
                     return ExitCode::from(2);
                 }
             },
@@ -125,13 +111,6 @@ pub fn run(args: &[String]) -> ExitCode {
 
     write_step_summary(&per_lint, total, open, &analysis.allow_errors, wall_ms);
 
-    if let Some(path) = &bench_out {
-        if let Err(e) = write_bench_record(Path::new(path), wall_ms, analysis.files, total) {
-            eprintln!("analyze: cannot write bench record {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
     if analysis.is_clean() {
         println!("analyze: clean");
         ExitCode::SUCCESS
@@ -172,24 +151,4 @@ fn write_step_summary(
     if let Ok(mut f) = fs::OpenOptions::new().create(true).append(true).open(&path) {
         let _ = f.write_all(md.as_bytes());
     }
-}
-
-/// One `results/BENCH_*.json`-format timing record, written in the same
-/// flat one-record-per-line shape `xtask benchdiff` parses.
-fn write_bench_record(
-    path: &Path,
-    wall_ms: f64,
-    files: usize,
-    findings: usize,
-) -> std::io::Result<()> {
-    if let Some(parent) = PathBuf::from(path).parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    let body = format!(
-        "[\n  {{\"instance\":\"analyze/full_tree\",\"wall_ms\":{wall_ms:.3},\"nodes\":0,\
-         \"objective\":null,\"files\":{files}.0,\"findings\":{findings}.0}}\n]\n"
-    );
-    fs::write(path, body)
 }

@@ -2,224 +2,149 @@
 //! bench regression gate.
 //!
 //! Both files are `results/BENCH_*.json` arrays (see `rrp-bench`'s
-//! `results` module). Every instance present in the baseline must exist in
-//! the current run (losing coverage fails) and must not be slower than
-//! `baseline * (1 + tol)` (default tolerance 10%, `--tol 0.10`). Instances
-//! only in the current run are reported but never fail — new benches are
-//! welcome. Sub-millisecond baselines are compared with a 0.5 ms absolute
-//! floor on the allowance: at that scale scheduler noise dwarfs any real
-//! regression a ratio would catch.
+//! `results` module). Every instance in the baseline must be present in the
+//! current run (losing coverage fails), and every numeric field of its
+//! record other than `wall_ms` must equal the baseline's: integers exactly,
+//! floats to [`REL_TOL`] relative. Those fields are counts and objectives
+//! the program makes — nodes, LP iterations, cache hits — which repeat to
+//! the last digit on any host, so a moved field is a finding: a change that
+//! means to move one regenerates the baseline and says why.
 //!
-//! The single-file mode `benchdiff <results.json> --assert-ratio A:B
-//! [--max-ratio <r>]` gates one instance against another from the *same*
-//! run — e.g. the profiler-overhead gate asserts
-//! `engine_throughput/cold_prof97/4` ≤ 1.02 × `…/cold_64req/4`. Comparing
-//! within one run keeps the machine, load and build identical, so the
-//! ratio isolates exactly the configuration delta.
+//! Text fields (the provenance stamp) are ignored. `wall_ms` is printed
+//! side by side for the reader and never gated: on a shared host it drifts
+//! by more than most real changes move it. Instances only in the current
+//! run are reported as new and never fail.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::process::ExitCode;
 
 use serde_json::Value;
 
-/// Absolute slack added to the allowance for tiny baselines (ms).
-const NOISE_FLOOR_MS: f64 = 0.5;
+/// Relative tolerance on non-integral fields (objectives).
+const REL_TOL: f64 = 1e-9;
+
+/// One parsed record: its instance label and every other field.
+type Record = (String, BTreeMap<String, Value>);
 
 pub fn run(args: &[String]) -> ExitCode {
-    let mut files = Vec::new();
-    let mut tol = 0.10;
-    let mut ratio_pair: Option<(String, String)> = None;
-    let mut max_ratio = 1.02;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--tol" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) if t >= 0.0 => tol = t,
-                _ => return usage("--tol needs a non-negative fraction (e.g. 0.10)"),
-            },
-            "--assert-ratio" => match it.next().and_then(|v| v.split_once(':')) {
-                Some((a, b)) if !a.is_empty() && !b.is_empty() => {
-                    ratio_pair = Some((a.to_string(), b.to_string()));
-                }
-                _ => return usage("--assert-ratio needs <instance>:<baseline-instance>"),
-            },
-            "--max-ratio" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r > 0.0 => max_ratio = r,
-                _ => return usage("--max-ratio needs a positive factor (e.g. 1.02)"),
-            },
-            flag if flag.starts_with('-') => return usage(&format!("unknown flag {flag}")),
-            file => files.push(file.to_string()),
-        }
-    }
-
-    if let Some((inst, base)) = ratio_pair {
-        let [path] = files.as_slice() else {
-            return usage("--assert-ratio takes exactly one results file");
-        };
-        let records = match load(path) {
-            Ok(r) => r,
+    let [baseline_path, current_path] = args else {
+        eprintln!("benchdiff: need exactly two files");
+        eprintln!("usage: cargo run -p xtask -- benchdiff <baseline.json> <current.json>");
+        return ExitCode::from(2);
+    };
+    let mut loaded = Vec::with_capacity(2);
+    for path in [baseline_path, current_path] {
+        match fs::read_to_string(path).map_err(|e| e.to_string()).and_then(|s| parse_records(&s)) {
+            Ok(records) => loaded.push(records),
             Err(e) => {
                 eprintln!("benchdiff: {path}: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        return match assert_ratio(&records, &inst, &base, max_ratio) {
-            Ok(report) => {
-                print!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("benchdiff: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        }
     }
-
-    let [baseline_path, current_path] = files.as_slice() else {
-        return usage("need exactly two files: <baseline.json> <current.json>");
-    };
-
-    let baseline = match load(baseline_path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("benchdiff: {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let current = match load(current_path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("benchdiff: {current_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let (report, failures) = diff(&baseline, &current, tol);
+    let (report, failures) = diff(&loaded[0], &loaded[1]);
     print!("{report}");
     if failures == 0 {
         ExitCode::SUCCESS
     } else {
-        eprintln!("benchdiff: {failures} regression(s) beyond {:.0}%", tol * 100.0);
+        eprintln!("benchdiff: {failures} instance(s) moved or missing");
         ExitCode::FAILURE
     }
 }
 
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("benchdiff: {msg}");
-    eprintln!(
-        "usage: cargo run -p xtask -- benchdiff <baseline.json> <current.json> [--tol <frac>]\n       cargo run -p xtask -- benchdiff <results.json> --assert-ratio <inst>:<base> [--max-ratio <r>]"
-    );
-    ExitCode::from(2)
-}
-
-/// Single-file ratio gate: `inst` must run within `max_ratio` of `base`
-/// (same file, same machine, same build). Sub-noise-floor baselines pass
-/// unconditionally — a ratio of two noise measurements gates nothing —
-/// and the gate grants the same absolute [`NOISE_FLOOR_MS`] allowance as
-/// the two-file diff: a pair whose difference from the allowed bound is
-/// under the floor is timer jitter, not a regression.
-fn assert_ratio(
-    records: &[(String, f64)],
-    inst: &str,
-    base: &str,
-    max_ratio: f64,
-) -> Result<String, String> {
-    let find = |name: &str| {
-        records
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, ms)| *ms)
-            .ok_or_else(|| format!("instance `{name}` not in the results file"))
-    };
-    let inst_ms = find(inst)?;
-    let base_ms = find(base)?;
-    if base_ms <= NOISE_FLOOR_MS {
-        return Ok(format!(
-            "{inst} {inst_ms:.3} ms vs {base} {base_ms:.3} ms — baseline under the \
-             {NOISE_FLOOR_MS} ms noise floor, ratio not meaningful: ok\n"
-        ));
-    }
-    let ratio = inst_ms / base_ms;
-    let report = format!(
-        "{inst} {inst_ms:.3} ms / {base} {base_ms:.3} ms = {ratio:.4} (max {max_ratio:.4})\n"
-    );
-    if ratio > max_ratio && inst_ms - base_ms * max_ratio <= NOISE_FLOOR_MS {
-        return Ok(format!(
-            "{report}over max-ratio by {:.3} ms — within the {NOISE_FLOOR_MS} ms noise floor: ok\n",
-            inst_ms - base_ms * max_ratio
-        ));
-    }
-    if ratio > max_ratio {
-        return Err(format!(
-            "{report}benchdiff: ratio {ratio:.4} exceeds --max-ratio {max_ratio:.4} \
-             ({:+.2}% overhead allowed, got {:+.2}%)",
-            (max_ratio - 1.0) * 100.0,
-            (ratio - 1.0) * 100.0
-        ));
-    }
-    Ok(format!("{report}ok\n"))
-}
-
-fn load(path: &str) -> Result<Vec<(String, f64)>, String> {
-    let src = fs::read_to_string(path).map_err(|e| e.to_string())?;
-    parse_records(&src)
-}
-
-/// Parse a BENCH json array into `(instance, wall_ms)` pairs.
-fn parse_records(src: &str) -> Result<Vec<(String, f64)>, String> {
+/// Parse a BENCH json array into records.
+fn parse_records(src: &str) -> Result<Vec<Record>, String> {
     let v: Value = serde_json::from_str(src).map_err(|e| format!("invalid JSON: {e:?}"))?;
     let Some(arr) = v.as_array() else {
         return Err("expected a JSON array of records".to_string());
     };
     let mut out = Vec::with_capacity(arr.len());
     for (i, rec) in arr.iter().enumerate() {
-        let (Some(instance), Some(wall_ms)) = (
-            rec.get("instance").and_then(Value::as_str),
-            rec.get("wall_ms").and_then(Value::as_f64),
-        ) else {
-            return Err(format!("record {i}: missing instance or wall_ms"));
+        let (Some(instance), Some(fields)) =
+            (rec.get("instance").and_then(Value::as_str), rec.as_object())
+        else {
+            return Err(format!("record {i}: not an object with an instance label"));
         };
-        out.push((instance.to_string(), wall_ms));
+        out.push((instance.to_string(), fields.clone()));
     }
     Ok(out)
 }
 
-/// Render the comparison table and count failures (regressions + coverage
-/// losses).
-fn diff(baseline: &[(String, f64)], current: &[(String, f64)], tol: f64) -> (String, usize) {
+/// Integers must match exactly, anything else to [`REL_TOL`] relative.
+fn same(base: f64, cur: f64) -> bool {
+    if base.fract() == 0.0 && cur.fract() == 0.0 {
+        base == cur
+    } else {
+        (base - cur).abs() <= REL_TOL * base.abs().max(cur.abs())
+    }
+}
+
+/// The gated fields of `base` that `cur` does not reproduce, as
+/// `name base → current` notes.
+fn moved(base: &BTreeMap<String, Value>, cur: &BTreeMap<String, Value>) -> Vec<String> {
+    let mut notes = Vec::new();
+    for (key, b) in base {
+        if key == "wall_ms" || matches!(b, Value::String(_)) {
+            continue;
+        }
+        let c = cur.get(key);
+        let equal = match (b, c) {
+            (Value::Number(b), Some(Value::Number(c))) => same(*b, *c),
+            (b, Some(c)) => b == c,
+            (_, None) => false,
+        };
+        if !equal {
+            let show = |v: Option<&Value>| match v {
+                Some(Value::Number(n)) => n.to_string(),
+                Some(other) => format!("{other:?}"),
+                None => "-".to_string(),
+            };
+            notes.push(format!("{key} {} → {}", show(Some(b)), show(c)));
+        }
+    }
+    notes
+}
+
+/// Render the comparison table and count failures (moved counts +
+/// coverage losses).
+fn diff(baseline: &[Record], current: &[Record]) -> (String, usize) {
+    let wall = |fields: &BTreeMap<String, Value>| {
+        fields
+            .get("wall_ms")
+            .and_then(Value::as_f64)
+            .map_or("-".to_string(), |ms| format!("{ms:.3}"))
+    };
     let mut out = String::new();
     let mut failures = 0;
     let _ = writeln!(
         out,
-        "{:<44} {:>12} {:>12} {:>8}  verdict",
-        "instance", "baseline ms", "current ms", "Δ%"
+        "{:<44} {:>12} {:>12}  verdict (wall_ms shown, not gated)",
+        "instance", "base ms", "current ms"
     );
-    for (instance, base_ms) in baseline {
-        match current.iter().find(|(name, _)| name == instance) {
-            Some((_, cur_ms)) => {
-                let delta = (cur_ms - base_ms) / base_ms * 100.0;
-                let allowance = base_ms * tol + NOISE_FLOOR_MS;
-                let regressed = *cur_ms > base_ms + allowance;
-                if regressed {
+    for (instance, base) in baseline {
+        let verdict = match current.iter().find(|(name, _)| name == instance) {
+            Some((_, cur)) => {
+                let notes = moved(base, cur);
+                let line = format!("{:>12} {:>12}", wall(base), wall(cur));
+                if notes.is_empty() {
+                    format!("{line}  ok")
+                } else {
                     failures += 1;
+                    format!("{line}  MOVED: {}", notes.join(", "))
                 }
-                let _ = writeln!(
-                    out,
-                    "{instance:<44} {base_ms:>12.3} {cur_ms:>12.3} {delta:>+7.1}%  {}",
-                    if regressed { "REGRESSED" } else { "ok" }
-                );
             }
             None => {
                 failures += 1;
-                let _ =
-                    writeln!(out, "{instance:<44} {base_ms:>12.3} {:>12} {:>8}  MISSING", "-", "-");
+                format!("{:>12} {:>12}  MISSING", wall(base), "-")
             }
-        }
+        };
+        let _ = writeln!(out, "{instance:<44} {verdict}");
     }
-    for (instance, cur_ms) in current {
+    for (instance, cur) in current {
         if !baseline.iter().any(|(name, _)| name == instance) {
-            let _ = writeln!(out, "{instance:<44} {:>12} {cur_ms:>12.3} {:>8}  new", "-", "-");
+            let _ = writeln!(out, "{instance:<44} {:>12} {:>12}  new", "-", wall(cur));
         }
     }
     (out, failures)
@@ -229,92 +154,90 @@ fn diff(baseline: &[(String, f64)], current: &[(String, f64)], tol: f64) -> (Str
 mod tests {
     use super::*;
 
-    fn recs(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
-        pairs.iter().map(|(n, v)| (n.to_string(), *v)).collect()
+    const STAMP: &str = r#""commit":"abc","rustc":"rustc 1.95.0","profile":"release","nproc":"2""#;
+
+    /// One record per `(instance, extra fields)` pair, each stamped.
+    fn file(rows: &[(&str, &str)]) -> Vec<Record> {
+        let body: Vec<String> = rows
+            .iter()
+            .map(|(instance, fields)| format!(r#"{{"instance":"{instance}",{fields},{STAMP}}}"#))
+            .collect();
+        parse_records(&format!("[\n{}\n]", body.join(",\n"))).expect("test file parses")
     }
 
-    #[test]
-    fn within_tolerance_passes() {
-        let base = recs(&[("a/1", 100.0), ("a/2", 200.0)]);
-        let cur = recs(&[("a/1", 105.0), ("a/2", 195.0)]);
-        let (report, failures) = diff(&base, &cur, 0.10);
-        assert_eq!(failures, 0, "{report}");
-        assert!(report.contains("ok"), "{report}");
-    }
+    const BASE: &str =
+        r#""wall_ms":152.2,"nodes":5255,"objective":4.641590087641814,"lp_iters":12471"#;
 
     #[test]
-    fn regression_beyond_tolerance_fails() {
-        let base = recs(&[("a/1", 100.0)]);
-        let cur = recs(&[("a/1", 112.0)]);
-        let (report, failures) = diff(&base, &cur, 0.10);
+    fn changed_nodes_fails() {
+        let base = file(&[("m/warm", BASE)]);
+        let cur = file(&[("m/warm", &BASE.replace("5255", "5256"))]);
+        let (report, failures) = diff(&base, &cur);
         assert_eq!(failures, 1, "{report}");
-        assert!(report.contains("REGRESSED"), "{report}");
+        assert!(report.contains("MOVED: nodes 5255 → 5256"), "{report}");
+    }
+
+    #[test]
+    fn objective_off_by_more_than_the_relative_tolerance_fails() {
+        let base = file(&[("m/warm", BASE)]);
+        // one part in 10¹⁵ is float noise; one part in 10⁷ is a different answer
+        let close = file(&[("m/warm", &BASE.replace("4.641590087641814", "4.641590087641818"))]);
+        assert_eq!(diff(&base, &close).1, 0);
+        let far = file(&[("m/warm", &BASE.replace("4.641590087641814", "4.641590551800823"))]);
+        let (report, failures) = diff(&base, &far);
+        assert_eq!(failures, 1, "{report}");
+        assert!(report.contains("MOVED: objective"), "{report}");
+    }
+
+    #[test]
+    fn wall_ms_only_change_passes() {
+        let base = file(&[("m/warm", BASE)]);
+        let cur = file(&[("m/warm", &BASE.replace("152.2", "411.9"))]);
+        let (report, failures) = diff(&base, &cur);
+        assert_eq!(failures, 0, "{report}");
+        assert!(report.contains("152.200      411.900  ok"), "{report}");
     }
 
     #[test]
     fn missing_instance_fails_new_instance_does_not() {
-        let base = recs(&[("a/1", 100.0)]);
-        let cur = recs(&[("b/1", 50.0)]);
-        let (report, failures) = diff(&base, &cur, 0.10);
+        let base = file(&[("a/1", BASE)]);
+        let cur = file(&[("b/1", BASE)]);
+        let (report, failures) = diff(&base, &cur);
         assert_eq!(failures, 1, "{report}");
         assert!(report.contains("MISSING"), "{report}");
         assert!(report.contains("new"), "{report}");
     }
 
     #[test]
-    fn sub_millisecond_baselines_get_the_noise_floor() {
-        // 0.5 ms baseline doubling to 0.9 ms is noise, not a regression
-        let base = recs(&[("warm", 0.5)]);
-        let cur = recs(&[("warm", 0.9)]);
-        let (report, failures) = diff(&base, &cur, 0.10);
+    fn missing_count_field_fails() {
+        let base = file(&[("m/warm", BASE)]);
+        let cur =
+            file(&[("m/warm", r#""wall_ms":152.2,"nodes":5255,"objective":4.641590087641814"#)]);
+        let (report, failures) = diff(&base, &cur);
+        assert_eq!(failures, 1, "{report}");
+        assert!(report.contains("lp_iters 12471 → -"), "{report}");
+    }
+
+    #[test]
+    fn provenance_text_differences_pass() {
+        let base = file(&[("m/warm", BASE)]);
+        let restamped = format!(
+            r#"[{{"instance":"m/warm",{BASE},"commit":"def+dirty","rustc":"rustc 1.99.0","profile":"debug","nproc":"1"}}]"#
+        );
+        let cur = parse_records(&restamped).expect("parses");
+        let (report, failures) = diff(&base, &cur);
         assert_eq!(failures, 0, "{report}");
-    }
-
-    #[test]
-    fn ratio_gate_passes_under_and_fails_over() {
-        let recs = recs(&[("e/cold_prof97/4", 345.0), ("e/cold_64req/4", 342.0)]);
-        let ok = assert_ratio(&recs, "e/cold_prof97/4", "e/cold_64req/4", 1.02).unwrap();
-        assert!(ok.contains("ok"), "{ok}");
-        let err = assert_ratio(&recs, "e/cold_prof97/4", "e/cold_64req/4", 1.005).unwrap_err();
-        assert!(err.contains("exceeds --max-ratio"), "{err}");
-    }
-
-    #[test]
-    fn ratio_gate_grants_the_absolute_noise_allowance() {
-        // a parity gate (max 1.0) with the pair 0.3 ms apart: timer jitter,
-        // not a regression — same allowance the two-file diff grants
-        let near = recs(&[("replan/batched", 100.3), ("replan/unbatched", 100.0)]);
-        let ok = assert_ratio(&near, "replan/batched", "replan/unbatched", 1.0).unwrap();
-        assert!(ok.contains("noise floor"), "{ok}");
-        // 1.3 ms over the allowed bound is past the floor: still an error
-        let far = recs(&[("replan/batched", 101.3), ("replan/unbatched", 100.0)]);
-        let err = assert_ratio(&far, "replan/batched", "replan/unbatched", 1.0).unwrap_err();
-        assert!(err.contains("exceeds --max-ratio"), "{err}");
-    }
-
-    #[test]
-    fn ratio_gate_reports_missing_instances() {
-        let recs = recs(&[("a", 10.0)]);
-        let err = assert_ratio(&recs, "a", "b", 1.02).unwrap_err();
-        assert!(err.contains("`b` not in the results file"), "{err}");
-    }
-
-    #[test]
-    fn ratio_gate_skips_noise_floor_baselines() {
-        // two sub-noise measurements: a 3× "overhead" of nothing passes
-        let recs = recs(&[("warm_prof", 0.9), ("warm", 0.3)]);
-        let ok = assert_ratio(&recs, "warm_prof", "warm", 1.02).unwrap();
-        assert!(ok.contains("noise floor"), "{ok}");
     }
 
     #[test]
     fn records_parse_from_bench_json() {
         let src = r#"[
-  {"instance":"engine_throughput/cold_64req/4","wall_ms":322.7,"nodes":0,"objective":null}
+  {"instance":"engine_throughput/cold_64req/4","wall_ms":322.7,"nodes":16,"objective":null}
 ]"#;
         let recs = parse_records(src).expect("parses");
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].0, "engine_throughput/cold_64req/4");
-        assert!((recs[0].1 - 322.7).abs() < 1e-9);
+        assert_eq!(recs[0].1.get("nodes").and_then(Value::as_u64), Some(16));
+        assert!(recs[0].1.get("objective").is_some_and(Value::is_null));
     }
 }

@@ -2,34 +2,8 @@
 //! (`benchmark_group`, `bench_with_input`, `criterion_group!`/`criterion_main!`)
 //! backed by a simple wall-clock sampler that prints mean/min per iteration.
 //! No statistics, plots, or warm-up sweeps — just enough to compare variants.
-//!
-//! Beyond the real criterion API, every finished benchmark also lands in a
-//! process-wide results registry ([`take_results`]) so a bench `main` can
-//! persist machine-readable timings (`results/BENCH_*.json`) after
-//! `criterion_main!` has run the groups.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// One finished benchmark's timing summary, as recorded by the registry.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Full label, `group/function[/param]`.
-    pub label: String,
-    pub mean_ns: u64,
-    pub min_ns: u64,
-    pub samples: usize,
-}
-
-static REGISTRY: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
-
-/// Drain every benchmark record accumulated so far, in run order.
-pub fn take_results() -> Vec<BenchRecord> {
-    match REGISTRY.lock() {
-        Ok(mut guard) => std::mem::take(&mut *guard),
-        Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
-    }
-}
 
 pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
@@ -137,15 +111,6 @@ fn run_bench<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) {
         fmt_duration(min),
         b.samples.len()
     );
-    let record = BenchRecord {
-        label: label.to_string(),
-        mean_ns: mean.as_nanos() as u64,
-        min_ns: min.as_nanos() as u64,
-        samples: b.samples.len(),
-    };
-    if let Ok(mut guard) = REGISTRY.lock() {
-        guard.push(record);
-    }
 }
 
 fn fmt_duration(d: Duration) -> String {
@@ -197,24 +162,6 @@ mod tests {
         group.finish();
         // 1 warm-up + 3 samples
         assert_eq!(calls, 4);
-    }
-
-    #[test]
-    fn registry_records_finished_benches() {
-        let mut c = Criterion::default();
-        let mut group = c.benchmark_group("registry");
-        group.sample_size(2);
-        group.bench_function("probe", |b| b.iter(|| black_box(2 + 2)));
-        group.finish();
-        // the registry is process-wide, so records from sibling tests may
-        // drain alongside ours — assert only on this test's label
-        let records = take_results();
-        let r = records
-            .iter()
-            .find(|r| r.label == "registry/probe")
-            .expect("own record present after draining");
-        assert_eq!(r.samples, 2);
-        assert!(r.min_ns <= r.mean_ns);
     }
 
     #[test]

@@ -12,32 +12,6 @@ use rrp_milp::{MilpOptions, MilpProblem};
 use rrp_spotmarket::{CostRates, EmpiricalDist};
 
 #[test]
-fn lp_presolve_roundtrip_on_planning_models() {
-    // DRRP relaxations run through presolve must keep their optimum.
-    let rates = CostRates::ec2_2011();
-    let demand = DemandModel::paper_default().sample(12, 5);
-    let schedule = CostSchedule::ec2(vec![0.2; 12], demand, &rates);
-    let p = DrrpProblem::new(schedule, PlanningParams::default());
-    let (milp, _) = p.to_milp();
-    let direct = milp.model.solve().unwrap();
-    match rrp_lp::presolve(&milp.model) {
-        rrp_lp::PresolveOutcome::Reduced(pr) => {
-            let via = pr.solve().unwrap();
-            assert!(
-                (via.objective - direct.objective).abs() < 1e-6,
-                "presolve changed the relaxation: {} vs {}",
-                via.objective,
-                direct.objective
-            );
-            assert_eq!(via.values.len(), direct.values.len());
-        }
-        rrp_lp::PresolveOutcome::Infeasible(proof) => {
-            panic!("feasible model declared infeasible: {proof}")
-        }
-    }
-}
-
-#[test]
 fn week_long_drrp_solves_and_verifies() {
     let rates = CostRates::ec2_2011();
     let demand = DemandModel::paper_default().sample(168, 11);
@@ -122,20 +96,14 @@ fn srrp_initial_inventory_covers_everything() {
 }
 
 #[test]
-fn infeasible_lp_from_contradictory_rows_detected_after_presolve() {
+fn infeasible_lp_from_contradictory_rows_detected() {
     let mut m = Model::new(Sense::Minimize);
     let x = m.add_var(0.0, 10.0, 1.0, "x");
     let y = m.add_var(0.0, 10.0, 1.0, "y");
     m.add_con(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 15.0);
     m.add_con(&[(x, 1.0), (y, 1.0)], Cmp::Le, 5.0);
-    // presolve alone cannot see it (two-term rows); the simplex must
+    // no single row or bound is contradictory: only the simplex can see it
     assert_eq!(m.solve().unwrap_err(), Status::Infeasible);
-    match rrp_lp::presolve(&m) {
-        rrp_lp::PresolveOutcome::Reduced(p) => {
-            assert_eq!(p.solve().unwrap_err(), Status::Infeasible);
-        }
-        rrp_lp::PresolveOutcome::Infeasible(_) => {} // even better
-    }
 }
 
 #[test]
