@@ -5,9 +5,12 @@
 //! Besides the stderr report, the run persists search counts — warm
 //! dual-simplex B&B vs a cold (`warm_start: false`) baseline on a
 //! capacitated DRRP instance and on a correlated binary knapsack: nodes,
-//! objective, LP solves, simplex iterations and warm hits — into
+//! objective, LP solves, simplex iterations, warm hits, heuristic
+//! re-solves, dense retries and heap allocations — into
 //! `results/BENCH_milp.json` for `xtask benchdiff`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -17,6 +20,57 @@ use rrp_core::{wagner_whitin, CostSchedule, DrrpProblem, PlanningParams};
 use rrp_lp::{Cmp, Model, Sense};
 use rrp_milp::{MilpOptions, MilpProblem};
 use rrp_spotmarket::CostRates;
+
+/// The system allocator, counting the allocations (`alloc`, `alloc_zeroed`
+/// and `realloc` calls) each thread makes, so a record can gate the heap
+/// traffic of one single-threaded solve.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: a thread's last frees run after its locals are gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: the caller's guarantees for `layout` are passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 fn instance(horizon: usize) -> CostSchedule {
     let demand = DemandModel::paper_default().sample(horizon, horizon as u64);
@@ -73,13 +127,20 @@ fn bench_lotsizing(c: &mut Criterion) {
 /// Solve once and turn the search statistics into a BENCH record: the
 /// wall clock for the reader, and the counts the gate checks.
 fn measure(label: &str, milp: &MilpProblem, opts: &MilpOptions) -> Record {
+    let allocs_before = allocs();
     let t0 = Instant::now();
     let sol = milp.solve(opts).expect("bench instance is feasible");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let allocs = allocs() - allocs_before;
+    let stats = sol.lp_stats;
     Record::new(label, wall_ms, sol.nodes as u64, sol.objective)
-        .with_count("lp_solves", sol.lp_stats.solves)
-        .with_count("lp_iters", sol.lp_stats.iterations)
-        .with_count("warm_hits", sol.lp_stats.warm_hits)
+        .with_count("lp_solves", stats.solves)
+        .with_count("lp_iters", stats.iterations)
+        .with_count("warm_hits", stats.warm_hits)
+        .with_count("heuristic_solves", stats.heuristic_solves)
+        .with_count("heuristic_iters", stats.heuristic_iters)
+        .with_count("dense_retries", stats.dense_retries)
+        .with_count("allocs", allocs)
 }
 
 /// One instance solved warm (`opts`) and cold (`opts` with `warm_start`

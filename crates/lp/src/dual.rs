@@ -17,6 +17,16 @@
 //! is nonzero, and the ratio test and reduced-cost update visit only the
 //! columns that row reaches.
 //!
+//! A solve runs in a [`Workspace`]: the basis, the values, the pivot-row
+//! scratch and the LU buffers it keeps between solves, so a branch & bound
+//! search that owns one re-solves its nodes from their parents' bases
+//! without allocating. A solve refactorises at its start, every 64 pivots,
+//! on a rejected update and nowhere else: before a feasibility or
+//! optimality verdict is trusted it recomputes `x_B` and the reduced costs
+//! from the current factors, and refactorises only if the recomputed basic
+//! values drifted more than [`FEAS_TOL`] from the incrementally updated
+//! ones. [`solve_warm`] is one solve in a fresh workspace.
+//!
 //! The dual path is an optimisation, never a correctness dependency: any
 //! structural mismatch, singular refactorisation, dual-infeasible start,
 //! stall, or "no eligible entering column" outcome abandons the attempt and
@@ -90,30 +100,150 @@ pub fn solve_warm(lp: &StandardLp, hint: Option<&Basis>) -> WarmResult {
 /// [`solve_warm`] with telemetry: the finishing `lp_solved` event carries
 /// `warm: true` when the dual path succeeded. Abandoned warm attempts emit
 /// nothing — exactly one `lp_solved` is recorded per logical solve.
+///
+/// One [`Workspace::solve`] in a fresh workspace, plus the duals, reduced
+/// costs and basis snapshot a caller of this function may read.
 pub fn solve_warm_traced(
     lp: &StandardLp,
     hint: Option<&Basis>,
     trace: &TraceHandle,
     span: SpanId,
 ) -> WarmResult {
-    let warm = hint.is_some();
-    let slack = if warm { None } else { dual_feasible_slack_basis(lp) };
-    let mut cold_dual_abandoned = false;
-    if let Some(start) = hint.or(slack.as_ref()) {
-        if let Some(mut dual) = DualSimplex::from_hint(lp, start) {
-            dual.warm = warm;
-            dual.trace = trace.clone();
-            dual.span = span;
-            match dual.run() {
-                Ok((raw, basis)) => {
-                    return WarmResult { raw, basis, warm, cold_dual_abandoned: false }
+    let mut ws = Workspace::default();
+    let solved = ws.solve(lp, hint, trace, span);
+    let (warm, cold_dual_abandoned) = (solved.warm, solved.cold_dual_abandoned);
+    if let Some((raw, basis)) = ws.fallback.take() {
+        return WarmResult { raw, basis, warm, cold_dual_abandoned };
+    }
+    let basis = ws.basis();
+    let (y, d) = ws.duals(lp);
+    let raw = RawResult {
+        status: solved.status,
+        x: std::mem::take(&mut ws.x),
+        y,
+        d,
+        iterations: solved.iterations,
+    };
+    WarmResult { raw, basis, warm, cold_dual_abandoned }
+}
+
+/// How a [`Workspace::solve`] ended. The point itself stays in the
+/// workspace ([`Workspace::x`]); `warm` and `cold_dual_abandoned` mean what
+/// they mean on [`WarmResult`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Solved {
+    pub status: Status,
+    pub iterations: usize,
+    pub warm: bool,
+    pub cold_dual_abandoned: bool,
+}
+
+/// Everything one dual-simplex solve works in, kept between solves: the
+/// basis and column statuses, the primal values and reduced costs, the
+/// pivot-row scratch, and a [`SparseEngine`] whose LU refactorises into its
+/// previous buffers. A branch & bound search owns one and re-solves every
+/// node in it, so a node solve allocates nothing once the buffers have grown
+/// to the LP's shape. Each solve resets what it reads, so the result of a
+/// solve does not depend on what the workspace solved before: it equals
+/// [`solve_warm`] (a fresh workspace) bit for bit.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    engine: SparseEngine,
+    basis: Vec<usize>,
+    vstat: Vec<VStat>,
+    /// Value per column (basic values maintained incrementally).
+    x: Vec<f64>,
+    /// Reduced cost per column (0 for basic columns), maintained
+    /// incrementally and recomputed whenever the state is confirmed.
+    d: Vec<f64>,
+    /// Row `r` of `B⁻¹A` restricted to nonbasic columns: nonzero only on
+    /// `touched`.
+    alpha: Vec<f64>,
+    /// Columns the current pivot row reaches, ascending — the ratio test
+    /// and the reduced-cost update visit these and no others.
+    touched: Vec<usize>,
+    in_touched: Vec<bool>,
+    /// `B⁻ᵀe_r` of the current pivot; also the right-hand-side scratch of a
+    /// recompute.
+    rho: Vec<f64>,
+    /// `B⁻¹a_q` of the current pivot; also the dual scratch of a recompute.
+    w: Vec<f64>,
+    /// The two-phase primal's result and basis when the last solve fell
+    /// back to it; `None` when the dual path finished it.
+    fallback: Option<(RawResult, Option<Basis>)>,
+}
+
+impl Workspace {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Solve `lp` as [`solve_warm_traced`] does, leaving the point, the
+    /// basis and the factors in the workspace. The dual path computes no
+    /// duals and snapshots no basis; ask [`Workspace::duals`] and
+    /// [`Workspace::basis`] for them before the next solve.
+    pub fn solve(
+        &mut self,
+        lp: &StandardLp,
+        hint: Option<&Basis>,
+        trace: &TraceHandle,
+        span: SpanId,
+    ) -> Solved {
+        self.fallback = None;
+        let warm = hint.is_some();
+        let slack = if warm { None } else { dual_feasible_slack_basis(lp) };
+        let mut cold_dual_abandoned = false;
+        if let Some(start) = hint.or(slack.as_ref()) {
+            if let Some(mut dual) = DualSimplex::from_hint(lp, self, start, warm, trace, span) {
+                if dual.run().is_ok() {
+                    let iterations = dual.iterations;
+                    let status = Status::Optimal;
+                    return Solved { status, iterations, warm, cold_dual_abandoned: false };
                 }
-                Err(_fail) => cold_dual_abandoned = !warm, // fall through to the primal
+                cold_dual_abandoned = !warm; // fall through to the primal
             }
         }
+        let (raw, basis) = simplex::solve_sparse_snapshot(lp, trace, span);
+        let solved = Solved {
+            status: raw.status,
+            iterations: raw.iterations,
+            warm: false,
+            cold_dual_abandoned,
+        };
+        self.fallback = Some((raw, basis));
+        solved
     }
-    let (raw, basis) = simplex::solve_sparse_snapshot(lp, trace, span);
-    WarmResult { raw, basis, warm: false, cold_dual_abandoned }
+
+    /// Value per standard-form column of the last solve.
+    pub fn x(&self) -> &[f64] {
+        match &self.fallback {
+            Some((raw, _)) => &raw.x,
+            None => &self.x,
+        }
+    }
+
+    /// The last solve's final basis (`None` unless it ended optimal).
+    pub fn basis(&self) -> Option<Basis> {
+        match &self.fallback {
+            Some((_, basis)) => basis.clone(),
+            None => Some(simplex::snapshot(&self.basis, &self.vstat)),
+        }
+    }
+
+    /// Duals `y = B⁻ᵀc_B` and reduced costs `d = c − Aᵀy` (every column) of
+    /// the last solve, which must have been of `lp`.
+    pub fn duals(&mut self, lp: &StandardLp) -> (Vec<f64>, Vec<f64>) {
+        if let Some((raw, _)) = &self.fallback {
+            return (raw.y.clone(), raw.d.clone());
+        }
+        let mut y = vec![0.0f64; lp.nrows()];
+        for (r, &j) in self.basis.iter().enumerate() {
+            y[r] = lp.c[j];
+        }
+        self.engine.btran(&mut y);
+        let d = (0..lp.ncols()).map(|j| lp.c[j] - lp.a.col_dot(j, &y)).collect();
+        (y, d)
+    }
 }
 
 /// The all-slack basis with every structural column resting at a finite
@@ -139,55 +269,44 @@ fn dual_feasible_slack_basis(lp: &StandardLp) -> Option<Basis> {
     Some(Basis { columns: (lp.nstruct..lp.ncols()).collect(), status })
 }
 
+/// One dual-simplex run over a [`Workspace`].
 struct DualSimplex<'a> {
     lp: &'a StandardLp,
-    engine: SparseEngine,
-    m: usize,
+    ws: &'a mut Workspace,
     n: usize,
-    basis: Vec<usize>,
-    vstat: Vec<VStat>,
-    /// Value per column (basic values maintained incrementally).
-    x: Vec<f64>,
-    /// Reduced cost per column (0 for basic columns), maintained
-    /// incrementally and recomputed at every refactorisation.
-    d: Vec<f64>,
-    /// Row `r` of `B⁻¹A` restricted to nonbasic columns: nonzero only on
-    /// `touched`.
-    alpha: Vec<f64>,
-    /// Columns the current pivot row reaches, ascending — the ratio test
-    /// and the reduced-cost update visit these and no others.
-    touched: Vec<usize>,
-    in_touched: Vec<bool>,
-    /// `B⁻ᵀe_r` of the current pivot; also the right-hand-side scratch of a
-    /// refresh.
-    rho: Vec<f64>,
-    /// `B⁻¹a_q` of the current pivot; also the dual scratch of a refresh.
-    w: Vec<f64>,
     iterations: usize,
     degenerate_run: usize,
     max_iters: usize,
     refactor_period: usize,
     since_refactor: usize,
-    /// True right after a refactor + full recompute — a clean state whose
-    /// feasibility/optimality conclusions can be trusted.
+    /// True right after `x_B` and `d` were recomputed from the factors — a
+    /// clean state whose feasibility/optimality conclusions can be trusted.
     clean: bool,
     /// Whether the start basis is the caller's hint (reported by the
     /// closing `lp_solved`); false on the dual-first cold path.
     warm: bool,
-    trace: TraceHandle,
+    trace: &'a TraceHandle,
     span: SpanId,
 }
 
 impl<'a> DualSimplex<'a> {
-    /// Rebuild solver state from a basis snapshot; `None` when the hint does
-    /// not structurally fit `lp`.
-    fn from_hint(lp: &'a StandardLp, hint: &Basis) -> Option<Self> {
+    /// Load the solver state for `lp` from a basis snapshot into `ws`;
+    /// `None` when the hint does not structurally fit `lp`.
+    fn from_hint(
+        lp: &'a StandardLp,
+        ws: &'a mut Workspace,
+        hint: &Basis,
+        warm: bool,
+        trace: &'a TraceHandle,
+        span: SpanId,
+    ) -> Option<Self> {
         let m = lp.nrows();
         let n = lp.ncols();
         if !hint.fits(m, n) {
             return None;
         }
-        let mut vstat = Vec::with_capacity(n);
+        let vstat = &mut ws.vstat;
+        vstat.clear();
         for j in 0..n {
             let (l, u) = (lp.lower[j], lp.upper[j]);
             // Reconcile the snapshot status with the *current* bounds: a
@@ -233,39 +352,45 @@ impl<'a> DualSimplex<'a> {
         if vstat.iter().any(|s| matches!(s, VStat::Basic(r) if *r == usize::MAX)) {
             return None; // a status[]-basic column missing from columns[]
         }
-        let mut x = vec![0.0; n];
+        ws.basis.clear();
+        ws.basis.extend_from_slice(&hint.columns);
+        ws.x.clear();
+        ws.x.resize(n, 0.0);
         for j in 0..n {
-            if !matches!(vstat[j], VStat::Basic(_)) {
-                x[j] = nonbasic_value(vstat[j], lp.lower[j], lp.upper[j]);
+            if !matches!(ws.vstat[j], VStat::Basic(_)) {
+                ws.x[j] = nonbasic_value(ws.vstat[j], lp.lower[j], lp.upper[j]);
             }
+        }
+        for v in [&mut ws.d, &mut ws.alpha] {
+            v.clear();
+            v.resize(n, 0.0);
+        }
+        ws.touched.clear();
+        ws.in_touched.clear();
+        ws.in_touched.resize(n, false);
+        for v in [&mut ws.rho, &mut ws.w] {
+            v.clear();
+            v.resize(m, 0.0);
         }
         Some(Self {
             lp,
-            engine: SparseEngine::new(),
-            m,
+            ws,
             n,
-            basis: hint.columns.clone(),
-            vstat,
-            x,
-            d: vec![0.0; n],
-            alpha: vec![0.0; n],
-            touched: Vec::new(),
-            in_touched: vec![false; n],
-            rho: vec![0.0; m],
-            w: vec![0.0; m],
             iterations: 0,
             degenerate_run: 0,
             max_iters: 200 * (m + n) + 10_000,
             refactor_period: 64,
             since_refactor: 0,
             clean: false,
-            warm: true,
-            trace: TraceHandle::off(),
-            span: SpanId::ROOT,
+            warm,
+            trace,
+            span,
         })
     }
 
-    fn run(&mut self) -> Result<(RawResult, Option<Basis>), WarmFail> {
+    /// Pivot to optimality. On success the optimal point and basis are in
+    /// the workspace.
+    fn run(&mut self) -> Result<(), WarmFail> {
         self.refresh(WarmFail::Singular, "warm_initial")?;
         if !self.dual_feasible() {
             return Err(WarmFail::DualInfeasible);
@@ -281,9 +406,10 @@ impl<'a> DualSimplex<'a> {
                     // Primal feasible. Trust it only from a clean state:
                     // incremental drift must not declare false optimality.
                     if self.clean {
-                        return Ok(self.finish());
+                        self.finish();
+                        return Ok(());
                     }
-                    self.refresh(WarmFail::Singular, "confirm")?;
+                    self.confirm()?;
                     continue;
                 }
             };
@@ -299,7 +425,7 @@ impl<'a> DualSimplex<'a> {
                     if self.clean {
                         return Err(WarmFail::NoEntering);
                     }
-                    self.refresh(WarmFail::Singular, "confirm")?;
+                    self.confirm()?;
                     continue;
                 }
             };
@@ -309,7 +435,7 @@ impl<'a> DualSimplex<'a> {
 
     /// Refactorise and recompute basic values + reduced costs from scratch.
     fn refresh(&mut self, on_singular: WarmFail, reason: &'static str) -> Result<(), WarmFail> {
-        if self.engine.refactor(&self.lp.a, &self.basis).is_err() {
+        if self.ws.engine.refactor(&self.lp.a, &self.ws.basis).is_err() {
             return Err(on_singular);
         }
         self.since_refactor = 0;
@@ -318,7 +444,7 @@ impl<'a> DualSimplex<'a> {
                 self.span,
                 EventKind::Refactored {
                     iter: self.iterations,
-                    nnz: self.engine.factor_nnz(),
+                    nnz: self.ws.engine.factor_nnz(),
                     reason,
                 },
             );
@@ -329,35 +455,59 @@ impl<'a> DualSimplex<'a> {
         Ok(())
     }
 
-    /// x_B = B⁻¹ (b − N x_N)
-    fn recompute_basic_values(&mut self) {
+    /// Make the state clean before a verdict is trusted: recompute basic
+    /// values and reduced costs from the current factors (LU plus fewer
+    /// than `refactor_period` etas). Only when a recomputed basic value
+    /// drifted more than [`FEAS_TOL`] from its incremental update are the
+    /// factors themselves suspect: then refactorise and recompute again.
+    fn confirm(&mut self) -> Result<(), WarmFail> {
+        let drift = self.recompute_basic_values();
+        if drift.is_nan() || drift > FEAS_TOL {
+            return self.refresh(WarmFail::Singular, "confirm");
+        }
+        self.recompute_duals();
+        self.clean = true;
+        Ok(())
+    }
+
+    /// x_B = B⁻¹ (b − N x_N). Returns the largest change this made to a
+    /// basic value (NaN when a value was NaN).
+    fn recompute_basic_values(&mut self) -> f64 {
         let lp = self.lp;
-        let rhs = &mut self.rho;
+        let ws = &mut *self.ws;
+        let rhs = &mut ws.rho;
         rhs.copy_from_slice(&lp.b);
         for j in 0..self.n {
-            if !matches!(self.vstat[j], VStat::Basic(_)) {
-                let v = self.x[j];
+            if !matches!(ws.vstat[j], VStat::Basic(_)) {
+                let v = ws.x[j];
                 if v != 0.0 {
                     lp.a.col_axpy(j, -v, rhs);
                 }
             }
         }
-        self.engine.ftran(rhs);
-        for (r, &j) in self.basis.iter().enumerate() {
-            self.x[j] = rhs[r];
+        ws.engine.ftran(rhs);
+        let mut drift = 0.0f64;
+        for (r, &j) in ws.basis.iter().enumerate() {
+            let change = (ws.x[j] - rhs[r]).abs();
+            if change.is_nan() || change > drift {
+                drift = change;
+            }
+            ws.x[j] = rhs[r];
         }
+        drift
     }
 
     /// y = B⁻ᵀ c_B; d_j = c_j − a_j·y (0 for basic columns).
     fn recompute_duals(&mut self) {
         let lp = self.lp;
-        let y = &mut self.w;
-        for (r, &j) in self.basis.iter().enumerate() {
+        let ws = &mut *self.ws;
+        let y = &mut ws.w;
+        for (r, &j) in ws.basis.iter().enumerate() {
             y[r] = lp.c[j];
         }
-        self.engine.btran(y);
+        ws.engine.btran(y);
         for j in 0..self.n {
-            self.d[j] = if matches!(self.vstat[j], VStat::Basic(_)) {
+            ws.d[j] = if matches!(ws.vstat[j], VStat::Basic(_)) {
                 0.0
             } else {
                 lp.c[j] - lp.a.col_dot(j, y)
@@ -371,30 +521,31 @@ impl<'a> DualSimplex<'a> {
     /// product would — so the row is that of the dense computation, bit for
     /// bit.
     fn pivot_row(&mut self, r: usize) {
-        for &j in &self.touched {
-            self.alpha[j] = 0.0;
-            self.in_touched[j] = false;
+        let ws = &mut *self.ws;
+        for &j in &ws.touched {
+            ws.alpha[j] = 0.0;
+            ws.in_touched[j] = false;
         }
-        self.touched.clear();
-        self.rho.fill(0.0);
-        self.rho[r] = 1.0;
-        self.engine.btran(&mut self.rho);
+        ws.touched.clear();
+        ws.rho.fill(0.0);
+        ws.rho[r] = 1.0;
+        ws.engine.btran(&mut ws.rho);
         let rows = self.lp.rows();
-        for (i, &v) in self.rho.iter().enumerate() {
+        for (i, &v) in ws.rho.iter().enumerate() {
             if v != 0.0 {
                 for (j, a_ij) in rows.row_iter(i) {
-                    if matches!(self.vstat[j], VStat::Basic(_)) {
+                    if matches!(ws.vstat[j], VStat::Basic(_)) {
                         continue;
                     }
-                    if !self.in_touched[j] {
-                        self.in_touched[j] = true;
-                        self.touched.push(j);
+                    if !ws.in_touched[j] {
+                        ws.in_touched[j] = true;
+                        ws.touched.push(j);
                     }
-                    self.alpha[j] += v * a_ij;
+                    ws.alpha[j] += v * a_ij;
                 }
             }
         }
-        self.touched.sort_unstable();
+        ws.touched.sort_unstable();
         #[cfg(test)]
         self.assert_pivot_row_matches_dense(r);
     }
@@ -404,35 +555,37 @@ impl<'a> DualSimplex<'a> {
     /// must equal on every iteration.
     #[cfg(test)]
     fn assert_pivot_row_matches_dense(&self, r: usize) {
+        let ws = &*self.ws;
         for j in 0..self.n {
-            let dense = if matches!(self.vstat[j], VStat::Basic(_)) {
+            let dense = if matches!(ws.vstat[j], VStat::Basic(_)) {
                 0.0
             } else {
-                self.lp.a.col_dot(j, &self.rho)
+                self.lp.a.col_dot(j, &ws.rho)
             };
             assert!(
-                dense == self.alpha[j],
+                dense == ws.alpha[j],
                 "iteration {}, row {r}, column {j}: dense {dense:e} vs sparse {:e}",
                 self.iterations,
-                self.alpha[j]
+                ws.alpha[j]
             );
-            assert!(dense == 0.0 || self.in_touched[j], "column {j} missing from touched");
+            assert!(dense == 0.0 || ws.in_touched[j], "column {j} missing from touched");
         }
-        assert!(self.touched.windows(2).all(|p| p[0] < p[1]), "touched not ascending");
+        assert!(ws.touched.windows(2).all(|p| p[0] < p[1]), "touched not ascending");
     }
 
     /// Check the resting-bound sign conditions on the reduced costs.
     fn dual_feasible(&self) -> bool {
         let lp = self.lp;
+        let ws = &*self.ws;
         (0..self.n).all(|j| {
             if lp.lower[j] == lp.upper[j] {
                 return true; // fixed columns carry no sign condition
             }
-            match self.vstat[j] {
+            match ws.vstat[j] {
                 VStat::Basic(_) => true,
-                VStat::AtLower => self.d[j] >= -DUAL_TOL,
-                VStat::AtUpper => self.d[j] <= DUAL_TOL,
-                VStat::FreeZero => self.d[j].abs() <= DUAL_TOL,
+                VStat::AtLower => ws.d[j] >= -DUAL_TOL,
+                VStat::AtUpper => ws.d[j] <= DUAL_TOL,
+                VStat::FreeZero => ws.d[j].abs() <= DUAL_TOL,
             }
         })
     }
@@ -442,8 +595,8 @@ impl<'a> DualSimplex<'a> {
     fn most_violated_row(&self) -> Option<(usize, bool)> {
         let lp = self.lp;
         let mut best: Option<(usize, bool, f64)> = None;
-        for (r, &j) in self.basis.iter().enumerate() {
-            let v = self.x[j];
+        for (r, &j) in self.ws.basis.iter().enumerate() {
+            let v = self.ws.x[j];
             let below = lp.lower[j] - v;
             let above = v - lp.upper[j];
             let (viol, is_below) = if below >= above { (below, true) } else { (above, false) };
@@ -454,21 +607,22 @@ impl<'a> DualSimplex<'a> {
         best.map(|(r, is_below, _)| (r, is_below))
     }
 
-    /// Dual ratio test over the touched columns of `self.alpha` (every
-    /// other entry is zero, hence ineligible): among sign-eligible nonbasic
+    /// Dual ratio test over the touched columns of `alpha` (every other
+    /// entry is zero, hence ineligible): among sign-eligible nonbasic
     /// columns, pick the one minimising |d_j / alpha_j| (tie-break: larger
     /// pivot magnitude, then lower column). `below` is the leaving
     /// variable's violation side.
     fn ratio_test(&self, below: bool) -> Option<usize> {
         const TIE: f64 = 1e-9;
         let lp = self.lp;
+        let ws = &*self.ws;
         let mut best: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
-        for &j in &self.touched {
+        for &j in &ws.touched {
             if lp.lower[j] == lp.upper[j] {
                 continue; // fixed columns cannot enter
             }
-            let a = self.alpha[j];
-            let eligible = match self.vstat[j] {
+            let a = ws.alpha[j];
+            let eligible = match ws.vstat[j] {
                 VStat::Basic(_) => false,
                 // Raising the leaving variable (below its lower bound) needs
                 // x_p' = … − alpha_j·x_j to increase along the entering
@@ -492,7 +646,7 @@ impl<'a> DualSimplex<'a> {
             if !eligible {
                 continue;
             }
-            let ratio = self.d[j].abs() / a.abs();
+            let ratio = ws.d[j].abs() / a.abs();
             let better = match best {
                 None => true,
                 Some((_, rb, ab)) => ratio < rb - TIE || (ratio <= rb + TIE && a.abs() > ab),
@@ -508,37 +662,38 @@ impl<'a> DualSimplex<'a> {
     /// with entering column `q`, updating duals, primal values and factors.
     fn pivot(&mut self, r: usize, below: bool, q: usize) -> Result<(), WarmFail> {
         let lp = self.lp;
-        let p = self.basis[r];
+        let ws = &mut *self.ws;
+        let p = ws.basis[r];
         let target = if below { lp.lower[p] } else { lp.upper[p] };
-        let aq = self.alpha[q];
+        let aq = ws.alpha[q];
 
         // Dual step: keeps every nonbasic reduced cost sign-feasible.
-        let theta = self.d[q] / aq;
-        for &j in &self.touched {
-            self.d[j] -= theta * self.alpha[j];
+        let theta = ws.d[q] / aq;
+        for &j in &ws.touched {
+            ws.d[j] -= theta * ws.alpha[j];
         }
-        self.d[q] = 0.0;
-        self.d[p] = -theta;
+        ws.d[q] = 0.0;
+        ws.d[p] = -theta;
 
         // Primal step along the entering column.
-        let dq = (self.x[p] - target) / aq;
-        self.w.fill(0.0);
+        let dq = (ws.x[p] - target) / aq;
+        ws.w.fill(0.0);
         for (i, v) in lp.a.col_iter(q) {
-            self.w[i] = v;
+            ws.w[i] = v;
         }
-        self.engine.ftran(&mut self.w);
-        for (i, &v) in self.w.iter().enumerate() {
+        ws.engine.ftran(&mut ws.w);
+        for (i, &v) in ws.w.iter().enumerate() {
             if v != 0.0 {
-                self.x[self.basis[i]] -= dq * v;
+                ws.x[ws.basis[i]] -= dq * v;
             }
         }
-        self.x[q] += dq;
-        self.x[p] = target;
+        ws.x[q] += dq;
+        ws.x[p] = target;
 
-        self.vstat[p] =
+        ws.vstat[p] =
             if below || lp.lower[p] == lp.upper[p] { VStat::AtLower } else { VStat::AtUpper };
-        self.vstat[q] = VStat::Basic(r);
-        self.basis[r] = q;
+        ws.vstat[q] = VStat::Basic(r);
+        ws.basis[r] = q;
         self.clean = false;
 
         if theta.abs() <= 1e-12 {
@@ -550,7 +705,7 @@ impl<'a> DualSimplex<'a> {
             self.degenerate_run = 0;
         }
 
-        let update_rejected = self.engine.update(r, &self.w).is_err();
+        let update_rejected = ws.engine.update(r, &ws.w).is_err();
         if update_rejected || self.since_refactor + 1 >= self.refactor_period {
             self.refresh(
                 WarmFail::Singular,
@@ -563,30 +718,19 @@ impl<'a> DualSimplex<'a> {
         Ok(())
     }
 
-    fn finish(&mut self) -> (RawResult, Option<Basis>) {
-        let status = Status::Optimal;
+    /// Report the optimal finish. Duals and the basis snapshot are left to
+    /// the caller ([`Workspace::duals`], [`Workspace::basis`]).
+    fn finish(&self) {
         if self.trace.is_enabled() {
             self.trace.emit(
                 self.span,
                 EventKind::LpSolved {
                     iters: self.iterations,
-                    status: status_tag(status),
+                    status: status_tag(Status::Optimal),
                     warm: self.warm,
                 },
             );
         }
-        let lp = self.lp;
-        let mut y = vec![0.0f64; self.m];
-        for (r, &j) in self.basis.iter().enumerate() {
-            y[r] = lp.c[j];
-        }
-        self.engine.btran(&mut y);
-        let mut d = vec![0.0f64; self.n];
-        for j in 0..self.n {
-            d[j] = lp.c[j] - lp.a.col_dot(j, &y);
-        }
-        let basis = simplex::snapshot(&self.basis, &self.vstat);
-        (RawResult { status, x: self.x.clone(), y, d, iterations: self.iterations }, Some(basis))
     }
 }
 

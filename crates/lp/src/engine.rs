@@ -192,10 +192,11 @@ struct Eta {
 /// The eta file is an arena: `eta_entries` holds the `(row, value)` nonzeros
 /// of every eta's `d = B⁻¹a_q` back to back (pivot row excluded) and `etas`
 /// says where each one ends. A refactorisation empties both and keeps their
-/// capacity, so a pivot allocates nothing.
+/// capacity, and refactorises the LU into its previous buffers, so neither a
+/// pivot nor a refactorisation of a long-lived engine allocates.
 #[derive(Debug)]
 pub struct SparseEngine {
-    lu: Option<LuFactors>,
+    lu: LuFactors,
     etas: Vec<Eta>,
     eta_entries: Vec<(usize, f64)>,
     max_etas: usize,
@@ -204,7 +205,13 @@ pub struct SparseEngine {
 
 impl Default for SparseEngine {
     fn default() -> Self {
-        Self { lu: None, etas: Vec::new(), eta_entries: Vec::new(), max_etas: 64, work: Vec::new() }
+        Self {
+            lu: LuFactors::default(),
+            etas: Vec::new(),
+            eta_entries: Vec::new(),
+            max_etas: 64,
+            work: Vec::new(),
+        }
     }
 }
 
@@ -226,15 +233,13 @@ impl SparseEngine {
 
 impl BasisEngine for SparseEngine {
     fn refactor(&mut self, a: &Csc, basis: &[usize]) -> Result<(), Singular> {
-        self.lu = Some(LuFactors::factorize(a, basis)?);
         self.etas.clear();
         self.eta_entries.clear();
-        Ok(())
+        self.lu.refactor(a, basis)
     }
 
     fn ftran(&mut self, rhs: &mut [f64]) {
-        let lu = self.lu.as_ref().expect("refactor before ftran");
-        lu.solve(rhs, &mut self.work);
+        self.lu.solve(rhs, &mut self.work);
         for (e, eta) in self.etas.iter().enumerate() {
             let t = rhs[eta.r] / eta.dr;
             if t != 0.0 {
@@ -254,8 +259,7 @@ impl BasisEngine for SparseEngine {
             }
             rhs[eta.r] = acc / eta.dr;
         }
-        let lu = self.lu.as_ref().expect("refactor before btran");
-        lu.solve_transpose(rhs, &mut self.work);
+        self.lu.solve_transpose(rhs, &mut self.work);
     }
 
     fn update(&mut self, r: usize, d: &[f64]) -> Result<(), ()> {
@@ -280,7 +284,7 @@ impl BasisEngine for SparseEngine {
     }
 
     fn factor_nnz(&self) -> usize {
-        self.lu.as_ref().map_or(0, LuFactors::nnz)
+        self.lu.nnz()
     }
 }
 

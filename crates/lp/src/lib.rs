@@ -12,7 +12,10 @@
 //!   simplex, warm-started from a [`Basis`] after a bound change and, with
 //!   no hint, started from the all-slack basis whenever that basis is dual
 //!   feasible (every minimise-cost rental model). Its pivot row, ratio test
-//!   and reduced-cost update touch only the columns the row reaches.
+//!   and reduced-cost update touch only the columns the row reaches. A
+//!   caller that solves many LPs in a row — branch & bound — runs them in
+//!   one [`dual::Workspace`], where a warm re-solve allocates nothing once
+//!   the buffers have grown.
 //! * [`simplex::solve_sparse`] / [`simplex::solve_dense`] — the two-phase
 //!   primal simplex the dual path falls back to (dual-infeasible start,
 //!   stall, every infeasibility verdict), over pluggable basis engines: a

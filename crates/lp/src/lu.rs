@@ -30,8 +30,13 @@ impl std::error::Error for Singular {}
 
 /// LU factors of a basis. Row indices of `l` and `u` are in *permuted*
 /// space; `pinv[orig_row] = permuted_row`.
-#[derive(Debug, Clone)]
+///
+/// [`LuFactors::refactor`] factorises into the buffers of the previous
+/// factorisation, so a simplex that refactorises the same value allocates
+/// nothing once the buffers have grown to the basis' fill.
+#[derive(Debug, Clone, Default)]
 pub struct LuFactors {
+    /// Dimension of the factorised basis; 0 until a factorisation succeeds.
     m: usize,
     /// Unit lower triangular factor; unit diagonal stored explicitly is NOT
     /// included (columns hold strictly-below-diagonal entries).
@@ -45,6 +50,19 @@ pub struct LuFactors {
     u_vals: Vec<f64>,
     u_diag: Vec<f64>,
     pinv: Vec<usize>,
+    scratch: Scratch,
+}
+
+/// Work arrays of one factorisation, kept for the next.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Dense numeric work vector.
+    x: Vec<f64>,
+    /// Nonzero pattern stack (original rows).
+    xi: Vec<usize>,
+    marked: Vec<bool>,
+    /// DFS frames: (orig_row, next child offset).
+    dfs_stack: Vec<(usize, usize)>,
 }
 
 impl LuFactors {
@@ -58,28 +76,48 @@ impl LuFactors {
 
     /// Factorise the basis `B = A[:, cols]`.
     pub fn factorize(a: &Csc, cols: &[usize]) -> Result<Self, Singular> {
+        let mut lu = Self::default();
+        lu.refactor(a, cols)?;
+        Ok(lu)
+    }
+
+    /// Factorise the basis `B = A[:, cols]` in place, reusing this value's
+    /// buffers. The factors are those [`LuFactors::factorize`] computes, bit
+    /// for bit. After an `Err` they are unusable until a refactorisation
+    /// succeeds.
+    pub fn refactor(&mut self, a: &Csc, cols: &[usize]) -> Result<(), Singular> {
         let m = a.nrows();
         assert_eq!(cols.len(), m, "basis must be square");
+        self.m = 0;
+        let Self {
+            l_colptr, l_rows, l_vals, u_colptr, u_rows, u_vals, u_diag, pinv, scratch, ..
+        } = self;
+        let Scratch { x, xi, marked, dfs_stack } = scratch;
 
         // L is built column-by-column with ORIGINAL row indices during the
         // factorisation (remapped to permuted space at the end), exactly as
         // in cs_lu: the DFS interprets entry rows through `pinv`.
-        let mut l_colptr = vec![0usize];
-        let mut l_rows: Vec<usize> = Vec::new();
-        let mut l_vals: Vec<f64> = Vec::new();
-        let mut u_colptr = vec![0usize];
-        let mut u_rows: Vec<usize> = Vec::new();
-        let mut u_vals: Vec<f64> = Vec::new();
-        let mut u_diag = vec![0.0f64; m];
+        l_colptr.clear();
+        l_colptr.push(0);
+        l_rows.clear();
+        l_vals.clear();
+        u_colptr.clear();
+        u_colptr.push(0);
+        u_rows.clear();
+        u_vals.clear();
+        u_diag.clear();
+        u_diag.resize(m, 0.0);
 
         const UNSET: usize = usize::MAX;
-        let mut pinv = vec![UNSET; m];
+        pinv.clear();
+        pinv.resize(m, UNSET);
 
-        let mut x = vec![0.0f64; m]; // dense numeric work vector
-        let mut xi = vec![0usize; m]; // nonzero pattern stack (original rows)
-        let mut marked = vec![false; m];
-        // DFS machinery
-        let mut dfs_stack: Vec<(usize, usize)> = Vec::new(); // (orig_row, next child offset)
+        x.clear();
+        x.resize(m, 0.0);
+        xi.clear();
+        xi.resize(m, 0);
+        marked.clear();
+        marked.resize(m, false);
 
         for k in 0..m {
             let bcol = cols[k];
@@ -202,25 +240,26 @@ impl LuFactors {
         }
 
         // Remap L's row indices to permuted space.
-        for r in &mut l_rows {
+        for r in l_rows.iter_mut() {
             debug_assert!(pinv[*r] != UNSET);
             *r = pinv[*r];
         }
         // Sort each column of L and U by (now permuted) row index to make the
         // transpose solves cache-friendlier and deterministic.
         for k in 0..m {
-            sort_column(&mut l_rows, &mut l_vals, l_colptr[k], l_colptr[k + 1]);
-            sort_column(&mut u_rows, &mut u_vals, u_colptr[k], u_colptr[k + 1]);
+            sort_column(l_rows, l_vals, l_colptr[k], l_colptr[k + 1]);
+            sort_column(u_rows, u_vals, u_colptr[k], u_colptr[k + 1]);
         }
 
-        Ok(LuFactors { m, l_colptr, l_rows, l_vals, u_colptr, u_rows, u_vals, u_diag, pinv })
+        self.m = m;
+        Ok(())
     }
 
     /// Solve `B x = b`; `b` is overwritten with `x` (indexed by basis
     /// position, i.e. elimination order).
     pub fn solve(&self, b: &mut [f64], work: &mut Vec<f64>) {
         let m = self.m;
-        debug_assert_eq!(b.len(), m);
+        assert_eq!(b.len(), m, "solve needs a successful factorisation of this shape");
         work.clear();
         work.resize(m, 0.0);
         // apply P: work[pinv[i]] = b[i]
@@ -256,7 +295,7 @@ impl LuFactors {
     /// row, i.e. constraint index).
     pub fn solve_transpose(&self, c: &mut [f64], work: &mut Vec<f64>) {
         let m = self.m;
-        debug_assert_eq!(c.len(), m);
+        assert_eq!(c.len(), m, "solve needs a successful factorisation of this shape");
         work.clear();
         work.resize(m, 0.0);
         // Uᵀ z = c : forward substitution using columns of U as rows of Uᵀ.
@@ -365,10 +404,14 @@ mod tests {
         assert!(LuFactors::factorize(&a, &[0, 1]).is_err());
     }
 
+    /// Every trial also refactorises one long-lived value, through
+    /// matrices of changing size and singular ones: its solves must equal
+    /// the fresh factorisation's bit for bit.
     #[test]
     fn random_matrices_roundtrip() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        let mut reused = LuFactors::default();
         for trial in 0..50 {
             let m = 1 + rng.gen_range(0..25);
             // random sparse-ish matrix with guaranteed nonzero diagonal
@@ -385,7 +428,9 @@ mod tests {
             }
             let a = dense_to_csc(m, m, &data);
             let cols: Vec<usize> = (0..m).collect();
-            let lu = match LuFactors::factorize(&a, &cols) {
+            let fresh = LuFactors::factorize(&a, &cols);
+            assert_eq!(reused.refactor(&a, &cols), fresh.as_ref().map(|_| ()).map_err(|e| *e));
+            let lu = match fresh {
                 Ok(lu) => lu,
                 Err(_) => continue, // randomly singular: acceptable, skip
             };
@@ -395,6 +440,12 @@ mod tests {
             let mut b = b0.clone();
             let mut w = Vec::new();
             lu.solve(&mut b, &mut w);
+            let mut again = b0.clone();
+            reused.solve(&mut again, &mut w);
+            assert!(
+                b.iter().zip(&again).all(|(p, q)| p.to_bits() == q.to_bits()),
+                "trial {trial}: refactorised value solves differently"
+            );
             for i in 0..m {
                 assert!(
                     (b[i] - xs[i]).abs() < 1e-8,

@@ -1,10 +1,10 @@
 //! Primal heuristics: cheap attempts to produce integral incumbents from an
 //! LP-relaxation solution.
 
-use rrp_lp::dual;
+use rrp_lp::dual::{Solved, Workspace};
 use rrp_lp::model::StandardLp;
 use rrp_lp::simplex::Basis;
-use rrp_lp::Status;
+use rrp_trace::{SpanId, TraceHandle};
 
 /// Rounding direction for [`round_and_fix`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,23 +19,27 @@ pub(crate) enum RoundMode {
 }
 
 /// Fix every integer column to the rounded relaxation value (clamped into
-/// its node bounds) and re-solve the LP for the continuous columns.
+/// its node bounds) and re-solve the LP for the continuous columns in `ws`.
 ///
 /// `lp` already carries the node's bounds; `node_bounds` lists the node's
 /// `(column, lower, upper)` for each integer column — the fix clamps into
 /// these and they are restored before returning, so the caller's scratch LP
-/// is left untouched. `hint` warm-starts the fix-and-resolve from the
-/// node's optimal basis (fixing bounds keeps it dual feasible).
-/// Returns the full column vector and (min-form) objective on success.
+/// is left untouched. `fixes` is the caller's scratch for the rounded
+/// values. `hint` warm-starts the fix-and-resolve from the node's optimal
+/// basis (fixing bounds keeps it dual feasible).
+/// Returns `None` without solving when no integral point lies inside the
+/// bounds; otherwise the re-solve's outcome, its point left in `ws`.
 pub(crate) fn round_and_fix(
+    ws: &mut Workspace,
     lp: &mut StandardLp,
     node_bounds: &[(usize, f64, f64)],
+    fixes: &mut Vec<(usize, f64)>,
     relax_x: &[f64],
     mode: RoundMode,
     hint: Option<&Basis>,
-) -> Option<(Vec<f64>, f64)> {
+) -> Option<Solved> {
     // Work out every fix before touching `lp`, so failure leaves it intact.
-    let mut fixes = Vec::with_capacity(node_bounds.len());
+    fixes.clear();
     for &(j, lower, upper) in node_bounds {
         let rounded = match mode {
             RoundMode::Nearest => relax_x[j].round(),
@@ -63,26 +67,37 @@ pub(crate) fn round_and_fix(
         }
         fixes.push((j, r));
     }
-    for &(j, r) in &fixes {
+    for &(j, r) in fixes.iter() {
         lp.lower[j] = r;
         lp.upper[j] = r;
     }
-    let ws = dual::solve_warm(lp, hint);
+    let solved = ws.solve(lp, hint, &TraceHandle::off(), SpanId::ROOT);
     for &(j, lower, upper) in node_bounds {
         lp.lower[j] = lower;
         lp.upper[j] = upper;
     }
-    if ws.raw.status != Status::Optimal {
-        return None;
-    }
-    let obj: f64 = ws.raw.x.iter().zip(&lp.c).map(|(x, c)| x * c).sum();
-    Some((ws.raw.x, obj))
+    Some(solved)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrp_lp::{Cmp, Model, Sense};
+    use rrp_lp::{Cmp, Model, Sense, Status};
+
+    /// The rounded point and its objective, as the search reads them.
+    fn round(
+        lp: &mut StandardLp,
+        node: &[(usize, f64, f64)],
+        relax_x: &[f64],
+        mode: RoundMode,
+    ) -> Option<(Vec<f64>, f64)> {
+        let mut ws = Workspace::new();
+        let solved = round_and_fix(&mut ws, lp, node, &mut Vec::new(), relax_x, mode, None)?;
+        (solved.status == Status::Optimal).then(|| {
+            let obj = ws.x().iter().zip(&lp.c).map(|(x, c)| x * c).sum();
+            (ws.x().to_vec(), obj)
+        })
+    }
 
     #[test]
     fn rounding_recovers_integral_point() {
@@ -99,7 +114,7 @@ mod tests {
         // Fix only x (treat y as continuous) so the repair step has slack.
         let mut scratch = std.clone();
         let node = [(0, std.lower[0], std.upper[0])];
-        let got = round_and_fix(&mut scratch, &node, &relax.x, RoundMode::Nearest, None);
+        let got = round(&mut scratch, &node, &relax.x, RoundMode::Nearest);
         assert_eq!(scratch.lower, std.lower, "scratch bounds restored");
         assert_eq!(scratch.upper, std.upper, "scratch bounds restored");
         if let Some((xs, obj)) = got {
@@ -118,9 +133,9 @@ mod tests {
         let relax = rrp_lp::simplex::solve_sparse(&std);
         let mut scratch = std.clone();
         let node = [(0, std.lower[0], std.upper[0])];
-        let got = round_and_fix(&mut scratch, &node, &relax.x, RoundMode::Nearest, None);
+        let got = round(&mut scratch, &node, &relax.x, RoundMode::Nearest);
         assert!(got.is_none());
-        let got_up = round_and_fix(&mut scratch, &node, &relax.x, RoundMode::CeilPositive, None);
+        let got_up = round(&mut scratch, &node, &relax.x, RoundMode::CeilPositive);
         assert!(got_up.is_none());
     }
 }

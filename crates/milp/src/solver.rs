@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use rrp_lp::dual;
+use rrp_lp::dual::Workspace;
 use rrp_lp::model::StandardLp;
 use rrp_lp::simplex::{self, Basis};
 use rrp_lp::Status;
@@ -110,7 +110,8 @@ pub struct MilpSolution {
 /// Aggregate LP statistics of one branch & bound run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LpStats {
-    /// Node/heuristic LP solves finished (dense retries not double-counted).
+    /// Node LP solves finished, one per node that reached its LP (a dense
+    /// retry is not counted again). Heuristic re-solves are counted apart.
     pub solves: u64,
     /// Total simplex iterations across those solves.
     pub iterations: u64,
@@ -121,6 +122,13 @@ pub struct LpStats {
     /// Hint-less solves that started on the dual simplex from the slack
     /// basis and were abandoned to the two-phase primal.
     pub cold_dual_abandoned: u64,
+    /// Fix-and-resolve LP solves of the rounding heuristic.
+    pub heuristic_solves: u64,
+    /// Simplex iterations across those re-solves.
+    pub heuristic_iters: u64,
+    /// Node solves retried on the dense reference engine after the sparse
+    /// one ended on its iteration limit or a numerical failure.
+    pub dense_retries: u64,
 }
 
 impl LpStats {
@@ -228,6 +236,15 @@ struct Searcher<'a> {
     lp_stats: LpStats,
     /// Final basis of the root node's LP, captured for re-plan warm starts.
     root_basis: Option<Arc<Basis>>,
+    /// The LP workspace every node solve and heuristic re-solve runs in.
+    ws: Workspace,
+    /// Per-node scratch, reused: the fractional integer columns, and for
+    /// the heuristic the node's relaxation point (copied out before the
+    /// re-solves overwrite the workspace), integer bounds and rounded fixes.
+    fractional: Vec<(usize, f64)>,
+    relax_x: Vec<f64>,
+    node_bounds: Vec<(usize, f64, f64)>,
+    fixes: Vec<(usize, f64)>,
 }
 
 impl<'a> Searcher<'a> {
@@ -246,6 +263,11 @@ impl<'a> Searcher<'a> {
             span,
             lp_stats: LpStats::default(),
             root_basis: None,
+            ws: Workspace::new(),
+            fractional: Vec::new(),
+            relax_x: Vec::new(),
+            node_bounds: Vec::new(),
+            fixes: Vec::new(),
         }
     }
 
@@ -310,32 +332,40 @@ impl<'a> Searcher<'a> {
 
         let hint = if self.opts.warm_start { node.basis.as_deref() } else { None };
         self.lp_stats.warm_attempts += u64::from(hint.is_some());
-        let warmed = dual::solve_warm_traced(lp, hint, &self.opts.trace, self.span);
+        let solved = self.ws.solve(lp, hint, &self.opts.trace, self.span);
         self.lp_stats.solves += 1;
-        self.lp_stats.iterations += warmed.raw.iterations as u64;
-        self.lp_stats.warm_hits += u64::from(warmed.warm);
-        self.lp_stats.cold_dual_abandoned += u64::from(warmed.cold_dual_abandoned);
-        let (raw, basis) = match warmed.raw.status {
-            Status::Optimal => (warmed.raw, warmed.basis),
+        self.lp_stats.iterations += solved.iterations as u64;
+        self.lp_stats.warm_hits += u64::from(solved.warm);
+        self.lp_stats.cold_dual_abandoned += u64::from(solved.cold_dual_abandoned);
+        let dense = match solved.status {
+            Status::Optimal => None,
             Status::Infeasible => return self.prune(node.id, PruneReason::Infeasible),
             Status::Unbounded => return Expansion::Unbounded,
             Status::IterationLimit | Status::Numerical => {
                 // one retry with the dense reference engine (no basis to
                 // hand down — the children of this node start cold)
+                self.lp_stats.dense_retries += 1;
                 let dense = simplex::solve_dense_traced(lp, &self.opts.trace, self.span);
                 match dense.status {
-                    Status::Optimal => (dense, None),
+                    Status::Optimal => Some(dense),
                     Status::Infeasible => return self.prune(node.id, PruneReason::Infeasible),
                     Status::Unbounded => return Expansion::Unbounded,
                     _ => return self.prune(node.id, PruneReason::Numerical),
                 }
             }
         };
-        let basis = basis.map(Arc::new);
+        // The basis is copied out only where it is kept: at the root, and
+        // at a node that branches (below, before the heuristic re-solves
+        // overwrite the workspace).
+        let snapshot = |ws: &Workspace| match dense {
+            Some(_) => None,
+            None => ws.basis().map(Arc::new),
+        };
         if node.id == 0 {
-            self.root_basis = basis.clone();
+            self.root_basis = snapshot(&self.ws);
         }
-        let z: f64 = raw.x.iter().zip(&lp.c).map(|(x, c)| x * c).sum();
+        let x = dense.as_ref().map_or(self.ws.x(), |raw| &raw.x);
+        let z: f64 = x.iter().zip(&lp.c).map(|(x, c)| x * c).sum();
 
         // pseudo-cost update from the parent's branching decision
         if let Some((col, up, frac, parent_obj)) = node.branch {
@@ -347,39 +377,31 @@ impl<'a> Searcher<'a> {
         }
 
         // integrality check
-        let mut fractional: Vec<(usize, f64)> = Vec::new();
+        self.fractional.clear();
         for &j in self.integers {
-            let v = raw.x[j];
+            let v = x[j];
             if (v - v.round()).abs() > self.opts.int_tol {
-                fractional.push((j, v));
+                self.fractional.push((j, v));
             }
         }
-        if fractional.is_empty() {
+        if self.fractional.is_empty() {
             if self.opts.trace.is_enabled() {
                 self.emit(EventKind::NodeIntegral { id: node.id, objective: self.model_sense(z) });
             }
-            return Expansion::Incumbent(z, raw.x);
+            return Expansion::Incumbent(z, x.to_vec());
         }
 
+        let basis = if node.id == 0 { self.root_basis.clone() } else { snapshot(&self.ws) };
         let heuristic = if run_heuristic {
-            // try nearest-rounding and ceil-positive (fixed-charge friendly)
-            // and keep the better feasible point; both re-solves run in the
-            // scratch LP, warm-started from the node's basis
-            let node_bounds: Vec<(usize, f64, f64)> =
-                self.integers.iter().map(|&j| (j, lp.lower[j], lp.upper[j])).collect();
-            let tries = [heuristics::RoundMode::Nearest, heuristics::RoundMode::CeilPositive];
+            self.relax_x.clear();
+            self.relax_x.extend_from_slice(x);
             let hint = if self.opts.warm_start { basis.as_deref() } else { None };
-            tries
-                .iter()
-                .filter_map(|&mode| heuristics::round_and_fix(lp, &node_bounds, &raw.x, mode, hint))
-                .filter(|&(_, hz)| hz < cutoff - self.gap_slack(cutoff))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|(x, hz)| (hz, x))
+            self.round(lp, hint, cutoff)
         } else {
             None
         };
 
-        let (col, v) = branch::select(self.opts.branching, &self.pc, &fractional);
+        let (col, v) = branch::select(self.opts.branching, &self.pc, &self.fractional);
         let frac = v - v.floor();
         let down = child_overrides(&node.overrides, col, f64::NEG_INFINITY, v.floor());
         let up = child_overrides(&node.overrides, col, v.ceil(), f64::INFINITY);
@@ -402,6 +424,47 @@ impl<'a> Searcher<'a> {
             },
         ];
         Expansion::Branched { children, heuristic }
+    }
+
+    /// The rounding heuristic at a fractional node whose relaxation point
+    /// is in `relax_x`: try nearest-rounding and ceil-positive
+    /// (fixed-charge friendly), both re-solved in the workspace and
+    /// warm-started from `hint`, and keep the better feasible point that
+    /// beats `cutoff` (min-form objective and full x).
+    fn round(
+        &mut self,
+        lp: &mut StandardLp,
+        hint: Option<&Basis>,
+        cutoff: f64,
+    ) -> Option<(f64, Vec<f64>)> {
+        let live = cutoff - self.gap_slack(cutoff);
+        self.node_bounds.clear();
+        self.node_bounds.extend(self.integers.iter().map(|&j| (j, lp.lower[j], lp.upper[j])));
+        let mut best: Option<(f64, Vec<f64>)> = None;
+        for mode in [heuristics::RoundMode::Nearest, heuristics::RoundMode::CeilPositive] {
+            let Some(solved) = heuristics::round_and_fix(
+                &mut self.ws,
+                lp,
+                &self.node_bounds,
+                &mut self.fixes,
+                &self.relax_x,
+                mode,
+                hint,
+            ) else {
+                continue;
+            };
+            self.lp_stats.heuristic_solves += 1;
+            self.lp_stats.heuristic_iters += solved.iterations as u64;
+            if solved.status != Status::Optimal {
+                continue;
+            }
+            let x = self.ws.x();
+            let hz: f64 = x.iter().zip(&lp.c).map(|(x, c)| x * c).sum();
+            if hz < live && best.as_ref().is_none_or(|(bz, _)| hz < *bz) {
+                best = Some((hz, x.to_vec()));
+            }
+        }
+        best
     }
 
     fn gap_slack(&self, cutoff: f64) -> f64 {

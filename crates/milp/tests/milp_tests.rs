@@ -235,10 +235,16 @@ fn lot_sizing(horizon: usize) -> MilpProblem {
 #[test]
 fn lp_stats_count_dual_first_solves_as_cold() {
     let lots = lot_sizing(8);
-    let warm = lots.solve(&opts()).unwrap().lp_stats;
+    let sol = lots.solve(&opts()).unwrap();
+    let warm = sol.lp_stats;
     assert!(warm.warm_hits <= warm.warm_attempts, "{warm:?}");
     assert!(warm.warm_attempts < warm.solves, "the root LP has no hint: {warm:?}");
     assert!(warm.warm_hits > 0, "a branching search should warm-start its children: {warm:?}");
+    // the rounding heuristic runs at the root; its re-solves count apart
+    // from the node solves, and nothing needed the dense engine
+    assert_eq!(warm.solves, sol.nodes as u64, "one node solve per node: {warm:?}");
+    assert!(warm.heuristic_solves > 0, "{warm:?}");
+    assert_eq!(warm.dense_retries, 0, "{warm:?}");
 
     let cold = lots.solve(&MilpOptions { warm_start: false, ..opts() }).unwrap().lp_stats;
     assert!(cold.solves > 1, "{cold:?}");
