@@ -5,8 +5,9 @@
 //! Besides the stderr report, the run persists search counts — warm
 //! dual-simplex B&B vs a cold (`warm_start: false`) baseline on a
 //! capacitated DRRP instance and on a correlated binary knapsack: nodes,
-//! objective, LP solves, simplex iterations, warm hits, heuristic
-//! re-solves, dense retries and heap allocations — into
+//! objective, LP solves, simplex iterations, warm hits, abandoned dual
+//! cold starts, certified infeasible nodes, heuristic re-solves, dense
+//! retries and heap allocations — into
 //! `results/BENCH_milp.json` for `xtask benchdiff`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -137,6 +138,8 @@ fn measure(label: &str, milp: &MilpProblem, opts: &MilpOptions) -> Record {
         .with_count("lp_solves", stats.solves)
         .with_count("lp_iters", stats.iterations)
         .with_count("warm_hits", stats.warm_hits)
+        .with_count("cold_dual_abandoned", stats.cold_dual_abandoned)
+        .with_count("certified_infeasible", stats.certified_infeasible)
         .with_count("heuristic_solves", stats.heuristic_solves)
         .with_count("heuristic_iters", stats.heuristic_iters)
         .with_count("dense_retries", stats.dense_retries)

@@ -21,19 +21,27 @@
 //! scratch and the LU buffers it keeps between solves, so a branch & bound
 //! search that owns one re-solves its nodes from their parents' bases
 //! without allocating. A solve refactorises at its start, every 64 pivots,
-//! on a rejected update and nowhere else: before a feasibility or
-//! optimality verdict is trusted it recomputes `x_B` and the reduced costs
-//! from the current factors, and refactorises only if the recomputed basic
-//! values drifted more than [`FEAS_TOL`] from the incrementally updated
-//! ones. [`solve_warm`] is one solve in a fresh workspace.
+//! on a rejected update and nowhere else: before a feasibility verdict is
+//! trusted it recomputes `x_B` from the current factors, and refactorises
+//! only if the recomputed basic values drifted more than [`FEAS_TOL`] from
+//! the incrementally updated ones. The reduced costs are recomputed lazily,
+//! only when a ratio test with an eligible column needs them.
+//! [`solve_warm`] is one solve in a fresh workspace.
 //!
 //! The dual path is an optimisation, never a correctness dependency: any
 //! structural mismatch, singular refactorisation, dual-infeasible start,
-//! stall, or "no eligible entering column" outcome abandons the attempt and
+//! stall, or doubtful infeasibility certificate abandons the attempt and
 //! falls back to the two-phase primal ([`simplex::solve_sparse_snapshot`]).
-//! In particular an infeasibility *verdict* is never taken from the dual
-//! path — the primal confirms it — so warm and cold searches prune the same
-//! nodes.
+//! An infeasibility *verdict* is taken from the dual path only from a
+//! certificate re-checked against `A`, `b` and the node's bounds: when a
+//! violated row `r` has no eligible entering column in a clean state,
+//! `y = B⁻ᵀe_r` is a Farkas row, and the solve ends [`Status::Infeasible`]
+//! only if the box range of `g·x`, `g = Aᵀy`, misses `y·b` by more than
+//! [`FEAS_TOL`]` · (1 + |y·b| + Σ|g_j·bound_j|)`, and by more than the
+//! primal's phase 1 would absorb (see `DualSimplex::certify`). An infinite
+//! bound under a non-negligible `g_j`, a NaN, or a thinner margin voids the
+//! certificate and the primal decides, so warm and cold searches prune the
+//! same nodes.
 
 use rrp_trace::{EventKind, SpanId, TraceHandle};
 
@@ -49,9 +57,15 @@ const DUAL_TOL: f64 = 1e-7;
 const DPIV_TOL: f64 = 1e-9;
 /// Consecutive degenerate dual pivots before the warm attempt is abandoned.
 const STALL_LIMIT: usize = 200;
+/// `|g_j|` at or below which a certificate term whose bound is infinite is
+/// taken as zero (the roundoff `Aᵀy` leaves on the other basic columns).
+const CERT_ZERO: f64 = 1e-12;
 
 /// Outcome of [`solve_warm`]: the raw LP result, the final basis snapshot
-/// (`Some` only for optimal solves), and which path produced it.
+/// (`Some` only for optimal solves), and which path produced it. After an
+/// [`Status::Infeasible`] verdict `raw.x`, `raw.y` and `raw.d` describe the
+/// last iterate of whichever path decided and satisfy nothing; read
+/// `farkas` for the proof.
 #[derive(Debug, Clone)]
 pub struct WarmResult {
     pub raw: RawResult,
@@ -67,6 +81,10 @@ pub struct WarmResult {
     /// slack basis and was abandoned to the primal (stall, no entering
     /// column, singular refactorisation, iteration limit).
     pub cold_dual_abandoned: bool,
+    /// The Farkas row `y` (one entry per row) when the dual path ended the
+    /// solve [`Status::Infeasible`] on a checked certificate; `None` for
+    /// every other outcome, a primal infeasibility verdict included.
+    pub farkas: Option<Vec<f64>>,
 }
 
 /// Why a warm attempt was abandoned (all funnel into the cold fallback).
@@ -80,8 +98,8 @@ enum WarmFail {
     Stalled,
     /// Iteration limit.
     IterationLimit,
-    /// No eligible entering column: a primal-infeasibility certificate that
-    /// we deliberately re-verify on the cold path.
+    /// No eligible entering column, but the pivot row did not check out as
+    /// a Farkas certificate: the cold path decides.
     NoEntering,
 }
 
@@ -113,9 +131,10 @@ pub fn solve_warm_traced(
     let solved = ws.solve(lp, hint, trace, span);
     let (warm, cold_dual_abandoned) = (solved.warm, solved.cold_dual_abandoned);
     if let Some((raw, basis)) = ws.fallback.take() {
-        return WarmResult { raw, basis, warm, cold_dual_abandoned };
+        return WarmResult { raw, basis, warm, cold_dual_abandoned, farkas: None };
     }
     let basis = ws.basis();
+    let farkas = ws.farkas().map(<[f64]>::to_vec);
     let (y, d) = ws.duals(lp);
     let raw = RawResult {
         status: solved.status,
@@ -124,7 +143,7 @@ pub fn solve_warm_traced(
         d,
         iterations: solved.iterations,
     };
-    WarmResult { raw, basis, warm, cold_dual_abandoned }
+    WarmResult { raw, basis, warm, cold_dual_abandoned, farkas }
 }
 
 /// How a [`Workspace::solve`] ended. The point itself stays in the
@@ -164,10 +183,14 @@ pub struct Workspace {
     touched: Vec<usize>,
     in_touched: Vec<bool>,
     /// `B⁻ᵀe_r` of the current pivot; also the right-hand-side scratch of a
-    /// recompute.
+    /// recompute, and the Farkas row after a certified infeasible verdict.
     rho: Vec<f64>,
     /// `B⁻¹a_q` of the current pivot; also the dual scratch of a recompute.
     w: Vec<f64>,
+    /// `Aᵀy` of the certificate being checked, one entry per column.
+    g: Vec<f64>,
+    /// Whether the last solve ended infeasible on a checked certificate.
+    certified: bool,
     /// The two-phase primal's result and basis when the last solve fell
     /// back to it; `None` when the dual path finished it.
     fallback: Option<(RawResult, Option<Basis>)>,
@@ -190,14 +213,15 @@ impl Workspace {
         span: SpanId,
     ) -> Solved {
         self.fallback = None;
+        self.certified = false;
         let warm = hint.is_some();
         let slack = if warm { None } else { dual_feasible_slack_basis(lp) };
         let mut cold_dual_abandoned = false;
         if let Some(start) = hint.or(slack.as_ref()) {
             if let Some(mut dual) = DualSimplex::from_hint(lp, self, start, warm, trace, span) {
-                if dual.run().is_ok() {
+                if let Ok(status) = dual.run() {
                     let iterations = dual.iterations;
-                    let status = Status::Optimal;
+                    self.certified = status == Status::Infeasible;
                     return Solved { status, iterations, warm, cold_dual_abandoned: false };
                 }
                 cold_dual_abandoned = !warm; // fall through to the primal
@@ -226,8 +250,15 @@ impl Workspace {
     pub fn basis(&self) -> Option<Basis> {
         match &self.fallback {
             Some((_, basis)) => basis.clone(),
+            None if self.certified => None,
             None => Some(simplex::snapshot(&self.basis, &self.vstat)),
         }
+    }
+
+    /// The Farkas row `y` that proved the last solve infeasible, when the
+    /// dual path decided it (see [`WarmResult::farkas`]).
+    pub fn farkas(&self) -> Option<&[f64]> {
+        self.certified.then_some(&self.rho[..])
     }
 
     /// Duals `y = B⁻ᵀc_B` and reduced costs `d = c − Aᵀy` (every column) of
@@ -279,9 +310,12 @@ struct DualSimplex<'a> {
     max_iters: usize,
     refactor_period: usize,
     since_refactor: usize,
-    /// True right after `x_B` and `d` were recomputed from the factors — a
-    /// clean state whose feasibility/optimality conclusions can be trusted.
+    /// True right after `x_B` was recomputed from the factors — a clean
+    /// state whose feasibility/optimality conclusions can be trusted.
     clean: bool,
+    /// True when `d` has not been recomputed since the last refactorisation
+    /// or confirm; the next ratio test with an eligible column does it.
+    d_stale: bool,
     /// Whether the start basis is the caller's hint (reported by the
     /// closing `lp_solved`); false on the dual-first cold path.
     warm: bool,
@@ -361,7 +395,7 @@ impl<'a> DualSimplex<'a> {
                 ws.x[j] = nonbasic_value(ws.vstat[j], lp.lower[j], lp.upper[j]);
             }
         }
-        for v in [&mut ws.d, &mut ws.alpha] {
+        for v in [&mut ws.d, &mut ws.alpha, &mut ws.g] {
             v.clear();
             v.resize(n, 0.0);
         }
@@ -382,16 +416,19 @@ impl<'a> DualSimplex<'a> {
             refactor_period: 64,
             since_refactor: 0,
             clean: false,
+            d_stale: true,
             warm,
             trace,
             span,
         })
     }
 
-    /// Pivot to optimality. On success the optimal point and basis are in
-    /// the workspace.
-    fn run(&mut self) -> Result<(), WarmFail> {
+    /// Pivot to optimality or to a checked infeasibility certificate. On
+    /// [`Status::Optimal`] the optimal point and basis are in the workspace;
+    /// on [`Status::Infeasible`] the Farkas row is in `rho`.
+    fn run(&mut self) -> Result<Status, WarmFail> {
         self.refresh(WarmFail::Singular, "warm_initial")?;
+        self.recompute_duals();
         if !self.dual_feasible() {
             return Err(WarmFail::DualInfeasible);
         }
@@ -406,8 +443,8 @@ impl<'a> DualSimplex<'a> {
                     // Primal feasible. Trust it only from a clean state:
                     // incremental drift must not declare false optimality.
                     if self.clean {
-                        self.finish();
-                        return Ok(());
+                        self.finish(Status::Optimal);
+                        return Ok(Status::Optimal);
                     }
                     self.confirm()?;
                     continue;
@@ -419,21 +456,26 @@ impl<'a> DualSimplex<'a> {
             let q = match entering {
                 Some(q) => q,
                 None => {
-                    // No entering column: the violated row proves primal
-                    // infeasibility — but only trust a clean state, and even
-                    // then hand the verdict to the cold path (see module doc).
-                    if self.clean {
+                    // No entering column: the violated row may prove primal
+                    // infeasibility. Only from a clean state, and only if it
+                    // re-checks against the LP data (see module doc).
+                    if !self.clean {
+                        self.confirm()?;
+                        continue;
+                    }
+                    if !self.certify(below) {
                         return Err(WarmFail::NoEntering);
                     }
-                    self.confirm()?;
-                    continue;
+                    self.finish(Status::Infeasible);
+                    return Ok(Status::Infeasible);
                 }
             };
             self.pivot(r, below, q)?;
         }
     }
 
-    /// Refactorise and recompute basic values + reduced costs from scratch.
+    /// Refactorise and recompute basic values from scratch; the reduced
+    /// costs go stale.
     fn refresh(&mut self, on_singular: WarmFail, reason: &'static str) -> Result<(), WarmFail> {
         if self.ws.engine.refactor(&self.lp.a, &self.ws.basis).is_err() {
             return Err(on_singular);
@@ -450,22 +492,23 @@ impl<'a> DualSimplex<'a> {
             );
         }
         self.recompute_basic_values();
-        self.recompute_duals();
+        self.d_stale = true;
         self.clean = true;
         Ok(())
     }
 
-    /// Make the state clean before a verdict is trusted: recompute basic
-    /// values and reduced costs from the current factors (LU plus fewer
-    /// than `refactor_period` etas). Only when a recomputed basic value
-    /// drifted more than [`FEAS_TOL`] from its incremental update are the
-    /// factors themselves suspect: then refactorise and recompute again.
+    /// Make the state clean before a verdict is trusted: recompute the
+    /// basic values — all a feasibility verdict reads — from the current
+    /// factors (LU plus fewer than `refactor_period` etas), and mark the
+    /// reduced costs stale. Only when a recomputed basic value drifted more
+    /// than [`FEAS_TOL`] from its incremental update are the factors
+    /// themselves suspect: then refactorise and recompute again.
     fn confirm(&mut self) -> Result<(), WarmFail> {
         let drift = self.recompute_basic_values();
         if drift.is_nan() || drift > FEAS_TOL {
             return self.refresh(WarmFail::Singular, "confirm");
         }
-        self.recompute_duals();
+        self.d_stale = true;
         self.clean = true;
         Ok(())
     }
@@ -513,6 +556,7 @@ impl<'a> DualSimplex<'a> {
                 lp.c[j] - lp.a.col_dot(j, y)
             };
         }
+        self.d_stale = false;
     }
 
     /// Pivot row `r`: `rho = B⁻ᵀe_r`, then `alpha_j = a_j·rho` for nonbasic
@@ -607,45 +651,57 @@ impl<'a> DualSimplex<'a> {
         best.map(|(r, is_below, _)| (r, is_below))
     }
 
+    /// Whether nonbasic column `j` may enter on pivot row `alpha` when the
+    /// leaving variable is `below` its lower bound (else above its upper).
+    fn eligible(&self, j: usize, below: bool) -> bool {
+        if self.lp.lower[j] == self.lp.upper[j] {
+            return false; // fixed columns cannot enter
+        }
+        let a = self.ws.alpha[j];
+        match self.ws.vstat[j] {
+            VStat::Basic(_) => false,
+            // Raising the leaving variable (below its lower bound) needs
+            // x_p' = … − alpha_j·x_j to increase along the entering
+            // variable's allowed direction; mirrored when above.
+            VStat::AtLower => {
+                if below {
+                    a < -DPIV_TOL
+                } else {
+                    a > DPIV_TOL
+                }
+            }
+            VStat::AtUpper => {
+                if below {
+                    a > DPIV_TOL
+                } else {
+                    a < -DPIV_TOL
+                }
+            }
+            VStat::FreeZero => a.abs() > DPIV_TOL,
+        }
+    }
+
     /// Dual ratio test over the touched columns of `alpha` (every other
     /// entry is zero, hence ineligible): among sign-eligible nonbasic
     /// columns, pick the one minimising |d_j / alpha_j| (tie-break: larger
     /// pivot magnitude, then lower column). `below` is the leaving
-    /// variable's violation side.
-    fn ratio_test(&self, below: bool) -> Option<usize> {
+    /// variable's violation side. Stale reduced costs are recomputed first,
+    /// unless no column is eligible.
+    fn ratio_test(&mut self, below: bool) -> Option<usize> {
         const TIE: f64 = 1e-9;
-        let lp = self.lp;
+        if self.d_stale {
+            if !self.ws.touched.iter().any(|&j| self.eligible(j, below)) {
+                return None;
+            }
+            self.recompute_duals();
+        }
         let ws = &*self.ws;
         let mut best: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
         for &j in &ws.touched {
-            if lp.lower[j] == lp.upper[j] {
-                continue; // fixed columns cannot enter
-            }
-            let a = ws.alpha[j];
-            let eligible = match ws.vstat[j] {
-                VStat::Basic(_) => false,
-                // Raising the leaving variable (below its lower bound) needs
-                // x_p' = … − alpha_j·x_j to increase along the entering
-                // variable's allowed direction; mirrored when above.
-                VStat::AtLower => {
-                    if below {
-                        a < -DPIV_TOL
-                    } else {
-                        a > DPIV_TOL
-                    }
-                }
-                VStat::AtUpper => {
-                    if below {
-                        a > DPIV_TOL
-                    } else {
-                        a < -DPIV_TOL
-                    }
-                }
-                VStat::FreeZero => a.abs() > DPIV_TOL,
-            };
-            if !eligible {
+            if !self.eligible(j, below) {
                 continue;
             }
+            let a = ws.alpha[j];
             let ratio = ws.d[j].abs() / a.abs();
             let better = match best {
                 None => true,
@@ -658,6 +714,53 @@ impl<'a> DualSimplex<'a> {
         best.map(|(j, _, _)| j)
     }
 
+    /// Check the pivot row `y = rho = B⁻ᵀe_r` as a Farkas certificate
+    /// against the LP data, trusting none of the incremental state: with
+    /// `g = Aᵀy` and `β = y·b`, every `x` with `Ax = b` has `g·x = β`, so
+    /// the LP is infeasible when the box range of `g·x` under the current
+    /// bounds misses `β`. `x_B[r]` is `below` its lower bound (the range
+    /// then lies above `β`) or above its upper bound (below `β`). True only
+    /// when every term's bound on the missing side is finite (or its `g_j`
+    /// negligible), nothing is NaN, and the gap exceeds
+    /// `FEAS_TOL · (1 + |β| + Σ|g_j·bound_j|)`. The gap must also exceed
+    /// `FEAS_TOL · (1 + m) · max|g_j|`: any `x` with `Ax = b` then violates
+    /// its bounds by more than `FEAS_TOL · (1 + m)` in total, the most the
+    /// primal's phase 1 accepts as feasible, so the two paths agree.
+    fn certify(&mut self, below: bool) -> bool {
+        let lp = self.lp;
+        let ws = &mut *self.ws;
+        ws.g.fill(0.0);
+        let rows = lp.rows();
+        let mut beta = 0.0;
+        for (i, &v) in ws.rho.iter().enumerate() {
+            if v != 0.0 {
+                beta += v * lp.b[i];
+                for (j, a_ij) in rows.row_iter(i) {
+                    ws.g[j] += v * a_ij;
+                }
+            }
+        }
+        // Orient the row so that the claim reads min_box(h·x) > s·β, h = s·g.
+        let s = if below { 1.0 } else { -1.0 };
+        let (mut min, mut scale, mut g_max) = (0.0f64, 0.0f64, 0.0f64);
+        for (j, &g) in ws.g.iter().enumerate() {
+            let h = s * g;
+            g_max = g_max.max(h.abs());
+            let bound = if h > 0.0 { lp.lower[j] } else { lp.upper[j] };
+            if !bound.is_finite() {
+                if h.abs() <= CERT_ZERO {
+                    continue;
+                }
+                return false; // a non-negligible (or NaN) g_j, unbounded
+            }
+            let term = h * bound;
+            min += term;
+            scale += term.abs();
+        }
+        let phase1 = (1 + lp.nrows()) as f64 * g_max;
+        min - s * beta > FEAS_TOL * (1.0 + beta.abs() + scale).max(phase1)
+    }
+
     /// Exchange basis row `r`'s variable (leaving to the violated bound)
     /// with entering column `q`, updating duals, primal values and factors.
     fn pivot(&mut self, r: usize, below: bool, q: usize) -> Result<(), WarmFail> {
@@ -666,6 +769,7 @@ impl<'a> DualSimplex<'a> {
         let p = ws.basis[r];
         let target = if below { lp.lower[p] } else { lp.upper[p] };
         let aq = ws.alpha[q];
+        debug_assert!(!self.d_stale, "a pivot needs the ratio test's reduced costs");
 
         // Dual step: keeps every nonbasic reduced cost sign-feasible.
         let theta = ws.d[q] / aq;
@@ -718,15 +822,15 @@ impl<'a> DualSimplex<'a> {
         Ok(())
     }
 
-    /// Report the optimal finish. Duals and the basis snapshot are left to
-    /// the caller ([`Workspace::duals`], [`Workspace::basis`]).
-    fn finish(&self) {
+    /// Report the finish. Duals and the basis snapshot are left to the
+    /// caller ([`Workspace::duals`], [`Workspace::basis`]).
+    fn finish(&self, status: Status) {
         if self.trace.is_enabled() {
             self.trace.emit(
                 self.span,
                 EventKind::LpSolved {
                     iters: self.iterations,
-                    status: status_tag(Status::Optimal),
+                    status: status_tag(status),
                     warm: self.warm,
                 },
             );
@@ -875,6 +979,35 @@ mod tests {
         let (warm, events) = lp_solved_events(&lp, Some(&basis));
         assert!(warm.warm && !warm.cold_dual_abandoned);
         assert!(events.iter().any(|e| matches!(e, EventKind::LpSolved { warm: true, .. })));
+    }
+
+    /// A child with every setup closed cannot meet demand: the warm dual
+    /// path ends it on a certificate — one `lp_solved{infeasible, warm}`,
+    /// no primal iteration, no basis — and the hint-less solve does too.
+    #[test]
+    fn infeasible_child_ends_on_a_certificate_without_the_primal() {
+        let lp = lot_sizing(6, 3.0);
+        let basis = solve_warm(&lp, None).basis.expect("optimal");
+        let mut child = lp.clone();
+        for t in 0..6 {
+            child.upper[3 * t + 1] = 0.0;
+        }
+        let (warm, events) = lp_solved_events(&child, Some(&basis));
+        assert_eq!(warm.raw.status, Status::Infeasible);
+        assert!(warm.warm && warm.farkas.is_some() && warm.basis.is_none());
+        let solved: Vec<_> = events
+            .iter()
+            .filter_map(|e| match e {
+                EventKind::LpSolved { status, warm, .. } => Some((*status, *warm)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(solved, vec![("infeasible", true)]);
+        assert!(!events.iter().any(|e| matches!(e, EventKind::SimplexIter { .. })));
+
+        let cold = solve_warm(&child, None);
+        assert_eq!(cold.raw.status, Status::Infeasible);
+        assert!(!cold.warm && !cold.cold_dual_abandoned && cold.farkas.is_some());
     }
 
     /// Negative costs make the slack basis dual infeasible: the solve goes

@@ -15,11 +15,13 @@
 //!   and reduced-cost update touch only the columns the row reaches. A
 //!   caller that solves many LPs in a row — branch & bound — runs them in
 //!   one [`dual::Workspace`], where a warm re-solve allocates nothing once
-//!   the buffers have grown.
+//!   the buffers have grown. An infeasibility verdict is taken from the
+//!   dual path only from a Farkas certificate re-checked against `A`, `b`
+//!   and the current bounds ([`WarmResult::farkas`]).
 //! * [`simplex::solve_sparse`] / [`simplex::solve_dense`] — the two-phase
 //!   primal simplex the dual path falls back to (dual-infeasible start,
-//!   stall, every infeasibility verdict), over pluggable basis engines: a
-//!   sparse LU engine with product-form updates, and a dense
+//!   stall, a doubtful infeasibility certificate), over pluggable basis
+//!   engines: a sparse LU engine with product-form updates, and a dense
 //!   explicit-inverse engine kept as the cross-checking reference.
 //!
 //! The solver reports primal values, duals, reduced costs and a solution

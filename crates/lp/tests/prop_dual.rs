@@ -1,7 +1,11 @@
 //! Property test for the warm-started dual simplex: on randomized
 //! lot-sizing LPs, re-solving after branching-style bound tightenings from
 //! the parent's optimal basis must agree with a cold primal solve — same
-//! status, same objective — no matter how the warm attempt went.
+//! status, same objective — no matter how the warm attempt went. An
+//! infeasibility verdict the dual path certified must re-verify under the
+//! independent Farkas check in `common`.
+
+mod common;
 
 use proptest::prelude::*;
 use rrp_lp::dual;
@@ -100,6 +104,9 @@ proptest! {
         prop_assert!(warm.raw.status == cold.status,
             "status diverged: warm {:?} cold {:?} (warm path = {})",
             warm.raw.status, cold.status, warm.warm);
+        if let Some(y) = &warm.farkas {
+            prop_assert!(common::farkas_proves(&child, y), "warm certificate does not re-verify");
+        }
         if cold.status == Status::Optimal {
             let zc: f64 = cold.x.iter().zip(&child.c).map(|(x, c)| x * c).sum();
             let zw: f64 = warm.raw.x.iter().zip(&child.c).map(|(x, c)| x * c).sum();
@@ -146,7 +153,7 @@ enum Flavour {
     /// A maximise model with positive profits → primal.
     Maximise,
     /// Dual-feasible start, contradictory rows: the dual path finds no
-    /// entering column and the primal confirms the verdict.
+    /// entering column and certifies the verdict, or the primal decides.
     Infeasible,
     /// A cost-improving ray: only the primal can say so.
     Unbounded,
@@ -250,7 +257,8 @@ proptest! {
     /// Hint-less `solve_warm` — dual-first from the slack basis when that
     /// basis is dual feasible, two-phase primal otherwise — agrees with the
     /// sparse and the dense primal on status and objective, never reports
-    /// itself warm, and never takes an infeasibility verdict from the dual.
+    /// itself warm, and takes an infeasibility verdict from the dual only
+    /// with a certificate that re-verifies.
     #[test]
     fn hintless_solve_matches_both_primals((pick, seed) in (0usize..7, any::<u64>())) {
         let flavour = FLAVOURS[pick];
@@ -264,17 +272,18 @@ proptest! {
             "{flavour:?}: status diverged: cold {:?} sparse {:?} dense {:?}",
             cold.raw.status, sparse.status, dense.status);
         match flavour {
-            Flavour::Infeasible => {
-                prop_assert_eq!(cold.raw.status, Status::Infeasible);
-                prop_assert!(cold.cold_dual_abandoned,
-                    "the verdict must come from the primal after the dual gave up");
-            }
+            Flavour::Infeasible => prop_assert_eq!(cold.raw.status, Status::Infeasible),
             Flavour::Unbounded => {
                 prop_assert_eq!(cold.raw.status, Status::Unbounded);
                 prop_assert!(!cold.cold_dual_abandoned, "dual-infeasible start: primal only");
             }
             Flavour::Maximise => prop_assert!(!cold.cold_dual_abandoned),
             _ => prop_assert_eq!(cold.raw.status, Status::Optimal),
+        }
+        if let Some(y) = &cold.farkas {
+            prop_assert_eq!(cold.raw.status, Status::Infeasible);
+            prop_assert!(common::farkas_proves(&lp, y),
+                "{flavour:?}: the dual's certificate does not re-verify");
         }
         if cold.raw.status == Status::Optimal {
             let (zc, zs, zd) = (

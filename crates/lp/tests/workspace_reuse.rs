@@ -1,10 +1,12 @@
 //! Property test for the reusable dual-simplex [`Workspace`]: a sequence of
 //! LPs of different shapes — lot-sizing relaxations and tree-covering LPs,
 //! each solved cold and then re-solved warm after random branching-style
-//! tightenings, with now and then a hint that does not fit — runs back to
-//! back through one workspace. Every solve must equal a fresh
-//! [`dual::solve_warm`] bit for bit: status, iterations, path flags, `x`,
-//! the basis, and the duals and reduced costs when they are asked for.
+//! tightenings and after one tightening that makes it infeasible, with now
+//! and then a hint that does not fit — runs back to back through one
+//! workspace. Every solve must equal a fresh [`dual::solve_warm`] bit for
+//! bit: status, iterations, path flags, `x`, the basis, the Farkas row of a
+//! certified infeasible verdict, and the duals and reduced costs when they
+//! are asked for. An infeasible solve leaves no basis.
 //! Whatever one solve leaves in the workspace (pivot-row scratch, eta file,
 //! LU buffers) must not reach the next.
 
@@ -12,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rrp_lp::dual::{self, Solved, Workspace};
-use rrp_lp::{Basis, Cmp, Model, Sense, StandardLp};
+use rrp_lp::{Basis, Cmp, Model, Sense, StandardLp, Status};
 use rrp_trace::{SpanId, TraceHandle};
 
 /// Lot-sizing relaxation (the DRRP skeleton): per period `t`, production
@@ -80,20 +82,32 @@ fn tighten(rng: &mut StdRng, lp: &StandardLp, integers: &[usize]) -> StandardLp 
     child
 }
 
+/// Fix every integer column to 0: no setup is open, so no demand can be
+/// met, and no vertex can serve the tree's cover rows.
+fn infeasible(lp: &StandardLp, integers: &[usize]) -> StandardLp {
+    let mut child = lp.clone();
+    for &j in integers {
+        child.lower[j] = 0.0;
+        child.upper[j] = 0.0;
+    }
+    child
+}
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Solve `lp` in the shared workspace and fresh, and require the two to
 /// agree bit for bit. Returns the shared solve's basis, for later hints,
-/// and its iteration count.
+/// its iteration count, and whether it ended on a certified infeasible
+/// verdict.
 fn check(
     ws: &mut Workspace,
     lp: &StandardLp,
     hint: Option<&Basis>,
     want_duals: bool,
     what: &str,
-) -> Result<(Option<Basis>, usize), String> {
+) -> Result<(Option<Basis>, usize, bool), String> {
     let got: Solved = ws.solve(lp, hint, &TraceHandle::off(), SpanId::ROOT);
     let fresh = dual::solve_warm(lp, hint);
     let want = Solved {
@@ -106,12 +120,17 @@ fn check(
     prop_assert!(bits(ws.x()) == bits(&fresh.raw.x), "{what}: x differs from a fresh solve");
     let basis = ws.basis();
     prop_assert!(basis == fresh.basis, "{what}: basis differs from a fresh solve");
+    if got.status == Status::Infeasible {
+        prop_assert!(basis.is_none(), "{what}: an infeasible solve left a basis");
+    }
+    let farkas = ws.farkas().map(bits);
+    prop_assert!(farkas == fresh.farkas.as_deref().map(bits), "{what}: Farkas row differs");
     if want_duals {
         let (y, d) = ws.duals(lp);
         prop_assert!(bits(&y) == bits(&fresh.raw.y), "{what}: duals differ from a fresh solve");
         prop_assert!(bits(&d) == bits(&fresh.raw.d), "{what}: reduced costs differ");
     }
-    Ok((basis, got.iterations))
+    Ok((basis, got.iterations, farkas.is_some()))
 }
 
 proptest! {
@@ -122,13 +141,13 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ws = Workspace::new();
         let mut previous: Option<Basis> = None;
-        let mut pivots = 0;
+        let (mut pivots, mut certified) = (0, 0);
         for k in 0..rng.gen_range(3..7usize) {
             let (lp, integers) =
                 if rng.gen_bool(0.5) { lot_sizing(&mut rng) } else { tree_covering(&mut rng) };
             // now and then a hint from the previous, differently shaped LP
             let stale = previous.take().filter(|_| rng.gen_bool(0.25));
-            let (root, iters) =
+            let (root, iters, _) =
                 check(&mut ws, &lp, stale.as_ref(), rng.gen_bool(0.5), &format!("lp {k}"))?;
             pivots += iters;
             for b in 0..rng.gen_range(1..4usize) {
@@ -136,8 +155,15 @@ proptest! {
                 let what = format!("lp {k}, child {b}");
                 pivots += check(&mut ws, &child, root.as_ref(), rng.gen_bool(0.5), &what)?.1;
             }
+            let dead = infeasible(&lp, &integers);
+            let what = format!("lp {k}, infeasible child");
+            let (_, iters, proved) =
+                check(&mut ws, &dead, root.as_ref(), rng.gen_bool(0.5), &what)?;
+            pivots += iters;
+            certified += usize::from(proved);
             previous = root;
         }
         prop_assert!(pivots > 0, "the sequence must pivot");
+        prop_assert!(certified > 0, "the sequence must end a solve on a certificate");
     }
 }

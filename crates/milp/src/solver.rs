@@ -122,6 +122,9 @@ pub struct LpStats {
     /// Hint-less solves that started on the dual simplex from the slack
     /// basis and were abandoned to the two-phase primal.
     pub cold_dual_abandoned: u64,
+    /// Node solves the dual path ended infeasible on a Farkas certificate
+    /// checked against the node's LP data, with no primal re-solve.
+    pub certified_infeasible: u64,
     /// Fix-and-resolve LP solves of the rounding heuristic.
     pub heuristic_solves: u64,
     /// Simplex iterations across those re-solves.
@@ -337,6 +340,7 @@ impl<'a> Searcher<'a> {
         self.lp_stats.iterations += solved.iterations as u64;
         self.lp_stats.warm_hits += u64::from(solved.warm);
         self.lp_stats.cold_dual_abandoned += u64::from(solved.cold_dual_abandoned);
+        self.lp_stats.certified_infeasible += u64::from(self.ws.farkas().is_some());
         let dense = match solved.status {
             Status::Optimal => None,
             Status::Infeasible => return self.prune(node.id, PruneReason::Infeasible),

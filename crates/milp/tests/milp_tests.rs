@@ -249,7 +249,7 @@ fn lp_stats_count_dual_first_solves_as_cold() {
     let cold = lots.solve(&MilpOptions { warm_start: false, ..opts() }).unwrap().lp_stats;
     assert!(cold.solves > 1, "{cold:?}");
     assert_eq!((cold.warm_attempts, cold.warm_hits), (0, 0), "{cold:?}");
-    assert!(cold.cold_dual_abandoned <= cold.solves, "{cold:?}");
+    assert!(cold.cold_dual_abandoned + cold.certified_infeasible <= cold.solves, "{cold:?}");
 
     // a maximise model never starts on the dual: nothing to abandon
     let weights = [7.0, 5.0, 4.0, 3.0, 1.0, 6.0, 2.0, 8.0];
@@ -260,5 +260,9 @@ fn lp_stats_count_dual_first_solves_as_cold() {
     m.add_con(&terms, Cmp::Le, 17.0);
     let knap = MilpProblem::new(m, vars).solve(&MilpOptions { warm_start: false, ..opts() });
     let knap = knap.unwrap().lp_stats;
-    assert_eq!((knap.warm_hits, knap.cold_dual_abandoned), (0, 0), "{knap:?}");
+    assert_eq!(
+        (knap.warm_hits, knap.cold_dual_abandoned, knap.certified_infeasible),
+        (0, 0, 0),
+        "the primal decides every node: {knap:?}"
+    );
 }
