@@ -22,10 +22,10 @@
 //!   forced variable (propagated bounds ∧ caller-supplied demand/capacity
 //!   hints) and reports the tightest valid `M`.
 //!
-//! The planning engine runs [`audit_milp`] as a pre-solve gate: provably
-//! infeasible tenant requests are rejected for the cost of a propagation
-//! pass instead of a branch-and-bound timeout, and sound tightenings are
-//! applied before the solve.
+//! The pass is an offline analysis (the `audit_report` bench bin) and a
+//! test oracle: the planning engine's pre-solve gate is the `O(T)` prefix
+//! sum `rrp_core::drrp::capacity_shortfall`, whose verdict the soundness
+//! tests hold equal to this pass's away from the feasibility boundary.
 //!
 //! ```
 //! use rrp_lp::{Cmp, Model, Sense};

@@ -1,7 +1,7 @@
 //! Plan-level outcomes of budgeted solves — `rrp_milp::SolveStatus` lifted
-//! from raw solution vectors to extracted plans ([`crate::RentalPlan`] /
-//! [`crate::srrp::SrrpPlan`]), shared by the DRRP and SRRP budgeted entry
-//! points that the planning engine's deadline enforcement drives.
+//! from raw solution vectors to extracted plans ([`crate::srrp::SrrpPlan`]),
+//! returned by the SRRP budgeted entry point that the planning engine's
+//! deadline enforcement drives.
 
 use rrp_milp::{MilpStatus, StopReason};
 

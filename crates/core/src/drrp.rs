@@ -16,12 +16,18 @@
 //! generates beyond the demand it can still serve), intersected with the
 //! capacity when present.
 
-use rrp_lp::{Cmp, Model, Sense};
-use rrp_milp::{MilpOptions, MilpProblem, MilpStatus, SolveBudget, SolveStatus};
+use std::fmt;
 
-use crate::budgeted::PlanOutcome;
+use rrp_lp::{Cmp, Model, Sense};
+use rrp_milp::{MilpOptions, MilpProblem, MilpStatus};
+
 use crate::cost::{validate, CostSchedule, PlanningParams};
 use crate::eval::CostBreakdown;
+
+/// Float netting tolerance shared by [`capacity_shortfall`] and the plan
+/// constructions: a shortfall or a demand residue below it is rounding, and
+/// never forces a rental or a rejection.
+pub const NET_TOL: f64 = 1e-9;
 
 /// A deterministic rental-planning instance for one VM class.
 #[derive(Debug, Clone)]
@@ -184,27 +190,6 @@ impl DrrpProblem {
         Ok(self.extract(&sol.values, &vars))
     }
 
-    /// MILP solve under a cooperative [`SolveBudget`] (wall-clock and/or
-    /// node limits). Budget hits yield [`PlanOutcome::Terminated`] carrying
-    /// the best incumbent plan found so far, never a panic or an unbounded
-    /// run — the hook the planning engine's deadline enforcement uses.
-    pub fn solve_milp_budgeted(
-        &self,
-        opts: &MilpOptions,
-        budget: &SolveBudget,
-    ) -> PlanOutcome<RentalPlan> {
-        let (milp, vars) = self.to_milp();
-        match milp.solve_budgeted(opts, budget) {
-            SolveStatus::Optimal(sol) => PlanOutcome::Optimal(self.extract(&sol.values, &vars)),
-            SolveStatus::Terminated { best_incumbent, bound, reason } => PlanOutcome::Terminated {
-                plan: best_incumbent.map(|sol| self.extract(&sol.values, &vars)),
-                bound,
-                reason,
-            },
-            SolveStatus::Failed(e) => PlanOutcome::Failed(e),
-        }
-    }
-
     /// Assemble a [`RentalPlan`] from a MILP solution vector.
     pub fn extract(&self, values: &[f64], vars: &DrrpVars) -> RentalPlan {
         let s = &self.schedule;
@@ -236,6 +221,53 @@ pub fn exact_dp(schedule: &CostSchedule, params: &PlanningParams) -> Option<Rent
         None => Some(crate::wagner_whitin::solve(schedule, params)),
         Some(_) => None,
     }
+}
+
+/// Why a capacitated DRRP instance has no feasible plan: the first slot
+/// whose cumulative demand exceeds the most stock any plan can hold there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CapacityShortfall {
+    /// First slot `t` with `Σ_{u ≤ t} D_u > ε + (t+1)·C`.
+    pub slot: usize,
+    /// Cumulative demand `Σ_{u ≤ t} D_u` through `slot`.
+    pub demand_through: f64,
+    /// Initial stock plus capacity rented in every slot, `ε + (t+1)·C`.
+    pub supply_through: f64,
+}
+
+impl fmt::Display for CapacityShortfall {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "proven infeasible at slot {}: demand through it is {}, but initial stock plus \
+             capacity in every slot supplies at most {}",
+            self.slot, self.demand_through, self.supply_through
+        )
+    }
+}
+
+/// The feasibility test of a DRRP instance, in `O(T)`. Constraints (2),
+/// (3) and (5) give `β_t = ε + Σ_{u ≤ t} (α_u − D_u) ≥ 0` with `α_u ≤ C`,
+/// so renting at capacity in every slot holds the most stock, and a plan
+/// exists exactly when `Σ_{u ≤ t} D_u ≤ ε + (t+1)·C` for every slot `t`.
+/// Returns the first slot short by more than [`NET_TOL`], and always
+/// `None` when `capacity` is `None`. Panics on a malformed instance, as
+/// every other entry point does.
+pub fn capacity_shortfall(
+    schedule: &CostSchedule,
+    params: &PlanningParams,
+) -> Option<CapacityShortfall> {
+    validate(schedule, params);
+    let cap = params.capacity?;
+    let mut demand_through = 0.0;
+    for (slot, d) in schedule.demand.iter().enumerate() {
+        demand_through += d;
+        let supply_through = params.initial_inventory + (slot + 1) as f64 * cap;
+        if demand_through - supply_through > NET_TOL {
+            return Some(CapacityShortfall { slot, demand_through, supply_through });
+        }
+    }
+    None
 }
 
 /// Price a complete decision set under a schedule (shared with WW / SRRP).

@@ -3,12 +3,8 @@
 //! it rents in every slot that requires production and produces as late as
 //! possible — so it always returns in O(T) and is always demand-feasible.
 
-use crate::cost::{validate, CostSchedule, PlanningParams};
-use crate::drrp::{plan_from_decisions, RentalPlan};
-
-/// Float netting tolerance, mirroring `wagner_whitin::solve`: residues of
-/// the initial-inventory subtraction below this never force a rental.
-const NET_TOL: f64 = 1e-9;
+use crate::cost::{CostSchedule, PlanningParams};
+use crate::drrp::{capacity_shortfall, plan_from_decisions, RentalPlan, NET_TOL};
 
 /// Construct a feasible plan with no optimisation: serve the initial
 /// inventory first, then produce each slot's remaining demand as late as
@@ -21,10 +17,11 @@ const NET_TOL: f64 = 1e-9;
 /// out, or loop: it is what a deadline-constrained engine falls back to
 /// when every optimiser above it ran out of budget.
 ///
-/// Panics if no feasible plan exists at all (cumulative capacity short of
-/// cumulative demand), which `validate` cannot rule out statically.
+/// Panics iff [`capacity_shortfall`] is `Some`: no feasible plan exists
+/// (cumulative capacity short of cumulative demand).
 pub fn on_demand_plan(s: &CostSchedule, params: &PlanningParams) -> RentalPlan {
-    validate(s, params);
+    let shortfall = capacity_shortfall(s, params);
+    assert!(shortfall.is_none(), "{}", shortfall.map(|e| e.to_string()).unwrap_or_default());
     let t_max = s.horizon();
 
     // net the initial inventory into the earliest demand it can serve
@@ -54,10 +51,9 @@ pub fn on_demand_plan(s: &CostSchedule, params: &PlanningParams) -> RentalPlan {
             carry = 0.0;
         }
     }
-    assert!(
-        carry <= NET_TOL,
-        "infeasible instance: {carry} GB of demand exceeds cumulative capacity"
-    );
+    // the cascade's residue is the largest prefix shortfall, which the
+    // check above bounds by NET_TOL
+    assert!(carry <= NET_TOL, "cascade left {carry} GB unproduced on a feasible instance");
 
     // inventory trajectory and rental indicators
     let mut beta = vec![0.0f64; t_max];

@@ -14,7 +14,7 @@
 //! demand `D′`.
 
 use crate::cost::{validate, CostSchedule, PlanningParams};
-use crate::drrp::{plan_from_decisions, RentalPlan};
+use crate::drrp::{plan_from_decisions, RentalPlan, NET_TOL};
 
 /// Solve the uncapacitated DRRP exactly. Panics if `params.capacity` is
 /// set — use the MILP path for capacitated instances.
@@ -28,7 +28,6 @@ pub fn solve(s: &CostSchedule, params: &PlanningParams) -> RentalPlan {
     // NET_TOL are snapped to zero: a 1e-16 leftover (typical after a
     // rolling execution drains inventory exactly) must not force a rental
     // setup, or replanning pays phantom fixed costs.
-    const NET_TOL: f64 = 1e-9;
     let mut net = vec![0.0f64; t_max];
     let mut eps_inv = vec![0.0f64; t_max];
     let mut avail = params.initial_inventory;

@@ -9,9 +9,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rrp_core::drrp::{exact_dp, DrrpVars};
+use rrp_core::drrp::exact_dp;
 use rrp_core::{on_demand_plan, DrrpProblem, PlanOutcome, RentalPlan, SrrpProblem};
-use rrp_milp::{Basis, MilpOptions, MilpProblem, SolveBudget, SolveStatus};
+use rrp_milp::{Basis, MilpOptions, SolveBudget, SolveStatus};
 use rrp_trace::{EventKind, SpanId, TraceHandle};
 
 use crate::request::{DegradationLevel, PlanRequest, RungOutcome, TraceEntry};
@@ -41,27 +41,6 @@ fn rung_span_name(level: DegradationLevel) -> &'static str {
 /// Feasibility tolerance for committed plans.
 const FEAS_TOL: f64 = 1e-6;
 
-/// A DRRP MILP built (and possibly strengthened) ahead of the ladder run —
-/// the audit gate constructs the instance to prove feasibility, applies its
-/// bound/big-M tightenings, and hands it here so the Deterministic rung
-/// solves the strengthened model instead of rebuilding from scratch.
-#[derive(Debug, Clone)]
-pub struct PreparedDrrp {
-    pub problem: DrrpProblem,
-    pub milp: MilpProblem,
-    pub vars: DrrpVars,
-}
-
-impl PreparedDrrp {
-    /// Build (unstrengthened) from a request. The audit gate calls this,
-    /// then mutates `milp` with its tightenings.
-    pub fn from_request(req: &PlanRequest) -> Self {
-        let problem = DrrpProblem::new(req.schedule.clone(), req.params);
-        let (milp, vars) = problem.to_milp();
-        Self { problem, milp, vars }
-    }
-}
-
 /// Outcome of the full ladder run.
 #[derive(Debug, Clone)]
 pub struct LadderResult {
@@ -72,10 +51,10 @@ pub struct LadderResult {
     /// the only results worth caching (a degraded or incumbent answer would
     /// poison the cache for later, less-pressed requests).
     pub fully_solved: bool,
-    /// Final basis of the answering MILP rung's root LP relaxation, when
-    /// that rung solved a prepared DRRP instance. The engine files it in
-    /// its basis side-table so the next same-shape request (a rolling-
-    /// horizon re-plan) starts its root LP warm.
+    /// Final basis of the answering rung's root LP relaxation, when the
+    /// Deterministic rung answered from branch & bound (capacitated DRRP).
+    /// The engine files it in its basis side-table so the next same-shape
+    /// request (a rolling-horizon re-plan) starts its root LP warm.
     pub root_basis: Option<Arc<Basis>>,
 }
 
@@ -90,27 +69,15 @@ enum Attempt {
 /// it) and the on-demand rung are O(T²)/O(T) and run unconditionally, so a
 /// feasible plan always comes back.
 pub fn run_ladder(req: &PlanRequest, opts: &MilpOptions, budget: &SolveBudget) -> LadderResult {
-    run_ladder_prepared(req, opts, budget, None)
+    run_ladder_with(req, opts, budget, &LadderConfig::default())
 }
 
-/// [`run_ladder`] with an optional pre-built (audit-strengthened) DRRP
-/// instance for the Deterministic rung.
-pub fn run_ladder_prepared(
-    req: &PlanRequest,
-    opts: &MilpOptions,
-    budget: &SolveBudget,
-    prepared: Option<&PreparedDrrp>,
-) -> LadderResult {
-    run_ladder_with(req, opts, budget, prepared, &LadderConfig::default())
-}
-
-/// [`run_ladder_prepared`] with telemetry: one `rung:*` span per attempt,
-/// each carrying the rung's solver events and a closing `ladder_step`.
+/// [`run_ladder`] with telemetry: one `rung:*` span per attempt, each
+/// carrying the rung's solver events and a closing `ladder_step`.
 pub fn run_ladder_with(
     req: &PlanRequest,
     opts: &MilpOptions,
     budget: &SolveBudget,
-    prepared: Option<&PreparedDrrp>,
     cfg: &LadderConfig,
 ) -> LadderResult {
     let start_level = req.policy.start_level();
@@ -130,7 +97,7 @@ pub fn run_ladder_with(
             opts
         };
         let t0 = Instant::now();
-        let attempt = attempt_level(req, level, level_opts, budget, prepared);
+        let attempt = attempt_level(req, level, level_opts, budget);
         let elapsed = t0.elapsed();
         let (plan, outcome, root_basis) = match attempt {
             Attempt::Answer(plan, outcome, basis) => (Some(plan), outcome, basis),
@@ -163,7 +130,6 @@ fn attempt_level(
     level: DegradationLevel,
     opts: &MilpOptions,
     budget: &SolveBudget,
-    prepared: Option<&PreparedDrrp>,
 ) -> Attempt {
     match level {
         DegradationLevel::Full => {
@@ -179,37 +145,25 @@ fn attempt_level(
             if let Some(plan) = exact_dp(&req.schedule, &req.params) {
                 return Attempt::Answer(plan, RungOutcome::Solved, None);
             }
-            // reuse the audit gate's (strengthened) instance when present
-            if let Some(prep) = prepared {
-                return match prep.milp.solve_budgeted(opts, budget) {
-                    SolveStatus::Optimal(sol) => Attempt::Answer(
-                        prep.problem.extract(&sol.values, &prep.vars),
-                        RungOutcome::Solved,
-                        sol.root_basis.clone(),
-                    ),
-                    SolveStatus::Terminated { best_incumbent: Some(sol), reason, .. } => {
-                        Attempt::Answer(
-                            prep.problem.extract(&sol.values, &prep.vars),
-                            RungOutcome::Incumbent(reason),
-                            sol.root_basis.clone(),
-                        )
-                    }
-                    SolveStatus::Terminated { best_incumbent: None, reason, .. } => {
-                        Attempt::Miss(RungOutcome::Exhausted(reason))
-                    }
-                    SolveStatus::Failed(e) => Attempt::Miss(RungOutcome::Failed(format!("{e:?}"))),
-                };
-            }
             let drrp = DrrpProblem::new(req.schedule.clone(), req.params);
-            match drrp.solve_milp_budgeted(opts, budget) {
-                PlanOutcome::Optimal(plan) => Attempt::Answer(plan, RungOutcome::Solved, None),
-                PlanOutcome::Terminated { plan: Some(plan), reason, .. } => {
-                    Attempt::Answer(plan, RungOutcome::Incumbent(reason), None)
+            let (milp, vars) = drrp.to_milp();
+            match milp.solve_budgeted(opts, budget) {
+                SolveStatus::Optimal(sol) => Attempt::Answer(
+                    drrp.extract(&sol.values, &vars),
+                    RungOutcome::Solved,
+                    sol.root_basis,
+                ),
+                SolveStatus::Terminated { best_incumbent: Some(sol), reason, .. } => {
+                    Attempt::Answer(
+                        drrp.extract(&sol.values, &vars),
+                        RungOutcome::Incumbent(reason),
+                        sol.root_basis,
+                    )
                 }
-                PlanOutcome::Terminated { plan: None, reason, .. } => {
+                SolveStatus::Terminated { best_incumbent: None, reason, .. } => {
                     Attempt::Miss(RungOutcome::Exhausted(reason))
                 }
-                PlanOutcome::Failed(e) => Attempt::Miss(RungOutcome::Failed(format!("{e:?}"))),
+                SolveStatus::Failed(e) => Attempt::Miss(RungOutcome::Failed(format!("{e:?}"))),
             }
         }
         DegradationLevel::DynamicProgram => match exact_dp(&req.schedule, &req.params) {

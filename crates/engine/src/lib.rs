@@ -18,12 +18,13 @@
 //! * **Warm-start caching** ([`cache`]) — answers are keyed by a canonical
 //!   problem fingerprint (schedule + demand + tree shape); identical
 //!   problems hit, even from different tenants of the same shard.
-//! * **Pre-solve audit gate** — every cache-missing request's DRRP
-//!   instance runs through the [`rrp_audit`] static analysis first:
-//!   provably infeasible requests are *rejected* with an
-//!   [`InfeasibilityProof`] (no branch & bound, no worker panic), and the
-//!   audit's bound/big-M tightenings strengthen the instance the
-//!   Deterministic rung solves.
+//! * **Pre-solve gate** — every cache-missing request is checked against
+//!   [`rrp_core::drrp::capacity_shortfall`] first, one `O(T)` prefix sum:
+//!   a request no plan can serve is *rejected* with the
+//!   [`CapacityShortfall`] naming the first slot its cumulative demand
+//!   outruns initial stock plus capacity (no branch & bound, no worker
+//!   panic). A malformed request panics in the check's validation; the
+//!   worker survives and [`Ticket::wait`] reports it.
 //! * **Metrics** ([`metrics`]) — per-level counts, queue depth (current
 //!   and high-water), cache hit rate, audit/rejection counts, bounded
 //!   per-tenant tables, p50/p99 latency as a serialisable snapshot.
@@ -71,16 +72,14 @@ pub mod shard;
 mod wire;
 
 pub use cache::{CacheEntry, PlanCache};
-pub use ladder::{
-    run_ladder, run_ladder_prepared, run_ladder_with, LadderConfig, LadderResult, PreparedDrrp,
-};
+pub use ladder::{run_ladder, run_ladder_with, LadderConfig, LadderResult};
 pub use metrics::{
     MetricsSnapshot, ShardSnapshot, TenantSnapshot, TENANT_OVERFLOW, TENANT_TABLE_CAP,
 };
 pub use request::{
     DegradationLevel, PlanRequest, PlanResponse, PolicyKind, RungOutcome, TraceEntry,
 };
-pub use rrp_audit::InfeasibilityProof;
+pub use rrp_core::drrp::CapacityShortfall;
 pub use rrp_prof::ProfConfig;
 pub use rrp_slo::SloConfig;
 pub use service::{Engine, EngineConfig, MetricsConfig, ShardConfig, Ticket};

@@ -113,10 +113,10 @@ pub struct MetricsSnapshot {
     pub level_on_demand_only: u64,
     /// Responses whose latency exceeded the request deadline.
     pub deadline_misses: u64,
-    /// Pre-solve audit-gate runs (one per cache-missing request).
+    /// Pre-solve feasibility-gate runs (one per cache-missing request).
     pub audits: u64,
-    /// Requests rejected by the audit gate with a static infeasibility
-    /// proof (counted in `completed`, but in no ladder level).
+    /// Requests the gate rejected with a capacity shortfall: no plan can
+    /// cover their demand (counted in `completed`, but in no ladder level).
     pub audit_rejections: u64,
     /// Requests refused at admission because their shard's queue was over
     /// its high-water mark (`429 Busy`). Not counted in `completed` — no
@@ -224,12 +224,12 @@ impl Metrics {
         }
     }
 
-    /// One pre-solve audit-gate run.
+    /// One pre-solve feasibility-gate run.
     pub fn record_audit(&self) {
         self.audits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A request the audit gate rejected as provably infeasible: the
+    /// A request the gate rejected as provably infeasible: the
     /// response counts as completed, but no ladder level served it (the
     /// snapshot invariant is `Σ level_* == completed − audit_rejections`).
     pub fn record_rejection(&self, latency: Duration, deadline_met: bool) {

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use rrp_audit::InfeasibilityProof;
+use rrp_core::drrp::CapacityShortfall;
 use rrp_core::fingerprint::Fnv64;
 use rrp_core::{fingerprint_instance, CostSchedule, PlanningParams, RentalPlan, ScenarioTree};
 use rrp_milp::StopReason;
@@ -203,20 +203,19 @@ pub struct TraceEntry {
 }
 
 /// The service's answer: a demand-feasible [`RentalPlan`] plus where on
-/// the ladder it came from — or, when the pre-solve audit gate statically
-/// proved the instance infeasible, `plan: None` with the
-/// [`InfeasibilityProof`] in `rejection`. Exactly one of `plan` and
-/// `rejection` is `Some`.
+/// the ladder it came from — or, when the pre-solve gate proved that no
+/// plan can cover the demand, `plan: None` with the [`CapacityShortfall`]
+/// in `rejection`. Exactly one of `plan` and `rejection` is `Some`.
 #[derive(Debug, Clone)]
 pub struct PlanResponse {
     pub app_id: String,
     /// Cache key the request hashed to.
     pub fingerprint: u64,
-    /// The plan; `None` when the request was rejected by the audit gate.
+    /// The plan; `None` when the request was rejected by the gate.
     pub plan: Option<RentalPlan>,
-    /// Static infeasibility proof when the audit gate rejected the
-    /// request (no solve was attempted).
-    pub rejection: Option<InfeasibilityProof>,
+    /// The first slot whose cumulative demand no plan can cover, when the
+    /// gate rejected the request (no solve was attempted).
+    pub rejection: Option<CapacityShortfall>,
     /// Ladder rung the answer came from; for a rejected request this is
     /// the rung the request *would* have started at.
     pub degradation: DegradationLevel,
@@ -229,7 +228,7 @@ pub struct PlanResponse {
 }
 
 impl PlanResponse {
-    /// The plan, panicking with the audit proof when the request was
+    /// The plan, panicking with the shortfall when the request was
     /// rejected — the ergonomic accessor for callers that know their
     /// instance is feasible.
     pub fn expect_plan(&self) -> &RentalPlan {

@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use rrp_audit::{audit_milp_with, AuditOptions, UpperBoundHint};
+use rrp_core::drrp::capacity_shortfall;
 use rrp_core::fingerprint::Fnv64;
 use rrp_milp::{MilpOptions, SolveBudget};
 use rrp_obs::{ObsHooks, ObsServer, PlanDecision, Readiness, Registry};
@@ -40,7 +40,7 @@ use rrp_trace::{
 use serde::Serialize;
 
 use crate::cache::{CacheEntry, PlanCache};
-use crate::ladder::{run_ladder_with, LadderConfig, PreparedDrrp};
+use crate::ladder::{run_ladder_with, LadderConfig};
 use crate::metrics::{merged_latencies, merged_snapshot, Metrics, MetricsSnapshot, TenantSnapshot};
 use crate::request::{DegradationLevel, PlanRequest, PlanResponse, RungOutcome};
 use crate::shard::{shard_of, shard_readiness, Busy, ShardQueue, Wave};
@@ -341,10 +341,13 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// Block until the response arrives. Provably infeasible requests come
-    /// back as audit rejections (`plan: None`), not panics; this only
-    /// panics if the worker itself panicked (e.g. a malformed schedule
-    /// failing validation) — the panic message is on that worker's stderr.
+    /// Block until the response arrives. Requests no plan can serve come
+    /// back as gate rejections (`plan: None` with a
+    /// [`CapacityShortfall`](crate::CapacityShortfall)), not panics; this
+    /// only panics if the worker itself panicked — a malformed request
+    /// (negative or non-finite demand or prices, an empty horizon) fails
+    /// the gate's validation — and the panic message is on that worker's
+    /// stderr. The worker survives and serves the next request.
     pub fn wait(self) -> PlanResponse {
         self.rx.recv().expect("planning worker dropped the request (it panicked — see stderr)")
     }
@@ -829,7 +832,7 @@ fn sync_registry(shared: &Shared, reg: &Registry) {
         .set(shared.basis_cache_hit_rate());
     reg.gauge("rrp_basis_cache_entries", "Problem shapes with a stored root basis", &[])
         .set(shared.basis_cache_entries() as f64);
-    reg.counter("rrp_audits_total", "Pre-solve audit-gate runs", &[]).set(snap.audits);
+    reg.counter("rrp_audits_total", "Pre-solve feasibility-gate runs", &[]).set(snap.audits);
     reg.counter(
         "rrp_deadline_misses_total",
         "Responses later than their deadline (all tenants)",
@@ -931,7 +934,7 @@ fn sync_request_ledger(shared: &Shared, tenants: &[TenantSnapshot], reg: &Regist
         }),
         (
             "rrp_audit_rejections_total",
-            "Requests statically rejected by the audit gate, per tenant",
+            "Requests rejected by the feasibility gate, per tenant",
             |t| t.audit_rejections,
         ),
         ("rrp_cache_hits_total", "Requests answered from the warm-start cache, per tenant", |t| {
@@ -997,17 +1000,18 @@ fn sync_solver_ledger(c: &CounterSink, reg: &Registry) {
         .set(load(&c.refactorisations));
 }
 
-/// Key for the basis side-table: tenant identity plus the *dimensions* of
-/// the prepared MILP. Two requests share a key exactly when their constraint
-/// matrices have the same layout — the condition under which a stored basis
-/// is even shape-compatible. Data (demand, prices) deliberately stays out:
-/// surviving data changes is the point of the warm start.
-fn shape_fingerprint(app_id: &str, prepared: &PreparedDrrp) -> u64 {
+/// Key for the basis side-table: tenant identity, horizon and whether the
+/// request is capacitated. Only capacitated DRRP files a basis, and its
+/// MILP is `3T` columns × `2T` rows, so two requests share a key exactly
+/// when their constraint matrices have the same layout — the condition
+/// under which a stored basis is even shape-compatible. Data (demand,
+/// prices) deliberately stays out: surviving data changes is the point of
+/// the warm start.
+fn shape_fingerprint(req: &PlanRequest) -> u64 {
     let mut h = Fnv64::new();
-    h.write_bytes(app_id.as_bytes());
-    h.write_usize(prepared.milp.model.num_vars());
-    h.write_usize(prepared.milp.model.num_cons());
-    h.write_usize(prepared.milp.integers.len());
+    h.write_bytes(req.app_id.as_bytes());
+    h.write_usize(req.horizon());
+    h.write_usize(usize::from(req.params.capacity.is_some()));
     h.finish()
 }
 
@@ -1121,7 +1125,7 @@ fn finish(
     }
 }
 
-/// Decide the response — cache hit, audit rejection or ladder answer —
+/// Decide the response — cache hit, gate rejection or ladder answer —
 /// and account it to the shard's global counters. Returns it with its
 /// `RequestDone` outcome label.
 fn answer(
@@ -1152,38 +1156,17 @@ fn answer(
         return (resp, "cache_hit");
     }
 
-    // Pre-solve audit gate. Every ladder answer must satisfy the schedule's
+    // Pre-solve gate. Every ladder answer must satisfy the schedule's
     // demand balance under the capacity, which is exactly the DRRP
-    // constraint system — so the gate audits the DRRP instance regardless
-    // of the requested policy. A provably infeasible request is rejected
-    // for the cost of a propagation pass (no branch & bound, no panic on
-    // the on-demand floor); otherwise the audit's bound/big-M tightenings
-    // are kept and the strengthened instance feeds the Deterministic rung
-    // whenever it runs branch & bound (capacitated requests: the rest have
-    // an exact DP answer and never touch it).
-    let mut prepared = PreparedDrrp::from_request(&req);
-    let hints: Vec<UpperBoundHint> = prepared
-        .problem
-        .implied_alpha_bounds()
-        .into_iter()
-        .map(|(col, upper)| UpperBoundHint {
-            var: col,
-            upper,
-            why: "remaining demand / capacity".to_string(),
-        })
-        .collect();
-    let audit_opts =
-        AuditOptions { hints, structure: false, numerics: false, ..Default::default() };
-    let audit = audit_milp_with(&prepared.milp, &audit_opts);
+    // constraint system — so the gate checks DRRP feasibility regardless of
+    // the requested policy. A request no plan can serve is rejected for the
+    // cost of one prefix sum (no branch & bound, no panic on the on-demand
+    // floor); a malformed one panics here, in the check's validation.
+    let shortfall = capacity_shortfall(&req.schedule, &req.params);
     state.metrics.record_audit();
-    shared.trace.emit(
-        span,
-        EventKind::AuditGate {
-            verdict: if audit.infeasibility.is_some() { "rejected" } else { "pass" },
-            tightenings: audit.tightenings.len(),
-        },
-    );
-    if let Some(proof) = audit.infeasibility {
+    let verdict = if shortfall.is_some() { "rejected" } else { "pass" };
+    shared.trace.emit(span, EventKind::AuditGate { verdict });
+    if let Some(shortfall) = shortfall {
         let latency = start.elapsed();
         let deadline_met = latency <= req.deadline;
         state.metrics.record_rejection(latency, deadline_met);
@@ -1191,7 +1174,7 @@ fn answer(
             app_id: req.app_id,
             fingerprint: key,
             plan: None,
-            rejection: Some(proof),
+            rejection: Some(shortfall),
             degradation: req.policy.start_level(),
             trace: Vec::new(),
             cache_hit: false,
@@ -1200,14 +1183,13 @@ fn answer(
         };
         return (resp, "rejected");
     }
-    audit.apply(&mut prepared.milp);
 
     // Basis warm start across re-plans: the exact fingerprint missed (new
     // demand/prices), but a same-shape solve may have left its final root
     // basis behind — hand it to the MILP root LP as a dual-feasible hint.
     // A stale or mismatched basis only costs the warm attempt; the solver
     // falls back to a cold primal solve on its own.
-    let shape = shape_fingerprint(&req.app_id, &prepared);
+    let shape = shape_fingerprint(&req);
     let ladder_opts = if shared.opts.warm_start {
         let mut o = shared.opts.clone();
         o.root_basis = state.cache.lookup_basis(shape);
@@ -1219,7 +1201,7 @@ fn answer(
     let budget =
         SolveBudget::with_deadline(start + req.deadline).and_node_limit(shared.opts.node_limit);
     let ladder_cfg = LadderConfig { trace: shared.trace.clone(), parent: span };
-    let result = run_ladder_with(&req, &ladder_opts, &budget, Some(&prepared), &ladder_cfg);
+    let result = run_ladder_with(&req, &ladder_opts, &budget, &ladder_cfg);
     if result.fully_solved {
         state
             .cache

@@ -137,9 +137,9 @@ pub(crate) fn plan_response_json(resp: &PlanResponse) -> String {
         (Some(plan), _) => {
             let _ = write!(out, "\"objective\":{:.6},\"rejected\":false}}", plan.objective);
         }
-        (None, Some(proof)) => {
+        (None, Some(shortfall)) => {
             out.push_str("\"rejected\":true,\"rejection\":\"");
-            escape_into(&mut out, &proof.to_string());
+            escape_into(&mut out, &shortfall.to_string());
             out.push_str("\"}");
         }
         (None, None) => out.push_str("\"rejected\":false}"),

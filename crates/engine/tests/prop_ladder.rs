@@ -99,6 +99,27 @@ proptest! {
         }
     }
 
+    /// The Deterministic rung hands back its root basis exactly when it
+    /// answered from branch & bound: a capacitated answer carries one for
+    /// the engine's side-table, an answer from the exact DP carries none.
+    #[test]
+    fn root_basis_only_from_branch_and_bound((horizon, seed) in (3usize..7, any::<u64>())) {
+        let (schedule, params, tree) = instance(horizon, seed);
+        let peak = schedule.demand.iter().fold(0.0f64, |m, &d| m.max(d));
+        let capped = PlanningParams { capacity: Some(1.2 * peak + 0.1), ..params };
+        let (opts, budget) = (MilpOptions::default(), SolveBudget::unlimited());
+        let req = request(PolicyKind::Deterministic, &schedule, &capped, &tree);
+        let out = run_ladder(&req, &opts, &budget);
+        prop_assert_eq!(out.level, DegradationLevel::Deterministic);
+        prop_assert_eq!(&out.trace.last().unwrap().outcome, &RungOutcome::Solved);
+        prop_assert!(out.root_basis.is_some(), "capacitated B&B answer lost its root basis");
+        for policy in [PolicyKind::Deterministic, PolicyKind::DynamicProgram] {
+            let out = run_ladder(&request(policy, &schedule, &params, &tree), &opts, &budget);
+            prop_assert!(out.fully_solved);
+            prop_assert!(out.root_basis.is_none(), "{:?}: a DP answer carries no basis", policy);
+        }
+    }
+
     /// A starved budget still yields a feasible answer — from a strictly
     /// lower rung than requested.
     #[test]

@@ -165,8 +165,8 @@ fn submit_plan(
     }
     let plan = match resp.plan {
         Some(p) => p,
-        // the sim's instances are uncapacitated and therefore always
-        // feasible; an audit rejection still degrades gracefully
+        // the sim's instances are uncapacitated, so the pre-solve gate
+        // never rejects them; a rejection would still degrade gracefully
         None => on_demand_plan(&req.schedule, &req.params),
     };
     (req, plan)

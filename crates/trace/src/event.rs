@@ -83,9 +83,9 @@ pub enum EventKind {
     /// [`SOLVE_STATUSES`] and `gap` is the final relative gap.
     SolveDone { status: &'static str, nodes: usize, gap: f64 },
 
-    // --- audit layer ------------------------------------------------------
-    /// Pre-solve audit-gate verdict and how many strengthenings it proved.
-    AuditGate { verdict: &'static str, tightenings: usize },
+    // --- pre-solve gate ---------------------------------------------------
+    /// Pre-solve feasibility-gate verdict: `"pass"` or `"rejected"`.
+    AuditGate { verdict: &'static str },
 
     // --- engine layer -----------------------------------------------------
     /// A request entered the engine queue.
@@ -96,7 +96,7 @@ pub enum EventKind {
     CacheLookup { hit: bool },
     /// One rung of the degradation ladder ran.
     LadderStep { level: &'static str, outcome: String, elapsed_us: u64 },
-    /// A request left the engine (any completion path: cache hit, audit
+    /// A request left the engine (any completion path: cache hit, gate
     /// rejection, or a ladder result). Carries the tenant id so sinks can
     /// aggregate per tenant without retaining the request, and the
     /// engine-assigned `request_id` so tail samplers and the flight
@@ -236,10 +236,7 @@ impl Event {
                 field_u64(out, "nodes", *nodes as u64);
                 field_f64(out, "gap", *gap);
             }
-            EventKind::AuditGate { verdict, tightenings } => {
-                field_str(out, "verdict", verdict);
-                field_u64(out, "tightenings", *tightenings as u64);
-            }
+            EventKind::AuditGate { verdict } => field_str(out, "verdict", verdict),
             EventKind::Enqueued | EventKind::Dequeued => {}
             EventKind::CacheLookup { hit } => {
                 out.push_str(",\"hit\":");

@@ -2,7 +2,7 @@
 //!
 //! A std-only span/event subsystem threaded through the whole solve path:
 //! LP simplex iterations and basis factorisations, branch & bound search
-//! tree events and gap samples, audit-gate verdicts, and engine request
+//! tree events and gap samples, pre-solve gate verdicts, and engine request
 //! lifecycles. The design goals, in order:
 //!
 //! 1. **Zero cost when off.** Instrumented code holds a [`TraceHandle`];

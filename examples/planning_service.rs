@@ -230,15 +230,15 @@ fn main() {
         println!("  rung {:<14} {:?} ({:?})", entry.level.as_str(), entry.outcome, entry.elapsed);
     }
 
-    println!("\n== provably infeasible request (audit gate) ==");
-    // capacity below every slot's demand: the pre-solve audit proves the
-    // instance infeasible and rejects it with a bound-propagation trace,
+    println!("\n== provably infeasible request (pre-solve gate) ==");
+    // capacity below every slot's demand: the pre-solve gate's prefix sum
+    // finds the first slot no plan can cover and rejects the request,
     // instead of burning branch-and-bound time on it
     let mut impossible = request(3, PolicyKind::Deterministic, Duration::from_secs(10));
     impossible.params.capacity = Some(0.01);
     let rejected = engine.submit(impossible).wait();
     match &rejected.rejection {
-        Some(proof) => println!("rejected: {proof}"),
+        Some(shortfall) => println!("rejected: {shortfall}"),
         None => println!("unexpectedly planned"),
     }
 

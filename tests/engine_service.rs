@@ -2,10 +2,13 @@
 //! 64-request mixed-policy load, plus a tight-deadline run that must fall
 //! down the degradation ladder instead of blowing the budget.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rrp_core::drrp::capacity_shortfall;
 use rrp_core::{wagner_whitin, CostSchedule, PlanningParams, ScenarioTree};
 use rrp_engine::{DegradationLevel, Engine, PlanRequest, PolicyKind, RungOutcome};
 use rrp_spotmarket::{CostRates, EmpiricalDist};
@@ -151,18 +154,16 @@ fn degraded_answers_are_not_cached() {
 #[test]
 fn infeasible_request_is_rejected_with_a_proof() {
     let engine = Engine::new(1);
-    // capacity below per-slot demand ⇒ no feasible plan exists; the audit
-    // gate must prove that statically and reject, instead of letting the
+    // capacity below per-slot demand ⇒ no feasible plan exists; the gate
+    // must prove that before any rung and reject, instead of letting the
     // ladder panic on the on-demand floor
     let mut bad = request(7, PolicyKind::OnDemand, Duration::from_secs(5));
     bad.params.capacity = Some(1e-3);
     let bad_resp = engine.submit(bad).wait();
     assert!(bad_resp.plan.is_none(), "infeasible request must not produce a plan");
-    let proof = bad_resp.rejection.as_ref().expect("rejection must carry the proof");
-    assert!(
-        !proof.reason.is_empty() && proof.trace.iter().any(|l| l.contains("row")),
-        "proof must name the contradicting row: {proof}"
-    );
+    let shortfall = bad_resp.rejection.expect("rejection must carry the shortfall");
+    assert_eq!(shortfall.slot, 0, "slot 0 alone already outruns the capacity: {shortfall}");
+    assert!(shortfall.demand_through > shortfall.supply_through, "{shortfall}");
 
     // the worker is still healthy and serves the next request
     let good = request(8, PolicyKind::Deterministic, Duration::from_secs(30));
@@ -177,4 +178,61 @@ fn infeasible_request_is_rejected_with_a_proof() {
         m.level_full + m.level_deterministic + m.level_dynamic_program + m.level_on_demand_only,
         m.completed - m.audit_rejections
     );
+}
+
+/// The text of a caught panic.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => payload.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+    }
+}
+
+#[test]
+fn malformed_request_panics_in_the_gate_and_the_worker_survives() {
+    let engine = Arc::new(Engine::new(1));
+    let deadline = Duration::from_secs(30);
+    let mut bad = request(9, PolicyKind::Deterministic, deadline);
+    bad.schedule.demand[1] = -0.5;
+    // the gate's input validation is what rejects this request
+    let direct = catch_unwind(|| capacity_shortfall(&bad.schedule, &bad.params));
+    let msg = panic_text(direct.expect_err("negative demand must fail validation"));
+    assert!(msg.contains("demand must be finite and >= 0"), "{msg}");
+
+    // the in-process submitter learns of the worker's panic from its ticket
+    let ticket = engine.submit(bad.clone());
+    let waited = catch_unwind(AssertUnwindSafe(|| ticket.wait()));
+    let msg = panic_text(waited.expect_err("the ticket must re-raise the worker's panic"));
+    assert!(msg.contains("worker dropped the request"), "{msg}");
+    let m = engine.metrics();
+    assert_eq!(m.audits, 0, "the request must panic before the gate's verdict");
+    assert_eq!(m.completed, 0);
+
+    // the same (only) worker serves the next request
+    let next = request(10, PolicyKind::Deterministic, deadline);
+    let good = engine.submit(next.clone()).wait();
+    assert!(good.expect_plan().is_feasible(&next.schedule, &next.params, 1e-6));
+
+    // a wave with a poisoned slot completes and reports it instead of hanging
+    let wave = vec![
+        request(11, PolicyKind::DynamicProgram, deadline),
+        bad,
+        request(12, PolicyKind::OnDemand, deadline),
+    ];
+    let (tx, rx) = std::sync::mpsc::channel();
+    let batch_engine = Arc::clone(&engine);
+    let submitter = std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(|| batch_engine.run_batch(wave))));
+    });
+    let waited =
+        rx.recv_timeout(Duration::from_secs(60)).expect("run_batch hung on a poisoned slot");
+    submitter.join().expect("the submitter thread caught the wave's panic");
+    let msg = panic_text(waited.expect_err("a poisoned slot must fail the wave"));
+    assert!(msg.contains("dropped 1 request(s) mid-wave"), "{msg}");
+
+    let after = engine.submit(request(13, PolicyKind::Deterministic, deadline)).wait();
+    assert!(after.plan.is_some());
+    let m = engine.metrics();
+    assert_eq!(m.completed, 4, "the good request, two wave neighbours and the last one");
+    assert_eq!(m.audit_rejections, 0);
 }
