@@ -6,9 +6,8 @@
 //! answer than they could afford to compute.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use rrp_core::RentalPlan;
 use rrp_milp::Basis;
 
@@ -78,7 +77,7 @@ impl PlanCache {
 
     /// Look a fingerprint up, counting the access as a hit or miss.
     pub fn lookup(&self, key: u64) -> Option<CacheEntry> {
-        let entry = self.map.lock().get(&key).cloned();
+        let entry = self.map.lock().unwrap_or_else(PoisonError::into_inner).get(&key).cloned();
         match entry {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -87,12 +86,12 @@ impl PlanCache {
     }
 
     pub fn insert(&self, key: u64, entry: CacheEntry) {
-        let evicted = self.map.lock().insert(key, entry);
+        let evicted = self.map.lock().unwrap_or_else(PoisonError::into_inner).insert(key, entry);
         self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
     }
 
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.map.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -125,7 +124,7 @@ impl PlanCache {
 
     /// Look up the last optimal root basis stored for a problem shape.
     pub fn lookup_basis(&self, shape: u64) -> Option<Arc<Basis>> {
-        let basis = self.bases.lock().get(&shape).cloned();
+        let basis = self.bases.lock().unwrap_or_else(PoisonError::into_inner).get(&shape).cloned();
         match basis {
             Some(_) => self.basis_hits.fetch_add(1, Ordering::Relaxed),
             None => self.basis_misses.fetch_add(1, Ordering::Relaxed),
@@ -136,12 +135,13 @@ impl PlanCache {
     /// Store the final root basis of a fully-solved request under its
     /// shape key; later requests of the same shape start warm from it.
     pub fn insert_basis(&self, shape: u64, basis: Arc<Basis>) {
-        let evicted = self.bases.lock().insert(shape, basis);
+        let evicted =
+            self.bases.lock().unwrap_or_else(PoisonError::into_inner).insert(shape, basis);
         self.basis_evictions.fetch_add(evicted as u64, Ordering::Relaxed);
     }
 
     pub fn basis_entries(&self) -> usize {
-        self.bases.lock().len()
+        self.bases.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     pub fn basis_hits(&self) -> u64 {
@@ -166,5 +166,40 @@ impl PlanCache {
         } else {
             0.0
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use rrp_core::CostBreakdown;
+
+    use super::*;
+    use crate::shard::tests::poison;
+
+    fn entry(objective: f64) -> CacheEntry {
+        CacheEntry {
+            plan: RentalPlan {
+                alpha: vec![objective],
+                beta: vec![0.0],
+                chi: vec![true],
+                objective,
+                breakdown: CostBreakdown::default(),
+            },
+            degradation: DegradationLevel::Full,
+        }
+    }
+
+    #[test]
+    fn a_poisoned_plan_table_still_serves_lookups_and_inserts() {
+        let cache = PlanCache::with_caps(2, 2);
+        cache.insert(1, entry(1.0));
+        poison(&cache.map);
+        assert_eq!(cache.lookup(1).expect("entry survives the poison").plan.objective, 1.0);
+        assert!(cache.lookup(2).is_none());
+        cache.insert(2, entry(2.0));
+        cache.insert(3, entry(3.0));
+        assert_eq!(cache.lookup(3).expect("insert after poison").plan.objective, 3.0);
+        assert!(cache.lookup(1).is_none(), "FIFO eviction still runs");
+        assert_eq!((cache.len(), cache.hits(), cache.misses(), cache.evictions()), (2, 2, 2, 1));
     }
 }

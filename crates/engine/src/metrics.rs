@@ -14,9 +14,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use rrp_slo::{SloConfig, SloLog, SloView, TenantSlo};
 use rrp_trace::{CounterSink, LogHistogram};
 use serde::Serialize;
@@ -254,7 +254,7 @@ impl Metrics {
 
     /// Fold this shard's SLO rows and log into a scrape-time view.
     pub fn fold_slo(&self, view: &mut SloView) {
-        let table = self.tenants.lock();
+        let table = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
         let rows = table.rows.iter().filter_map(|(t, row)| Some((t.as_str(), row.slo.as_deref()?)));
         view.add_shard(rows, &table.slo);
     }
@@ -268,7 +268,7 @@ impl Metrics {
         tenant: &str,
         f: impl FnOnce(&str, &mut TenantRow, &mut SloLog) -> R,
     ) -> R {
-        let mut table = self.tenants.lock();
+        let mut table = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
         let TenantTable { rows, slo } = &mut *table;
         // known tenants take the no-alloc path: `get_mut` by `&str` instead
         // of `entry(String)`, which would build a key String per call
@@ -346,7 +346,7 @@ pub(crate) fn merged_snapshot(
         latencies.merge_from(&m.latencies.hist);
         cache_hits += cache.hits();
         cache_misses += cache.misses();
-        for (tenant, c) in m.tenants.lock().rows.iter() {
+        for (tenant, c) in m.tenants.lock().unwrap_or_else(PoisonError::into_inner).rows.iter() {
             let row = tenant_acc.entry(tenant.clone()).or_default();
             row.requests += c.requests;
             row.cache_hits += c.cache_hits;

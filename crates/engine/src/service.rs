@@ -19,11 +19,11 @@ use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use rrp_core::drrp::capacity_shortfall;
 use rrp_core::fingerprint::Fnv64;
 use rrp_milp::{MilpOptions, SolveBudget};
@@ -167,6 +167,8 @@ struct ShardState {
     metrics: Metrics,
     /// In-flight request table, maintained only while profiling is on
     /// (bounded by worker count: one entry per request being processed).
+    /// Observational, so every site recovers a poisoned guard: a worker
+    /// that panicked mid-insert must not wedge post-mortem dumps.
     inflight: Mutex<HashMap<u64, InflightEntry>>,
 }
 
@@ -206,16 +208,6 @@ struct Shared {
     /// Engine-assigned request ids, stamped into every `RequestDone`
     /// event (and the in-flight table) whether or not profiling is on.
     next_request_id: AtomicU64,
-}
-
-/// Lock a mutex, recovering the guard from a poisoned lock (the in-flight
-/// table is observational: a worker that panicked mid-insert must not
-/// wedge post-mortem dumps for everyone else).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl Shared {
@@ -268,7 +260,7 @@ impl Shared {
     fn inflight_json(&self) -> String {
         let mut rows: Vec<(u64, String, &'static str, u64, Instant)> = Vec::new();
         for shard in &self.shards {
-            let table = lock(&shard.inflight);
+            let table = shard.inflight.lock().unwrap_or_else(PoisonError::into_inner);
             rows.extend(
                 table
                     .values()
@@ -312,7 +304,7 @@ impl<'a> InflightGuard<'a> {
         if !enabled {
             return Self { state, id: None };
         }
-        lock(&state.inflight).insert(
+        state.inflight.lock().unwrap_or_else(PoisonError::into_inner).insert(
             request_id,
             InflightEntry {
                 request_id,
@@ -329,7 +321,7 @@ impl<'a> InflightGuard<'a> {
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         if let Some(id) = self.id {
-            lock(&self.state.inflight).remove(&id);
+            self.state.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
         }
     }
 }
@@ -500,7 +492,7 @@ impl Engine {
     /// trusted in-process path is never refused — HTTP and other untrusted
     /// intakes go through [`Engine::try_submit`] instead.
     pub fn submit(&self, req: PlanRequest) -> Ticket {
-        let (reply, rx) = unbounded();
+        let (reply, rx) = channel();
         let (s, job) = new_job(&self.shared, req, ReplyTo::Channel(reply));
         self.queues[s].push(job);
         Ticket { rx }
@@ -509,7 +501,7 @@ impl Engine {
     /// Enqueue with admission control: the request is refused with [`Busy`]
     /// when its tenant's shard queue is at or over the high-water mark.
     pub fn try_submit(&self, req: PlanRequest) -> Result<Ticket, Busy> {
-        let (reply, rx) = unbounded();
+        let (reply, rx) = channel();
         try_submit(&self.shared, &self.queues, req, ReplyTo::Channel(reply)).map(|()| Ticket { rx })
     }
 
@@ -787,7 +779,7 @@ fn obs_hooks(
                     return PlanDecision::Reject { status: 400, body: wire::error_json(&msg) }
                 }
             };
-            let (reply, rx) = unbounded();
+            let (reply, rx) = channel();
             match try_submit(&plan_shared, &queues, req, ReplyTo::Channel(reply)) {
                 Err(busy) => PlanDecision::Busy {
                     retry_after_ms: busy.retry_after_ms,

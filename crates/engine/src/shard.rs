@@ -20,8 +20,8 @@
 //!   wakeup.
 
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, PoisonError};
 
-use parking_lot::{Condvar, Mutex};
 use rrp_core::fingerprint::Fnv64;
 use rrp_obs::Readiness;
 
@@ -90,7 +90,7 @@ impl<T> ShardQueue<T> {
     /// Enqueue unconditionally (in-process trusted path). Notifies the
     /// worker only on the empty→non-empty edge.
     pub fn push(&self, job: T) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let was_empty = st.jobs.is_empty();
         st.jobs.push_back(job);
         drop(st);
@@ -103,7 +103,7 @@ impl<T> ShardQueue<T> {
     /// at most one wakeup — the producer half of the batch discipline that
     /// makes a sharded submission cost O(shards) locks instead of O(jobs).
     pub fn push_batch(&self, jobs: impl IntoIterator<Item = T>) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let was_empty = st.jobs.is_empty();
         st.jobs.extend(jobs);
         let became_nonempty = was_empty && !st.jobs.is_empty();
@@ -116,7 +116,7 @@ impl<T> ShardQueue<T> {
     /// Enqueue with admission control: refused with [`Busy`] when the
     /// queue is at or over its high-water mark.
     pub fn try_push(&self, job: T) -> Result<(), (T, Busy)> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let depth = st.jobs.len();
         if depth >= self.high_water {
             return Err((job, Busy::new(self.shard, depth, self.high_water)));
@@ -134,12 +134,12 @@ impl<T> ShardQueue<T> {
     /// under one lock acquisition. Returns `false` when the queue is
     /// closed and drained — the worker's exit condition.
     pub fn recv_batch(&self, out: &mut Vec<T>) -> bool {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         while st.jobs.is_empty() {
             if st.closed {
                 return false;
             }
-            self.ready.wait(&mut st);
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         out.extend(st.jobs.drain(..));
         true
@@ -147,7 +147,7 @@ impl<T> ShardQueue<T> {
 
     /// Close the queue: the worker finishes what is queued, then exits.
     pub fn close(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.closed = true;
         drop(st);
         self.ready.notify_all();
@@ -158,7 +158,7 @@ impl<T> ShardQueue<T> {
     /// which also counts drained-but-unprocessed backlog.)
     #[cfg(test)]
     pub fn depth(&self) -> usize {
-        self.state.lock().jobs.len()
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).jobs.len()
     }
 }
 
@@ -197,7 +197,7 @@ impl<R> Wave<R> {
     /// completes so the submitter is never wedged — [`Wave::wait`]
     /// surfaces the panic instead.
     pub fn complete_many(&self, entries: impl IntoIterator<Item = (usize, Option<R>)>) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         for (idx, response) in entries {
             if response.is_none() {
                 st.poisoned += 1;
@@ -216,9 +216,9 @@ impl<R> Wave<R> {
     /// submission order. Panics if any slot was poisoned — the same
     /// contract as `Ticket::wait` on the per-request channel path.
     pub fn wait(&self) -> Vec<R> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         while st.remaining > 0 {
-            self.done.wait(&mut st);
+            st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         assert!(
             st.poisoned == 0,
@@ -232,7 +232,7 @@ impl<R> Wave<R> {
     /// outstanding. Panics on a poisoned slot, mirroring [`Wave::wait`].
     #[cfg(test)]
     pub fn try_take(&self) -> Option<Vec<R>> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if st.remaining > 0 {
             return None;
         }
@@ -281,8 +281,22 @@ pub fn shard_readiness(depths: &[usize], high_water: usize) -> Readiness {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Poison `m` the way a panicking worker would: panic while holding
+    /// its guard. Every engine lock recovers the guard, so nothing past
+    /// this point may behave differently.
+    pub(crate) fn poison<T: Send>(m: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = m.lock().unwrap_or_else(PoisonError::into_inner);
+                panic!("poisoning the lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(m.is_poisoned());
+    }
 
     #[test]
     fn shard_of_is_stable_and_in_range() {
@@ -367,6 +381,45 @@ mod tests {
         w.complete_many([(0, Some("a"))]);
         w.complete_many([(1, None)]);
         let _ = w.wait();
+    }
+
+    #[test]
+    fn a_poisoned_queue_still_admits_drains_and_closes() {
+        let q: ShardQueue<u32> = ShardQueue::new(1, 3);
+        poison(&q.state);
+        q.push(1);
+        assert!(q.try_push(2).is_ok());
+        q.push_batch([3]);
+        let (job, busy) = q.try_push(4).unwrap_err();
+        assert_eq!((job, busy.shard, busy.depth, busy.high_water), (4, 1, 3, 3));
+        let mut out = Vec::new();
+        assert!(q.recv_batch(&mut out));
+        assert_eq!(out, [1, 2, 3]);
+        // a consumer parked on the poisoned lock's condvar wakes for a push
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                let mut got = Vec::new();
+                assert!(q.recv_batch(&mut got));
+                got
+            });
+            q.push(5);
+            assert_eq!(consumer.join().unwrap(), [5]);
+        });
+        q.close();
+        out.clear();
+        assert!(!q.recv_batch(&mut out), "drained + closed ends the worker loop");
+    }
+
+    #[test]
+    fn a_poisoned_wave_still_completes_in_submission_order() {
+        let w: Wave<&'static str> = Wave::new(3);
+        poison(&w.state);
+        std::thread::scope(|s| {
+            let submitter = s.spawn(|| w.wait());
+            w.complete_many([(2, Some("c"))]);
+            w.complete_many([(0, Some("a")), (1, Some("b"))]);
+            assert_eq!(submitter.join().unwrap(), ["a", "b", "c"]);
+        });
     }
 
     #[test]

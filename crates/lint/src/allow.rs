@@ -172,8 +172,8 @@ mod tests {
             Some("crates/x/src/a.rs")
         );
         assert_eq!(
-            Allowlist::entry_path("held-lock shims/crossbeam/src/lib.rs: Shared.queue across wait"),
-            Some("shims/crossbeam/src/lib.rs")
+            Allowlist::entry_path("held-lock shims/mio/src/lib.rs: Registry.fds across wait"),
+            Some("shims/mio/src/lib.rs")
         );
         assert_eq!(
             Allowlist::entry_path("relaxed-module crates/obs/src/registry.rs"),

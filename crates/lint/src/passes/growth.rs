@@ -179,13 +179,19 @@ mod tests {
 
     #[test]
     fn uncapped_insert_in_loop_is_flagged() {
-        let src = format!(
+        let bare = format!(
             "{CACHE}impl Cache {{ fn fill(&self) {{ for k in 0..10 {{ \
              self.map.lock().insert(k, 1); }} }} }}\n"
         );
-        let fs = run(&src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].key, "unbounded-growth src/lib.rs: Cache.map");
+        let std_idiom = "struct Names { list: Mutex<Vec<u8>> }\n\
+                         impl Names { fn fill(&self) { \
+                         let mut list = self.list.lock().unwrap_or_else(PoisonError::into_inner); \
+                         for k in 0..10 { list.push(k); } } }\n";
+        for (src, field) in [(bare.as_str(), "Cache.map"), (std_idiom, "Names.list")] {
+            let fs = run(src);
+            assert_eq!(fs.len(), 1, "{fs:?}");
+            assert_eq!(fs[0].key, format!("unbounded-growth src/lib.rs: {field}"));
+        }
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //!
 //! What this proves: no *named lock field* is held across a blocking
 //! call by the same function's code. What it does NOT prove: blocking
-//! deeper in the callee chain (only direct calls are inspected), or
-//! blocking behind trait objects the resolver cannot see through.
+//! deeper in the callee chain (only direct calls are inspected),
+//! blocking behind trait objects the resolver cannot see through, or
+//! anything about locks taken through a free-function helper
+//! (`lock(&self.m)`): only `.lock()` method calls are acquisitions, so
+//! the workspace spells every one out as
+//! `.lock().unwrap_or_else(PoisonError::into_inner)` instead.
 
 use crate::findings::Finding;
 use crate::model::Workspace;
@@ -110,12 +114,18 @@ mod tests {
 
     #[test]
     fn condvar_wait_with_guard_held_is_flagged() {
-        let src = "struct Shared { queue: Mutex<u8>, ready: Condvar }\n\
-                   impl Shared { fn take(&self) { let mut q = self.queue.lock(); \
-                   q = self.ready.wait(q); } }\n";
-        let fs = run(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].key.contains("Shared.queue across wait"));
+        let bare = "struct Shared { queue: Mutex<u8>, ready: Condvar }\n\
+                    impl Shared { fn take(&self) { let mut q = self.queue.lock(); \
+                    q = self.ready.wait(q); } }\n";
+        let std_idiom = "struct Shared { queue: Mutex<u8>, ready: Condvar }\n\
+                         impl Shared { fn take(&self) { \
+                         let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner); \
+                         q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner); } }\n";
+        for src in [bare, std_idiom] {
+            let fs = run(src);
+            assert_eq!(fs.len(), 1, "{fs:?}");
+            assert!(fs[0].key.contains("Shared.queue across wait"));
+        }
     }
 
     #[test]

@@ -144,14 +144,23 @@ mod tests {
 
     #[test]
     fn ab_ba_cycle_is_reported() {
-        let src = "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
-                   impl S {\n\
-                     fn ab(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n\
-                     fn ba(&self) { let g = self.b.lock(); let h = self.a.lock(); }\n\
-                   }\n";
-        let fs = run(src);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert!(fs[0].key.contains("cycle S.a -> S.b -> S.a"), "{}", fs[0].key);
+        let bare = "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
+                    impl S {\n\
+                      fn ab(&self) { let g = self.a.lock(); let h = self.b.lock(); }\n\
+                      fn ba(&self) { let g = self.b.lock(); let h = self.a.lock(); }\n\
+                    }\n";
+        let std_idiom = "struct S { a: Mutex<u8>, b: Mutex<u8> }\n\
+                         impl S {\n\
+                           fn ab(&self) { let g = self.a.lock().unwrap_or_else(PoisonError::into_inner); \
+                             let h = self.b.lock().unwrap_or_else(PoisonError::into_inner); }\n\
+                           fn ba(&self) { let g = self.b.lock().unwrap_or_else(PoisonError::into_inner); \
+                             let h = self.a.lock().unwrap_or_else(PoisonError::into_inner); }\n\
+                         }\n";
+        for src in [bare, std_idiom] {
+            let fs = run(src);
+            assert_eq!(fs.len(), 1, "{fs:?}");
+            assert!(fs[0].key.contains("cycle S.a -> S.b -> S.a"), "{}", fs[0].key);
+        }
     }
 
     #[test]

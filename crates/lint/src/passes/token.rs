@@ -268,7 +268,7 @@ mod tests {
         assert!(!in_scope("crates/xtask/src/main.rs"));
         assert!(!in_scope("crates/lint/src/lexer.rs"));
         assert!(!in_scope("crates/bench/src/bin/run.rs"));
-        assert!(!in_scope("shims/crossbeam/src/lib.rs"));
+        assert!(!in_scope("shims/mio/src/lib.rs"));
     }
 
     #[test]

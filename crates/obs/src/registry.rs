@@ -21,9 +21,8 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use rrp_trace::LogHistogram;
 
 use crate::text::{escape_help, escape_label_value, fmt_f64};
@@ -241,7 +240,7 @@ impl Registry {
             let label = if i < named { value } else { OVERFLOW_LABEL };
             *totals.entry(canonical_labels(&[(key, label)])).or_default() += n;
         }
-        let mut families = self.families.lock();
+        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         let family = families.entry(name).or_insert_with(|| Family {
             kind: Kind::Counter,
             help,
@@ -265,7 +264,7 @@ impl Registry {
         labels: &[(&'static str, &str)],
         kind: Kind,
     ) -> Option<Series> {
-        let mut families = self.families.lock();
+        let mut families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         let family =
             families.entry(name).or_insert_with(|| Family { kind, help, series: BTreeMap::new() });
         if family.kind != kind {
@@ -305,7 +304,7 @@ impl Registry {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);
-        let families = self.families.lock();
+        let families = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         for (name, family) in families.iter() {
             let _ = writeln!(out, "# HELP {name} {}", escape_help(family.help));
             let _ = writeln!(out, "# TYPE {name} {}", family.kind.as_str());

@@ -561,7 +561,6 @@ pub fn http_request<A: ToSocketAddrs>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
 
     fn test_hooks(ready: Arc<AtomicBool>) -> ObsHooks {
         ObsHooks {
@@ -730,11 +729,10 @@ mod tests {
         // that finishes a few event-loop iterations later
         let hooks = plan_hooks(|body| {
             assert!(body.contains("tenant-1"), "hook sees the body: {body}");
-            let polls = Mutex::new(0u32);
+            let mut polls = 0u32;
             PlanDecision::Accepted(Box::new(move || {
-                let mut p = polls.lock();
-                *p += 1;
-                (*p >= 3).then(|| (200, "{\"objective\":1.25}".to_string()))
+                polls += 1;
+                (polls >= 3).then(|| (200, "{\"objective\":1.25}".to_string()))
             }))
         });
         let server = ObsServer::bind("127.0.0.1:0", hooks).expect("ephemeral bind");

@@ -23,7 +23,7 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::Instant;
 
 use rrp_trace::json::escape_into;
@@ -53,7 +53,7 @@ impl FlightRing {
     }
 
     pub fn len(&self) -> usize {
-        crate::lock(&self.events).len()
+        self.events.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -73,7 +73,7 @@ impl FlightRing {
     /// always among them — and the rest are counted as truncated. A root
     /// whose open has aged out is cut from the oldest retained event.
     pub fn cut(&self, root: SpanId, max: usize) -> (Vec<Event>, u64) {
-        let ring = crate::lock(&self.events);
+        let ring = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         let start = ring
             .iter()
             .rposition(|e| e.span == root && matches!(e.kind, EventKind::SpanOpen { .. }))
@@ -127,7 +127,7 @@ impl Sink for FlightRing {
             | EventKind::GapSample { .. } => return,
             _ => {}
         }
-        let mut ring = crate::lock(&self.events);
+        let mut ring = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         ring.push_back(ev.clone());
         let horizon = ev.t_us.saturating_sub(self.seconds * 1_000_000);
         while ring.front().is_some_and(|e| e.t_us < horizon) {
@@ -191,7 +191,7 @@ impl FlightRecorder {
     }
 
     pub fn set_bundle_sections(&self, f: Box<dyn Fn(&mut String) + Send + Sync>) {
-        *crate::lock(&self.sections) = Some(f);
+        *self.sections.lock().unwrap_or_else(PoisonError::into_inner) = Some(f);
     }
 
     pub fn dumps_fired(&self) -> u64 {
@@ -200,7 +200,7 @@ impl FlightRecorder {
     }
 
     pub fn last_trigger(&self) -> Option<String> {
-        crate::lock(&self.last_trigger).clone()
+        self.last_trigger.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// `/flight` status document: ring occupancy and trigger history.
@@ -257,7 +257,7 @@ impl FlightRecorder {
     /// fired (false when the debounce window swallowed it).
     pub fn trigger(&self, cause: &str) -> bool {
         {
-            let mut last = crate::lock(&self.last_fired_us);
+            let mut last = self.last_fired_us.lock().unwrap_or_else(PoisonError::into_inner);
             let now = self.now_us();
             if let Some(prev) = *last {
                 if now.saturating_sub(prev) < self.cfg.min_dump_interval_ms * 1_000 {
@@ -268,7 +268,7 @@ impl FlightRecorder {
         }
         // relaxed-ok: telemetry counter
         self.dumps.fetch_add(1, Ordering::Relaxed);
-        *crate::lock(&self.last_trigger) = Some(cause.to_string());
+        *self.last_trigger.lock().unwrap_or_else(PoisonError::into_inner) = Some(cause.to_string());
         if let Some(dir) = self.cfg.bundle_dir.clone() {
             // relaxed-ok: reads back our own fetch_add; concurrent dumps excluded by debounce
             let seq = self.dumps.load(Ordering::Relaxed).saturating_sub(1);
@@ -296,7 +296,9 @@ impl FlightRecorder {
             self.cfg.ring_seconds,
             self.ring.dropped()
         );
-        for (i, ev) in crate::lock(&self.ring.events).iter().enumerate() {
+        for (i, ev) in
+            self.ring.events.lock().unwrap_or_else(PoisonError::into_inner).iter().enumerate()
+        {
             if i > 0 {
                 out.push(',');
             }
@@ -319,7 +321,7 @@ impl FlightRecorder {
             }
             None => out.push_str("[],\"samples_total\":0"),
         }
-        match &*crate::lock(&self.sections) {
+        match &*self.sections.lock().unwrap_or_else(PoisonError::into_inner) {
             Some(f) => f(&mut out),
             None => out.push_str(",\"metrics\":null,\"inflight\":null,\"slo\":null"),
         }
@@ -335,7 +337,7 @@ impl FlightRecorder {
             return false;
         }
         let horizon = t_us.saturating_sub(self.cfg.spike_window_ms * 1_000);
-        let mut w = crate::lock(window);
+        let mut w = window.lock().unwrap_or_else(PoisonError::into_inner);
         while w.front().is_some_and(|&t| t < horizon) {
             w.pop_front();
         }

@@ -23,26 +23,19 @@
 //!
 //! Both halves hang off [`ProfConfig`], which the engine embeds as
 //! `EngineConfig::prof`; it also sizes the ring.
+//!
+//! Every lock here recovers a poisoned guard: everything this crate
+//! protects is observational (rings, histograms, providers), and a
+//! panicking instrumented thread must not also wedge the post-mortem
+//! machinery that exists to explain the panic.
 
 mod flight;
 mod profiler;
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
 
 pub use flight::{install_panic_hook, FlightRecorder, FlightRing};
 pub use profiler::{Profiler, SamplerShared};
-
-/// Lock a mutex, recovering the guard from a poisoned lock: everything
-/// this crate protects is observational (rings, histograms, providers),
-/// and a panicking instrumented thread must not also wedge the
-/// post-mortem machinery that exists to explain the panic.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Profiling and flight-recorder options (engine: `EngineConfig::prof`).
 #[derive(Debug, Clone)]

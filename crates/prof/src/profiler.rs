@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -41,19 +41,24 @@ impl SamplerShared {
 
     /// Number of distinct span paths observed so far.
     pub fn distinct_paths(&self) -> usize {
-        crate::lock(&self.paths).len()
+        self.paths.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// `(path, hits)` pairs in deterministic (path) order.
     pub fn entries(&self) -> Vec<(String, u64)> {
-        crate::lock(&self.paths).iter().map(|(p, n)| (p.clone(), *n)).collect()
+        self.paths
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|(p, n)| (p.clone(), *n))
+            .collect()
     }
 
     /// The standard collapsed-stack format: one `path count` line per
     /// observed path — ready for flamegraph tooling or `xtask prof`.
     pub fn collapsed(&self) -> String {
         let mut out = String::new();
-        for (path, n) in crate::lock(&self.paths).iter() {
+        for (path, n) in self.paths.lock().unwrap_or_else(PoisonError::into_inner).iter() {
             out.push_str(path);
             out.push(' ');
             out.push_str(&n.to_string());
@@ -78,7 +83,12 @@ impl SamplerShared {
                 }
                 key.push_str(name);
             }
-            *crate::lock(&self.paths).entry(key.clone()).or_insert(0) += 1;
+            *self
+                .paths
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(key.clone())
+                .or_insert(0) += 1;
             // relaxed-ok: telemetry counter
             self.samples_total.fetch_add(1, Ordering::Relaxed);
         }

@@ -3,9 +3,9 @@
 //! ladder and the obs stack under churn — the sim doubling as a realistic
 //! load generator.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rrp_engine::{Engine, PolicyKind};
 use rrp_spotmarket::{SeedSeq, VmClass};
 
@@ -92,13 +92,13 @@ pub fn run_soak(engine: &Engine, cfg: &SoakConfig) -> SoakOutcome {
                 let mut bid = FeedbackBid::default();
                 let mut rec = OnDemandFailover;
                 let r = run_episode(engine, &sim, &mut bid, &mut rec);
-                results.lock().push(r);
+                results.lock().unwrap_or_else(PoisonError::into_inner).push(r);
             });
         }
     });
     let wall = start.elapsed();
     let after = engine.metrics();
-    let results = results.into_inner();
+    let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
 
     let requests = after.completed - before.completed;
     let mut interruptions = 0;

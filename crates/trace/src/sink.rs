@@ -7,9 +7,7 @@ use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::event::{Event, EventKind, SOLVE_STATUSES};
 use crate::hist::LogHistogram;
@@ -54,27 +52,27 @@ impl RingSink {
 
     /// Events currently buffered.
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        self.buf.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
+        self.buf.lock().unwrap_or_else(PoisonError::into_inner).is_empty()
     }
 
     /// Take every buffered event, oldest first, leaving the ring empty.
     pub fn drain(&self) -> Vec<Event> {
-        self.buf.lock().drain(..).collect()
+        self.buf.lock().unwrap_or_else(PoisonError::into_inner).drain(..).collect()
     }
 
     /// Copy the buffered events, oldest first, without clearing.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.buf.lock().iter().cloned().collect()
+        self.buf.lock().unwrap_or_else(PoisonError::into_inner).iter().cloned().collect()
     }
 }
 
 impl Sink for RingSink {
     fn emit(&self, ev: &Event) {
-        let mut buf = self.buf.lock();
+        let mut buf = self.buf.lock().unwrap_or_else(PoisonError::into_inner);
         if buf.len() == self.capacity {
             buf.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -110,17 +108,17 @@ impl Sink for JsonlSink {
     fn emit(&self, ev: &Event) {
         let mut line = ev.to_json();
         line.push('\n');
-        let _ = self.out.lock().write_all(line.as_bytes());
+        let _ = self.out.lock().unwrap_or_else(PoisonError::into_inner).write_all(line.as_bytes());
     }
 
     fn flush(&self) {
-        let _ = self.out.lock().flush();
+        let _ = self.out.lock().unwrap_or_else(PoisonError::into_inner).flush();
     }
 }
 
 impl Drop for JsonlSink {
     fn drop(&mut self) {
-        let _ = self.out.lock().flush();
+        let _ = self.out.lock().unwrap_or_else(PoisonError::into_inner).flush();
     }
 }
 
@@ -276,7 +274,7 @@ mod tests {
         struct Shared(Arc<Mutex<Vec<u8>>>);
         impl Write for Shared {
             fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().extend_from_slice(data);
+                self.0.lock().unwrap_or_else(PoisonError::into_inner).extend_from_slice(data);
                 Ok(data.len())
             }
             fn flush(&mut self) -> std::io::Result<()> {
@@ -287,7 +285,8 @@ mod tests {
         sink.emit(&ev(EventKind::Enqueued));
         sink.emit(&ev(EventKind::Dequeued));
         sink.flush();
-        let text = String::from_utf8(buf.lock().clone()).expect("utf8");
+        let text = String::from_utf8(buf.lock().unwrap_or_else(PoisonError::into_inner).clone())
+            .expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"ev\":\"enqueued\""));

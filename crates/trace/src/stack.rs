@@ -30,18 +30,7 @@
 //! argument.
 
 use std::sync::atomic::{fence, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
-
-/// Lock a mutex, recovering the guard from a poisoned lock. The intern
-/// list holds only `&'static str`s and is push-only, so a panic between
-/// lock and unlock cannot leave it half-updated in any way that matters;
-/// wedging every later intern (and the sampler) would.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use std::sync::{Mutex, PoisonError};
 
 /// Number of publishable lanes. Lane indices wrap modulo this, so an
 /// engine scaled past it aliases lanes rather than racing or panicking
@@ -96,6 +85,9 @@ struct NameSlot {
 struct NameTable {
     slots: [NameSlot; NAME_SLOTS],
     /// id - 1 indexes this list. Guards inserts; readers lock briefly.
+    /// Push-only `&'static str`s, so a panic under the lock cannot leave
+    /// it half-updated: every site recovers a poisoned guard rather than
+    /// wedge every later intern (and the sampler).
     list: Mutex<Vec<&'static str>>,
 }
 
@@ -137,7 +129,7 @@ impl NameTable {
     /// `Release` so lock-free probers never see a half-built slot.
     fn intern_slow(&self, name: &'static str) -> u32 {
         let (p, n) = (name.as_ptr() as usize, name.len());
-        let mut list = lock(&self.list);
+        let mut list = self.list.lock().unwrap_or_else(PoisonError::into_inner);
         for i in 0..PROBE_LIMIT {
             let slot = &self.slots[Self::slot_of(p, i)];
             let sp = slot.ptr.load(Ordering::Relaxed);
@@ -146,6 +138,8 @@ impl NameTable {
             }
             if sp == 0 {
                 let id = (list.len() + 1) as u32;
+                // the re-probe above returns any name already slotted, so
+                // growth-ok: one entry per distinct `&'static str` span name
                 list.push(name);
                 slot.len.store(n, Ordering::Relaxed);
                 slot.id.store(id, Ordering::Relaxed);
@@ -157,6 +151,8 @@ impl NameTable {
         if let Some(pos) = list.iter().position(|s| s.as_ptr() as usize == p && s.len() == n) {
             return (pos + 1) as u32;
         }
+        // the list scan above returns any name already listed, so
+        // growth-ok: one entry per distinct `&'static str` span name
         list.push(name);
         list.len() as u32
     }
@@ -165,7 +161,7 @@ impl NameTable {
         if id == 0 {
             return None;
         }
-        lock(&self.list).get(id as usize - 1).copied()
+        self.list.lock().unwrap_or_else(PoisonError::into_inner).get(id as usize - 1).copied()
     }
 }
 
