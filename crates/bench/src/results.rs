@@ -19,7 +19,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use rrp_trace::json::escape_into;
+use rrp_trace::json::{f64_into, str_into};
 
 /// One measurement: an instance label, its wall-clock cost, and the counts
 /// the run produced.
@@ -126,11 +126,11 @@ fn render_json(records: &[Record], stamp: &Provenance) -> String {
 
 fn render_record(out: &mut String, r: &Record, stamp: &Provenance) {
     out.push_str("{\"instance\":");
-    push_json_str(out, &r.instance);
+    str_into(out, &r.instance);
     let _ = write!(out, ",\"wall_ms\":");
-    push_json_f64(out, r.wall_ms);
+    f64_into(out, r.wall_ms);
     let _ = write!(out, ",\"nodes\":{},\"objective\":", r.nodes);
-    push_json_f64(out, r.objective);
+    f64_into(out, r.objective);
     for (key, value) in &r.counts {
         let _ = write!(out, ",\"{key}\":{value}");
     }
@@ -142,28 +142,9 @@ fn render_record(out: &mut String, r: &Record, stamp: &Provenance) {
         ("nproc", &nproc[..]),
     ] {
         let _ = write!(out, ",\"{key}\":");
-        push_json_str(out, value);
+        str_into(out, value);
     }
     out.push('}');
-}
-
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
-}
-
-/// JSON has no NaN/∞: non-finite values become `null`.
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let start = out.len();
-        let _ = write!(out, "{v}");
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
 }
 
 #[cfg(test)]

@@ -291,7 +291,7 @@ pub(crate) fn plan_from_decisions(
 
 impl RentalPlan {
     /// Price a complete decision set under a schedule — the public face of
-    /// [`plan_from_decisions`] for other crates (the planning engine builds
+    /// `plan_from_decisions` for other crates (the planning engine builds
     /// committed plans from SRRP tree paths and fallback constructions).
     pub fn from_decisions(
         s: &CostSchedule,

@@ -80,8 +80,7 @@ pub use request::{
     DegradationLevel, PlanRequest, PlanResponse, PolicyKind, RungOutcome, TraceEntry,
 };
 pub use rrp_core::drrp::CapacityShortfall;
-pub use rrp_prof::ProfConfig;
-pub use rrp_slo::SloConfig;
+pub use rrp_obs::{ProfConfig, SloConfig};
 pub use service::{Engine, EngineConfig, MetricsConfig, ShardConfig, Ticket};
 pub use shard::{shard_of, Busy};
 pub use wire::MAX_HORIZON;

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use rrp_slo::{SloConfig, SloLog, SloView, TenantSlo};
+use rrp_obs::{SloLog, SloView, TenantSlo};
 use rrp_trace::{CounterSink, LogHistogram};
 use serde::Serialize;
 
@@ -82,8 +82,8 @@ impl TenantRow {
         self.deadline_misses += u64::from(!deadline_met);
     }
 
-    pub fn slo(&mut self, cfg: &SloConfig) -> &mut TenantSlo {
-        self.slo.get_or_insert_with(|| Box::new(TenantSlo::new(cfg)))
+    pub fn slo(&mut self) -> &mut TenantSlo {
+        self.slo.get_or_insert_default()
     }
 }
 

@@ -3,14 +3,14 @@
 //! shape.
 //!
 //! Tenant state (plan cache, basis side-table, the request ledger and its
-//! SLO rows, in-flight table) splits into one [`ShardState`] per worker,
+//! SLO rows, in-flight table) splits into one `ShardState` per worker,
 //! requests hash to their tenant's shard ([`shard_of`]), and each worker
 //! exclusively owns its shard: the hot submit/complete path touches only
 //! shard-local locks. Per-shard queues are bounded by admission control
 //! ([`Engine::try_submit`] refuses over the high-water mark with a [`Busy`]
 //! carrying a `Retry-After` hint) and batch-drained, so a burst of `n`
 //! submissions costs one worker wakeup; [`Engine::run_batch`] completes
-//! through a [`Wave`], so a burst of `n` completions costs one submitter
+//! through a `Wave`, so a burst of `n` completions costs one submitter
 //! wakeup. `Engine::new(1)` is the same machine with a single shard — the
 //! oracle the `shard_equiv` test holds wider engines against.
 
@@ -27,11 +27,10 @@ use std::time::Instant;
 use rrp_core::drrp::capacity_shortfall;
 use rrp_core::fingerprint::Fnv64;
 use rrp_milp::{MilpOptions, SolveBudget};
-use rrp_obs::{ObsHooks, ObsServer, PlanDecision, Readiness, Registry};
-use rrp_prof::{
-    install_panic_hook, FlightRecorder, FlightRing, ProfConfig, Profiler, SamplerShared,
+use rrp_obs::{
+    install_panic_hook, Done, FlightRecorder, FlightRing, ObsHooks, ObsServer, PlanDecision,
+    ProfConfig, Profiler, Readiness, Registry, SamplerShared, SloConfig, SloView,
 };
-use rrp_slo::{Done, SloConfig, SloView};
 use rrp_trace::json::escape_into;
 use rrp_trace::{
     CounterSink, EventKind, PruneReason, Sink, SpanId, SpanStacks, TeeSink, TraceHandle,
@@ -70,16 +69,16 @@ pub struct EngineConfig {
     /// and, when [`MetricsConfig::addr`] is set, serves `/metrics`,
     /// `/snapshot`, `/healthz`, `/readyz` and `/plan` on it.
     pub metrics: Option<MetricsConfig>,
-    /// Continuous profiling + flight recorder ([`rrp_prof`]). `None` (the
-    /// default) builds neither. `Some` publishes every worker's open-span
-    /// path through the lock-free span stacks, starts the sampler thread
+    /// Continuous profiling + flight recorder. `None` (the default) builds
+    /// neither. `Some` publishes every worker's open-span path through the
+    /// lock-free span stacks, starts the [`Profiler`]'s sampler thread
     /// (when `sample_hz > 0`), tees the engine's lifecycle [`FlightRing`]
-    /// (sized by this config) into the event pipeline, and arms a
-    /// [`FlightRecorder`] whose triggers — the spike ones fed by the
-    /// workers — dump post-mortem bundles. With a metrics server,
-    /// `/profile` and `/flight` come alive too.
+    /// into the event pipeline, and arms a [`FlightRecorder`] whose
+    /// triggers — the spike ones fed by the workers — dump post-mortem
+    /// bundles. With a metrics server, `/profile` and `/flight` come alive
+    /// too.
     pub prof: Option<ProfConfig>,
-    /// Per-tenant SLO accounting ([`rrp_slo`]). `None` (the default)
+    /// Per-tenant SLO accounting ([`SloView`]). `None` (the default)
     /// keeps none. `Some` gives every row of the per-shard request ledger
     /// the tenant's SLO ledger — rolling error budgets, multi-window
     /// burn-rate alerts — and retains tail-sampled exemplars cut from the
@@ -88,7 +87,7 @@ pub struct EngineConfig {
     /// profiling, a burn-rate breach fires the `slo_burn_rate` flight
     /// trigger so the bundle carries the tenant's exemplars.
     pub slo: Option<SloConfig>,
-    /// Per-shard queue options. The engine always runs one [`ShardState`] +
+    /// Per-shard queue options. The engine always runs one `ShardState` +
     /// bounded queue per worker with tenant→shard affinity by id hash;
     /// `None` (the default) means [`ShardConfig::default`].
     pub shard: Option<ShardConfig>,
@@ -220,8 +219,8 @@ impl Shared {
 
     /// The `/slo` view: every shard's tenant rows and SLO log, folded now.
     fn slo_view(&self) -> Option<SloView> {
-        let cfg = self.slo.as_ref()?;
-        let mut view = SloView::new(cfg, self.trace.now_us());
+        self.slo.as_ref()?;
+        let mut view = SloView::new(self.trace.now_us());
         for shard in &self.shards {
             shard.metrics.fold_slo(&mut view);
         }
@@ -390,10 +389,8 @@ impl Engine {
             config;
         let counters = Arc::new(CounterSink::new());
         let registry = metrics.as_ref().map(|_| Arc::new(Registry::new()));
-        // the lifecycle ring both the flight recorder and the SLO exemplars
-        // read, sized by the profiler's options when there are any
-        let ring = (prof.is_some() || slo.is_some())
-            .then(|| Arc::new(FlightRing::new(prof.as_ref().unwrap_or(&ProfConfig::default()))));
+        // the lifecycle ring both the flight recorder and the SLO exemplars read
+        let ring = (prof.is_some() || slo.is_some()).then(|| Arc::new(FlightRing::new()));
         let stacks = prof.as_ref().map(|_| Arc::new(SpanStacks::new()));
 
         // the event pipeline: counters always lead the tee; the ring and
@@ -509,7 +506,7 @@ impl Engine {
     ///
     /// Per-job accounting (enqueue gauge, span) stays per job, but each
     /// shard's slice of the batch lands in its queue under one lock and at
-    /// most one wakeup, and the whole batch completes through one [`Wave`]
+    /// most one wakeup, and the whole batch completes through one `Wave`
     /// — a single submitter wakeup for `n` responses instead of `n` channel
     /// wakeups.
     pub fn run_batch(&self, reqs: Vec<PlanRequest>) -> Vec<PlanResponse> {
@@ -630,11 +627,13 @@ impl Engine {
     /// cost-ratio objective, on the tenant's shard. No-op without
     /// [`EngineConfig::slo`].
     pub fn slo_record_cost(&self, tenant: &str, planned: f64, realised: f64) {
-        let Some(cfg) = &self.shared.slo else { return };
+        if self.shared.slo.is_none() {
+            return;
+        }
         let state = &self.shared.shards[shard_of(tenant, self.shared.shards.len())];
         let t_us = self.shared.trace.now_us();
         let alert = state.metrics.with_row(tenant, |key, row, log| {
-            log.record_cost(cfg, key, row.slo(cfg), t_us, planned, realised)
+            log.record_cost(key, row.slo(), t_us, planned, realised)
         });
         if alert {
             if let Some(rt) = &self.shared.prof {
@@ -1104,7 +1103,7 @@ fn finish(
         row.count(resp.cache_hit, rejected, deadline_met);
         let (Some(cfg), Some(ring)) = (&shared.slo, &shared.ring) else { return false };
         let done = Done { request_id, tenant, level, outcome, latency_us, deadline_met, t_us };
-        log.record_request(cfg, key, row.slo(cfg), &done, |max| ring.cut(span, max))
+        log.record_request(cfg, key, row.slo(), &done, |max| ring.cut(span, max))
     });
     shared.trace.close_span(span);
     if let Some(rt) = &shared.prof {

@@ -11,10 +11,10 @@
 //! Two wakeup disciplines keep the path lean on top of the locality win:
 //!
 //! * **batch drain** — a worker takes every queued job in one lock
-//!   acquisition ([`ShardQueue::recv_batch`]) and sleeps only when its
+//!   acquisition (`ShardQueue::recv_batch`) and sleeps only when its
 //!   queue is truly empty; submitters notify only on the empty→non-empty
 //!   edge, so a burst of `n` submissions costs one wakeup, not `n`.
-//! * **wave completion** — a batch submitter waits on one [`Wave`]
+//! * **wave completion** — a batch submitter waits on one `Wave`
 //!   (condvar signalled by the *last* completion) instead of `n`
 //!   per-request channels, so a burst of `n` completions also costs one
 //!   wakeup.

@@ -47,8 +47,8 @@ fn healthy_request(i: usize) -> PlanRequest {
 
 #[test]
 fn exemplars_are_request_subtrees_cut_from_the_ring() {
-    let slo = SloConfig { latency_slo_ms: 10_000.0, ..Default::default() };
-    let max_events = slo.max_exemplar_events;
+    let slo = SloConfig { latency_slo_ms: 10_000.0 };
+    let max_events = rrp_obs::MAX_EXEMPLAR_EVENTS;
     let engine = Engine::with_config(
         2,
         EngineConfig {

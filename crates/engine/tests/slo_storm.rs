@@ -192,7 +192,7 @@ fn healthy_traffic_keeps_its_budget_and_retains_nothing() {
             // a generous latency SLO keeps a loaded CI machine's jitter
             // from masquerading as a tail; the gate is about *retention
             // policy*, not absolute speed
-            slo: Some(SloConfig { latency_slo_ms: 10_000.0, ..Default::default() }),
+            slo: Some(SloConfig { latency_slo_ms: 10_000.0 }),
             ..Default::default()
         },
     );

@@ -55,7 +55,7 @@ pub enum VarStatus {
 }
 
 /// A simplex basis snapshot: which column is basic in each row plus the
-/// resting status of every column. Captured from an optimal [`Simplex`] run
+/// resting status of every column. Captured from an optimal `Simplex` run
 /// and fed to [`crate::dual::solve_warm`] — after a bound change the basis
 /// stays *dual* feasible (reduced costs depend only on `A` and `c`), so the
 /// dual simplex re-solves in a handful of pivots instead of a cold

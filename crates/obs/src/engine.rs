@@ -1,4 +1,5 @@
-//! Per-tenant SLO state and its scrape-time views.
+//! The SLO engine: per-tenant error budgets, burn-rate alerting and tail
+//! sampling, and their scrape-time views.
 //!
 //! The engine owns the tenant table: each row of its per-shard request
 //! ledger carries a [`TenantSlo`] (three objectives' window rings, a
@@ -7,18 +8,63 @@
 //! the shard's one tenant lock. `/slo`, the `rrp_slo_*` families and the
 //! post-mortem bundle's `slo` section are renders of an [`SloView`] folded
 //! from those rows at scrape time — no event is aggregated twice.
+//!
+//! Budgets are *bad-event fractions*: a deadline-miss budget of 0.01
+//! promises 99% of requests meet their deadline. Burn rate is the observed
+//! bad fraction divided by the budget, so burn 1.0 spends the budget
+//! exactly at the sustainable rate and burn 14.4 exhausts a 3-day budget
+//! in five hours. An alert fires when the budget burns faster than a
+//! threshold over *both* windows of a pair (the fast 5m/1h pair catches
+//! cliffs, the slow 6h/3d pair slow leaks). All window arithmetic runs on
+//! the trace clock (the one that stamps `Event::t_us`), so seeded storms
+//! alert deterministically. Tenants past the engine's tenant-table cap
+//! share one `__other__` ledger.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use rrp_obs::{Registry, OVERFLOW_LABEL};
-use rrp_trace::json::escape_into;
+use rrp_trace::json::{f64_into, str_into};
 use rrp_trace::{Event, LogHistogram};
 
+use crate::registry::{Registry, OVERFLOW_LABEL};
 use crate::window::WindowRing;
-use crate::SloConfig;
 
+/// Tolerated deadline-miss fraction per tenant.
+const DEADLINE_MISS_BUDGET: f64 = 0.01;
+/// Tolerated latency-bad fraction per tenant.
+const LATENCY_BUDGET: f64 = 0.01;
+/// Realised/planned cost ratio above which a sim episode is cost-bad.
+const COST_RATIO_MAX: f64 = 1.5;
+/// Tolerated cost-bad fraction of episodes per tenant.
+const COST_BUDGET: f64 = 0.05;
+/// Fast alert pair `(short, long)` in seconds of trace time.
+const FAST_WINDOWS_S: (u64, u64) = (300, 3_600);
+/// Slow alert pair `(short, long)` in seconds of trace time.
+const SLOW_WINDOWS_S: (u64, u64) = (21_600, 259_200);
+/// Burn-rate threshold both fast windows must exceed to page.
+const FAST_BURN: f64 = 14.4;
+/// Burn-rate threshold both slow windows must exceed to page.
+const SLOW_BURN: f64 = 6.0;
+/// Minimum events in every window of a pair before its burn rate is
+/// trusted (guards divide-by-tiny alerts on the first bad request).
+const MIN_SAMPLES: u64 = 10;
+/// Same guard for the episode-grained cost objective.
+const COST_MIN_SAMPLES: u64 = 4;
+/// A fired (tenant, objective) alert suppresses re-fires this long (µs of
+/// trace time): one incident, one alert.
+const ALERT_COOLDOWN_US: u64 = 3_600 * 1_000_000;
+/// Exemplar-store cap: retaining past this evicts the oldest.
+const MAX_EXEMPLARS: usize = 32;
+/// Events kept per exemplar timeline; the rest are counted as truncated.
+pub const MAX_EXEMPLAR_EVENTS: usize = 64;
+/// Latency quantile defining "the tail" for retention.
+const TAIL_QUANTILE: f64 = 0.99;
+/// Retention margin over the tail quantile: a request is tail-sampled when
+/// its latency exceeds `quantile(TAIL_QUANTILE) × TAIL_MARGIN`. The margin
+/// absorbs the log-histogram's ~9% quantile error so a healthy, tight
+/// latency distribution retains nothing.
+const TAIL_MARGIN: f64 = 2.0;
 /// Latency samples a tenant needs before tail retention activates (the
 /// tail of an empty histogram is noise).
 const TAIL_MIN_COUNT: u64 = 32;
@@ -27,15 +73,29 @@ const MAX_ALERT_EXEMPLARS: usize = 8;
 /// Alert records retained for `/slo` (alerts_total keeps counting).
 const MAX_ALERTS: usize = 32;
 
+/// SLO options (engine: `EngineConfig::slo`).
+#[derive(Debug, Clone)]
+pub struct SloConfig {
+    /// Plan-latency threshold (ms): requests slower than this are
+    /// latency-bad.
+    pub latency_slo_ms: f64,
+}
+
+impl Default for SloConfig {
+    fn default() -> Self {
+        Self { latency_slo_ms: 250.0 }
+    }
+}
+
 /// The per-tenant objectives, indexed by discriminant in every ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Objective {
     /// Fraction of requests missing their deadline.
     DeadlineMiss = 0,
-    /// Fraction of requests slower than `SloConfig::latency_slo_ms`.
+    /// Fraction of requests slower than [`SloConfig::latency_slo_ms`].
     Latency = 1,
     /// Fraction of sim episodes whose realised/planned cost ratio
-    /// exceeds `SloConfig::cost_ratio_max`.
+    /// exceeds [`COST_RATIO_MAX`].
     CostRatio = 2,
 }
 
@@ -52,18 +112,18 @@ impl Objective {
         }
     }
 
-    fn budget(self, cfg: &SloConfig) -> f64 {
+    fn budget(self) -> f64 {
         match self {
-            Objective::DeadlineMiss => cfg.deadline_miss_budget,
-            Objective::Latency => cfg.latency_budget,
-            Objective::CostRatio => cfg.cost_budget,
+            Objective::DeadlineMiss => DEADLINE_MISS_BUDGET,
+            Objective::Latency => LATENCY_BUDGET,
+            Objective::CostRatio => COST_BUDGET,
         }
     }
 
-    fn min_samples(self, cfg: &SloConfig) -> u64 {
+    fn min_samples(self) -> u64 {
         match self {
-            Objective::CostRatio => cfg.cost_min_samples,
-            _ => cfg.min_samples,
+            Objective::CostRatio => COST_MIN_SAMPLES,
+            _ => MIN_SAMPLES,
         }
     }
 }
@@ -109,10 +169,10 @@ struct ObjectiveState {
 }
 
 impl ObjectiveState {
-    fn new(cfg: &SloConfig) -> Self {
+    fn new() -> Self {
         Self {
-            fast: WindowRing::new(cfg.fast_windows_s.0 / 20, cfg.fast_windows_s.1),
-            slow: WindowRing::new(cfg.slow_windows_s.0 / 20, cfg.slow_windows_s.1),
+            fast: WindowRing::new(FAST_WINDOWS_S.0 / 20, FAST_WINDOWS_S.1),
+            slow: WindowRing::new(SLOW_WINDOWS_S.0 / 20, SLOW_WINDOWS_S.1),
             total: 0,
             bad: 0,
             last_alert_us: None,
@@ -146,7 +206,7 @@ impl ObjectiveState {
         let r = self.ring(ring);
         let (bad_s, total_s) = r.tally(short_s, now_us);
         let (bad_l, total_l) = r.tally(long_s, now_us);
-        if total_s < min_samples.max(1) || total_l < min_samples.max(1) {
+        if total_s < min_samples || total_l < min_samples {
             return 0.0;
         }
         let burn_s = bad_s as f64 / total_s as f64 / budget;
@@ -154,15 +214,17 @@ impl ObjectiveState {
         burn_s.min(burn_l)
     }
 
-    fn row(&self, cfg: &SloConfig, now_us: u64) -> ObjectiveRow {
+    /// Whether an alert fired within the cooldown before `now_us`.
+    fn cooling(&self, now_us: u64) -> bool {
+        self.last_alert_us.is_some_and(|t| now_us.saturating_sub(t) < ALERT_COOLDOWN_US)
+    }
+
+    fn row(&self, now_us: u64) -> ObjectiveRow {
         ObjectiveRow {
             total: self.total,
             bad: self.bad,
-            alerting: self
-                .last_alert_us
-                .is_some_and(|t| now_us.saturating_sub(t) < cfg.alert_cooldown_s * 1_000_000),
-            windows: window_set(cfg)
-                .map(|(ring, window_s)| self.ring(ring).tally(window_s, now_us)),
+            alerting: self.cooling(now_us),
+            windows: WINDOWS.map(|(ring, window_s)| self.ring(ring).tally(window_s, now_us)),
         }
     }
 }
@@ -184,43 +246,31 @@ pub struct TenantSlo {
     cost_ratio: f64,
 }
 
-impl TenantSlo {
-    pub fn new(cfg: &SloConfig) -> Self {
+impl Default for TenantSlo {
+    fn default() -> Self {
         Self {
-            objectives: [
-                ObjectiveState::new(cfg),
-                ObjectiveState::new(cfg),
-                ObjectiveState::new(cfg),
-            ],
+            objectives: [ObjectiveState::new(), ObjectiveState::new(), ObjectiveState::new()],
             latency_ms: LogHistogram::new(),
             requests: 0,
             cost_ratio: f64::NAN,
         }
     }
+}
 
+impl TenantSlo {
     /// Evaluate both window pairs of `obj`; a trip stamps the cooldown
     /// and returns `(window, burn)`.
-    fn burn_alert(
-        &mut self,
-        cfg: &SloConfig,
-        obj: Objective,
-        now_us: u64,
-    ) -> Option<(&'static str, f64)> {
-        let budget = obj.budget(cfg);
-        let min_samples = obj.min_samples(cfg);
+    fn burn_alert(&mut self, obj: Objective, now_us: u64) -> Option<(&'static str, f64)> {
+        let (budget, min_samples) = (obj.budget(), obj.min_samples());
         let os = &mut self.objectives[obj as usize];
-        if budget <= 0.0
-            || os
-                .last_alert_us
-                .is_some_and(|last| now_us.saturating_sub(last) < cfg.alert_cooldown_s * 1_000_000)
-        {
+        if os.cooling(now_us) {
             return None;
         }
-        let fast = os.pair_burn(Ring::Fast, cfg.fast_windows_s, min_samples, budget, now_us);
-        let slow = os.pair_burn(Ring::Slow, cfg.slow_windows_s, min_samples, budget, now_us);
-        let fired = if fast >= cfg.fast_burn {
+        let fast = os.pair_burn(Ring::Fast, FAST_WINDOWS_S, min_samples, budget, now_us);
+        let slow = os.pair_burn(Ring::Slow, SLOW_WINDOWS_S, min_samples, budget, now_us);
+        let fired = if fast >= FAST_BURN {
             ("fast", fast)
-        } else if slow >= cfg.slow_burn {
+        } else if slow >= SLOW_BURN {
             ("slow", slow)
         } else {
             return None;
@@ -229,13 +279,13 @@ impl TenantSlo {
         Some(fired)
     }
 
-    fn row(&self, tenant: &str, cfg: &SloConfig, now_us: u64) -> SloRow {
+    fn row(&self, tenant: &str, now_us: u64) -> SloRow {
         SloRow {
             tenant: tenant.to_string(),
             requests: self.requests,
             p99_latency_ms: self.latency_ms.quantile(0.99),
             cost_ratio: self.cost_ratio,
-            objectives: self.objectives.each_ref().map(|os| os.row(cfg, now_us)),
+            objectives: self.objectives.each_ref().map(|os| os.row(now_us)),
         }
     }
 }
@@ -258,8 +308,8 @@ struct Exemplar {
     truncated: u64,
 }
 
-/// One shard's SLO side-state: retained exemplars (oldest evicted past
-/// `max_exemplars`), the last fired alerts, and the counters `/slo`
+/// One shard's SLO side-state: retained exemplars (the oldest evicted
+/// past 32), the last fired alerts, and the counters `/slo`
 /// reports. The engine keeps it under the shard's tenant lock.
 #[derive(Default)]
 pub struct SloLog {
@@ -274,7 +324,7 @@ impl SloLog {
     /// Account one completed request to `st`, the ledger row `key` (the
     /// tenant, or `__other__` past the table cap). A request that missed
     /// its deadline, broke the latency SLO or sits in the tenant's tail
-    /// is retained with the events `cut(max_exemplar_events)` returns;
+    /// is retained with the events `cut(MAX_EXEMPLAR_EVENTS)` returns;
     /// every other one is dropped without touching `cut`. Returns whether
     /// a burn-rate alert fired.
     pub fn record_request(
@@ -289,7 +339,7 @@ impl SloLog {
         st.requests += 1;
         st.latency_ms.record(latency_ms);
         let latency_bad = latency_ms > cfg.latency_slo_ms;
-        let tail_floor = st.latency_ms.quantile(cfg.tail_quantile) * cfg.tail_margin;
+        let tail_floor = st.latency_ms.quantile(TAIL_QUANTILE) * TAIL_MARGIN;
         let reason = if !done.deadline_met {
             Some("deadline")
         } else if latency_bad {
@@ -304,8 +354,8 @@ impl SloLog {
 
         match reason {
             Some(reason) => {
-                let (events, truncated) = cut(cfg.max_exemplar_events);
-                while self.exemplars.len() >= cfg.max_exemplars.max(1) {
+                let (events, truncated) = cut(MAX_EXEMPLAR_EVENTS);
+                while self.exemplars.len() >= MAX_EXEMPLARS {
                     self.exemplars.pop_front();
                     self.dropped += 1; // evicted by the store cap
                 }
@@ -325,17 +375,16 @@ impl SloLog {
             }
             None => self.dropped += 1,
         }
-        let miss = self.check_burn(cfg, key, st, Objective::DeadlineMiss, done.t_us);
-        let slow = self.check_burn(cfg, key, st, Objective::Latency, done.t_us);
+        let miss = self.check_burn(key, st, Objective::DeadlineMiss, done.t_us);
+        let slow = self.check_burn(key, st, Objective::Latency, done.t_us);
         miss || slow
     }
 
     /// Feed one sim episode's realised vs planned cost at trace time
-    /// `t_us`: bad when `realised / planned > cost_ratio_max`. Returns
+    /// `t_us`: bad when `realised / planned > 1.5`. Returns
     /// whether a burn-rate alert fired.
     pub fn record_cost(
         &mut self,
-        cfg: &SloConfig,
         key: &str,
         st: &mut TenantSlo,
         t_us: u64,
@@ -344,22 +393,15 @@ impl SloLog {
     ) -> bool {
         let ratio = if planned > f64::EPSILON { realised / planned } else { f64::NAN };
         st.cost_ratio = ratio;
-        let bad = ratio.is_finite() && ratio > cfg.cost_ratio_max;
+        let bad = ratio.is_finite() && ratio > COST_RATIO_MAX;
         st.objectives[Objective::CostRatio as usize].record(t_us, bad);
-        self.check_burn(cfg, key, st, Objective::CostRatio, t_us)
+        self.check_burn(key, st, Objective::CostRatio, t_us)
     }
 
     /// A tripped `(key, objective)` pair records an alert (bounded list)
     /// linking the tenant's latest exemplars.
-    fn check_burn(
-        &mut self,
-        cfg: &SloConfig,
-        key: &str,
-        st: &mut TenantSlo,
-        obj: Objective,
-        now_us: u64,
-    ) -> bool {
-        let Some((window, burn)) = st.burn_alert(cfg, obj, now_us) else {
+    fn check_burn(&mut self, key: &str, st: &mut TenantSlo, obj: Objective, now_us: u64) -> bool {
+        let Some((window, burn)) = st.burn_alert(obj, now_us) else {
             return false;
         };
         let exemplar_request_ids = self
@@ -393,8 +435,8 @@ struct ObjectiveRow {
     total: u64,
     bad: u64,
     alerting: bool,
-    /// Indexed like [`window_set`]; the last is the slow pair's long
-    /// window, the one the budget is spent over.
+    /// Indexed like [`WINDOWS`]; the last is the slow pair's long window,
+    /// the one the budget is spent over.
     windows: [(u64, u64); 4],
 }
 
@@ -402,7 +444,7 @@ impl ObjectiveRow {
     /// Burn rate over window `w` (0 when the window is empty).
     fn burn(&self, w: usize, budget: f64) -> f64 {
         let (bad, total) = self.windows[w];
-        if budget <= 0.0 || total == 0 {
+        if total == 0 {
             return 0.0;
         }
         bad as f64 / total as f64 / budget
@@ -412,7 +454,7 @@ impl ObjectiveRow {
     /// untouched budget, 0.0 exactly exhausted, negative when overspent.
     fn budget_remaining(&self, budget: f64) -> f64 {
         let (bad, total) = self.windows[3];
-        if budget <= 0.0 || total == 0 {
+        if total == 0 {
             return 1.0;
         }
         1.0 - bad as f64 / (budget * total as f64)
@@ -457,11 +499,10 @@ impl SloRow {
 /// exact; `__other__` rows are summed across shards.
 #[derive(Clone, Default)]
 pub struct SloView {
-    cfg: SloConfig,
     now_us: u64,
     /// Ranked by event volume, then name.
     rows: Vec<SloRow>,
-    /// Oldest first, at most `max_exemplars`.
+    /// Oldest first, at most [`MAX_EXEMPLARS`].
     exemplars: Vec<Exemplar>,
     /// Oldest first, at most [`MAX_ALERTS`].
     alerts: Vec<Alert>,
@@ -471,8 +512,8 @@ pub struct SloView {
 }
 
 impl SloView {
-    pub fn new(cfg: &SloConfig, now_us: u64) -> Self {
-        Self { cfg: cfg.clone(), now_us, ..Self::default() }
+    pub fn new(now_us: u64) -> Self {
+        Self { now_us, ..Self::default() }
     }
 
     /// Fold one shard's ledger rows and log into the view.
@@ -482,7 +523,7 @@ impl SloView {
         log: &SloLog,
     ) {
         for (tenant, st) in rows {
-            let row = st.row(tenant, &self.cfg, self.now_us);
+            let row = st.row(tenant, self.now_us);
             match self.rows.iter_mut().find(|r| r.tenant == tenant) {
                 Some(r) => r.merge(&row),
                 None => self.rows.push(row),
@@ -494,7 +535,7 @@ impl SloView {
         self.dropped += log.dropped;
         self.exemplars.extend(log.exemplars.iter().cloned());
         self.exemplars.sort_by_key(|e| e.t_us);
-        let evicted = self.exemplars.len().saturating_sub(self.cfg.max_exemplars.max(1));
+        let evicted = self.exemplars.len().saturating_sub(MAX_EXEMPLARS);
         self.exemplars.drain(..evicted);
         self.dropped += evicted as u64;
         self.alerts.extend(log.alerts.iter().cloned());
@@ -538,29 +579,29 @@ impl SloView {
                 out.push(',');
             }
             out.push_str("{\"tenant\":");
-            json_string(&mut out, &row.tenant);
+            str_into(&mut out, &row.tenant);
             let _ = write!(out, ",\"requests\":{},\"p99_latency_ms\":", row.requests);
-            json_f64(&mut out, row.p99_latency_ms);
+            f64_into(&mut out, row.p99_latency_ms);
             out.push_str(",\"cost_ratio\":");
-            json_f64(&mut out, row.cost_ratio);
+            f64_into(&mut out, row.cost_ratio);
             out.push_str(",\"objectives\":[");
             for (j, (obj, os)) in OBJECTIVES.iter().zip(&row.objectives).enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let budget = obj.budget(&self.cfg);
+                let budget = obj.budget();
                 let _ = write!(out, "{{\"objective\":\"{}\",\"budget\":", obj.as_str());
-                json_f64(&mut out, budget);
+                f64_into(&mut out, budget);
                 let _ = write!(out, ",\"events\":{},\"bad\":{}", os.total, os.bad);
                 out.push_str(",\"budget_remaining\":");
-                json_f64(&mut out, os.budget_remaining(budget));
+                f64_into(&mut out, os.budget_remaining(budget));
                 let _ = write!(out, ",\"alerting\":{},\"burn\":[", os.alerting);
-                for (k, (_, window_s)) in window_set(&self.cfg).into_iter().enumerate() {
+                for (k, (_, window_s)) in WINDOWS.into_iter().enumerate() {
                     if k > 0 {
                         out.push(',');
                     }
                     let _ = write!(out, "{{\"window\":\"{}\",\"rate\":", window_label(window_s));
-                    json_f64(&mut out, os.burn(k, budget));
+                    f64_into(&mut out, os.burn(k, budget));
                     out.push('}');
                 }
                 out.push_str("]}");
@@ -575,13 +616,13 @@ impl SloView {
                 out.push(',');
             }
             out.push_str("{\"tenant\":");
-            json_string(&mut out, &a.tenant);
+            str_into(&mut out, &a.tenant);
             let _ = write!(
                 out,
                 ",\"objective\":\"{}\",\"window\":\"{}\",\"burn\":",
                 a.objective, a.window
             );
-            json_f64(&mut out, a.burn);
+            f64_into(&mut out, a.burn);
             let _ = write!(out, ",\"t_us\":{},\"exemplar_request_ids\":[", a.t_us);
             for (j, id) in a.exemplar_request_ids.iter().enumerate() {
                 if j > 0 {
@@ -599,11 +640,11 @@ impl SloView {
                 out.push(',');
             }
             let _ = write!(out, "{{\"request_id\":{},\"tenant\":", ex.request_id);
-            json_string(&mut out, &ex.tenant);
+            str_into(&mut out, &ex.tenant);
             let _ = write!(out, ",\"reason\":\"{}\",\"level\":", ex.reason);
-            json_string(&mut out, ex.level);
+            str_into(&mut out, ex.level);
             out.push_str(",\"outcome\":");
-            json_string(&mut out, ex.outcome);
+            str_into(&mut out, ex.outcome);
             let _ = write!(
                 out,
                 ",\"latency_us\":{},\"deadline_met\":{},\"t_us\":{},\"truncated\":{},\"events\":[",
@@ -633,7 +674,7 @@ impl SloView {
             "Error budget left over the slow window (1 = untouched, <0 overspent)";
         const BURN_HELP: &str = "Error-budget burn rate per window (1 = sustainable spend)";
         let cap = reg.series_cap();
-        let windows = window_set(&self.cfg).map(|(_, window_s)| window_label(window_s));
+        let windows = WINDOWS.map(|(_, window_s)| window_label(window_s));
         // reserve one slot per family for the fold bucket
         let budget_tenants = (cap / OBJECTIVES.len()).saturating_sub(1).max(1);
         let burn_tenants = (cap / (OBJECTIVES.len() * windows.len())).saturating_sub(1).max(1);
@@ -645,7 +686,7 @@ impl SloView {
         for (rank, row) in self.rows.iter().enumerate() {
             let folded_name = row.tenant == OVERFLOW_LABEL;
             for (k, (obj, os)) in OBJECTIVES.iter().zip(&row.objectives).enumerate() {
-                let budget = obj.budget(&self.cfg);
+                let budget = obj.budget();
                 let remaining = os.budget_remaining(budget);
                 if rank < budget_tenants && !folded_name {
                     reg.gauge(
@@ -720,14 +761,12 @@ impl SloView {
 }
 
 /// The four reported windows: fast pair then slow pair.
-fn window_set(cfg: &SloConfig) -> [(Ring, u64); 4] {
-    [
-        (Ring::Fast, cfg.fast_windows_s.0),
-        (Ring::Fast, cfg.fast_windows_s.1),
-        (Ring::Slow, cfg.slow_windows_s.0),
-        (Ring::Slow, cfg.slow_windows_s.1),
-    ]
-}
+const WINDOWS: [(Ring, u64); 4] = [
+    (Ring::Fast, FAST_WINDOWS_S.0),
+    (Ring::Fast, FAST_WINDOWS_S.1),
+    (Ring::Slow, SLOW_WINDOWS_S.0),
+    (Ring::Slow, SLOW_WINDOWS_S.1),
+];
 
 /// Human window label: `300 → "5m"`, `259200 → "3d"`, irregular values
 /// fall back to seconds.
@@ -743,47 +782,38 @@ fn window_label(secs: u64) -> String {
     }
 }
 
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
-}
-
-/// Shortest-roundtrip float with a `.0` suffix for integral values;
-/// non-finite serialises as `null` (same convention as `rrp-trace`).
-fn json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let start = out.len();
-        let _ = write!(out, "{v}");
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;
+    use std::path::Path;
+
+    use rrp_trace::{EventKind, Sink, SpanId};
 
     use super::*;
+    use crate::flight::{FlightRecorder, FlightRing, ProfConfig};
 
-    /// One shard's worth of engine glue: a tenant table of SLO rows and
-    /// the shard's log.
+    /// One shard's worth of engine glue: a tenant table of SLO rows, the
+    /// shard's log, and the engine's lifecycle ring its exemplars are cut
+    /// from. The clock is the caller's `t_us`.
     struct Shard {
         cfg: SloConfig,
         rows: HashMap<String, TenantSlo>,
         log: SloLog,
+        ring: Arc<FlightRing>,
         now_us: u64,
     }
 
     impl Shard {
         fn new() -> Self {
+            Self::on(Arc::new(FlightRing::new()))
+        }
+
+        fn on(ring: Arc<FlightRing>) -> Self {
             Self {
                 cfg: SloConfig::default(),
                 rows: HashMap::new(),
                 log: SloLog::default(),
+                ring,
                 now_us: 0,
             }
         }
@@ -792,6 +822,8 @@ mod tests {
             self.done_in(t_us, tenant, request_id, deadline_met, 1_000)
         }
 
+        /// Emit the request's span open and `RequestDone` into the ring,
+        /// then account it, as the engine's `finish` does.
         fn done_in(
             &mut self,
             t_us: u64,
@@ -801,28 +833,32 @@ mod tests {
             latency_us: u64,
         ) -> bool {
             self.now_us = t_us;
-            let st =
-                self.rows.entry(tenant.to_string()).or_insert_with(|| TenantSlo::new(&self.cfg));
-            let done = Done {
+            let span = SpanId(request_id + 1);
+            let (level, outcome) = ("full", "ok");
+            let open = EventKind::SpanOpen { name: "request", parent: SpanId::ROOT };
+            self.ring.emit(&Event { t_us, worker: 0, span, kind: open });
+            let kind = EventKind::RequestDone {
                 request_id,
-                tenant,
-                level: "full",
-                outcome: "ok",
+                tenant: tenant.to_string(),
+                level,
+                outcome,
                 latency_us,
                 deadline_met,
-                t_us,
             };
-            self.log.record_request(&self.cfg, tenant, st, &done, |_| (Vec::new(), 0))
+            self.ring.emit(&Event { t_us, worker: 0, span, kind });
+            let st = self.rows.entry(tenant.to_string()).or_default();
+            let done = Done { request_id, tenant, level, outcome, latency_us, deadline_met, t_us };
+            let ring = &self.ring;
+            self.log.record_request(&self.cfg, tenant, st, &done, |max| ring.cut(span, max))
         }
 
         fn cost(&mut self, tenant: &str, planned: f64, realised: f64) -> bool {
-            let st =
-                self.rows.entry(tenant.to_string()).or_insert_with(|| TenantSlo::new(&self.cfg));
-            self.log.record_cost(&self.cfg, tenant, st, self.now_us, planned, realised)
+            let st = self.rows.entry(tenant.to_string()).or_default();
+            self.log.record_cost(tenant, st, self.now_us, planned, realised)
         }
 
         fn view(&self) -> SloView {
-            let mut view = SloView::new(&self.cfg, self.now_us);
+            let mut view = SloView::new(self.now_us);
             view.add_shard(self.rows.iter().map(|(k, v)| (k.as_str(), v)), &self.log);
             view
         }
@@ -840,7 +876,7 @@ mod tests {
         assert_eq!(alerts[0].tenant, "storm");
         assert_eq!(alerts[0].objective, "deadline_miss");
         assert_eq!(alerts[0].window, "fast");
-        assert!(alerts[0].burn >= slo.cfg.fast_burn, "burn {}", alerts[0].burn);
+        assert!(alerts[0].burn >= FAST_BURN, "burn {}", alerts[0].burn);
         assert!(!alerts[0].exemplar_request_ids.is_empty(), "alert links exemplars");
         // the alert fired at the min_samples'th request
         assert_eq!(alerts[0].t_us, 9 * 1_000 + 500);
@@ -909,7 +945,7 @@ mod tests {
             b.done(i * 1_000, OVERFLOW_LABEL, 10 + i, true);
         }
         b.done(9_000, "named", 20, true);
-        let mut view = SloView::new(&a.cfg, 9_000);
+        let mut view = SloView::new(9_000);
         for s in [&a, &b] {
             view.add_shard(s.rows.iter().map(|(k, v)| (k.as_str(), v)), &s.log);
         }
@@ -950,6 +986,57 @@ mod tests {
             .and_then(|r| r.as_f64())
             .unwrap_or(0.0);
         assert!(burn > 90.0, "burn {burn}");
+    }
+
+    /// Compare `got` with the pinned file `tests/golden/<name>`;
+    /// `UPDATE_GOLDEN=1` rewrites the pin instead.
+    fn assert_golden(name: &str, got: &str) {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(&path, got).expect("write golden pin");
+        }
+        let want = std::fs::read_to_string(&path)
+            .expect("golden pin missing; regenerate with UPDATE_GOLDEN=1");
+        assert_eq!(got, want, "`{name}` drifted from its golden pin");
+    }
+
+    /// Byte-exact pins of the three scrape bodies an SLO + flight engine
+    /// serves, over two shards sharing one ring: a deadline storm on shard
+    /// a, an `__other__` row on both, and a latency-bad, cost-bad named
+    /// tenant on shard b. The field tests above parse these bodies; this
+    /// one pins every byte (number formats, key order, escaping).
+    #[test]
+    fn scrape_bodies_match_the_golden_pins() {
+        let ring = Arc::new(FlightRing::new());
+        let recorder = FlightRecorder::new(ProfConfig::default(), Arc::clone(&ring), None);
+        let mut a = Shard::on(Arc::clone(&ring));
+        let mut b = Shard::on(Arc::clone(&ring));
+        for i in 0..20u64 {
+            if a.done(i * 1_000 + 500, "storm", i, false) {
+                recorder.trigger("slo_burn_rate");
+            }
+        }
+        for i in 0..4u64 {
+            a.done(30_000 + i * 1_000, OVERFLOW_LABEL, 100 + i, i % 2 == 0);
+            b.done(30_500 + i * 1_000, OVERFLOW_LABEL, 200 + i, false);
+        }
+        for i in 0..12u64 {
+            b.done_in(40_000 + i * 1_000, "named \"q\"", 300 + i, true, 300_000 + i * 7_001);
+        }
+        for i in 0..5u32 {
+            if b.cost("named \"q\"", 1.0, 1.25 + f64::from(i) * 0.125) {
+                recorder.trigger("slo_burn_rate");
+            }
+        }
+        let mut view = SloView::new(52_000);
+        for s in [&a, &b] {
+            view.add_shard(s.rows.iter().map(|(k, v)| (k.as_str(), v)), &s.log);
+        }
+        assert_golden("slo_status.json", &view.status_json());
+        let reg = Registry::new();
+        view.sync_registry(&reg);
+        assert_golden("slo_metrics.txt", &reg.render());
+        assert_golden("flight_status.json", &recorder.status_json());
     }
 
     #[test]

@@ -22,18 +22,63 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::Instant;
 
-use rrp_trace::json::escape_into;
+use rrp_trace::json::{escape_into, str_into};
 use rrp_trace::{Event, EventKind, Sink, SpanId};
 
 use crate::profiler::SamplerShared;
-use crate::ProfConfig;
 
-/// Bounded ring of recent lifecycle events: pruned to `ring_seconds` of
-/// trace time and capped at `ring_events` (cap evictions are counted).
+/// Flight-ring retention horizon (trace time): older events are pruned.
+const RING_SECONDS: u64 = 30;
+/// Hard cap on ring occupancy, against event storms inside the horizon.
+const RING_EVENTS: usize = 16_384;
+
+/// Profiling and flight-recorder options (engine: `EngineConfig::prof`).
+#[derive(Debug, Clone)]
+pub struct ProfConfig {
+    /// Sampler frequency. 0 disables the sampler thread (the flight
+    /// recorder still runs; its bundles just carry no samples).
+    pub sample_hz: u32,
+    /// Where post-mortem bundles land. `None` = triggers are tracked
+    /// (cause, counters) but nothing is written to disk.
+    pub bundle_dir: Option<PathBuf>,
+    /// Fire `deadline_miss_spike` when this many deadline-missed
+    /// requests complete within [`ProfConfig::spike_window_ms`]. 0 = off.
+    pub deadline_miss_spike: u32,
+    /// Sliding window for both spike triggers.
+    pub spike_window_ms: u64,
+    /// Fire `budget_exhaustion` when this many `exhausted:*` ladder
+    /// rungs land within the window. 0 = off.
+    pub budget_exhaustion_spike: u32,
+    /// Debounce: a fired trigger suppresses further dumps for this long,
+    /// so one incident produces one bundle, not a bundle per symptom.
+    pub min_dump_interval_ms: u64,
+    /// Chain a process-wide panic hook that fires a `panic` trigger
+    /// before the previous hook runs. Off by default (it is global
+    /// state, so embedders opt in).
+    pub panic_hook: bool,
+}
+
+impl Default for ProfConfig {
+    fn default() -> Self {
+        Self {
+            sample_hz: 97,
+            bundle_dir: None,
+            deadline_miss_spike: 16,
+            spike_window_ms: 5_000,
+            budget_exhaustion_spike: 64,
+            min_dump_interval_ms: 30_000,
+            panic_hook: false,
+        }
+    }
+}
+
+/// Bounded ring of recent lifecycle events: pruned to 30 s of trace time
+/// and capped at 16 384 events (cap evictions are counted).
 pub struct FlightRing {
     seconds: u64,
     cap: usize,
@@ -41,15 +86,26 @@ pub struct FlightRing {
     dropped: AtomicU64,
 }
 
+impl Default for FlightRing {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FlightRing {
-    /// A ring sized by `cfg.ring_seconds` and `cfg.ring_events`.
-    pub fn new(cfg: &ProfConfig) -> Self {
+    pub fn new() -> Self {
         Self {
-            seconds: cfg.ring_seconds,
-            cap: cfg.ring_events,
+            seconds: RING_SECONDS,
+            cap: RING_EVENTS,
             events: Mutex::new(VecDeque::new()),
             dropped: AtomicU64::new(0),
         }
+    }
+
+    /// A ring with test-sized bounds.
+    #[cfg(test)]
+    fn with_bounds(seconds: u64, cap: usize) -> Self {
+        Self { seconds, cap, ..Self::new() }
     }
 
     pub fn len(&self) -> usize {
@@ -210,17 +266,13 @@ impl FlightRecorder {
             out,
             "{{\"ring_events\":{},\"ring_cap\":{},\"ring_seconds\":{},\"ring_dropped\":{},\"dumps\":{},\"last_trigger\":",
             self.ring.len(),
-            self.cfg.ring_events,
-            self.cfg.ring_seconds,
+            self.ring.cap,
+            self.ring.seconds,
             self.ring.dropped(),
             self.dumps_fired()
         );
         match self.last_trigger() {
-            Some(cause) => {
-                out.push('"');
-                escape_into(&mut out, &cause);
-                out.push('"');
-            }
+            Some(cause) => str_into(&mut out, &cause),
             None => out.push_str("null"),
         }
         out.push('}');
@@ -278,7 +330,7 @@ impl FlightRecorder {
                 .and_then(|()| std::fs::write(&path, bundle.as_bytes()));
             if let Err(e) = write {
                 // a failing disk must not take the planner down with it
-                eprintln!("rrp-prof: post-mortem dump to {} failed: {e}", path.display());
+                eprintln!("rrp-obs: post-mortem dump to {} failed: {e}", path.display());
             }
         }
         true
@@ -293,7 +345,7 @@ impl FlightRecorder {
             out,
             "\",\"t_us\":{},\"ring_seconds\":{},\"ring_dropped\":{},\"events\":[",
             self.now_us(),
-            self.cfg.ring_seconds,
+            self.ring.seconds,
             self.ring.dropped()
         );
         for (i, ev) in
@@ -378,8 +430,7 @@ mod tests {
     }
 
     fn recorder(c: ProfConfig) -> FlightRecorder {
-        let ring = Arc::new(FlightRing::new(&c));
-        FlightRecorder::new(c, ring, None)
+        FlightRecorder::new(c, Arc::new(FlightRing::new()), None)
     }
 
     fn ev(t_us: u64, span: u64, kind: EventKind) -> Event {
@@ -460,10 +511,7 @@ mod tests {
 
     #[test]
     fn ring_prunes_by_time_and_cap() {
-        let mut c = cfg();
-        c.ring_seconds = 1;
-        c.ring_events = 4;
-        let ring = FlightRing::new(&c);
+        let ring = FlightRing::with_bounds(1, 4);
         for i in 0..8 {
             ring.emit(&done(i * 1_000, i + 1));
         }
@@ -476,7 +524,7 @@ mod tests {
 
     #[test]
     fn cut_keeps_only_the_request_subtree() {
-        let ring = FlightRing::new(&ProfConfig::default());
+        let ring = FlightRing::new();
         ring.emit(&open(0, 1, "request", 0));
         ring.emit(&open(1, 9, "request", 0)); // a neighbour's request
         ring.emit(&ev(2, 1, EventKind::Enqueued));
@@ -525,7 +573,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut c = cfg();
         c.bundle_dir = Some(dir.clone());
-        let ring = Arc::new(FlightRing::new(&c));
+        let ring = Arc::new(FlightRing::new());
         let rec = FlightRecorder::new(c, Arc::clone(&ring), None);
         rec.set_bundle_sections(Box::new(|out| {
             out.push_str(
@@ -550,7 +598,7 @@ mod tests {
     #[test]
     fn status_json_reports_ring_and_trigger_state() {
         let c = cfg();
-        let ring = Arc::new(FlightRing::new(&c));
+        let ring = Arc::new(FlightRing::new());
         let rec = FlightRecorder::new(c, Arc::clone(&ring), None);
         ring.emit(&done(0, 1));
         let s = rec.status_json();

@@ -17,7 +17,7 @@
 //! `rrp_obs_series_overflow_total`. A `set` through a folded handle keeps
 //! the last writer, so producers with a long tail fold it themselves
 //! first: [`Registry::set_counter_family`] sums the tail into `__other__`,
-//! and `rrp-slo` keeps the most pessimistic value.
+//! and the SLO view keeps the most pessimistic value.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,7 +177,7 @@ impl Registry {
     }
 
     /// The per-family distinct-label-set cap this registry folds at.
-    /// Cap-aware producers (e.g. `rrp-slo`'s per-tenant sync) use it to
+    /// Cap-aware producers (e.g. [`crate::SloView::sync_registry`]) use it to
     /// fold their own long tails *before* registration, so the folded
     /// series carries a meaningful aggregate instead of whichever value
     /// was set last.

@@ -293,31 +293,18 @@ fn field_u64(out: &mut String, key: &str, v: u64) {
     push_u64(out, v);
 }
 
-/// Shortest-roundtrip float with a `.0` suffix for integral values (same
-/// convention as the workspace's serde shim); non-finite values become
-/// `null` (JSON has no infinities — readers treat a null bound as ±∞).
 fn field_f64(out: &mut String, key: &str, v: f64) {
-    use std::fmt::Write;
     out.push_str(",\"");
     out.push_str(key);
     out.push_str("\":");
-    if v.is_finite() {
-        let start = out.len();
-        let _ = write!(out, "{v}");
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
-    }
+    crate::json::f64_into(out, v);
 }
 
 fn field_str(out: &mut String, key: &str, v: &str) {
     out.push_str(",\"");
     out.push_str(key);
-    out.push_str("\":\"");
-    crate::json::escape_into(out, v);
-    out.push('"');
+    out.push_str("\":");
+    crate::json::str_into(out, v);
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ struct Inner {
     /// Event delivery; `None` in profiler-only mode, where span opens
     /// still publish stack frames but no events are constructed.
     sink: Option<Arc<dyn Sink>>,
-    /// Span-stack publication for the sampling profiler (`rrp-prof`).
+    /// Span-stack publication for the sampling profiler (`rrp_obs::Profiler`).
     stacks: Option<Arc<SpanStacks>>,
     origin: Instant,
     next_span: AtomicU64,
@@ -132,7 +132,7 @@ impl TraceHandle {
 
     /// RAII variant of open/close: the span closes when the guard drops.
     ///
-    /// Unlike the raw [`TraceHandle::open_span`]/[`close_span`] pair —
+    /// Unlike the raw [`TraceHandle::open_span`]/[`TraceHandle::close_span`] pair —
     /// which may legally cross threads (the engine closes request spans
     /// on a worker other than the submitter) — a guard lives and dies on
     /// one thread, so it also publishes the span name to the current

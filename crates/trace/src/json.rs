@@ -1,6 +1,7 @@
-//! The workspace's one JSON string escaper, shared by every crate that
-//! hand-renders JSON on top of `rrp-trace` (event lines, flight bundles,
-//! `/slo`, the engine's `/plan` and in-flight bodies).
+//! The workspace's one JSON string escaper and number writer, shared by
+//! every crate that hand-renders JSON on top of `rrp-trace` (event lines,
+//! flight bundles, `/slo`, the engine's `/plan` and in-flight bodies, the
+//! bench records).
 
 use std::fmt::Write;
 
@@ -21,6 +22,29 @@ pub fn escape_into(out: &mut String, s: &str) {
             }
             c => out.push(c),
         }
+    }
+}
+
+/// Append `s` as a quoted JSON string.
+pub fn str_into(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
+}
+
+/// Append `v` as a JSON number: the shortest string that round-trips,
+/// with a `.0` suffix on integral values (the serde shim's convention).
+/// Non-finite values become `null` (JSON has no infinities; readers treat
+/// a null bound as ±∞).
+pub fn f64_into(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let start = out.len();
+        let _ = write!(out, "{v}");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
+    } else {
+        out.push_str("null");
     }
 }
 

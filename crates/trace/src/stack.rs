@@ -226,7 +226,7 @@ impl SpanStacks {
 
     /// Copy `lane`'s current stack (as interned ids, root first) into
     /// `out`. Returns `false` — leaving `out` empty — if the lane was
-    /// being rewritten for all [`SAMPLE_RETRIES`] attempts; the sampler
+    /// being rewritten for all `SAMPLE_RETRIES` attempts; the sampler
     /// just skips the lane this tick. Never blocks the writer.
     pub fn sample_into(&self, lane: u32, out: &mut Vec<u32>) -> bool {
         let l = self.lane(lane);

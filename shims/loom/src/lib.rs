@@ -4,7 +4,7 @@
 //!
 //! Usage mirrors upstream loom: write the concurrent algorithm against
 //! `loom::sync`/`loom::thread` types and wrap the scenario in
-//! [`model`]; every schedule the bounded DFS generates is executed, and
+//! [`model()`]; every schedule the bounded DFS generates is executed, and
 //! the first assertion failure or deadlock fails the test with the
 //! offending schedule printed.
 //!
