@@ -7,7 +7,8 @@
 //! capacitated DRRP instance and on a correlated binary knapsack: nodes,
 //! objective, LP solves, simplex iterations, warm hits, abandoned dual
 //! cold starts, certified infeasible nodes, heuristic re-solves, dense
-//! retries and heap allocations — into
+//! retries, starts reloaded from the LP workspace's memo, and heap
+//! allocations with the bytes they requested — into
 //! `results/BENCH_milp.json` for `xtask benchdiff`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,17 +24,21 @@ use rrp_milp::{MilpOptions, MilpProblem};
 use rrp_spotmarket::CostRates;
 
 /// The system allocator, counting the allocations (`alloc`, `alloc_zeroed`
-/// and `realloc` calls) each thread makes, so a record can gate the heap
-/// traffic of one single-threaded solve.
+/// and `realloc` calls) each thread makes and the bytes they request (a
+/// `realloc` counts its new size), so a record can gate the heap traffic of
+/// one single-threaded solve.
 struct CountingAlloc;
 
 thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-fn count_alloc() {
+fn count_alloc(bytes: usize) {
     // `try_with`: a thread's last frees run after its locals are gone.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCS.try_with(|n| {
+        let (calls, total) = n.get();
+        n.set((calls + 1, total + bytes as u64));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -41,19 +46,19 @@ fn count_alloc() {
 // thread-local `Cell` that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         // SAFETY: the caller's guarantees for `layout` are passed on as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size);
         // SAFETY: `ptr` was allocated by `System` through this allocator
         // with `layout`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -68,8 +73,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations this thread has made so far.
-fn allocs() -> u64 {
+/// Allocations this thread has made so far, and the bytes they requested.
+fn allocs() -> (u64, u64) {
     ALLOCS.with(Cell::get)
 }
 
@@ -128,11 +133,11 @@ fn bench_lotsizing(c: &mut Criterion) {
 /// Solve once and turn the search statistics into a BENCH record: the
 /// wall clock for the reader, and the counts the gate checks.
 fn measure(label: &str, milp: &MilpProblem, opts: &MilpOptions) -> Record {
-    let allocs_before = allocs();
+    let (allocs_before, bytes_before) = allocs();
     let t0 = Instant::now();
     let sol = milp.solve(opts).expect("bench instance is feasible");
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let allocs = allocs() - allocs_before;
+    let (allocs_after, bytes_after) = allocs();
     let stats = sol.lp_stats;
     Record::new(label, wall_ms, sol.nodes as u64, sol.objective)
         .with_count("lp_solves", stats.solves)
@@ -143,7 +148,9 @@ fn measure(label: &str, milp: &MilpProblem, opts: &MilpOptions) -> Record {
         .with_count("heuristic_solves", stats.heuristic_solves)
         .with_count("heuristic_iters", stats.heuristic_iters)
         .with_count("dense_retries", stats.dense_retries)
-        .with_count("allocs", allocs)
+        .with_count("start_reuses", stats.start_reuses)
+        .with_count("allocs", allocs_after - allocs_before)
+        .with_count("bytes", bytes_after - bytes_before)
 }
 
 /// One instance solved warm (`opts`) and cold (`opts` with `warm_start`

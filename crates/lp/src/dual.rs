@@ -20,8 +20,11 @@
 //! A solve runs in a [`Workspace`]: the basis, the values, the pivot-row
 //! scratch and the LU buffers it keeps between solves, so a branch & bound
 //! search that owns one re-solves its nodes from their parents' bases
-//! without allocating. A solve refactorises at its start, every 64 pivots,
-//! on a rejected update and nowhere else: before a feasibility verdict is
+//! without allocating. A solve refactorises at its start — unless the
+//! workspace's previous start had the same basis columns on the same `A`
+//! and `c`, whose factors and reduced costs it then reloads (see
+//! [`Workspace`]) — every 64 pivots, on a rejected update and nowhere
+//! else: before a feasibility verdict is
 //! trusted it recomputes `x_B` from the current factors, and refactorises
 //! only if the recomputed basic values drifted more than [`FEAS_TOL`] from
 //! the incrementally updated ones. The reduced costs are recomputed lazily,
@@ -46,6 +49,8 @@
 use rrp_trace::{EventKind, SpanId, TraceHandle};
 
 use crate::engine::{BasisEngine, SparseEngine};
+use crate::lu::LuFactors;
+use crate::matrix::{same_bits, Csc};
 use crate::model::StandardLp;
 use crate::simplex::{self, nonbasic_value, status_tag, Basis, RawResult, VStat, VarStatus};
 use crate::solution::Status;
@@ -155,6 +160,10 @@ pub struct Solved {
     pub iterations: usize,
     pub warm: bool,
     pub cold_dual_abandoned: bool,
+    /// The dual simplex loaded its start from the workspace's memo of the
+    /// previous start instead of refactorising it (see [`Workspace`]). A
+    /// fresh workspace never does.
+    pub start_reused: bool,
 }
 
 /// Everything one dual-simplex solve works in, kept between solves: the
@@ -165,6 +174,17 @@ pub struct Solved {
 /// to the LP's shape. Each solve resets what it reads, so the result of a
 /// solve does not depend on what the workspace solved before: it equals
 /// [`solve_warm`] (a fresh workspace) bit for bit.
+///
+/// The workspace also remembers the fresh state of its last dual-simplex
+/// start: the start basis, the `A`, `b` and `c` it was computed from, its
+/// LU factors, reduced costs and basic values. The next start from the
+/// same basis columns on bit-identical `A` and `c` loads the factors and
+/// reduced costs instead of refactorising, and loads the basic values too
+/// when `b` and every nonbasic value are bit-identical as well. Both
+/// children of a branching start from their parent's basis, and so do a
+/// node's two heuristic re-solves: the second of each pair skips its
+/// refactorisation. What is loaded is what the refactorisation would have
+/// computed, so the solve stays bit-identical.
 #[derive(Debug, Default)]
 pub struct Workspace {
     engine: SparseEngine,
@@ -194,6 +214,29 @@ pub struct Workspace {
     /// The two-phase primal's result and basis when the last solve fell
     /// back to it; `None` when the dual path finished it.
     fallback: Option<(RawResult, Option<Basis>)>,
+    /// The fresh state of the last dual-simplex start.
+    memo: StartMemo,
+}
+
+/// What a dual-simplex start computed, and the data it computed it from;
+/// buffers reused from start to start.
+#[derive(Debug, Default)]
+struct StartMemo {
+    /// False until a start has been remembered.
+    valid: bool,
+    /// The start basis, by position.
+    basis: Vec<usize>,
+    a: Csc,
+    b: Vec<f64>,
+    c: Vec<f64>,
+    /// Every column's start value before `x_B` was computed: the nonbasic
+    /// values, and 0 on basic columns.
+    x_n: Vec<f64>,
+    lu: LuFactors,
+    /// Reduced costs of the start basis.
+    d: Vec<f64>,
+    /// `x_B` of the start, by basis position.
+    x_b: Vec<f64>,
 }
 
 impl Workspace {
@@ -216,13 +259,15 @@ impl Workspace {
         self.certified = false;
         let warm = hint.is_some();
         let slack = if warm { None } else { dual_feasible_slack_basis(lp) };
-        let mut cold_dual_abandoned = false;
+        let (mut cold_dual_abandoned, mut start_reused) = (false, false);
         if let Some(start) = hint.or(slack.as_ref()) {
             if let Some(mut dual) = DualSimplex::from_hint(lp, self, start, warm, trace, span) {
-                if let Ok(status) = dual.run() {
+                let outcome = dual.run();
+                start_reused = dual.start_reused;
+                if let Ok(status) = outcome {
                     let iterations = dual.iterations;
                     self.certified = status == Status::Infeasible;
-                    return Solved { status, iterations, warm, cold_dual_abandoned: false };
+                    return Solved { status, iterations, warm, cold_dual_abandoned, start_reused };
                 }
                 cold_dual_abandoned = !warm; // fall through to the primal
             }
@@ -233,6 +278,7 @@ impl Workspace {
             iterations: raw.iterations,
             warm: false,
             cold_dual_abandoned,
+            start_reused,
         };
         self.fallback = Some((raw, basis));
         solved
@@ -319,6 +365,8 @@ struct DualSimplex<'a> {
     /// Whether the start basis is the caller's hint (reported by the
     /// closing `lp_solved`); false on the dual-first cold path.
     warm: bool,
+    /// Whether the start was loaded from the workspace's memo.
+    start_reused: bool,
     trace: &'a TraceHandle,
     span: SpanId,
 }
@@ -418,6 +466,7 @@ impl<'a> DualSimplex<'a> {
             clean: false,
             d_stale: true,
             warm,
+            start_reused: false,
             trace,
             span,
         })
@@ -427,8 +476,7 @@ impl<'a> DualSimplex<'a> {
     /// [`Status::Optimal`] the optimal point and basis are in the workspace;
     /// on [`Status::Infeasible`] the Farkas row is in `rho`.
     fn run(&mut self) -> Result<Status, WarmFail> {
-        self.refresh(WarmFail::Singular, "warm_initial")?;
-        self.recompute_duals();
+        self.start()?;
         if !self.dual_feasible() {
             return Err(WarmFail::DualInfeasible);
         }
@@ -472,6 +520,54 @@ impl<'a> DualSimplex<'a> {
             };
             self.pivot(r, below, q)?;
         }
+    }
+
+    /// Bring the start basis to a clean state with current reduced costs:
+    /// from the workspace's memo when it holds the same basis columns on
+    /// bit-identical `A` and `c` (its basic values too when `b` and every
+    /// nonbasic value also match, else `x_B` is recomputed from the loaded
+    /// factors), otherwise by refactorising (`warm_initial`) and
+    /// remembering the result.
+    fn start(&mut self) -> Result<(), WarmFail> {
+        let lp = self.lp;
+        let ws = &mut *self.ws;
+        let memo = &ws.memo;
+        if memo.valid
+            && memo.basis == ws.basis
+            && same_bits(&memo.c, &lp.c)
+            && memo.a.same_bits(&lp.a)
+        {
+            ws.engine.load_factors(&memo.lu);
+            ws.d.copy_from_slice(&memo.d);
+            if same_bits(&memo.b, &lp.b) && same_bits(&memo.x_n, &ws.x) {
+                for (&j, &v) in ws.basis.iter().zip(&memo.x_b) {
+                    ws.x[j] = v;
+                }
+            } else {
+                self.recompute_basic_values();
+            }
+            self.since_refactor = 0;
+            self.d_stale = false;
+            self.clean = true;
+            self.start_reused = true;
+            return Ok(());
+        }
+        ws.memo.valid = false;
+        ws.memo.x_n.clone_from(&ws.x);
+        self.refresh(WarmFail::Singular, "warm_initial")?;
+        self.recompute_duals();
+        let ws = &mut *self.ws;
+        let memo = &mut ws.memo;
+        memo.basis.clone_from(&ws.basis);
+        memo.a.clone_from(&lp.a);
+        memo.b.clone_from(&lp.b);
+        memo.c.clone_from(&lp.c);
+        memo.lu.clone_from(ws.engine.factors());
+        memo.d.clone_from(&ws.d);
+        memo.x_b.clear();
+        memo.x_b.extend(ws.basis.iter().map(|&j| ws.x[j]));
+        memo.valid = true;
+        Ok(())
     }
 
     /// Refactorise and recompute basic values from scratch; the reduced

@@ -224,6 +224,21 @@ impl SparseEngine {
         Self { max_etas, ..Self::default() }
     }
 
+    /// The LU factors of the last refactorisation (the etas applied since
+    /// are not part of them).
+    pub fn factors(&self) -> &LuFactors {
+        &self.lu
+    }
+
+    /// Take a copy of `lu` as the factors, with an empty eta file, as if
+    /// the basis it factorises had just been refactorised. Copies into the
+    /// engine's buffers.
+    pub fn load_factors(&mut self, lu: &LuFactors) {
+        self.etas.clear();
+        self.eta_entries.clear();
+        self.lu.clone_from(lu);
+    }
+
     /// The `(row, value)` entries of eta `e`.
     fn entries(&self, e: usize) -> &[(usize, f64)] {
         let start = if e == 0 { 0 } else { self.etas[e - 1].end };

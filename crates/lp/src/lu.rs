@@ -33,8 +33,9 @@ impl std::error::Error for Singular {}
 ///
 /// [`LuFactors::refactor`] factorises into the buffers of the previous
 /// factorisation, so a simplex that refactorises the same value allocates
-/// nothing once the buffers have grown to the basis' fill.
-#[derive(Debug, Clone, Default)]
+/// nothing once the buffers have grown to the basis' fill; `clone_from`
+/// copies the factors into the target's buffers the same way.
+#[derive(Debug, Default)]
 pub struct LuFactors {
     /// Dimension of the factorised basis; 0 until a factorisation succeeds.
     m: usize,
@@ -54,7 +55,7 @@ pub struct LuFactors {
 }
 
 /// Work arrays of one factorisation, kept for the next.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Scratch {
     /// Dense numeric work vector.
     x: Vec<f64>,
@@ -63,6 +64,28 @@ struct Scratch {
     marked: Vec<bool>,
     /// DFS frames: (orig_row, next child offset).
     dfs_stack: Vec<(usize, usize)>,
+}
+
+impl Clone for LuFactors {
+    fn clone(&self) -> Self {
+        let mut lu = Self::default();
+        lu.clone_from(self);
+        lu
+    }
+
+    /// Copy the factors into this value's buffers. The factorisation
+    /// scratch is not copied: nothing reads it between factorisations.
+    fn clone_from(&mut self, source: &Self) {
+        self.m = source.m;
+        self.l_colptr.clone_from(&source.l_colptr);
+        self.l_rows.clone_from(&source.l_rows);
+        self.l_vals.clone_from(&source.l_vals);
+        self.u_colptr.clone_from(&source.u_colptr);
+        self.u_rows.clone_from(&source.u_rows);
+        self.u_vals.clone_from(&source.u_vals);
+        self.u_diag.clone_from(&source.u_diag);
+        self.pinv.clone_from(&source.pinv);
+    }
 }
 
 impl LuFactors {

@@ -64,8 +64,8 @@ impl Csr {
     }
 }
 
-/// Immutable CSC matrix.
-#[derive(Debug, Clone)]
+/// Immutable CSC matrix. `clone_from` copies into the target's buffers.
+#[derive(Debug, Default)]
 pub struct Csc {
     nrows: usize,
     ncols: usize,
@@ -76,7 +76,39 @@ pub struct Csc {
     values: Vec<f64>,
 }
 
+impl Clone for Csc {
+    fn clone(&self) -> Self {
+        let mut out = Self::default();
+        out.clone_from(self);
+        out
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.nrows = source.nrows;
+        self.ncols = source.ncols;
+        self.colptr.clone_from(&source.colptr);
+        self.rowind.clone_from(&source.rowind);
+        self.values.clone_from(&source.values);
+    }
+}
+
+/// Whether two slices hold the same values bit for bit (`-0.0` differs from
+/// `0.0`, and a NaN equals the same NaN).
+pub fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 impl Csc {
+    /// Whether `other` has the same shape, pattern and values, the values
+    /// compared bit for bit.
+    pub fn same_bits(&self, other: &Csc) -> bool {
+        self.nrows == other.nrows
+            && self.ncols == other.ncols
+            && self.colptr == other.colptr
+            && self.rowind == other.rowind
+            && same_bits(&self.values, &other.values)
+    }
+
     pub fn nrows(&self) -> usize {
         self.nrows
     }

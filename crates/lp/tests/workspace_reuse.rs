@@ -9,12 +9,19 @@
 //! are asked for. An infeasible solve leaves no basis.
 //! Whatever one solve leaves in the workspace (pivot-row scratch, eta file,
 //! LU buffers) must not reach the next.
+//!
+//! A second property drives the workspace's memo of its last start: the
+//! same hint twice with a basic column's bounds tightened (the memo's `x_B`
+//! is loaded), with a nonbasic column's resting bound moved (`x_B` is
+//! recomputed from the loaded factors), with one `b` entry changed, and on
+//! an LP of the same shape with one `A` or one `c` value changed (the memo
+//! must not be used). Each solve must still equal a fresh solve bit for bit.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rrp_lp::dual::{self, Solved, Workspace};
-use rrp_lp::{Basis, Cmp, Model, Sense, StandardLp, Status};
+use rrp_lp::{Basis, Cmp, Model, Sense, StandardLp, Status, VarStatus};
 use rrp_trace::{SpanId, TraceHandle};
 
 /// Lot-sizing relaxation (the DRRP skeleton): per period `t`, production
@@ -22,6 +29,12 @@ use rrp_trace::{SpanId, TraceHandle};
 /// 3t+2; flow balance and forcing rows. Returns the LP and the indicator
 /// columns.
 fn lot_sizing(rng: &mut StdRng) -> (StandardLp, Vec<usize>) {
+    let (m, indicators) = lot_sizing_model(rng);
+    (m.to_standard(), indicators)
+}
+
+/// [`lot_sizing`]'s model, before conversion to standard form.
+fn lot_sizing_model(rng: &mut StdRng) -> (Model, Vec<usize>) {
     let horizon = rng.gen_range(2..10usize);
     let cap = rng.gen_range(1.5..6.0f64);
     let mut m = Model::new(Sense::Minimize);
@@ -40,7 +53,7 @@ fn lot_sizing(rng: &mut StdRng) -> (StandardLp, Vec<usize>) {
         m.add_con(&terms, Cmp::Eq, rng.gen_range(0.0..cap));
         m.add_con(&[(x, 1.0), (y, -cap)], Cmp::Le, 0.0);
     }
-    (m.to_standard(), cols.iter().map(|c| c.1).collect())
+    (m, cols.iter().map(|c| c.1).collect())
 }
 
 /// Facility-location covering LP over a complete binary tree (the SRRP
@@ -99,15 +112,14 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 /// Solve `lp` in the shared workspace and fresh, and require the two to
 /// agree bit for bit. Returns the shared solve's basis, for later hints,
-/// its iteration count, and whether it ended on a certified infeasible
-/// verdict.
+/// how it ended, and whether it ended on a certified infeasible verdict.
 fn check(
     ws: &mut Workspace,
     lp: &StandardLp,
     hint: Option<&Basis>,
     want_duals: bool,
     what: &str,
-) -> Result<(Option<Basis>, usize, bool), String> {
+) -> Result<(Option<Basis>, Solved, bool), String> {
     let got: Solved = ws.solve(lp, hint, &TraceHandle::off(), SpanId::ROOT);
     let fresh = dual::solve_warm(lp, hint);
     let want = Solved {
@@ -115,6 +127,7 @@ fn check(
         iterations: fresh.raw.iterations,
         warm: fresh.warm,
         cold_dual_abandoned: fresh.cold_dual_abandoned,
+        start_reused: got.start_reused, // a fresh workspace has no memo
     };
     prop_assert_eq!(got, want);
     prop_assert!(bits(ws.x()) == bits(&fresh.raw.x), "{what}: x differs from a fresh solve");
@@ -130,7 +143,21 @@ fn check(
         prop_assert!(bits(&y) == bits(&fresh.raw.y), "{what}: duals differ from a fresh solve");
         prop_assert!(bits(&d) == bits(&fresh.raw.d), "{what}: reduced costs differ");
     }
-    Ok((basis, got.iterations, farkas.is_some()))
+    Ok((basis, got, farkas.is_some()))
+}
+
+/// Start from `hint` on `primed`, then solve `lp` from `hint` in the same
+/// workspace — keyed against the primed start's memo — and require a fresh
+/// solve's result bit for bit. Returns whether the memo was used.
+fn after(
+    ws: &mut Workspace,
+    primed: &StandardLp,
+    lp: &StandardLp,
+    hint: &Basis,
+    what: &str,
+) -> Result<bool, String> {
+    ws.solve(primed, Some(hint), &TraceHandle::off(), SpanId::ROOT);
+    Ok(check(ws, lp, Some(hint), true, what)?.1.start_reused)
 }
 
 proptest! {
@@ -147,23 +174,77 @@ proptest! {
                 if rng.gen_bool(0.5) { lot_sizing(&mut rng) } else { tree_covering(&mut rng) };
             // now and then a hint from the previous, differently shaped LP
             let stale = previous.take().filter(|_| rng.gen_bool(0.25));
-            let (root, iters, _) =
+            let (root, solved, _) =
                 check(&mut ws, &lp, stale.as_ref(), rng.gen_bool(0.5), &format!("lp {k}"))?;
-            pivots += iters;
+            pivots += solved.iterations;
             for b in 0..rng.gen_range(1..4usize) {
                 let child = tighten(&mut rng, &lp, &integers);
                 let what = format!("lp {k}, child {b}");
-                pivots += check(&mut ws, &child, root.as_ref(), rng.gen_bool(0.5), &what)?.1;
+                let (_, solved, _) =
+                    check(&mut ws, &child, root.as_ref(), rng.gen_bool(0.5), &what)?;
+                pivots += solved.iterations;
             }
             let dead = infeasible(&lp, &integers);
             let what = format!("lp {k}, infeasible child");
-            let (_, iters, proved) =
+            let (_, solved, proved) =
                 check(&mut ws, &dead, root.as_ref(), rng.gen_bool(0.5), &what)?;
-            pivots += iters;
+            pivots += solved.iterations;
             certified += usize::from(proved);
             previous = root;
         }
         prop_assert!(pivots > 0, "the sequence must pivot");
         prop_assert!(certified > 0, "the sequence must end a solve on a certificate");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn start_memo_is_bit_exact(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (model, _) = lot_sizing_model(&mut rng);
+        let lp = model.to_standard();
+        let root = dual::solve_warm(&lp, None).basis.expect("lot-sizing relaxations are feasible");
+        let mut ws = Workspace::new();
+        prop_assert!(after(&mut ws, &lp, &lp, &root, "same hint, same LP")?);
+        let x = dual::solve_warm(&lp, Some(&root)).raw.x;
+        let Some(j) = root.columns.iter().copied().find(|&j| j < lp.nstruct) else {
+            return Ok(()); // every slot's demand came out 0
+        };
+
+        // a basic column's bounds move: nonbasic values and b are those of
+        // the memo, so x_B is loaded and the column is primal infeasible
+        let mut child = lp.clone();
+        child.upper[j] = child.lower[j].max(x[j] - 0.5);
+        prop_assert!(after(&mut ws, &lp, &child, &root, "basic column tightened")?);
+        // a nonbasic column's resting bound moves: x_B is recomputed
+        let resting = |j: &usize| {
+            *j < lp.nstruct && root.status[*j] == VarStatus::AtLower && lp.upper[*j] > lp.lower[*j]
+        };
+        if let Some(k) = (0..lp.ncols()).find(resting) {
+            let mut child = lp.clone();
+            child.lower[k] = 0.5 * (lp.lower[k] + lp.upper[k].min(lp.lower[k] + 2.0));
+            prop_assert!(after(&mut ws, &lp, &child, &root, "nonbasic column tightened")?);
+        }
+        // one b entry changes: the factors are reused, x_B is recomputed
+        let mut child = lp.clone();
+        let i = rng.gen_range(0..lp.nrows());
+        child.b[i] += 0.25;
+        prop_assert!(after(&mut ws, &lp, &child, &root, "one b entry changed")?);
+
+        // same shape, one A value of a basic column changed: no reuse
+        let row = (0..model.num_cons())
+            .find(|&i| model.con(i).0.iter().any(|&(v, _)| v == j))
+            .expect("every column appears in a row");
+        let coeff = model.con(row).0.iter().find(|&&(v, _)| v == j).map(|t| t.1).unwrap();
+        let mut changed = model.clone();
+        changed.set_con_coeff(row, j, coeff * 1.25);
+        let changed = changed.to_standard();
+        prop_assert!(!after(&mut ws, &lp, &changed, &root, "one A value changed")?);
+        // one c value of a basic column changed: no reuse
+        let mut child = lp.clone();
+        child.c[j] += 0.5;
+        prop_assert!(!after(&mut ws, &lp, &child, &root, "one c value changed")?);
     }
 }

@@ -132,6 +132,10 @@ pub struct LpStats {
     /// Node solves retried on the dense reference engine after the sparse
     /// one ended on its iteration limit or a numerical failure.
     pub dense_retries: u64,
+    /// Node and heuristic solves whose dual simplex loaded its start from
+    /// the workspace's memo instead of refactorising the start basis: the
+    /// second child of a branching, and the second heuristic re-solve.
+    pub start_reuses: u64,
 }
 
 impl LpStats {
@@ -341,6 +345,7 @@ impl<'a> Searcher<'a> {
         self.lp_stats.warm_hits += u64::from(solved.warm);
         self.lp_stats.cold_dual_abandoned += u64::from(solved.cold_dual_abandoned);
         self.lp_stats.certified_infeasible += u64::from(self.ws.farkas().is_some());
+        self.lp_stats.start_reuses += u64::from(solved.start_reused);
         let dense = match solved.status {
             Status::Optimal => None,
             Status::Infeasible => return self.prune(node.id, PruneReason::Infeasible),
@@ -459,6 +464,7 @@ impl<'a> Searcher<'a> {
             };
             self.lp_stats.heuristic_solves += 1;
             self.lp_stats.heuristic_iters += solved.iterations as u64;
+            self.lp_stats.start_reuses += u64::from(solved.start_reused);
             if solved.status != Status::Optimal {
                 continue;
             }
