@@ -24,10 +24,10 @@
 //! workspace's previous start had the same basis columns on the same `A`
 //! and `c`, whose factors and reduced costs it then reloads (see
 //! [`Workspace`]) — every 64 pivots, on a rejected update and nowhere
-//! else: before a feasibility verdict is
-//! trusted it recomputes `x_B` from the current factors, and refactorises
-//! only if the recomputed basic values drifted more than [`FEAS_TOL`] from
-//! the incrementally updated ones. The reduced costs are recomputed lazily,
+//! else: before a feasibility verdict is trusted it recomputes `x_B` from
+//! the current factors, and refactorises only if the recomputed basic
+//! values drifted more than [`FEAS_TOL`] from the incrementally updated
+//! ones. The reduced costs are recomputed lazily,
 //! only when a ratio test with an eligible column needs them.
 //! [`solve_warm`] is one solve in a fresh workspace.
 //!

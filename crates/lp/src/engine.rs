@@ -226,14 +226,14 @@ impl SparseEngine {
 
     /// The LU factors of the last refactorisation (the etas applied since
     /// are not part of them).
-    pub fn factors(&self) -> &LuFactors {
+    pub(crate) fn factors(&self) -> &LuFactors {
         &self.lu
     }
 
     /// Take a copy of `lu` as the factors, with an empty eta file, as if
     /// the basis it factorises had just been refactorised. Copies into the
     /// engine's buffers.
-    pub fn load_factors(&mut self, lu: &LuFactors) {
+    pub(crate) fn load_factors(&mut self, lu: &LuFactors) {
         self.etas.clear();
         self.eta_entries.clear();
         self.lu.clone_from(lu);

@@ -19,9 +19,9 @@
 //!   same `A` and `c` as the workspace's previous start reloads that
 //!   start's LU factors and reduced costs instead of refactorising (its
 //!   `x_B` too when `b` and the nonbasic values match), bit for bit what
-//!   the refactorisation would give. An infeasibility verdict is taken from the
-//!   dual path only from a Farkas certificate re-checked against `A`, `b`
-//!   and the current bounds ([`WarmResult::farkas`]).
+//!   the refactorisation would give. An infeasibility verdict is taken
+//!   from the dual path only from a Farkas certificate re-checked against
+//!   `A`, `b` and the current bounds ([`WarmResult::farkas`]).
 //! * [`simplex::solve_sparse`] / [`simplex::solve_dense`] — the two-phase
 //!   primal simplex the dual path falls back to (dual-infeasible start,
 //!   stall, a doubtful infeasibility certificate), over pluggable basis

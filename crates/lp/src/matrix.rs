@@ -94,14 +94,14 @@ impl Clone for Csc {
 
 /// Whether two slices hold the same values bit for bit (`-0.0` differs from
 /// `0.0`, and a NaN equals the same NaN).
-pub fn same_bits(a: &[f64], b: &[f64]) -> bool {
+pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl Csc {
     /// Whether `other` has the same shape, pattern and values, the values
     /// compared bit for bit.
-    pub fn same_bits(&self, other: &Csc) -> bool {
+    pub(crate) fn same_bits(&self, other: &Csc) -> bool {
         self.nrows == other.nrows
             && self.ncols == other.ncols
             && self.colptr == other.colptr

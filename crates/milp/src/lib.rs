@@ -4,8 +4,14 @@
 //! CPLEX™ solver the paper used through AIMMS. It supports:
 //!
 //! * continuous + integer (including binary) variables,
-//! * best-bound (best-first) tree search with most-fractional or
-//!   pseudo-cost branching,
+//! * best-bound (best-first) tree search with pseudo-cost branching —
+//!   a direction a column has not been branched in yet scores with the
+//!   mean pseudo-cost observed so far, and the rule is most-fractional
+//!   only before the first observation — or plain most-fractional
+//!   branching,
+//! * node LPs re-solved warm from the parent's basis in one reusable LP
+//!   workspace, where the second child of every branching reloads the
+//!   factorisation its sibling's start computed instead of refactorising,
 //! * an LP-rounding primal heuristic to find incumbents early,
 //! * relative/absolute gap and node-limit termination.
 //!

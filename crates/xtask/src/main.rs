@@ -29,7 +29,12 @@
 //!   per-tenant error budgets and burn rates as a table, plus a
 //!   span-waterfall view of a tail-sampled exemplar timeline (see
 //!   [`slo`]).
+//! * `cargo run -p xtask -- ab <rev> --workload W --pairs N --seed S` runs
+//!   the repo benchmark in alternating pairs, `<rev>` against the working
+//!   tree, and prints each end-to-end metric's median [q1, q3] per side,
+//!   the wins and the failed ops (see [`ab`]).
 
+mod ab;
 mod analyze;
 mod benchdiff;
 mod postmortem;
@@ -54,9 +59,10 @@ fn main() -> ExitCode {
         Some("prof") => prof::run(&args[1..]),
         Some("postmortem") => postmortem::run(&args[1..]),
         Some("slo") => slo::run(&args[1..]),
+        Some("ab") => ab::run(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo run -p xtask -- analyze [--deny all] [--json <path|->]\n       cargo run -p xtask -- trace <file.jsonl> [--assert-gap-closed] [--gap-tol <rel>]\n       cargo run -p xtask -- watch <addr> [--interval-ms <n>] [--frames <n>]\n       cargo run -p xtask -- benchdiff <baseline.json> <current.json>\n       cargo run -p xtask -- simreport <report.json> [--assert-realised-ratio <ceiling>]\n       cargo run -p xtask -- prof <addr|collapsed.txt|bundle.json> [--top <n>] [--collapsed] [--no-color]\n       cargo run -p xtask -- postmortem <bundle.json> [--events <n>] [--no-color]\n       cargo run -p xtask -- slo <addr|bundle.json> [--timeline <request_id>] [--no-color]"
+                "usage: cargo run -p xtask -- analyze [--deny all] [--json <path|->]\n       cargo run -p xtask -- trace <file.jsonl> [--assert-gap-closed] [--gap-tol <rel>]\n       cargo run -p xtask -- watch <addr> [--interval-ms <n>] [--frames <n>]\n       cargo run -p xtask -- benchdiff <baseline.json> <current.json>\n       cargo run -p xtask -- simreport <report.json> [--assert-realised-ratio <ceiling>]\n       cargo run -p xtask -- prof <addr|collapsed.txt|bundle.json> [--top <n>] [--collapsed] [--no-color]\n       cargo run -p xtask -- postmortem <bundle.json> [--events <n>] [--no-color]\n       cargo run -p xtask -- slo <addr|bundle.json> [--timeline <request_id>] [--no-color]\n       cargo run -p xtask -- ab <rev> --workload W --pairs N --seed S [--seconds T]"
             );
             ExitCode::from(2)
         }
