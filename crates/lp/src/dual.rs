@@ -176,11 +176,11 @@ pub struct Solved {
 /// [`solve_warm`] (a fresh workspace) bit for bit.
 ///
 /// The workspace also remembers the fresh state of its last dual-simplex
-/// start: the start basis, the `A`, `b` and `c` it was computed from, its
-/// LU factors, reduced costs and basic values. The next start from the
-/// same basis columns on bit-identical `A` and `c` loads the factors and
-/// reduced costs instead of refactorising, and loads the basic values too
-/// when `b` and every nonbasic value are bit-identical as well. Both
+/// start: the start basis, the `A` and `c` it was computed from, its LU
+/// factors and reduced costs. The next start from the same basis columns
+/// on bit-identical `A` and `c` loads the factors and reduced costs
+/// instead of refactorising, and recomputes the basic values from them
+/// and its own `b` and nonbasic values. Both
 /// children of a branching start from their parent's basis, and so do a
 /// node's two heuristic re-solves: the second of each pair skips its
 /// refactorisation. What is loaded is what the refactorisation would have
@@ -227,16 +227,10 @@ struct StartMemo {
     /// The start basis, by position.
     basis: Vec<usize>,
     a: Csc,
-    b: Vec<f64>,
     c: Vec<f64>,
-    /// Every column's start value before `x_B` was computed: the nonbasic
-    /// values, and 0 on basic columns.
-    x_n: Vec<f64>,
     lu: LuFactors,
     /// Reduced costs of the start basis.
     d: Vec<f64>,
-    /// `x_B` of the start, by basis position.
-    x_b: Vec<f64>,
 }
 
 impl Workspace {
@@ -524,10 +518,9 @@ impl<'a> DualSimplex<'a> {
 
     /// Bring the start basis to a clean state with current reduced costs:
     /// from the workspace's memo when it holds the same basis columns on
-    /// bit-identical `A` and `c` (its basic values too when `b` and every
-    /// nonbasic value also match, else `x_B` is recomputed from the loaded
-    /// factors), otherwise by refactorising (`warm_initial`) and
-    /// remembering the result.
+    /// bit-identical `A` and `c` (loaded factors and reduced costs, `x_B`
+    /// recomputed from them), otherwise by refactorising (`warm_initial`)
+    /// and remembering the result.
     fn start(&mut self) -> Result<(), WarmFail> {
         let lp = self.lp;
         let ws = &mut *self.ws;
@@ -539,13 +532,7 @@ impl<'a> DualSimplex<'a> {
         {
             ws.engine.load_factors(&memo.lu);
             ws.d.copy_from_slice(&memo.d);
-            if same_bits(&memo.b, &lp.b) && same_bits(&memo.x_n, &ws.x) {
-                for (&j, &v) in ws.basis.iter().zip(&memo.x_b) {
-                    ws.x[j] = v;
-                }
-            } else {
-                self.recompute_basic_values();
-            }
+            self.recompute_basic_values();
             self.since_refactor = 0;
             self.d_stale = false;
             self.clean = true;
@@ -553,19 +540,15 @@ impl<'a> DualSimplex<'a> {
             return Ok(());
         }
         ws.memo.valid = false;
-        ws.memo.x_n.clone_from(&ws.x);
         self.refresh(WarmFail::Singular, "warm_initial")?;
         self.recompute_duals();
         let ws = &mut *self.ws;
         let memo = &mut ws.memo;
         memo.basis.clone_from(&ws.basis);
         memo.a.clone_from(&lp.a);
-        memo.b.clone_from(&lp.b);
         memo.c.clone_from(&lp.c);
         memo.lu.clone_from(ws.engine.factors());
         memo.d.clone_from(&ws.d);
-        memo.x_b.clear();
-        memo.x_b.extend(ws.basis.iter().map(|&j| ws.x[j]));
         memo.valid = true;
         Ok(())
     }

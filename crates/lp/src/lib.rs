@@ -17,9 +17,8 @@
 //!   one [`dual::Workspace`], where a warm re-solve allocates nothing once
 //!   the buffers have grown, and where a start from the same basis on the
 //!   same `A` and `c` as the workspace's previous start reloads that
-//!   start's LU factors and reduced costs instead of refactorising (its
-//!   `x_B` too when `b` and the nonbasic values match), bit for bit what
-//!   the refactorisation would give. An infeasibility verdict is taken
+//!   start's LU factors and reduced costs instead of refactorising, bit
+//!   for bit what the refactorisation would give. An infeasibility verdict is taken
 //!   from the dual path only from a Farkas certificate re-checked against
 //!   `A`, `b` and the current bounds ([`WarmResult::farkas`]).
 //! * [`simplex::solve_sparse`] / [`simplex::solve_dense`] — the two-phase

@@ -11,11 +11,11 @@
 //! LU buffers) must not reach the next.
 //!
 //! A second property drives the workspace's memo of its last start: the
-//! same hint twice with a basic column's bounds tightened (the memo's `x_B`
-//! is loaded), with a nonbasic column's resting bound moved (`x_B` is
-//! recomputed from the loaded factors), with one `b` entry changed, and on
-//! an LP of the same shape with one `A` or one `c` value changed (the memo
-//! must not be used). Each solve must still equal a fresh solve bit for bit.
+//! same hint twice with a basic column's bounds tightened, with a nonbasic
+//! column's resting bound moved, and with one `b` entry changed (the memo's
+//! factors are loaded and `x_B` is recomputed from them), and on an LP of
+//! the same shape with one `A` or one `c` value changed (the memo must not
+//! be used). Each solve must still equal a fresh solve bit for bit.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -213,12 +213,13 @@ proptest! {
             return Ok(()); // every slot's demand came out 0
         };
 
-        // a basic column's bounds move: nonbasic values and b are those of
-        // the memo, so x_B is loaded and the column is primal infeasible
+        // a basic column's bounds move: the factors are reused and the
+        // column is primal infeasible
         let mut child = lp.clone();
         child.upper[j] = child.lower[j].max(x[j] - 0.5);
         prop_assert!(after(&mut ws, &lp, &child, &root, "basic column tightened")?);
-        // a nonbasic column's resting bound moves: x_B is recomputed
+        // a nonbasic column's resting bound moves: the factors are reused,
+        // x_B moves
         let resting = |j: &usize| {
             *j < lp.nstruct && root.status[*j] == VarStatus::AtLower && lp.upper[*j] > lp.lower[*j]
         };

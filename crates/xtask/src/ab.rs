@@ -14,6 +14,11 @@
 //! failed and attempted ops. `T` defaults to `BENCHMARK.json`'s
 //! `run_seconds`.
 //!
+//! The temp directory is printed first and removed at the end; a run that
+//! is interrupted (Ctrl-C) leaves it, two release `target/` trees, behind.
+//! A planbench run that fails ends the comparison with the tail of its
+//! standard error.
+//!
 //! Quartiles are planbench's own (`summary`): linear interpolation at rank
 //! `i·(n+1)/4`.
 
@@ -24,6 +29,9 @@ use std::process::{Command, ExitCode, Stdio};
 use serde_json::Value;
 
 use crate::repo_root;
+
+/// Lines of a failed planbench run's standard error quoted in the error.
+const STDERR_TAIL: usize = 20;
 
 const USAGE: &str =
     "usage: cargo run -p xtask -- ab <rev> --workload W --pairs N --seed S [--seconds T]";
@@ -117,6 +125,7 @@ pub fn run(args: &[String]) -> ExitCode {
         }
     };
     let scratch = std::env::temp_dir().join(format!("rrp-ab-{}", std::process::id()));
+    eprintln!("ab: working in {} (left behind if interrupted)", scratch.display());
     let outcome = compare(&args, &scratch);
     let _ = fs::remove_dir_all(&scratch);
     match outcome {
@@ -276,14 +285,16 @@ fn planbench(bin: &Path, args: &Args, seconds: f64) -> Result<Run, String> {
     let out = Command::new(bin)
         .args(["--workload", &args.workload, "--seed", &args.seed.to_string()])
         .args(["--seconds", &seconds.to_string(), "--trace", "0"])
-        .stderr(Stdio::null())
         .output()
         .map_err(|e| format!("{}: {e}", bin.display()))?;
+    if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let lines: Vec<&str> = stderr.lines().collect();
+        let tail = lines[lines.len().saturating_sub(STDERR_TAIL)..].join("\n");
+        return Err(format!("{} exited with {}:\n{tail}", bin.display(), out.status));
+    }
     let stdout = String::from_utf8_lossy(&out.stdout);
     let line = stdout.lines().last().ok_or(format!("{}: no output", bin.display()))?;
-    if !out.status.success() {
-        return Err(format!("{} exited with {}", bin.display(), out.status));
-    }
     Run::parse(line)
 }
 
