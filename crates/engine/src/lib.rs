@@ -29,7 +29,7 @@
 //!   and high-water), cache hit rate, audit/rejection counts, bounded
 //!   per-tenant tables, p50/p99 latency as a serialisable snapshot.
 //! * **Exposition** ([`MetricsConfig`]) — opt-in [`rrp_obs`] wiring: a
-//!   labeled registry synced from the engine's ledgers at scrape time,
+//!   labeled exposition rendered from the engine's ledgers at each scrape,
 //!   served over HTTP as `/metrics` (Prometheus text), `/snapshot` (JSON),
 //!   `/healthz`, `/readyz`, and the `POST /plan` intake.
 //!
@@ -83,4 +83,4 @@ pub use rrp_core::drrp::CapacityShortfall;
 pub use rrp_obs::{ProfConfig, SloConfig};
 pub use service::{Engine, EngineConfig, MetricsConfig, ShardConfig, Ticket};
 pub use shard::{shard_of, Busy};
-pub use wire::MAX_HORIZON;
+pub use wire::{MAX_APP_ID_BYTES, MAX_HORIZON};

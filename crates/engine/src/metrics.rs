@@ -1,8 +1,8 @@
 //! Engine observability: the per-shard request ledger — lock-light
 //! counters updated on the worker hot path — read at scrape time into a
-//! serialisable point-in-time snapshot, the `/metrics` registry and, on
-//! SLO engines, the `/slo` view: each tenant row also carries the
-//! tenant's SLO ledger.
+//! serialisable point-in-time snapshot, the `/metrics` body
+//! ([`Exposition`], rendered afresh per scrape) and, on SLO engines, the
+//! `/slo` view: each tenant row also carries the tenant's SLO ledger.
 //!
 //! Latencies land in a fixed-size log-scale histogram
 //! ([`rrp_trace::LogHistogram`]): constant memory however long the engine
@@ -17,16 +17,17 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use rrp_obs::{SloLog, SloView, TenantSlo};
-use rrp_trace::{CounterSink, LogHistogram};
+use rrp_obs::{Exposition, SloLog, SloView, TenantSlo};
+use rrp_trace::{CounterSink, LogHistogram, PruneReason, SOLVE_STATUSES};
 use serde::Serialize;
 
 use crate::cache::PlanCache;
 use crate::request::{DegradationLevel, TraceEntry};
+use crate::service::Shared;
 
 /// Cap on distinct tenants tracked in each shard's tenant table. Requests
 /// from tenants beyond the cap fold into one [`TENANT_OVERFLOW`] row — the
-/// same bounded-cardinality discipline the metrics registry applies, so a
+/// same bounded-cardinality discipline the `/metrics` families apply, so a
 /// flood of unique tenant ids cannot grow either without bound. The one
 /// table serves `/snapshot`, `/metrics` and `/slo` alike.
 pub const TENANT_TABLE_CAP: usize = 64;
@@ -401,7 +402,7 @@ pub(crate) fn merged_snapshot(
 
 /// The request and per-rung latency ledgers merged across shards, for the
 /// `/metrics` view (rungs indexed like [`DegradationLevel::ALL`]).
-pub(crate) fn merged_latencies(parts: &[&Metrics]) -> (LatencyLedger, [LatencyLedger; 4]) {
+fn merged_latencies(parts: &[&Metrics]) -> (LatencyLedger, [LatencyLedger; 4]) {
     let request = LatencyLedger::default();
     let rungs: [LatencyLedger; 4] = Default::default();
     for m in parts {
@@ -411,6 +412,182 @@ pub(crate) fn merged_latencies(parts: &[&Metrics]) -> (LatencyLedger, [LatencyLe
         }
     }
     (request, rungs)
+}
+
+/// The `/metrics` body: the engine's ledgers written into a fresh
+/// [`Exposition`] and rendered — the per-shard request ledgers (merged
+/// into a [`MetricsSnapshot`] plus latency histograms), the solver-event
+/// ledger ([`CounterSink`]), and the SLO view and profiling state when
+/// present. Nothing is kept between scrapes, so every series is the
+/// ledgers' current value and a row that left a ledger leaves no series.
+pub(crate) fn render_metrics(shared: &Shared) -> String {
+    let snap = shared.snapshot();
+    let mut x = Exposition::default();
+    for (name, help, value) in [
+        ("rrp_completed_total", "Responses produced (cache hits included)", snap.completed),
+        (
+            "rrp_trace_dropped_events_total",
+            "Trace events discarded under pressure by the engine's sink",
+            snap.trace_dropped_events,
+        ),
+        ("rrp_audits_total", "Pre-solve feasibility-gate runs", snap.audits),
+        (
+            "rrp_deadline_misses_total",
+            "Responses later than their deadline (all tenants)",
+            snap.deadline_misses,
+        ),
+        (
+            "rrp_busy_rejections_total",
+            "Requests refused at admission (shard queue over high-water)",
+            snap.busy_rejections,
+        ),
+    ] {
+        x.counter(name, help, &[], value);
+    }
+    for (name, help, value) in [
+        ("rrp_queue_depth", "Requests submitted but not yet picked up", snap.queue_depth as f64),
+        (
+            "rrp_queue_depth_high_water",
+            "Highest queue depth observed since engine start",
+            snap.queue_depth_high_water as f64,
+        ),
+        ("rrp_cache_hit_rate", "Warm-start cache hits over lookups", snap.cache_hit_rate),
+        ("rrp_cache_entries", "Distinct fingerprints currently cached", shared.cache_len() as f64),
+        (
+            "rrp_basis_cache_hit_rate",
+            "Root-basis warm-start hits over lookups",
+            shared.basis_cache_hit_rate(),
+        ),
+        (
+            "rrp_basis_cache_entries",
+            "Problem shapes with a stored root basis",
+            shared.basis_cache_entries() as f64,
+        ),
+        ("rrp_workers", "Engine worker threads", shared.shards.len() as f64),
+        ("rrp_shards", "Engine state shards", shared.shards.len() as f64),
+    ] {
+        x.gauge(name, help, &[], value);
+    }
+    for shard in &snap.shards {
+        let label = shard.shard.to_string();
+        let labels: &[(&'static str, &str)] = &[("shard", label.as_str())];
+        let depth = shard.queue_depth as f64;
+        x.gauge("rrp_shard_queue_depth", "Unserved requests on this shard", labels, depth);
+        let high_water = shard.queue_depth_high_water as f64;
+        let help = "Highest queue depth this shard has seen";
+        x.gauge("rrp_shard_queue_depth_high_water", help, labels, high_water);
+        let help = "Responses produced by this shard";
+        x.counter("rrp_shard_completed_total", help, labels, shard.completed);
+        let help = "Requests this shard refused at admission";
+        x.counter("rrp_shard_busy_rejections_total", help, labels, shard.busy_rejections);
+    }
+    for (rung, served) in [
+        ("full", snap.level_full),
+        ("deterministic", snap.level_deterministic),
+        ("dynamic-program", snap.level_dynamic_program),
+        ("on-demand-only", snap.level_on_demand_only),
+    ] {
+        let help = "Answers served, by degradation-ladder rung";
+        x.counter("rrp_level_served_total", help, &[("rung", rung)], served);
+    }
+    let parts: Vec<&Metrics> = shared.shards.iter().map(|s| &s.metrics).collect();
+    write_request_ledger(&mut x, &snap.tenants, &parts);
+    write_solver_ledger(&mut x, &shared.counters);
+    if let Some(view) = shared.slo_view() {
+        view.write_metrics(&mut x);
+    }
+    if let (Some(rt), Some(ring)) = (&shared.prof, &shared.ring) {
+        let samples = rt.sampler.samples_total();
+        x.counter("rrp_prof_samples_total", "Profiler stack samples accumulated", &[], samples);
+        let paths = rt.sampler.distinct_paths() as f64;
+        x.gauge("rrp_prof_distinct_paths", "Distinct span paths seen by the profiler", &[], paths);
+        let dumps = rt.flight.dumps_fired();
+        x.counter("rrp_flight_dumps_total", "Post-mortem bundles dumped", &[], dumps);
+        let help = "Trace events held in the flight ring";
+        x.gauge("rrp_flight_ring_events", help, &[], ring.len() as f64);
+        let help = "Flight-ring events evicted by the hard cap";
+        x.counter("rrp_flight_ring_dropped_total", help, &[], ring.dropped());
+        // the cause taxonomy is closed, so every cause gets a series
+        let last = rt.flight.last_trigger();
+        for cause in [
+            "deadline_miss_spike",
+            "budget_exhaustion",
+            "readyz_flip",
+            "panic",
+            "sim_slo_breach",
+            "slo_burn_rate",
+        ] {
+            let help = "Most recent flight-recorder trigger, by cause (1 = latest)";
+            let latest = u64::from(last.as_deref() == Some(cause)) as f64;
+            x.gauge("rrp_flight_last_trigger", help, &[("cause", cause)], latest);
+        }
+    }
+    x.render()
+}
+
+/// Per-tenant counters and latency summaries from the request ledgers.
+/// Tenants are ranked by request volume, so a fold past the series cap
+/// keeps the busiest tenants and sums the rest into `__other__`.
+fn write_request_ledger(x: &mut Exposition, tenants: &[TenantSnapshot], parts: &[&Metrics]) {
+    let mut ranked: Vec<&TenantSnapshot> = tenants.iter().collect();
+    ranked.sort_by(|a, b| b.requests.cmp(&a.requests).then_with(|| a.tenant.cmp(&b.tenant)));
+    let families: [(&'static str, &'static str, fn(&TenantSnapshot) -> u64); 4] = [
+        ("rrp_requests_total", "Requests completed, per tenant", |t| t.requests),
+        ("rrp_deadline_miss_total", "Responses later than their deadline, per tenant", |t| {
+            t.deadline_misses
+        }),
+        (
+            "rrp_audit_rejections_total",
+            "Requests rejected by the feasibility gate, per tenant",
+            |t| t.audit_rejections,
+        ),
+        ("rrp_cache_hits_total", "Requests answered from the warm-start cache, per tenant", |t| {
+            t.cache_hits
+        }),
+    ];
+    for (name, help, count) in families {
+        let rows: Vec<(&str, u64)> =
+            ranked.iter().map(|t| (t.tenant.as_str(), count(t))).filter(|&(_, n)| n > 0).collect();
+        x.counter_family(name, help, "tenant", &rows);
+    }
+
+    let (request, rungs) = merged_latencies(parts);
+    let help = "Pickup-to-response latency (ms)";
+    x.summary("rrp_request_latency_ms", help, &[], &request.hist, request.sum_ms());
+    for (level, ledger) in DegradationLevel::ALL.into_iter().zip(&rungs) {
+        let help = "Wall-clock per degradation-ladder rung attempt (ms)";
+        let labels = &[("rung", level.as_str())];
+        x.summary("rrp_rung_latency_ms", help, labels, &ledger.hist, ledger.sum_ms());
+    }
+}
+
+/// Branch & bound and LP counters from the solver-event ledger.
+fn write_solver_ledger(x: &mut Exposition, c: &CounterSink) {
+    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    for (reason, n) in PruneReason::ALL.into_iter().zip(&c.nodes_pruned) {
+        let help = "Branch & bound nodes closed without branching, by reason";
+        x.counter("rrp_milp_nodes_pruned_total", help, &[("reason", reason.as_str())], load(n));
+    }
+    for (status, n) in SOLVE_STATUSES.into_iter().zip(&c.solves) {
+        let help = "Branch & bound searches finished, by final status";
+        x.counter("rrp_milp_solves_total", help, &[("status", status)], load(n));
+    }
+    for (name, help, n) in [
+        ("rrp_milp_nodes_opened_total", "Branch & bound nodes opened", &c.milp_nodes),
+        (
+            "rrp_milp_nodes_integral_total",
+            "Branch & bound nodes whose LP optimum was integral",
+            &c.nodes_integral,
+        ),
+        ("rrp_milp_incumbents_total", "Incumbent improvements", &c.incumbents),
+        ("rrp_lp_solves_total", "LP solves finished", &c.lp_solves),
+        ("rrp_lp_iters_total", "Simplex iterations across all LP solves", &c.lp_iters),
+        ("rrp_lp_refactorisations_total", "Basis (re)factorisations", &c.refactorisations),
+    ] {
+        x.counter(name, help, &[], load(n));
+    }
+    let help = "Relative gap of solves stopped by a budget";
+    x.summary("rrp_milp_gap_at_timeout", help, &[], &c.gap_at_timeout, c.gap_at_timeout_sum());
 }
 
 /// Index of a level in `level_counts` (the order of

@@ -29,19 +29,16 @@ use rrp_core::fingerprint::Fnv64;
 use rrp_milp::{MilpOptions, SolveBudget};
 use rrp_obs::{
     install_panic_hook, Done, FlightRecorder, FlightRing, ObsHooks, ObsServer, PlanDecision,
-    ProfConfig, Profiler, Readiness, Registry, SamplerShared, SloConfig, SloView,
+    ProfConfig, Profiler, Readiness, SamplerShared, SloConfig, SloView,
 };
 use rrp_trace::json::escape_into;
-use rrp_trace::{
-    CounterSink, EventKind, PruneReason, Sink, SpanId, SpanStacks, TeeSink, TraceHandle,
-    SOLVE_STATUSES,
-};
+use rrp_trace::{CounterSink, EventKind, Sink, SpanId, SpanStacks, TeeSink, TraceHandle};
 use serde::Serialize;
 
 use crate::cache::{CacheEntry, PlanCache};
 use crate::ladder::{run_ladder_with, LadderConfig};
-use crate::metrics::{merged_latencies, merged_snapshot, Metrics, MetricsSnapshot, TenantSnapshot};
-use crate::request::{DegradationLevel, PlanRequest, PlanResponse, RungOutcome};
+use crate::metrics::{merged_snapshot, render_metrics, Metrics, MetricsSnapshot};
+use crate::request::{PlanRequest, PlanResponse, RungOutcome};
 use crate::shard::{shard_of, shard_readiness, Busy, ShardQueue, Wave};
 use crate::wire;
 
@@ -63,11 +60,12 @@ pub struct EngineConfig {
     /// sink behind the full event pipeline.
     pub count_solver_events: bool,
     /// Pull-based metrics exposition ([`rrp_obs`]). `None` (the default)
-    /// builds no registry and no server — the engine is exactly as before.
-    /// `Some` builds a registry that each scrape syncs from the engine's
-    /// request and solver ledgers (so it implies `count_solver_events`)
-    /// and, when [`MetricsConfig::addr`] is set, serves `/metrics`,
-    /// `/snapshot`, `/healthz`, `/readyz` and `/plan` on it.
+    /// exposes nothing and serves nothing — the engine is exactly as
+    /// before. `Some` renders `/metrics` from the engine's request and
+    /// solver ledgers at every scrape (so it implies
+    /// `count_solver_events`) and, when [`MetricsConfig::addr`] is set,
+    /// serves `/metrics`, `/snapshot`, `/healthz`, `/readyz` and `/plan`
+    /// on it.
     pub metrics: Option<MetricsConfig>,
     /// Continuous profiling + flight recorder. `None` (the default) builds
     /// neither. `Some` publishes every worker's open-span path through the
@@ -98,7 +96,8 @@ pub struct EngineConfig {
 pub struct MetricsConfig {
     /// Address to serve on, e.g. `"127.0.0.1:9184"` (`:0` picks an
     /// ephemeral port — read it back via [`Engine::metrics_addr`]).
-    /// `None` keeps the registry without an HTTP server.
+    /// `None` renders in-process only ([`Engine::render_metrics`]), with
+    /// no HTTP server.
     pub addr: Option<String>,
 }
 
@@ -138,10 +137,10 @@ struct Job {
 /// [`EngineConfig::prof`]. The [`Profiler`] owns the sampler thread
 /// (joined when the last `Arc<Shared>` drops); the recorder reads the
 /// engine's ring.
-struct ProfRuntime {
+pub(crate) struct ProfRuntime {
     _profiler: Profiler,
-    sampler: Arc<SamplerShared>,
-    flight: Arc<FlightRecorder>,
+    pub(crate) sampler: Arc<SamplerShared>,
+    pub(crate) flight: Arc<FlightRecorder>,
 }
 
 /// One row of the in-flight request table: what each worker is chewing on
@@ -161,9 +160,9 @@ struct InflightEntry {
 /// One shard's slice of tenant state. Exactly one worker thread owns each
 /// slice, so every lock in here is shard-local: the submit/complete path
 /// of one tenant never contends with another shard's.
-struct ShardState {
+pub(crate) struct ShardState {
     cache: PlanCache,
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
     /// In-flight request table, maintained only while profiling is on
     /// (bounded by worker count: one entry per request being processed).
     /// Observational, so every site recovers a poisoned guard: a worker
@@ -181,27 +180,27 @@ impl ShardState {
     }
 }
 
-struct Shared {
+pub(crate) struct Shared {
     /// One state slice per shard (= per worker).
-    shards: Vec<ShardState>,
+    pub(crate) shards: Vec<ShardState>,
     opts: MilpOptions,
     trace: TraceHandle,
     /// The solver-event ledger behind [`MetricsSnapshot`] and `/metrics`;
     /// only fed while `trace` is enabled.
-    counters: Arc<CounterSink>,
+    pub(crate) counters: Arc<CounterSink>,
     /// The combined sink behind `trace` (counters, teed with the ring and
     /// the external sink when present) — kept so snapshots can report
     /// [`Sink::dropped_events`] without downcasting. `None` when tracing
     /// is off.
     event_sink: Option<Arc<dyn Sink>>,
-    /// Metrics registry, synced from the ledgers at every scrape; `None`
-    /// unless the engine was built with [`EngineConfig::metrics`].
-    registry: Option<Arc<Registry>>,
+    /// Whether the engine was built with [`EngineConfig::metrics`], i.e.
+    /// renders `/metrics`.
+    metrics: bool,
     /// Profiler + flight recorder; `None` unless built with
     /// [`EngineConfig::prof`].
-    prof: Option<ProfRuntime>,
+    pub(crate) prof: Option<ProfRuntime>,
     /// The lifecycle ring in the trace pipeline; `Some` with `prof`/`slo`.
-    ring: Option<Arc<FlightRing>>,
+    pub(crate) ring: Option<Arc<FlightRing>>,
     /// SLO options; `Some` gives every tenant row its SLO ledger.
     slo: Option<SloConfig>,
     /// Engine-assigned request ids, stamped into every `RequestDone`
@@ -210,7 +209,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let dropped = self.event_sink.as_ref().map(|s| s.dropped_events()).unwrap_or(0);
         let parts: Vec<(&Metrics, &PlanCache)> =
             self.shards.iter().map(|s| (&s.metrics, &s.cache)).collect();
@@ -218,7 +217,7 @@ impl Shared {
     }
 
     /// The `/slo` view: every shard's tenant rows and SLO log, folded now.
-    fn slo_view(&self) -> Option<SloView> {
+    pub(crate) fn slo_view(&self) -> Option<SloView> {
         self.slo.as_ref()?;
         let mut view = SloView::new(self.trace.now_us());
         for shard in &self.shards {
@@ -235,15 +234,15 @@ impl Shared {
         out.push_str(&self.slo_view().map_or_else(|| "null".to_string(), |v| v.status_json()));
     }
 
-    fn cache_len(&self) -> usize {
+    pub(crate) fn cache_len(&self) -> usize {
         self.shards.iter().map(|s| s.cache.len()).sum()
     }
 
-    fn basis_cache_entries(&self) -> usize {
+    pub(crate) fn basis_cache_entries(&self) -> usize {
         self.shards.iter().map(|s| s.cache.basis_entries()).sum()
     }
 
-    fn basis_cache_hit_rate(&self) -> f64 {
+    pub(crate) fn basis_cache_hit_rate(&self) -> f64 {
         let hits: u64 = self.shards.iter().map(|s| s.cache.basis_hits()).sum();
         let misses: u64 = self.shards.iter().map(|s| s.cache.basis_misses()).sum();
         let lookups = hits + misses;
@@ -388,16 +387,14 @@ impl Engine {
         let EngineConfig { milp: opts, sink, count_solver_events, metrics, prof, slo, shard } =
             config;
         let counters = Arc::new(CounterSink::new());
-        let registry = metrics.as_ref().map(|_| Arc::new(Registry::new()));
         // the lifecycle ring both the flight recorder and the SLO exemplars read
         let ring = (prof.is_some() || slo.is_some()).then(|| Arc::new(FlightRing::new()));
         let stacks = prof.as_ref().map(|_| Arc::new(SpanStacks::new()));
 
         // the event pipeline: counters always lead the tee; the ring and
         // any external sink follow. Tracing turns on if either exists, or
-        // counting was asked for — a metrics registry is a view of the
-        // counters.
-        let count_solver_events = count_solver_events || registry.is_some();
+        // counting was asked for — `/metrics` is a view of the counters.
+        let count_solver_events = count_solver_events || metrics.is_some();
         let mut fanout: Vec<Arc<dyn Sink>> = Vec::new();
         if let Some(r) = &ring {
             fanout.push(Arc::clone(r) as Arc<dyn Sink>);
@@ -435,7 +432,7 @@ impl Engine {
             trace,
             counters,
             event_sink,
-            registry,
+            metrics: metrics.is_some(),
             prof: prof_rt,
             ring,
             slo,
@@ -545,20 +542,12 @@ impl Engine {
         self.obs.as_ref().map(ObsServer::local_addr)
     }
 
-    /// The metrics registry, when the engine was built with
-    /// [`EngineConfig::metrics`]. Rendering it directly (without the HTTP
-    /// server) is how tests and embedders scrape in-process.
-    pub fn registry(&self) -> Option<&Arc<Registry>> {
-        self.shared.registry.as_ref()
-    }
-
-    /// The Prometheus exposition body `/metrics` would serve right now
-    /// (snapshot-synced), when a registry exists.
+    /// The Prometheus exposition body `/metrics` would serve right now,
+    /// rendered from the ledgers, when the engine was built with
+    /// [`EngineConfig::metrics`] — how tests and embedders scrape
+    /// in-process.
     pub fn render_metrics(&self) -> Option<String> {
-        self.shared.registry.as_ref().map(|reg| {
-            sync_registry(&self.shared, reg);
-            reg.render()
-        })
+        self.shared.metrics.then(|| render_metrics(&self.shared))
     }
 
     /// The engine's trace handle (disabled unless the engine was built
@@ -719,13 +708,7 @@ fn obs_hooks(
     // workers alive past Engine::drop
     let queues = Arc::clone(queues);
     ObsHooks {
-        metrics_text: Box::new(move || match &metrics_shared.registry {
-            Some(reg) => {
-                sync_registry(&metrics_shared, reg);
-                reg.render()
-            }
-            None => String::new(),
-        }),
+        metrics_text: Box::new(move || render_metrics(&metrics_shared)),
         snapshot_json: Box::new(move || {
             let mut out = String::with_capacity(512);
             snapshot_shared.snapshot().serialize_json(&mut out);
@@ -794,201 +777,6 @@ fn obs_hooks(
             }
         })),
     }
-}
-
-/// Write the `/metrics` view of the engine's ledgers into the registry,
-/// once per scrape: the per-shard request ledgers (merged into a
-/// [`MetricsSnapshot`] plus latency histograms), the solver-event ledger
-/// ([`CounterSink`]), and the SLO view and profiling state when present.
-/// Nothing writes the registry between scrapes.
-fn sync_registry(shared: &Shared, reg: &Registry) {
-    let snap = shared.snapshot();
-    reg.counter("rrp_completed_total", "Responses produced (cache hits included)", &[])
-        .set(snap.completed);
-    reg.gauge("rrp_queue_depth", "Requests submitted but not yet picked up", &[])
-        .set(snap.queue_depth as f64);
-    reg.gauge("rrp_queue_depth_high_water", "Highest queue depth observed since engine start", &[])
-        .set(snap.queue_depth_high_water as f64);
-    reg.counter(
-        "rrp_trace_dropped_events_total",
-        "Trace events discarded under pressure by the engine's sink",
-        &[],
-    )
-    .set(snap.trace_dropped_events);
-    reg.gauge("rrp_cache_hit_rate", "Warm-start cache hits over lookups", &[])
-        .set(snap.cache_hit_rate);
-    reg.gauge("rrp_cache_entries", "Distinct fingerprints currently cached", &[])
-        .set(shared.cache_len() as f64);
-    reg.gauge("rrp_basis_cache_hit_rate", "Root-basis warm-start hits over lookups", &[])
-        .set(shared.basis_cache_hit_rate());
-    reg.gauge("rrp_basis_cache_entries", "Problem shapes with a stored root basis", &[])
-        .set(shared.basis_cache_entries() as f64);
-    reg.counter("rrp_audits_total", "Pre-solve feasibility-gate runs", &[]).set(snap.audits);
-    reg.counter(
-        "rrp_deadline_misses_total",
-        "Responses later than their deadline (all tenants)",
-        &[],
-    )
-    .set(snap.deadline_misses);
-    reg.counter(
-        "rrp_busy_rejections_total",
-        "Requests refused at admission (shard queue over high-water)",
-        &[],
-    )
-    .set(snap.busy_rejections);
-    reg.gauge("rrp_workers", "Engine worker threads", &[]).set(shared.shards.len() as f64);
-    reg.gauge("rrp_shards", "Engine state shards", &[]).set(shared.shards.len() as f64);
-    for shard in &snap.shards {
-        let label = shard.shard.to_string();
-        let labels: &[(&'static str, &str)] = &[("shard", label.as_str())];
-        reg.gauge("rrp_shard_queue_depth", "Unserved requests on this shard", labels)
-            .set(shard.queue_depth as f64);
-        reg.gauge(
-            "rrp_shard_queue_depth_high_water",
-            "Highest queue depth this shard has seen",
-            labels,
-        )
-        .set(shard.queue_depth_high_water as f64);
-        reg.counter("rrp_shard_completed_total", "Responses produced by this shard", labels)
-            .set(shard.completed);
-        reg.counter(
-            "rrp_shard_busy_rejections_total",
-            "Requests this shard refused at admission",
-            labels,
-        )
-        .set(shard.busy_rejections);
-    }
-    for (rung, served) in [
-        ("full", snap.level_full),
-        ("deterministic", snap.level_deterministic),
-        ("dynamic-program", snap.level_dynamic_program),
-        ("on-demand-only", snap.level_on_demand_only),
-    ] {
-        reg.counter(
-            "rrp_level_served_total",
-            "Answers served, by degradation-ladder rung",
-            &[("rung", rung)],
-        )
-        .set(served);
-    }
-    sync_request_ledger(shared, &snap.tenants, reg);
-    sync_solver_ledger(&shared.counters, reg);
-    if let Some(view) = shared.slo_view() {
-        view.sync_registry(reg);
-    }
-    if let (Some(rt), Some(ring)) = (&shared.prof, &shared.ring) {
-        reg.counter("rrp_prof_samples_total", "Profiler stack samples accumulated", &[])
-            .set(rt.sampler.samples_total());
-        reg.gauge("rrp_prof_distinct_paths", "Distinct span paths seen by the profiler", &[])
-            .set(rt.sampler.distinct_paths() as f64);
-        reg.counter("rrp_flight_dumps_total", "Post-mortem bundles dumped", &[])
-            .set(rt.flight.dumps_fired());
-        reg.gauge("rrp_flight_ring_events", "Trace events held in the flight ring", &[])
-            .set(ring.len() as f64);
-        reg.counter(
-            "rrp_flight_ring_dropped_total",
-            "Flight-ring events evicted by the hard cap",
-            &[],
-        )
-        .set(ring.dropped());
-        // the cause taxonomy is closed, so every series can be synced
-        // explicitly — no stale 1s after the latest trigger moves on
-        let last = rt.flight.last_trigger();
-        for cause in [
-            "deadline_miss_spike",
-            "budget_exhaustion",
-            "readyz_flip",
-            "panic",
-            "sim_slo_breach",
-            "slo_burn_rate",
-        ] {
-            reg.gauge(
-                "rrp_flight_last_trigger",
-                "Most recent flight-recorder trigger, by cause (1 = latest)",
-                &[("cause", cause)],
-            )
-            .set(u64::from(last.as_deref() == Some(cause)) as f64);
-        }
-    }
-}
-
-/// Per-tenant counters and latency summaries from the request ledgers.
-/// Tenants are ranked by request volume, so a fold past the series cap
-/// keeps the busiest tenants and sums the rest into `__other__`.
-fn sync_request_ledger(shared: &Shared, tenants: &[TenantSnapshot], reg: &Registry) {
-    let mut ranked: Vec<&TenantSnapshot> = tenants.iter().collect();
-    ranked.sort_by(|a, b| b.requests.cmp(&a.requests).then_with(|| a.tenant.cmp(&b.tenant)));
-    let families: [(&'static str, &'static str, fn(&TenantSnapshot) -> u64); 4] = [
-        ("rrp_requests_total", "Requests completed, per tenant", |t| t.requests),
-        ("rrp_deadline_miss_total", "Responses later than their deadline, per tenant", |t| {
-            t.deadline_misses
-        }),
-        (
-            "rrp_audit_rejections_total",
-            "Requests rejected by the feasibility gate, per tenant",
-            |t| t.audit_rejections,
-        ),
-        ("rrp_cache_hits_total", "Requests answered from the warm-start cache, per tenant", |t| {
-            t.cache_hits
-        }),
-    ];
-    for (name, help, count) in families {
-        let rows: Vec<(&str, u64)> =
-            ranked.iter().map(|t| (t.tenant.as_str(), count(t))).filter(|&(_, n)| n > 0).collect();
-        reg.set_counter_family(name, help, "tenant", &rows);
-    }
-
-    let parts: Vec<&Metrics> = shared.shards.iter().map(|s| &s.metrics).collect();
-    let (request, rungs) = merged_latencies(&parts);
-    reg.summary("rrp_request_latency_ms", "Pickup-to-response latency (ms)", &[])
-        .set(&request.hist, request.sum_ms());
-    for (level, ledger) in DegradationLevel::ALL.into_iter().zip(&rungs) {
-        reg.summary(
-            "rrp_rung_latency_ms",
-            "Wall-clock per degradation-ladder rung attempt (ms)",
-            &[("rung", level.as_str())],
-        )
-        .set(&ledger.hist, ledger.sum_ms());
-    }
-}
-
-/// Branch & bound and LP counters from the solver-event ledger.
-fn sync_solver_ledger(c: &CounterSink, reg: &Registry) {
-    // relaxed-ok: observational counters, read once per scrape
-    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    reg.counter("rrp_milp_nodes_opened_total", "Branch & bound nodes opened", &[])
-        .set(load(&c.milp_nodes));
-    for (reason, n) in PruneReason::ALL.into_iter().zip(&c.nodes_pruned) {
-        reg.counter(
-            "rrp_milp_nodes_pruned_total",
-            "Branch & bound nodes closed without branching, by reason",
-            &[("reason", reason.as_str())],
-        )
-        .set(load(n));
-    }
-    reg.counter(
-        "rrp_milp_nodes_integral_total",
-        "Branch & bound nodes whose LP optimum was integral",
-        &[],
-    )
-    .set(load(&c.nodes_integral));
-    reg.counter("rrp_milp_incumbents_total", "Incumbent improvements", &[])
-        .set(load(&c.incumbents));
-    for (status, n) in SOLVE_STATUSES.into_iter().zip(&c.solves) {
-        reg.counter(
-            "rrp_milp_solves_total",
-            "Branch & bound searches finished, by final status",
-            &[("status", status)],
-        )
-        .set(load(n));
-    }
-    reg.summary("rrp_milp_gap_at_timeout", "Relative gap of solves stopped by a budget", &[])
-        .set(&c.gap_at_timeout, c.gap_at_timeout_sum());
-    reg.counter("rrp_lp_solves_total", "LP solves finished", &[]).set(load(&c.lp_solves));
-    reg.counter("rrp_lp_iters_total", "Simplex iterations across all LP solves", &[])
-        .set(load(&c.lp_iters));
-    reg.counter("rrp_lp_refactorisations_total", "Basis (re)factorisations", &[])
-        .set(load(&c.refactorisations));
 }
 
 /// Key for the basis side-table: tenant identity, horizon and whether the

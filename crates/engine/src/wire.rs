@@ -24,6 +24,14 @@ pub(crate) const WORKER_FAILED_BODY: &str = "{\"error\":\"planning worker failed
 /// ≈ 60 000 slots (≈ 5 s of DP at O(T²)).
 pub const MAX_HORIZON: usize = 8_784;
 
+/// Longest `app_id` a `/plan` request may carry, in bytes. The id becomes a
+/// tenant-table key, a label on up to four per-tenant `/metrics` families
+/// and the SLO families at every scrape, and, with telemetry on, a clone in
+/// every `RequestDone` event the flight ring holds; the body cap alone
+/// would admit a 256 KiB id. The trusted in-process `submit` is not
+/// checked.
+pub const MAX_APP_ID_BYTES: usize = 256;
+
 /// Parse the `/plan` wire format into a [`PlanRequest`]:
 ///
 /// ```json
@@ -31,7 +39,8 @@ pub const MAX_HORIZON: usize = 8_784;
 ///  "seed": 7, "compute": [0.06, ...], "demand": [0.4, ...]}
 /// ```
 ///
-/// `app_id` must be a non-empty string. `compute` and `demand` must be
+/// `app_id` must be a non-empty string of at most [`MAX_APP_ID_BYTES`]
+/// bytes. `compute` and `demand` must be
 /// equal-length non-empty arrays of at most [`MAX_HORIZON`] finite,
 /// non-negative numbers (the JSON reader turns an overflowing literal such
 /// as `1e999` into `+inf`, so finiteness is checked here, not assumed); the
@@ -47,6 +56,9 @@ pub(crate) fn parse_plan_request(body: &str) -> Result<PlanRequest, String> {
         .to_string();
     if app_id.is_empty() {
         return Err("\"app_id\" must not be empty".into());
+    }
+    if app_id.len() > MAX_APP_ID_BYTES {
+        return Err(format!("\"app_id\" is {} bytes; the cap is {MAX_APP_ID_BYTES}", app_id.len()));
     }
     let floats = |field: &str| -> Result<Vec<f64>, String> {
         let entries = v
@@ -217,6 +229,17 @@ mod tests {
     fn rejects_an_empty_or_missing_app_id() {
         assert!(err(r#"{"app_id":"","compute":[0.06],"demand":[0.4]}"#).contains("\"app_id\""));
         assert!(err(r#"{"compute":[0.06],"demand":[0.4]}"#).contains("\"app_id\""));
+    }
+
+    #[test]
+    fn app_id_cap_admits_256_bytes_and_no_more() {
+        let body = |len: usize| {
+            format!(r#"{{"app_id":"{}","compute":[0.06],"demand":[0.4]}}"#, "x".repeat(len))
+        };
+        let at_cap = parse_plan_request(&body(MAX_APP_ID_BYTES)).map(|req| req.app_id.len());
+        assert_eq!(at_cap, Ok(256));
+        let msg = err(&body(MAX_APP_ID_BYTES + 1));
+        assert!(msg.contains("\"app_id\"") && msg.contains("257"), "{msg}");
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! One tenant table: `/slo`, `/snapshot` and `/metrics` read the same
 //! per-shard request ledger, so they fold the same tenants into
 //! `__other__` (past `TENANT_TABLE_CAP`). Two layers of folding are in
-//! play — that table cap and the registry's per-family series cap — and
+//! play — that table cap and the exposition's per-family series cap — and
 //! neither may corrupt budget math: named tenants keep their exact
 //! ledgers, the table's `__other__` row sums everything past the cap, and
-//! the registry's fold series carries the most pessimistic value.
+//! the exposition's fold series carries the most pessimistic value, as of
+//! the scrape that renders it.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use rrp_core::{CostSchedule, PlanningParams};
@@ -13,7 +15,7 @@ use rrp_engine::{
     Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, SloConfig, TENANT_OVERFLOW,
     TENANT_TABLE_CAP,
 };
-use rrp_obs::{Registry, OVERFLOW_LABEL};
+use rrp_obs::{Exposition, OVERFLOW_LABEL, SERIES_CAP};
 use rrp_spotmarket::CostRates;
 use serde_json::Value;
 
@@ -116,12 +118,12 @@ fn slo_and_snapshot_share_one_tenant_table() {
 #[test]
 fn registry_sync_respects_the_series_cap_without_corrupting_budgets() {
     let engine = one_shard_engine();
-    // tenant "hot" dominates volume and misses everything; "calm" and
-    // "cool" are healthy; two more low-volume tenants (one bad, one not)
-    // rank below them
+    // tenant "hot" dominates volume and misses everything; 24 healthy
+    // tenants — more than the budget family has named series for — come
+    // next; two more low-volume tenants (one bad, one not) rank below them
     let mut reqs: Vec<PlanRequest> = (0..40).map(|_| request("hot", false)).collect();
-    for t in ["calm", "cool"] {
-        reqs.extend((0..20).map(|_| request(t, true)));
+    for t in 0..24 {
+        reqs.extend((0..20).map(|_| request(&format!("calm-{t:02}"), true)));
     }
     for _ in 0..6 {
         reqs.push(request("over-bad", false));
@@ -129,16 +131,16 @@ fn registry_sync_respects_the_series_cap_without_corrupting_budgets() {
     }
     engine.run_batch(reqs);
 
-    // a registry too small for every (tenant, objective, window) series
-    let reg = Registry::with_series_cap(6);
-    engine.slo().expect("slo engine armed").sync_registry(&reg);
-    let text = reg.render();
-    let samples = rrp_obs::text::parse(&text).expect("registry text parses");
+    // more tenants than fit every (tenant, objective, window) series
+    let mut x = Exposition::default();
+    engine.slo().expect("slo engine armed").write_metrics(&mut x);
+    let text = x.render();
+    let samples = rrp_obs::text::parse(&text).expect("exposition text parses");
 
     let budget: Vec<_> = samples.iter().filter(|s| s.name == "rrp_slo_budget_remaining").collect();
     assert!(!budget.is_empty(), "budget family present:\n{text}");
     // the family stayed within the cap
-    assert!(budget.len() <= 6, "{} series > cap 6", budget.len());
+    assert!(budget.len() <= SERIES_CAP, "{} series > cap {SERIES_CAP}", budget.len());
 
     let label = |s: &rrp_obs::Sample, k: &str| -> String {
         s.labels.iter().find(|(lk, _)| lk == k).map(|(_, lv)| lv.clone()).unwrap_or_default()
@@ -168,4 +170,108 @@ fn registry_sync_respects_the_series_cap_without_corrupting_budgets() {
     ] {
         assert!(samples.iter().any(|s| s.name == fam), "{fam} missing:\n{text}");
     }
+}
+
+/// Every scrape is a render of the ledgers as they stand, so a tenant that
+/// drops out of the exported top ranking leaves no series behind. Tenants
+/// a00–a29 run first; the busier b00–b29 then push all of them below the
+/// named rows. The next scrape names no `a` tenant in any `rrp_slo_*`
+/// family, keeps every family within the series cap, and its `__other__`
+/// series carry the worst folded value; a scrape with no traffic in
+/// between exposes the same label sets.
+#[test]
+fn demoted_tenants_leave_no_stale_slo_series() {
+    let engine = one_shard_engine();
+    let phase = |prefix: &str, per_tenant: usize, misses: fn(usize) -> usize| {
+        let reqs: Vec<PlanRequest> = (0..30)
+            .flat_map(|t| {
+                let tenant = format!("{prefix}{t:02}");
+                (0..per_tenant).map(move |k| request(&tenant, k >= misses(t)))
+            })
+            .collect();
+        engine.run_batch(reqs);
+    };
+    phase("a", 2, |t| t % 3);
+    let first = engine.render_metrics().expect("metrics armed");
+    assert!(first.contains("tenant=\"a00\""), "a00 is named before the re-ranking:\n{first}");
+    phase("b", 3, |t| t % 4);
+    let second = engine.render_metrics().expect("metrics armed");
+    let slo = slo_tenants(&engine);
+    let samples = rrp_obs::text::parse(&second).expect("exposition parses");
+
+    // (sample name, label set without `quantile`) -> one series
+    let mut series: BTreeMap<&str, BTreeSet<Vec<(String, String)>>> = BTreeMap::new();
+    for s in &samples {
+        let labels = s.labels.iter().filter(|(k, _)| k != "quantile").cloned().collect();
+        series.entry(s.name.as_str()).or_default().insert(labels);
+    }
+    for (family, sets) in &series {
+        assert!(sets.len() <= SERIES_CAP, "{family} holds {} series", sets.len());
+    }
+    let slo_samples: Vec<_> = samples.iter().filter(|s| s.name.starts_with("rrp_slo_")).collect();
+    for s in &slo_samples {
+        let tenant = s.label("tenant").unwrap_or_default();
+        assert!(!tenant.starts_with('a'), "demoted tenant {tenant} still exported: {s:?}");
+    }
+
+    // the `/slo` rows of the tenants folded out of `family`, per objective
+    let folded = |family: &str| -> Vec<&Value> {
+        let named: BTreeSet<&str> = slo_samples
+            .iter()
+            .filter(|s| s.name == family)
+            .filter_map(|s| s.label("tenant"))
+            .filter(|&t| t != OVERFLOW_LABEL)
+            .collect();
+        slo.iter().filter(|t| !named.contains(name(t).as_str())).collect()
+    };
+    fn objectives(t: &Value) -> &[Value] {
+        t.get("objectives").and_then(Value::as_array).expect("objectives")
+    }
+    let other = |family: &str, objective: &str, window: Option<&str>| -> f64 {
+        slo_samples
+            .iter()
+            .find(|s| {
+                s.name == family
+                    && s.label("tenant") == Some(OVERFLOW_LABEL)
+                    && s.label("objective") == Some(objective)
+                    && s.label("window") == window
+            })
+            .unwrap_or_else(|| panic!("no __other__ {family} {objective} {window:?}"))
+            .value
+    };
+    let budget_folded = folded("rrp_slo_budget_remaining");
+    assert_eq!(budget_folded.len(), 40, "b20–b29 and every a tenant fold");
+    for obj in objectives(&slo[0]) {
+        let objective = obj.get("objective").and_then(Value::as_str).expect("objective name");
+        let worst = budget_folded
+            .iter()
+            .flat_map(|t| objectives(t))
+            .filter(|o| o.get("objective").and_then(Value::as_str) == Some(objective))
+            .filter_map(|o| o.get("budget_remaining").and_then(Value::as_f64))
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(other("rrp_slo_budget_remaining", objective, None), worst, "{objective}");
+    }
+    let burn_folded = folded("rrp_slo_burn_rate");
+    assert!(burn_folded.len() > budget_folded.len(), "fewer tenants fit the burn family");
+    for obj in objectives(&slo[0]) {
+        let objective = obj.get("objective").and_then(Value::as_str).expect("objective name");
+        let windows = obj.get("burn").and_then(Value::as_array).expect("burn windows");
+        for (k, w) in windows.iter().enumerate() {
+            let window = w.get("window").and_then(Value::as_str).expect("window label");
+            let worst = burn_folded
+                .iter()
+                .flat_map(|t| objectives(t))
+                .filter(|o| o.get("objective").and_then(Value::as_str) == Some(objective))
+                .filter_map(|o| o.get("burn")?.as_array()?.get(k)?.get("rate")?.as_f64())
+                .fold(0.0, f64::max);
+            assert_eq!(other("rrp_slo_burn_rate", objective, Some(window)), worst);
+        }
+    }
+
+    let label_sets = |text: &str| -> BTreeSet<(String, Vec<(String, String)>)> {
+        let samples = rrp_obs::text::parse(text).expect("exposition parses");
+        samples.into_iter().map(|s| (s.name, s.labels)).collect()
+    };
+    let third = engine.render_metrics().expect("metrics armed");
+    assert_eq!(label_sets(&third), label_sets(&second), "an idle scrape changed the series");
 }

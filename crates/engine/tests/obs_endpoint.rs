@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 
 use rrp_core::{CostSchedule, PlanningParams, ScenarioTree};
 use rrp_engine::{
-    Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, ShardConfig, MAX_HORIZON,
+    Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, ShardConfig, MAX_APP_ID_BYTES,
+    MAX_HORIZON,
 };
 use rrp_obs::http_request;
 use rrp_obs::text::parse;
@@ -266,6 +267,22 @@ fn plan_intake_serves_a_tenant_request_over_http() {
     assert!(resp.contains("stochastic"), "{resp}");
 }
 
+/// An over-long tenant id is refused at the boundary: it never becomes a
+/// tenant-table key, so no scrape renders it.
+#[test]
+fn plan_intake_refuses_an_over_long_app_id() {
+    let (engine, addr) = serving_engine(1, 128);
+    let id = "x".repeat(MAX_APP_ID_BYTES + 1);
+    let body = format!(r#"{{"app_id":"{id}","compute":[0.06],"demand":[0.4]}}"#);
+    let (code, _, resp) =
+        http_request(addr, "POST", "/plan", Some(&body)).expect("long id answered");
+    assert_eq!(code, 400, "{resp}");
+    assert!(resp.contains("app_id"), "{resp}");
+    let m = engine.metrics();
+    assert!(m.tenants.is_empty(), "refused id reached the tenant table: {:?}", m.tenants);
+    assert_eq!(m.completed, 0);
+}
+
 #[test]
 fn plan_intake_backpressure_is_429_with_retry_after() {
     // high-water 0: every untrusted intake is refused at admission
@@ -343,7 +360,6 @@ fn engine_without_metrics_serves_nothing() {
     let engine = Engine::new(2);
     assert!(engine.metrics_addr().is_none());
     assert!(engine.render_metrics().is_none());
-    assert!(engine.registry().is_none());
     let responses = engine.run_batch((0..4).map(|i| request(i, 5)).collect());
     assert_eq!(responses.len(), 4);
 }

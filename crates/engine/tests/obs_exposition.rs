@@ -1,7 +1,7 @@
-//! `/metrics` fidelity: the registry is a scrape-time view of the engine's
-//! two ledgers — the per-shard request ledger and the solver-event
-//! [`CounterSink`] — so every exported figure must equal what the raw event
-//! stream says happened. Four anchors:
+//! `/metrics` fidelity: every scrape renders the engine's two ledgers —
+//! the per-shard request ledger and the solver-event [`CounterSink`] — so
+//! every exported figure must equal what the raw event stream says
+//! happened. Four anchors:
 //!
 //! 1. the golden capacitated DRRP instance (the one pinned in
 //!    `tests/golden/drrp_trace.jsonl`) solved against a bare `CounterSink`,
@@ -10,7 +10,10 @@
 //!    and solver families compared against the drained events;
 //! 3. a metrics-only engine (no sink, no `count_solver_events`) still
 //!    exports solver counters;
-//! 4. more tenants than the series cap fold into `__other__` as a sum.
+//! 4. more tenants than the series cap fold into `__other__` as a sum;
+//!
+//! and every family a fully armed engine exposes is pinned by name, type
+//! and help text in `tests/golden/metrics_families.txt`.
 
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -18,10 +21,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rrp_core::{CostSchedule, DrrpProblem, PlanningParams, ScenarioTree};
-use rrp_engine::{Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind};
+use rrp_engine::{
+    Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, ProfConfig, SloConfig,
+};
 use rrp_milp::MilpOptions;
 use rrp_obs::text::{parse, Sample};
-use rrp_obs::{Registry, OVERFLOW_LABEL};
+use rrp_obs::{OVERFLOW_LABEL, SERIES_CAP};
 use rrp_spotmarket::{CostRates, EmpiricalDist};
 use rrp_trace::{CounterSink, EventKind, PruneReason, RingSink, TraceHandle, SOLVE_STATUSES};
 
@@ -235,7 +240,7 @@ fn metrics_only_engine_counts_solver_events() {
 /// tenant was written last.
 #[test]
 fn tenant_families_fold_past_the_series_cap_as_a_sum() {
-    let cap = Registry::new().series_cap();
+    let cap = SERIES_CAP;
     let engine = metrics_only_engine(1);
     let tenants: Vec<String> = (0..cap + 40).map(|i| format!("tenant-{i:03}")).collect();
     // every tenant once, the first ten again (cache hits) to vary volume
@@ -272,4 +277,40 @@ fn tenant_families_fold_past_the_series_cap_as_a_sum() {
     assert!(snap.cache_hits >= 10, "the repeated tenants hit the cache");
     let other = value(&samples, "rrp_requests_total", Some(("tenant", OVERFLOW_LABEL)));
     assert!(other > 1.0, "__other__ must sum the folded tail, got {other}");
+}
+
+/// Every `# HELP` / `# TYPE` line of a fully armed engine (metrics,
+/// profiling and SLOs) after a mixed batch, byte for byte: a family that is
+/// renamed, retyped, re-described or lost fails here. `UPDATE_GOLDEN=1`
+/// re-pins `tests/golden/metrics_families.txt`.
+#[test]
+fn exposed_families_match_the_golden_pin() {
+    let engine = Engine::with_config(
+        2,
+        EngineConfig {
+            metrics: Some(MetricsConfig::default()),
+            prof: Some(ProfConfig::default()),
+            slo: Some(SloConfig::default()),
+            ..Default::default()
+        },
+    );
+    let policies = [PolicyKind::Deterministic, PolicyKind::Stochastic, PolicyKind::DynamicProgram];
+    let mut reqs: Vec<PlanRequest> =
+        (0..6).map(|i| request(i, &format!("t{}", i % 2), policies[i % policies.len()])).collect();
+    reqs.push(capacitated("cap"));
+    let mut starved = capacitated("starved");
+    starved.params.capacity = Some(0.1); // below peak demand: the gate rejects it
+    reqs.push(starved);
+    assert_eq!(engine.run_batch(reqs).len(), 8);
+
+    let text = engine.render_metrics().expect("metrics-enabled engine renders");
+    let headers: String =
+        text.lines().filter(|l| l.starts_with("# ")).flat_map(|l| [l, "\n"]).collect();
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/metrics_families.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &headers).expect("write golden pin");
+    }
+    let want = std::fs::read_to_string(&path)
+        .expect("golden pin missing; regenerate with UPDATE_GOLDEN=1");
+    assert_eq!(headers, want, "the exposed families drifted from their golden pin");
 }

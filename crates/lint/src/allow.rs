@@ -12,7 +12,7 @@
 //! - held-lock: `held-lock crates/x/src/y.rs: Struct.field across recv`
 //! - lock-order: `lock-order crates/x/src/y.rs: cycle A.m -> B.n -> A.m`
 //! - unbounded-growth: `unbounded-growth crates/x/src/y.rs: Struct.field`
-//! - relaxed (module scope): `relaxed-module crates/obs/src/registry.rs`
+//! - relaxed (module scope): `relaxed-module crates/trace/src/hist.rs`
 //!   — every `Relaxed` in that file is a justified counter use
 //!
 //! Validation is strict: a `reason=` is mandatory, the referenced path
@@ -176,8 +176,8 @@ mod tests {
             Some("shims/mio/src/lib.rs")
         );
         assert_eq!(
-            Allowlist::entry_path("relaxed-module crates/obs/src/registry.rs"),
-            Some("crates/obs/src/registry.rs")
+            Allowlist::entry_path("relaxed-module crates/trace/src/hist.rs"),
+            Some("crates/trace/src/hist.rs")
         );
         assert_eq!(Allowlist::entry_path("garbage"), None);
     }

@@ -53,7 +53,7 @@ pub struct Workspace {
     /// Calls per function, parallel to `files[f].fns`.
     pub calls: BTreeMap<FnId, Vec<CallSite>>,
     /// Struct name → every definition site (several crates may reuse a
-    /// name — `Registry` exists in both `obs` and the mio shim).
+    /// name — `Event` exists in both `trace` and the mio shim).
     pub structs: BTreeMap<String, Vec<(usize, usize)>>,
     /// Field name → owning struct names (for fallback resolution).
     pub field_owners: BTreeMap<String, Vec<String>>,

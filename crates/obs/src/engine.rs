@@ -27,7 +27,7 @@ use std::sync::Arc;
 use rrp_trace::json::{f64_into, str_into};
 use rrp_trace::{Event, LogHistogram};
 
-use crate::registry::{Registry, OVERFLOW_LABEL};
+use crate::registry::{Exposition, OVERFLOW_LABEL, SERIES_CAP};
 use crate::window::WindowRing;
 
 /// Tolerated deadline-miss fraction per tenant.
@@ -662,22 +662,21 @@ impl SloView {
         out
     }
 
-    /// Write the `rrp_slo_*` families into the registry, once per scrape.
+    /// Write the `rrp_slo_*` families into one scrape's exposition.
     /// Cap-aware: per-tenant series are emitted for the top tenants by
-    /// event volume such that each family stays within the registry's
-    /// series cap, and the rest fold into a `__other__` series carrying
-    /// the *most pessimistic* value (min budget remaining, max burn) — the
-    /// folded series still means something, instead of whichever tenant
-    /// synced last.
-    pub fn sync_registry(&self, reg: &Registry) {
+    /// event volume such that each family stays within [`SERIES_CAP`], and
+    /// the rest fold into a `__other__` series carrying the *most
+    /// pessimistic* value (min budget remaining, max burn) — the folded
+    /// series still means something, and a tenant that falls out of the
+    /// top ranking leaves no series of its own behind.
+    pub fn write_metrics(&self, x: &mut Exposition) {
         const BUDGET_HELP: &str =
             "Error budget left over the slow window (1 = untouched, <0 overspent)";
         const BURN_HELP: &str = "Error-budget burn rate per window (1 = sustainable spend)";
-        let cap = reg.series_cap();
         let windows = WINDOWS.map(|(_, window_s)| window_label(window_s));
         // reserve one slot per family for the fold bucket
-        let budget_tenants = (cap / OBJECTIVES.len()).saturating_sub(1).max(1);
-        let burn_tenants = (cap / (OBJECTIVES.len() * windows.len())).saturating_sub(1).max(1);
+        let budget_tenants = SERIES_CAP / OBJECTIVES.len() - 1;
+        let burn_tenants = SERIES_CAP / (OBJECTIVES.len() * windows.len()) - 1;
 
         // fold accumulators: worst value per objective (budget) and per
         // objective × window (burn)
@@ -689,12 +688,12 @@ impl SloView {
                 let budget = obj.budget();
                 let remaining = os.budget_remaining(budget);
                 if rank < budget_tenants && !folded_name {
-                    reg.gauge(
+                    x.gauge(
                         "rrp_slo_budget_remaining",
                         BUDGET_HELP,
                         &[("tenant", &row.tenant), ("objective", obj.as_str())],
-                    )
-                    .set(remaining);
+                        remaining,
+                    );
                 } else {
                     let fold = fold_budget.get_or_insert([f64::INFINITY; 3]);
                     fold[k] = fold[k].min(remaining);
@@ -702,7 +701,7 @@ impl SloView {
                 for (w, label) in windows.iter().enumerate() {
                     let burn = os.burn(w, budget);
                     if rank < burn_tenants && !folded_name {
-                        reg.gauge(
+                        x.gauge(
                             "rrp_slo_burn_rate",
                             BURN_HELP,
                             &[
@@ -710,8 +709,8 @@ impl SloView {
                                 ("objective", obj.as_str()),
                                 ("window", label),
                             ],
-                        )
-                        .set(burn);
+                            burn,
+                        );
                     } else {
                         let fold = fold_burn.get_or_insert([[0.0; 4]; 3]);
                         fold[k][w] = fold[k][w].max(burn);
@@ -720,43 +719,43 @@ impl SloView {
             }
         }
         for (obj, v) in OBJECTIVES.iter().zip(fold_budget.iter().flatten()) {
-            reg.gauge(
+            x.gauge(
                 "rrp_slo_budget_remaining",
                 BUDGET_HELP,
                 &[("tenant", OVERFLOW_LABEL), ("objective", obj.as_str())],
-            )
-            .set(if v.is_finite() { *v } else { 1.0 });
+                if v.is_finite() { *v } else { 1.0 },
+            );
         }
         for (obj, burns) in OBJECTIVES.iter().zip(fold_burn.iter().flatten()) {
             for (label, burn) in windows.iter().zip(burns) {
-                reg.gauge(
+                x.gauge(
                     "rrp_slo_burn_rate",
                     BURN_HELP,
                     &[("tenant", OVERFLOW_LABEL), ("objective", obj.as_str()), ("window", label)],
-                )
-                .set(*burn);
+                    *burn,
+                );
             }
         }
 
-        reg.gauge(
+        x.gauge(
             "rrp_slo_tenants",
             "Tenants tracked by the SLO engine (fold bucket included)",
             &[],
-        )
-        .set(self.rows.len() as f64);
-        reg.counter("rrp_slo_alerts_total", "Burn-rate alerts fired", &[]).set(self.alerts_total);
-        reg.counter(
+            self.rows.len() as f64,
+        );
+        x.counter("rrp_slo_alerts_total", "Burn-rate alerts fired", &[], self.alerts_total);
+        x.counter(
             "rrp_slo_exemplars_retained_total",
             "Request timelines retained by the tail sampler",
             &[],
-        )
-        .set(self.retained);
-        reg.counter(
+            self.retained,
+        );
+        x.counter(
             "rrp_slo_exemplars_dropped_total",
             "Request timelines discarded (healthy, untracked, or evicted)",
             &[],
-        )
-        .set(self.dropped);
+            self.dropped,
+        );
     }
 }
 
@@ -1033,9 +1032,9 @@ mod tests {
             view.add_shard(s.rows.iter().map(|(k, v)| (k.as_str(), v)), &s.log);
         }
         assert_golden("slo_status.json", &view.status_json());
-        let reg = Registry::new();
-        view.sync_registry(&reg);
-        assert_golden("slo_metrics.txt", &reg.render());
+        let mut x = Exposition::default();
+        view.write_metrics(&mut x);
+        assert_golden("slo_metrics.txt", &x.render());
         assert_golden("flight_status.json", &recorder.status_json());
     }
 

@@ -8,11 +8,13 @@
 //! body is a render of the engine's per-shard ledgers and its one
 //! lifecycle [`FlightRing`].
 //!
-//! * **Labeled registry** ([`registry`]) — counters, gauges, and
-//!   `LogHistogram`-fed summaries keyed by `(name, label-set)`, `set` by
-//!   producers from their own ledgers once per scrape. A bounded
-//!   label-cardinality guard routes excess series (e.g. hostile tenant
-//!   ids) into one `__other__` bucket instead of growing without bound.
+//! * **Exposition builder** ([`Exposition`]) — counters, gauges, and
+//!   `LogHistogram`-fed summaries keyed by `(name, label-set)`, written by
+//!   the producers from their own ledgers into a fresh builder for every
+//!   scrape and rendered once, so nothing persists between scrapes. Each
+//!   family holds at most [`SERIES_CAP`] label sets: producers fold their
+//!   long tails (e.g. hostile tenant ids) into one `__other__` series, and
+//!   the guard drops whatever would still pass the cap.
 //! * **Exposition server** ([`server`]) — a tiny hand-rolled HTTP/1.1
 //!   responder on one readiness loop serving `/metrics` (Prometheus
 //!   text), `/snapshot`, `/healthz`, `/readyz`, `/profile`, `/flight`,
@@ -43,15 +45,15 @@
 //! not also wedge the post-mortem machinery that exists to explain it.
 //!
 //! ```
-//! use rrp_obs::Registry;
+//! use rrp_obs::Exposition;
 //!
-//! let reg = Registry::new();
-//! // a scrape-time sync: the per-tenant ledger lives with the producer
-//! reg.set_counter_family("rrp_requests_total", "Requests served", "tenant", &[("a", 3)]);
-//! let text = reg.render();
+//! // one scrape: the per-tenant ledger lives with the producer
+//! let mut x = Exposition::default();
+//! x.counter_family("rrp_requests_total", "Requests served", "tenant", &[("a", 3)]);
+//! let text = x.render();
 //! assert!(text.contains("rrp_requests_total{tenant=\"a\"} 3"));
-//! // and the text parses back (the registry appends its own
-//! // rrp_obs_series_overflow_total self-metric, hence 2 samples):
+//! // and the text parses back (the builder appends its own
+//! // rrp_obs_series_dropped self-metric, hence 2 samples):
 //! assert_eq!(rrp_obs::text::parse(&text).expect("valid exposition").len(), 2);
 //! ```
 
@@ -66,6 +68,6 @@ mod window;
 pub use engine::{Alert, Done, SloConfig, SloLog, SloView, TenantSlo, MAX_EXEMPLAR_EVENTS};
 pub use flight::{install_panic_hook, FlightRecorder, FlightRing, ProfConfig};
 pub use profiler::{Profiler, SamplerShared};
-pub use registry::{Counter, Gauge, Registry, Summary, OVERFLOW_LABEL};
+pub use registry::{Exposition, OVERFLOW_LABEL, SERIES_CAP};
 pub use server::{http_request, ObsHooks, ObsServer, PendingPlan, PlanDecision, Readiness};
 pub use text::{parse, Sample};

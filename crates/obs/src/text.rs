@@ -4,7 +4,7 @@
 //! The parser exists for three consumers: the endpoint tests (every scrape
 //! must parse cleanly — a torn line is a server bug), the `xtask watch`
 //! dashboard (which polls `/metrics` and needs the samples back), and any
-//! future self-scrape. It accepts exactly what [`crate::Registry::render`]
+//! future self-scrape. It accepts exactly what [`crate::Exposition::render`]
 //! produces plus ordinary format freedom (comments, blank lines, optional
 //! timestamps), and reports the first malformed line as an error.
 
@@ -218,15 +218,15 @@ nan_g NaN
 
     #[test]
     fn registry_output_parses_fully() {
-        let reg = crate::Registry::new();
-        reg.counter("a_total", "A", &[("t", "x\"y\\z")]).set(3);
-        reg.gauge("g", "G", &[]).set(1.5);
+        let mut x = crate::Exposition::default();
+        x.counter("a_total", "A", &[("t", "x\"y\\z")], 3);
+        x.gauge("g", "G", &[], 1.5);
         let hist = rrp_trace::LogHistogram::new();
         hist.record(4.0);
-        reg.summary("s_ms", "S", &[("rung", "full")]).set(&hist, 4.0);
-        let text = reg.render();
-        let samples = parse(&text).expect("registry render must parse");
-        // 1 counter + 1 gauge + (3 quantiles + sum + count) + overflow counter
+        x.summary("s_ms", "S", &[("rung", "full")], &hist, 4.0);
+        let text = x.render();
+        let samples = parse(&text).expect("exposition render must parse");
+        // 1 counter + 1 gauge + (3 quantiles + sum + count) + dropped gauge
         assert_eq!(samples.len(), 8, "{text}");
         let c = samples.iter().find(|s| s.name == "a_total").expect("counter present");
         assert_eq!(c.label("t"), Some("x\"y\\z"));

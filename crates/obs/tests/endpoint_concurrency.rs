@@ -1,23 +1,60 @@
 //! Endpoint concurrency: N threads scraping `/metrics` while writer
-//! threads hammer the registry must never observe a torn or partial
-//! exposition body — every scrape parses in full, counters only move
-//! forward, and `/readyz` flips with the readiness hook.
+//! threads hammer the ledgers it renders from must never observe a torn
+//! or partial exposition body — every scrape parses in full, counters only
+//! move forward, and `/readyz` flips with the readiness hook.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rrp_obs::text::parse;
-use rrp_obs::{http_request, ObsHooks, ObsServer, Readiness, Registry};
+use rrp_obs::{http_request, Exposition, ObsHooks, ObsServer, Readiness};
+use rrp_trace::LogHistogram;
+
+/// What the writers bump and every scrape renders into a fresh
+/// [`Exposition`]: a request count per (hostile) tenant id, a depth gauge
+/// and a latency ledger.
+struct Ledger {
+    tenants: Vec<(String, AtomicU64)>,
+    depth: AtomicU64,
+    latency: LogHistogram,
+    latency_sum: AtomicU64,
+}
+
+impl Ledger {
+    fn render(&self) -> String {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let rows: Vec<(&str, u64)> =
+            self.tenants.iter().map(|(t, n)| (t.as_str(), load(n))).collect();
+        let mut x = Exposition::default();
+        x.counter_family("scraped_total", "Updates", "tenant", &rows);
+        x.gauge("depth", "Depth", &[], load(&self.depth) as f64);
+        x.summary(
+            "lat_ms",
+            "Latency",
+            &[("rung", "full")],
+            &self.latency,
+            load(&self.latency_sum) as f64,
+        );
+        x.render()
+    }
+}
 
 #[test]
 fn concurrent_scrapes_never_tear() {
-    let reg = Arc::new(Registry::new());
+    let ledger = Arc::new(Ledger {
+        tenants: (0..16)
+            .map(|i| (format!("t\"{}\\{}\n", i / 8, i % 8), AtomicU64::new(0)))
+            .collect(),
+        depth: AtomicU64::new(0),
+        latency: LogHistogram::new(),
+        latency_sum: AtomicU64::new(0),
+    });
     let queue = Arc::new(AtomicUsize::new(0));
     let hooks = {
-        let reg = Arc::clone(&reg);
+        let ledger = Arc::clone(&ledger);
         let queue = Arc::clone(&queue);
         ObsHooks {
-            metrics_text: Box::new(move || reg.render()),
+            metrics_text: Box::new(move || ledger.render()),
             snapshot_json: Box::new(|| "{\"ok\":true}".to_string()),
             readiness: Box::new(move || {
                 let depth = queue.load(Ordering::SeqCst);
@@ -36,22 +73,19 @@ fn concurrent_scrapes_never_tear() {
     let server = ObsServer::bind("127.0.0.1:0", hooks).expect("ephemeral bind");
     let addr = server.local_addr();
 
-    // writers: sync labeled series (hostile labels included) nonstop, the
-    // way a producer's scrape-time sync does
+    // writers: bump the ledgers (hostile tenant ids included) nonstop
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..2)
         .map(|w| {
-            let reg = Arc::clone(&reg);
+            let ledger = Arc::clone(&ledger);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let hist = rrp_trace::LogHistogram::new();
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let tenant = format!("t\"{w}\\{}\n", i % 8);
-                    reg.counter("scraped_total", "Updates", &[("tenant", &tenant)]).set(i);
-                    reg.gauge("depth", "Depth", &[]).set(i as f64);
-                    hist.record(i as f64);
-                    reg.summary("lat_ms", "Latency", &[("rung", "full")]).set(&hist, i as f64);
+                    ledger.tenants[w * 8 + (i % 8) as usize].1.fetch_add(1, Ordering::Relaxed);
+                    ledger.depth.store(i, Ordering::Relaxed);
+                    ledger.latency.record(i as f64);
+                    ledger.latency_sum.fetch_add(i, Ordering::Relaxed);
                     i += 1;
                 }
             })

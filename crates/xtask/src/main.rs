@@ -9,8 +9,8 @@
 //! * `cargo run -p xtask -- lint` is the same gate under its historical
 //!   name — kept so muscle memory and old scripts keep working.
 //! * `cargo run -p xtask -- trace <file.jsonl>` renders a report from an
-//!   `rrp-trace` JSONL stream (see [`trace`]); `--assert-gap-closed` is
-//!   the CI assertion mode.
+//!   `rrp-trace` JSONL stream (see [`trace`]); `--assert-gap-closed` and
+//!   `--assert-warm-rate <pct>` are the CI assertion modes.
 //! * `cargo run -p xtask -- watch <addr>` is a live terminal dashboard
 //!   over an engine's `/metrics` endpoint (see [`watch`]).
 //! * `cargo run -p xtask -- benchdiff <baseline.json> <current.json>`
@@ -62,7 +62,7 @@ fn main() -> ExitCode {
         Some("ab") => ab::run(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo run -p xtask -- analyze [--deny all] [--json <path|->]\n       cargo run -p xtask -- trace <file.jsonl> [--assert-gap-closed] [--gap-tol <rel>]\n       cargo run -p xtask -- watch <addr> [--interval-ms <n>] [--frames <n>]\n       cargo run -p xtask -- benchdiff <baseline.json> <current.json>\n       cargo run -p xtask -- simreport <report.json> [--assert-realised-ratio <ceiling>]\n       cargo run -p xtask -- prof <addr|collapsed.txt|bundle.json> [--top <n>] [--collapsed] [--no-color]\n       cargo run -p xtask -- postmortem <bundle.json> [--events <n>] [--no-color]\n       cargo run -p xtask -- slo <addr|bundle.json> [--timeline <request_id>] [--no-color]\n       cargo run -p xtask -- ab <rev> --workload W --pairs N --seed S [--seconds T]"
+                "usage: cargo run -p xtask -- analyze [--deny all] [--json <path|->]\n       cargo run -p xtask -- trace <file.jsonl> [--assert-gap-closed] [--gap-tol <rel>] [--assert-warm-rate <pct>]\n       cargo run -p xtask -- watch <addr> [--interval-ms <n>] [--frames <n>]\n       cargo run -p xtask -- benchdiff <baseline.json> <current.json>\n       cargo run -p xtask -- simreport <report.json> [--assert-realised-ratio <ceiling>]\n       cargo run -p xtask -- prof <addr|collapsed.txt|bundle.json> [--top <n>] [--collapsed] [--no-color]\n       cargo run -p xtask -- postmortem <bundle.json> [--events <n>] [--no-color]\n       cargo run -p xtask -- slo <addr|bundle.json> [--timeline <request_id>] [--no-color]\n       cargo run -p xtask -- ab <rev> --workload W --pairs N --seed S [--seconds T]"
             );
             ExitCode::from(2)
         }
