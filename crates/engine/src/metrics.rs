@@ -755,4 +755,148 @@ mod tests {
         let total: u64 = snap.tenants.iter().map(|t| t.requests).sum();
         assert_eq!(total, TENANT_TABLE_CAP as u64 + 11);
     }
+
+    /// Compare `got` with the pinned file `tests/golden/<name>`;
+    /// `UPDATE_GOLDEN=1` rewrites the pin instead.
+    fn assert_golden(name: &str, got: &str) {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(&path, got).expect("write golden pin");
+        }
+        let want = std::fs::read_to_string(&path)
+            .expect("golden pin missing; regenerate with UPDATE_GOLDEN=1");
+        assert_eq!(got, want, "`{name}` drifted from its golden pin");
+    }
+
+    /// Value-level pin of the `/metrics`, `/snapshot` and `/slo` bodies
+    /// (`/slo` with its `now_us` stamp masked), byte for byte, as served by a two-shard `metrics` + `slo` engine whose
+    /// ledgers are fed by hand with fixed values: latencies, rung timings,
+    /// plan- and basis-cache hits and misses, gate runs and a rejection, a
+    /// busy refusal, solver events, and more than [`TENANT_TABLE_CAP`]
+    /// tenants per shard, so each shard folds an `__other__` row. The SLO
+    /// rows are fed at fixed trace times, and every window reaches back to
+    /// time zero while the test runs, so the scrape clock moves no value.
+    /// `tests/golden/metrics_families.txt` pins the family headers; this
+    /// pins every sample.
+    #[test]
+    fn scrape_bodies_match_the_value_pins() {
+        use std::sync::Arc;
+
+        use rrp_milp::Basis;
+        use rrp_obs::{http_request, Done, SloConfig};
+        use rrp_trace::{Event, EventKind, Sink, SpanId};
+
+        use crate::cache::CacheEntry;
+        use crate::request::RungOutcome;
+        use crate::service::{Engine, EngineConfig, MetricsConfig};
+
+        let engine = Engine::with_config(
+            2,
+            EngineConfig {
+                metrics: Some(MetricsConfig { addr: Some("127.0.0.1:0".into()) }),
+                slo: Some(SloConfig::default()),
+                ..Default::default()
+            },
+        );
+        let shared = &engine.shared;
+        let cfg = SloConfig::default();
+        let entry = |objective: f64| CacheEntry {
+            plan: rrp_core::RentalPlan {
+                alpha: vec![objective],
+                beta: vec![0.0],
+                chi: vec![true],
+                objective,
+                breakdown: Default::default(),
+            },
+            degradation: DegradationLevel::Full,
+        };
+        let mut request_id = 0u64;
+        for (s, shard) in shared.shards.iter().enumerate() {
+            let (m, cache) = (&shard.metrics, &shard.cache);
+            for _ in 0..3 + s {
+                m.enqueue();
+            }
+            m.dequeue();
+            m.dequeue();
+            for i in 0..10u64 {
+                let level = DegradationLevel::ALL[(i as usize + s) % 4];
+                let latency = Duration::from_micros(500 + 1_300 * i + 7_000 * s as u64);
+                m.record(level, latency, i % 3 != 0);
+                // the ladder's attempts down to the serving rung
+                let trace: Vec<TraceEntry> = (0..=level_index(level))
+                    .map(|r| TraceEntry {
+                        level: DegradationLevel::ALL[r],
+                        outcome: RungOutcome::Solved,
+                        elapsed: Duration::from_micros(200 + 900 * (r as u64 + i)),
+                    })
+                    .collect();
+                m.record_rungs(&trace);
+            }
+            for _ in 0..4 {
+                m.record_audit();
+            }
+            if s == 0 {
+                m.record_rejection(Duration::from_micros(80), true);
+            } else {
+                m.record_busy();
+            }
+            cache.insert(10 + s as u64, entry(1.5));
+            for _ in 0..2 + s {
+                assert!(cache.lookup(10 + s as u64).is_some());
+            }
+            assert!(cache.lookup(99).is_none());
+            cache.insert_basis(7, Arc::new(Basis { columns: Vec::new(), status: Vec::new() }));
+            assert!(cache.lookup_basis(7).is_some());
+            for _ in 0..1 + s {
+                assert!(cache.lookup_basis(8).is_none());
+            }
+            for t in 0..TENANT_TABLE_CAP + 3 + s {
+                let tenant =
+                    if t == 1 { format!("s{s}-\"quoted\"") } else { format!("s{s}-t{t:02}") };
+                for k in 0..(t % 4) as u64 + 1 {
+                    request_id += 1;
+                    let deadline_met = !(t as u64 + k).is_multiple_of(5);
+                    let latency_us = 1_000 + 37_000 * ((t as u64 + k) % 9);
+                    let t_us = 1_000 * request_id;
+                    m.with_row(&tenant, |key, row, log| {
+                        row.count(t % 3 == 0, t == 5, deadline_met);
+                        let (level, outcome) = ("full", "ok");
+                        let done = Done {
+                            request_id,
+                            tenant: &tenant,
+                            level,
+                            outcome,
+                            latency_us,
+                            deadline_met,
+                            t_us,
+                        };
+                        log.record_request(&cfg, key, row.slo(), &done, |_| (Vec::new(), 0))
+                    });
+                }
+            }
+        }
+        let ev = |kind| Event { t_us: 0, worker: 0, span: SpanId::ROOT, kind };
+        for id in 0..3 {
+            shared.counters.emit(&ev(EventKind::NodeOpened { id, depth: 0, bound: 0.0 }));
+        }
+        shared.counters.emit(&ev(EventKind::LpSolved { iters: 17, status: "optimal", warm: true }));
+        let done = EventKind::SolveDone { status: "terminated:deadline", nodes: 3, gap: 0.25 };
+        shared.counters.emit(&ev(done));
+
+        let addr = engine.metrics_addr().expect("metrics server bound");
+        let (code, _, metrics) = http_request(addr, "GET", "/metrics", None).expect("scrape");
+        assert_eq!(code, 200);
+        let (code, _, snapshot) = http_request(addr, "GET", "/snapshot", None).expect("snapshot");
+        assert_eq!(code, 200);
+        assert!(metrics.contains("rrp_requests_total{tenant=\"__other__\"}"), "{metrics}");
+        let (code, _, slo) = http_request(addr, "GET", "/slo", None).expect("slo");
+        assert_eq!(code, 200);
+        // the one clock-dependent field: the scrape's trace time
+        let (head, rest) = slo.split_once("\"now_us\":").expect("slo body stamps now_us");
+        let slo = format!("{head}\"now_us\":0{}", &rest[rest.find(',').expect("field ends")..]);
+        assert_golden("value_pin_metrics.txt", &metrics);
+        assert_golden("value_pin_snapshot.json", &snapshot);
+        assert_golden("value_pin_slo.json", &slo);
+        assert_eq!(engine.render_metrics().as_deref(), Some(metrics.as_str()));
+    }
 }

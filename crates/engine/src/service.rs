@@ -161,7 +161,7 @@ struct InflightEntry {
 /// slice, so every lock in here is shard-local: the submit/complete path
 /// of one tenant never contends with another shard's.
 pub(crate) struct ShardState {
-    cache: PlanCache,
+    pub(crate) cache: PlanCache,
     pub(crate) metrics: Metrics,
     /// In-flight request table, maintained only while profiling is on
     /// (bounded by worker count: one entry per request being processed).
@@ -362,7 +362,7 @@ pub struct Engine {
     /// One bounded queue per shard, indexed like `Shared::shards`.
     queues: Arc<Vec<Arc<ShardQueue<Job>>>>,
     workers: Vec<JoinHandle<()>>,
-    shared: Arc<Shared>,
+    pub(crate) shared: Arc<Shared>,
     /// Raised first thing in `Drop`: `/readyz` answers 503 for the rest of
     /// the teardown so scrapers see the engine drain instead of vanish.
     shutting_down: Arc<AtomicBool>,
