@@ -111,17 +111,6 @@ impl PlanCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Hits over total lookups; 0 when nothing has been looked up yet.
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let total = h + self.misses() as f64;
-        if total > 0.0 {
-            h / total
-        } else {
-            0.0
-        }
-    }
-
     /// Look up the last optimal root basis stored for a problem shape.
     pub fn lookup_basis(&self, shape: u64) -> Option<Arc<Basis>> {
         let basis = self.bases.lock().unwrap_or_else(PoisonError::into_inner).get(&shape).cloned();
@@ -155,17 +144,6 @@ impl PlanCache {
     /// Basis entries evicted to stay under [`BASIS_CACHE_CAP`].
     pub fn basis_evictions(&self) -> u64 {
         self.basis_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Basis-table hits over lookups; 0 before any lookup.
-    pub fn basis_hit_rate(&self) -> f64 {
-        let h = self.basis_hits() as f64;
-        let total = h + self.basis_misses() as f64;
-        if total > 0.0 {
-            h / total
-        } else {
-            0.0
-        }
     }
 }
 

@@ -1,8 +1,12 @@
 //! Engine observability: the per-shard request ledger — lock-light
-//! counters updated on the worker hot path — read at scrape time into a
-//! serialisable point-in-time snapshot, the `/metrics` body
-//! ([`Exposition`], rendered afresh per scrape) and, on SLO engines, the
-//! `/slo` view: each tenant row also carries the tenant's SLO ledger.
+//! counters updated on the worker hot path; on SLO engines each tenant row
+//! also carries the tenant's SLO ledger. A scrape reads it with one fold
+//! (`Fold::of`): each shard is visited once, its cache stats read under the
+//! cache's own locks and its tenant lock taken once, never while another
+//! lock is held. Every scrape-time body renders from that fold: the
+//! serialisable point-in-time snapshot (`/snapshot`), the `/metrics` body
+//! ([`Exposition`], rendered afresh per scrape), the `/slo` view and the
+//! flight bundle's `metrics` and `slo` sections, which therefore agree.
 //!
 //! Latencies land in a fixed-size log-scale histogram
 //! ([`rrp_trace::LogHistogram`]): constant memory however long the engine
@@ -17,13 +21,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use rrp_obs::{Exposition, SloLog, SloView, TenantSlo};
+use rrp_obs::{Exposition, SloFold, SloLog, SloView, TenantSlo};
 use rrp_trace::{CounterSink, LogHistogram, PruneReason, SOLVE_STATUSES};
 use serde::Serialize;
 
-use crate::cache::PlanCache;
 use crate::request::{DegradationLevel, TraceEntry};
-use crate::service::Shared;
+use crate::service::{ShardState, Shared};
 
 /// Cap on distinct tenants tracked in each shard's tenant table. Requests
 /// from tenants beyond the cap fold into one [`TENANT_OVERFLOW`] row — the
@@ -97,7 +100,7 @@ struct TenantTable {
 
 /// Point-in-time view of the engine's counters. Serialisable so it can be
 /// scraped/shipped as JSON.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MetricsSnapshot {
     /// Responses produced (cache hits included).
     pub completed: u64,
@@ -253,13 +256,6 @@ impl Metrics {
         self.queue_depth.load(Ordering::Relaxed)
     }
 
-    /// Fold this shard's SLO rows and log into a scrape-time view.
-    pub fn fold_slo(&self, view: &mut SloView) {
-        let table = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
-        let rows = table.rows.iter().filter_map(|(t, row)| Some((t.as_str(), row.slo.as_deref()?)));
-        view.add_shard(rows, &table.slo);
-    }
-
     /// Run `f` on `tenant`'s row and the shard's SLO log under the tenant
     /// table's one short lock — distinct from [`Metrics::record`] so the
     /// global counters stay atomics. `f` gets the row's key: the tenant, or
@@ -284,144 +280,159 @@ impl Metrics {
         }
         f(key, rows.entry(key.to_string()).or_default(), slo)
     }
+}
 
-    /// Single-ledger snapshot — [`merged_snapshot`] over one part. The
-    /// engine always goes through the merging path; this is the
-    /// test-facing convenience.
-    #[cfg(test)]
-    pub fn snapshot(
-        &self,
-        cache: &PlanCache,
+/// One scrape's read of the engine (`Shared::fold`): the merged snapshot,
+/// the merged latency ledgers, the cache stats and, on SLO engines, the
+/// SLO view. Every scrape-time body renders from one.
+pub(crate) struct Fold {
+    pub snapshot: MetricsSnapshot,
+    /// Request latencies, merged across shards.
+    request: LatencyLedger,
+    /// Rung latencies, merged across shards (indexed like
+    /// [`DegradationLevel::ALL`]).
+    rungs: [LatencyLedger; 4],
+    /// Distinct fingerprints cached.
+    pub cache_entries: usize,
+    /// Problem shapes with a stored root basis.
+    pub basis_entries: usize,
+    /// Basis side-table hits over lookups; 0 before any lookup.
+    pub basis_hit_rate: f64,
+    /// `Some` when `slo_now_us` was.
+    pub slo: Option<SloView>,
+}
+
+impl Fold {
+    /// Visit every shard once. Each visit reads the shard's cache stats
+    /// (under the cache's own locks), its atomics and latency ledgers, then
+    /// takes its tenant lock once for the tenant counters and, when
+    /// `slo_now_us` is set, the SLO rows and log folded at that trace time.
+    /// Every lock is shard-local and none is held while another is taken.
+    ///
+    /// Merge semantics:
+    /// * counters and histograms add (histograms bucket-wise, lossless);
+    /// * hit rates are recomputed from the summed counts, not averaged;
+    /// * `queue_depth_high_water` is the **sum of per-shard peaks** — an
+    ///   upper bound on the true global peak, which is not derivable from
+    ///   per-shard peaks alone (they need not be simultaneous). For one
+    ///   shard it is exact;
+    /// * a named tenant lives on its one `shard_of` shard, so only the
+    ///   shards' [`TENANT_OVERFLOW`] rows meet, and they sum. The table is
+    ///   bounded by `shards × TENANT_TABLE_CAP + 1` rows.
+    pub fn of(
+        shards: &[ShardState],
         solver: &CounterSink,
         trace_dropped_events: u64,
-    ) -> MetricsSnapshot {
-        merged_snapshot(&[(self, cache)], solver, trace_dropped_events)
-    }
-}
+        slo_now_us: Option<u64>,
+    ) -> Self {
+        let mut snap = MetricsSnapshot::default();
+        let request = LatencyLedger::default();
+        let rungs: [LatencyLedger; 4] = Default::default();
+        let (mut cache_entries, mut basis_entries) = (0, 0);
+        let (mut basis_hits, mut basis_misses) = (0, 0);
+        let mut level_counts = [0u64; 4];
+        let mut slo = slo_now_us.map(SloFold::new);
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        for (shard, ShardState { metrics: m, cache, .. }) in shards.iter().enumerate() {
+            cache_entries += cache.len();
+            basis_entries += cache.basis_entries();
+            basis_hits += cache.basis_hits();
+            basis_misses += cache.basis_misses();
+            snap.cache_hits += cache.hits();
+            snap.cache_misses += cache.misses();
+            let row = ShardSnapshot {
+                shard,
+                queue_depth: m.queue_depth.load(Ordering::Relaxed),
+                queue_depth_high_water: m.queue_high_water.load(Ordering::Relaxed),
+                completed: load(&m.completed),
+                busy_rejections: load(&m.busy_rejections),
+            };
+            snap.completed += row.completed;
+            snap.queue_depth += row.queue_depth;
+            snap.queue_depth_high_water += row.queue_depth_high_water;
+            snap.busy_rejections += row.busy_rejections;
+            snap.shards.push(row);
+            snap.deadline_misses += load(&m.deadline_misses);
+            snap.audits += load(&m.audits);
+            snap.audit_rejections += load(&m.audit_rejections);
+            for (acc, c) in level_counts.iter_mut().zip(&m.level_counts) {
+                *acc += load(c);
+            }
+            request.merge_from(&m.latencies);
+            for (acc, rung) in rungs.iter().zip(&m.rung_latencies) {
+                acc.merge_from(rung);
+            }
 
-/// Assemble one [`MetricsSnapshot`] over per-shard `(metrics, cache)`
-/// ledgers. Each shard is read with only its own short locks — a scrape
-/// never takes a lock any other shard's submit path contends on, so
-/// snapshot assembly cannot stall planning. With one part this degenerates
-/// to the pre-scale-out snapshot exactly (modulo the added `shards` row).
-///
-/// Merge semantics:
-/// * counters and histograms add (histograms bucket-wise, lossless);
-/// * `cache_hit_rate` is recomputed from the summed hit/lookup counts,
-///   not averaged per shard;
-/// * `queue_depth_high_water` is the **sum of per-shard peaks** — an
-///   upper bound on the true global peak, which is not derivable from
-///   per-shard peaks alone (they need not be simultaneous). For one
-///   shard it is exact;
-/// * tenant rows merge by id across shards (tenant→shard affinity means a
-///   tenant normally has one home shard anyway), so the table is bounded
-///   by `shards × (TENANT_TABLE_CAP + 1)` rows.
-pub(crate) fn merged_snapshot(
-    parts: &[(&Metrics, &PlanCache)],
-    solver: &CounterSink,
-    trace_dropped_events: u64,
-) -> MetricsSnapshot {
-    let latencies = LogHistogram::new();
-    let mut tenant_acc: HashMap<String, TenantRow> = HashMap::new();
-    let mut shards = Vec::with_capacity(parts.len());
-    let (mut completed, mut deadline_misses, mut audits) = (0u64, 0u64, 0u64);
-    let (mut audit_rejections, mut busy_rejections) = (0u64, 0u64);
-    let mut level_counts = [0u64; 4];
-    let (mut queue_depth, mut high_water) = (0usize, 0usize);
-    let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-    for (shard, (m, cache)) in parts.iter().enumerate() {
-        let shard_completed = m.completed.load(Ordering::Relaxed);
-        let shard_depth = m.queue_depth.load(Ordering::Relaxed);
-        let shard_high_water = m.queue_high_water.load(Ordering::Relaxed);
-        let shard_busy = m.busy_rejections.load(Ordering::Relaxed);
-        completed += shard_completed;
-        queue_depth += shard_depth;
-        high_water += shard_high_water;
-        busy_rejections += shard_busy;
-        deadline_misses += m.deadline_misses.load(Ordering::Relaxed);
-        audits += m.audits.load(Ordering::Relaxed);
-        audit_rejections += m.audit_rejections.load(Ordering::Relaxed);
-        for (acc, c) in level_counts.iter_mut().zip(&m.level_counts) {
-            *acc += c.load(Ordering::Relaxed);
+            let table = m.tenants.lock().unwrap_or_else(PoisonError::into_inner);
+            snap.tenants.extend(table.rows.iter().map(|(tenant, row)| TenantSnapshot {
+                tenant: tenant.clone(),
+                requests: row.requests,
+                cache_hits: row.cache_hits,
+                audit_rejections: row.audit_rejections,
+                deadline_misses: row.deadline_misses,
+            }));
+            if let Some(slo) = &mut slo {
+                let rows = table
+                    .rows
+                    .iter()
+                    .filter_map(|(t, row)| Some((t.as_str(), row.slo.as_deref()?)));
+                slo.add_shard(rows, &table.slo);
+            }
         }
-        latencies.merge_from(&m.latencies.hist);
-        cache_hits += cache.hits();
-        cache_misses += cache.misses();
-        for (tenant, c) in m.tenants.lock().unwrap_or_else(PoisonError::into_inner).rows.iter() {
-            let row = tenant_acc.entry(tenant.clone()).or_default();
-            row.requests += c.requests;
-            row.cache_hits += c.cache_hits;
-            row.audit_rejections += c.audit_rejections;
-            row.deadline_misses += c.deadline_misses;
-        }
-        shards.push(ShardSnapshot {
-            shard,
-            queue_depth: shard_depth,
-            queue_depth_high_water: shard_high_water,
-            completed: shard_completed,
-            busy_rejections: shard_busy,
+        snap.tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+        snap.tenants.dedup_by(|dup, kept| {
+            let same = dup.tenant == kept.tenant;
+            if same {
+                kept.requests += dup.requests;
+                kept.cache_hits += dup.cache_hits;
+                kept.audit_rejections += dup.audit_rejections;
+                kept.deadline_misses += dup.deadline_misses;
+            }
+            same
         });
-    }
-    let mut tenants: Vec<TenantSnapshot> = tenant_acc
-        .into_iter()
-        .map(|(tenant, c)| TenantSnapshot {
-            tenant,
-            requests: c.requests,
-            cache_hits: c.cache_hits,
-            audit_rejections: c.audit_rejections,
-            deadline_misses: c.deadline_misses,
-        })
-        .collect();
-    tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-    let lookups = cache_hits + cache_misses;
-    MetricsSnapshot {
-        completed,
-        queue_depth,
-        cache_hits,
-        cache_misses,
-        cache_hit_rate: if lookups == 0 { 0.0 } else { cache_hits as f64 / lookups as f64 },
-        level_full: level_counts[0],
-        level_deterministic: level_counts[1],
-        level_dynamic_program: level_counts[2],
-        level_on_demand_only: level_counts[3],
-        deadline_misses,
-        audits,
-        audit_rejections,
-        busy_rejections,
-        p50_latency_ms: latencies.quantile(0.50),
-        p99_latency_ms: latencies.quantile(0.99),
-        milp_nodes_total: solver.milp_nodes.load(Ordering::Relaxed),
-        lp_iters_total: solver.lp_iters.load(Ordering::Relaxed),
-        gap_at_timeout_p50: solver.gap_at_timeout.quantile(0.50),
-        queue_depth_high_water: high_water,
-        trace_dropped_events,
-        tenants,
-        shards,
-    }
-}
-
-/// The request and per-rung latency ledgers merged across shards, for the
-/// `/metrics` view (rungs indexed like [`DegradationLevel::ALL`]).
-fn merged_latencies(parts: &[&Metrics]) -> (LatencyLedger, [LatencyLedger; 4]) {
-    let request = LatencyLedger::default();
-    let rungs: [LatencyLedger; 4] = Default::default();
-    for m in parts {
-        request.merge_from(&m.latencies);
-        for (acc, rung) in rungs.iter().zip(&m.rung_latencies) {
-            acc.merge_from(rung);
+        [
+            snap.level_full,
+            snap.level_deterministic,
+            snap.level_dynamic_program,
+            snap.level_on_demand_only,
+        ] = level_counts;
+        snap.cache_hit_rate = hit_rate(snap.cache_hits, snap.cache_misses);
+        snap.p50_latency_ms = request.hist.quantile(0.50);
+        snap.p99_latency_ms = request.hist.quantile(0.99);
+        snap.milp_nodes_total = load(&solver.milp_nodes);
+        snap.lp_iters_total = load(&solver.lp_iters);
+        snap.gap_at_timeout_p50 = solver.gap_at_timeout.quantile(0.50);
+        snap.trace_dropped_events = trace_dropped_events;
+        Fold {
+            snapshot: snap,
+            request,
+            rungs,
+            cache_entries,
+            basis_entries,
+            basis_hit_rate: hit_rate(basis_hits, basis_misses),
+            slo: slo.map(SloFold::finish),
         }
     }
-    (request, rungs)
 }
 
-/// The `/metrics` body: the engine's ledgers written into a fresh
-/// [`Exposition`] and rendered — the per-shard request ledgers (merged
-/// into a [`MetricsSnapshot`] plus latency histograms), the solver-event
-/// ledger ([`CounterSink`]), and the SLO view and profiling state when
-/// present. Nothing is kept between scrapes, so every series is the
-/// ledgers' current value and a row that left a ledger leaves no series.
+/// `hits` over `hits + misses`; 0 before any lookup.
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    let lookups = hits + misses;
+    if lookups == 0 {
+        0.0
+    } else {
+        hits as f64 / lookups as f64
+    }
+}
+
+/// The `/metrics` body: one [`Fold`] of the engine's ledgers written into a
+/// fresh [`Exposition`] and rendered — the per-shard request ledgers, the
+/// solver-event ledger ([`CounterSink`]), and the SLO view and profiling
+/// state when present. Nothing is kept between scrapes, so every series is
+/// the ledgers' current value and a row that left a ledger leaves no series.
 pub(crate) fn render_metrics(shared: &Shared) -> String {
-    let snap = shared.snapshot();
+    let fold = shared.fold();
+    let snap = &fold.snapshot;
     let mut x = Exposition::default();
     for (name, help, value) in [
         ("rrp_completed_total", "Responses produced (cache hits included)", snap.completed),
@@ -452,19 +463,19 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
             snap.queue_depth_high_water as f64,
         ),
         ("rrp_cache_hit_rate", "Warm-start cache hits over lookups", snap.cache_hit_rate),
-        ("rrp_cache_entries", "Distinct fingerprints currently cached", shared.cache_len() as f64),
+        ("rrp_cache_entries", "Distinct fingerprints currently cached", fold.cache_entries as f64),
         (
             "rrp_basis_cache_hit_rate",
             "Root-basis warm-start hits over lookups",
-            shared.basis_cache_hit_rate(),
+            fold.basis_hit_rate,
         ),
         (
             "rrp_basis_cache_entries",
             "Problem shapes with a stored root basis",
-            shared.basis_cache_entries() as f64,
+            fold.basis_entries as f64,
         ),
-        ("rrp_workers", "Engine worker threads", shared.shards.len() as f64),
-        ("rrp_shards", "Engine state shards", shared.shards.len() as f64),
+        ("rrp_workers", "Engine worker threads", snap.shards.len() as f64),
+        ("rrp_shards", "Engine state shards", snap.shards.len() as f64),
     ] {
         x.gauge(name, help, &[], value);
     }
@@ -490,10 +501,9 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
         let help = "Answers served, by degradation-ladder rung";
         x.counter("rrp_level_served_total", help, &[("rung", rung)], served);
     }
-    let parts: Vec<&Metrics> = shared.shards.iter().map(|s| &s.metrics).collect();
-    write_request_ledger(&mut x, &snap.tenants, &parts);
+    write_request_ledger(&mut x, &fold);
     write_solver_ledger(&mut x, &shared.counters);
-    if let Some(view) = shared.slo_view() {
+    if let Some(view) = &fold.slo {
         view.write_metrics(&mut x);
     }
     if let (Some(rt), Some(ring)) = (&shared.prof, &shared.ring) {
@@ -528,8 +538,8 @@ pub(crate) fn render_metrics(shared: &Shared) -> String {
 /// Per-tenant counters and latency summaries from the request ledgers.
 /// Tenants are ranked by request volume, so a fold past the series cap
 /// keeps the busiest tenants and sums the rest into `__other__`.
-fn write_request_ledger(x: &mut Exposition, tenants: &[TenantSnapshot], parts: &[&Metrics]) {
-    let mut ranked: Vec<&TenantSnapshot> = tenants.iter().collect();
+fn write_request_ledger(x: &mut Exposition, fold: &Fold) {
+    let mut ranked: Vec<&TenantSnapshot> = fold.snapshot.tenants.iter().collect();
     ranked.sort_by(|a, b| b.requests.cmp(&a.requests).then_with(|| a.tenant.cmp(&b.tenant)));
     let families: [(&'static str, &'static str, fn(&TenantSnapshot) -> u64); 4] = [
         ("rrp_requests_total", "Requests completed, per tenant", |t| t.requests),
@@ -551,10 +561,9 @@ fn write_request_ledger(x: &mut Exposition, tenants: &[TenantSnapshot], parts: &
         x.counter_family(name, help, "tenant", &rows);
     }
 
-    let (request, rungs) = merged_latencies(parts);
-    let help = "Pickup-to-response latency (ms)";
+    let (request, help) = (&fold.request, "Pickup-to-response latency (ms)");
     x.summary("rrp_request_latency_ms", help, &[], &request.hist, request.sum_ms());
-    for (level, ledger) in DegradationLevel::ALL.into_iter().zip(&rungs) {
+    for (level, ledger) in DegradationLevel::ALL.into_iter().zip(&fold.rungs) {
         let help = "Wall-clock per degradation-ladder rung attempt (ms)";
         let labels = &[("rung", level.as_str())];
         x.summary("rrp_rung_latency_ms", help, labels, &ledger.hist, ledger.sum_ms());
@@ -605,13 +614,19 @@ fn level_index(level: DegradationLevel) -> usize {
 mod tests {
     use super::*;
 
+    /// What a scrape of `shards` reads as `/snapshot` (no SLO view).
+    fn snapshot(shards: &[ShardState], solver: &CounterSink, dropped: u64) -> MetricsSnapshot {
+        Fold::of(shards, solver, dropped, None).snapshot
+    }
+
     #[test]
     fn latency_quantiles_have_bounded_error() {
-        let m = Metrics::default();
+        let shard = [ShardState::new()];
+        let m = &shard[0].metrics;
         for i in 1..=100 {
             m.record(DegradationLevel::Full, Duration::from_millis(i), true);
         }
-        let snap = m.snapshot(&PlanCache::new(), &CounterSink::new(), 0);
+        let snap = snapshot(&shard, &CounterSink::new(), 0);
         // exact nearest-rank p50 of 1..=100 ms is 51 ms, p99 is 100 ms;
         // the log-bucket answers must land within the documented 9.05%
         assert!((snap.p50_latency_ms - 51.0).abs() / 51.0 <= 0.0906, "p50 {}", snap.p50_latency_ms);
@@ -624,13 +639,13 @@ mod tests {
 
     #[test]
     fn snapshot_serialises_to_json() {
-        let m = Metrics::default();
-        let cache = PlanCache::new();
+        let shard = [ShardState::new()];
+        let m = &shard[0].metrics;
         m.record(DegradationLevel::Full, Duration::from_millis(3), true);
         m.with_row("acme", |_, row, _| row.count(false, false, true));
         m.record(DegradationLevel::OnDemandOnly, Duration::from_millis(9), false);
         m.with_row("acme", |_, row, _| row.count(false, false, false));
-        let snap = m.snapshot(&cache, &CounterSink::new(), 7);
+        let snap = snapshot(&shard, &CounterSink::new(), 7);
         assert_eq!(snap.completed, 2);
         assert_eq!(snap.level_full, 1);
         assert_eq!(snap.level_on_demand_only, 1);
@@ -648,13 +663,13 @@ mod tests {
 
     #[test]
     fn rejections_complete_without_a_level() {
-        let m = Metrics::default();
-        let cache = PlanCache::new();
+        let shard = [ShardState::new()];
+        let m = &shard[0].metrics;
         m.record_audit();
         m.record(DegradationLevel::Deterministic, Duration::from_millis(2), true);
         m.record_audit();
         m.record_rejection(Duration::from_micros(40), true);
-        let snap = m.snapshot(&cache, &CounterSink::new(), 0);
+        let snap = snapshot(&shard, &CounterSink::new(), 0);
         assert_eq!(snap.audits, 2);
         assert_eq!(snap.audit_rejections, 1);
         assert_eq!(snap.completed, 2);
@@ -668,7 +683,7 @@ mod tests {
     #[test]
     fn snapshot_reads_solver_counters() {
         use rrp_trace::{Event, EventKind, Sink, SpanId};
-        let m = Metrics::default();
+        let shard = [ShardState::new()];
         let solver = CounterSink::new();
         let ev = |kind| Event { t_us: 0, worker: 0, span: SpanId::ROOT, kind };
         solver.emit(&ev(EventKind::NodeOpened { id: 1, depth: 0, bound: 0.0 }));
@@ -678,7 +693,7 @@ mod tests {
             nodes: 1,
             gap: 0.5,
         }));
-        let snap = m.snapshot(&PlanCache::new(), &solver, 0);
+        let snap = snapshot(&shard, &solver, 0);
         assert_eq!(snap.milp_nodes_total, 1);
         assert_eq!(snap.lp_iters_total, 17);
         assert!((snap.gap_at_timeout_p50 - 0.5).abs() / 0.5 <= 0.0906);
@@ -686,7 +701,8 @@ mod tests {
 
     #[test]
     fn queue_high_water_tracks_the_peak() {
-        let m = Metrics::default();
+        let shard = [ShardState::new()];
+        let m = &shard[0].metrics;
         for _ in 0..5 {
             m.enqueue();
         }
@@ -694,15 +710,15 @@ mod tests {
             m.dequeue();
         }
         m.enqueue();
-        let snap = m.snapshot(&PlanCache::new(), &CounterSink::new(), 0);
+        let snap = snapshot(&shard, &CounterSink::new(), 0);
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.queue_depth_high_water, 5);
     }
 
     #[test]
     fn merged_snapshot_sums_shards_and_keeps_per_shard_rows() {
-        let (m0, m1) = (Metrics::default(), Metrics::default());
-        let (c0, c1) = (PlanCache::new(), PlanCache::new());
+        let shards = [ShardState::new(), ShardState::new()];
+        let (m0, m1) = (&shards[0].metrics, &shards[1].metrics);
         m0.enqueue();
         // two fast completions in shard 0, one slow in shard 1: the merged
         // median sits strictly inside the fast bucket, away from the
@@ -718,7 +734,7 @@ mod tests {
         m1.with_row("b", |_, row, _| row.count(false, false, false));
         m1.record_busy();
         m1.dequeue();
-        let snap = merged_snapshot(&[(&m0, &c0), (&m1, &c1)], &CounterSink::new(), 0);
+        let snap = snapshot(&shards, &CounterSink::new(), 0);
         assert_eq!(snap.completed, 3);
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.queue_depth_high_water, 3, "sum of per-shard peaks (1 + 2)");
@@ -738,13 +754,14 @@ mod tests {
 
     #[test]
     fn tenant_table_folds_overflow_into_other() {
-        let m = Metrics::default();
+        let shard = [ShardState::new()];
+        let m = &shard[0].metrics;
         for i in 0..TENANT_TABLE_CAP + 10 {
             m.with_row(&format!("tenant-{i:03}"), |_, row, _| row.count(false, false, true));
         }
         // known tenants keep their own rows even after the cap is reached
         m.with_row("tenant-000", |_, row, _| row.count(true, false, true));
-        let snap = m.snapshot(&PlanCache::new(), &CounterSink::new(), 0);
+        let snap = snapshot(&shard, &CounterSink::new(), 0);
         assert_eq!(snap.tenants.len(), TENANT_TABLE_CAP + 1);
         let other =
             snap.tenants.iter().find(|t| t.tenant == TENANT_OVERFLOW).expect("overflow row exists");

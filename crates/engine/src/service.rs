@@ -37,7 +37,7 @@ use serde::Serialize;
 
 use crate::cache::{CacheEntry, PlanCache};
 use crate::ladder::{run_ladder_with, LadderConfig};
-use crate::metrics::{merged_snapshot, render_metrics, Metrics, MetricsSnapshot};
+use crate::metrics::{render_metrics, Fold, Metrics, MetricsSnapshot};
 use crate::request::{PlanRequest, PlanResponse, RungOutcome};
 use crate::shard::{shard_of, shard_readiness, Busy, ShardQueue, Wave};
 use crate::wire;
@@ -171,7 +171,7 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             cache: PlanCache::new(),
             metrics: Metrics::default(),
@@ -209,48 +209,22 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let dropped = self.event_sink.as_ref().map(|s| s.dropped_events()).unwrap_or(0);
-        let parts: Vec<(&Metrics, &PlanCache)> =
-            self.shards.iter().map(|s| (&s.metrics, &s.cache)).collect();
-        merged_snapshot(&parts, &self.counters, dropped)
+    /// The one scrape-time read of the engine: every shard visited once
+    /// ([`Fold::of`]), the SLO view folded at the trace clock's now.
+    pub(crate) fn fold(&self) -> Fold {
+        let dropped = self.event_sink.as_ref().map_or(0, |s| s.dropped_events());
+        let slo_now_us = self.slo.as_ref().map(|_| self.trace.now_us());
+        Fold::of(&self.shards, &self.counters, dropped, slo_now_us)
     }
 
-    /// The `/slo` view: every shard's tenant rows and SLO log, folded now.
-    pub(crate) fn slo_view(&self) -> Option<SloView> {
-        self.slo.as_ref()?;
-        let mut view = SloView::new(self.trace.now_us());
-        for shard in &self.shards {
-            shard.metrics.fold_slo(&mut view);
-        }
-        Some(view)
-    }
-
-    /// The post-mortem bundle's engine sections, in schema order.
+    /// The post-mortem bundle's engine sections, in schema order. The
+    /// `metrics` and `slo` sections come from one fold, so they agree.
     fn write_bundle_sections(&self, out: &mut String) {
+        let fold = self.fold();
         out.push_str(",\"metrics\":");
-        self.snapshot().serialize_json(out);
+        fold.snapshot.serialize_json(out);
         let _ = write!(out, ",\"inflight\":{},\"slo\":", self.inflight_json());
-        out.push_str(&self.slo_view().map_or_else(|| "null".to_string(), |v| v.status_json()));
-    }
-
-    pub(crate) fn cache_len(&self) -> usize {
-        self.shards.iter().map(|s| s.cache.len()).sum()
-    }
-
-    pub(crate) fn basis_cache_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.cache.basis_entries()).sum()
-    }
-
-    pub(crate) fn basis_cache_hit_rate(&self) -> f64 {
-        let hits: u64 = self.shards.iter().map(|s| s.cache.basis_hits()).sum();
-        let misses: u64 = self.shards.iter().map(|s| s.cache.basis_misses()).sum();
-        let lookups = hits + misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        }
+        out.push_str(&fold.slo.map_or_else(|| "null".to_string(), |v| v.status_json()));
     }
 
     /// The merged in-flight table as a JSON array (bundle + `/flight`
@@ -533,7 +507,7 @@ impl Engine {
 
     /// Point-in-time metrics snapshot (merged across shards).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.snapshot()
+        self.shared.fold().snapshot
     }
 
     /// Address the metrics server is listening on, when one is running —
@@ -559,19 +533,19 @@ impl Engine {
     /// Number of distinct fingerprints currently cached (summed across
     /// shards).
     pub fn cache_len(&self) -> usize {
-        self.shared.cache_len()
+        self.shared.fold().cache_entries
     }
 
     /// Problem shapes with a stored root basis (warm-start side-table,
     /// summed across shards).
     pub fn basis_cache_entries(&self) -> usize {
-        self.shared.basis_cache_entries()
+        self.shared.fold().basis_entries
     }
 
     /// Basis side-table hits over lookups (0 before any solve misses the
     /// plan cache).
     pub fn basis_cache_hit_rate(&self) -> f64 {
-        self.shared.basis_cache_hit_rate()
+        self.shared.fold().basis_hit_rate
     }
 
     /// Collapsed-stack profile accumulated so far (`path count` lines),
@@ -604,12 +578,12 @@ impl Engine {
     /// exemplar timelines), when the engine was built with
     /// [`EngineConfig::slo`].
     pub fn slo_status_json(&self) -> Option<String> {
-        self.shared.slo_view().map(|v| v.status_json())
+        self.slo().map(|v| v.status_json())
     }
 
     /// The SLO view folded across shards right now, when configured.
     pub fn slo(&self) -> Option<SloView> {
-        self.shared.slo_view()
+        self.shared.fold().slo
     }
 
     /// Feed one sim episode's planned vs realised cost into `tenant`'s
@@ -711,7 +685,7 @@ fn obs_hooks(
         metrics_text: Box::new(move || render_metrics(&metrics_shared)),
         snapshot_json: Box::new(move || {
             let mut out = String::with_capacity(512);
-            snapshot_shared.snapshot().serialize_json(&mut out);
+            snapshot_shared.fold().snapshot.serialize_json(&mut out);
             out
         }),
         readiness: Box::new(move || {
@@ -748,7 +722,7 @@ fn obs_hooks(
         },
         slo_json: if shared.slo.is_some() {
             Some(Box::new(move || {
-                slo_shared.slo_view().map(|v| v.status_json()).unwrap_or_default()
+                slo_shared.fold().slo.map(|v| v.status_json()).unwrap_or_default()
             }))
         } else {
             None

@@ -12,8 +12,8 @@ use std::time::Duration;
 
 use rrp_core::{CostSchedule, PlanningParams};
 use rrp_engine::{
-    Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, SloConfig, TENANT_OVERFLOW,
-    TENANT_TABLE_CAP,
+    shard_of, Engine, EngineConfig, MetricsConfig, PlanRequest, PolicyKind, SloConfig,
+    TENANT_OVERFLOW, TENANT_TABLE_CAP,
 };
 use rrp_obs::{Exposition, OVERFLOW_LABEL, SERIES_CAP};
 use rrp_spotmarket::CostRates;
@@ -113,6 +113,80 @@ fn slo_and_snapshot_share_one_tenant_table() {
         tenants.iter().map(deadline_miss).fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
     assert_eq!(events, snap.completed);
     assert_eq!(bad, snap.deadline_misses);
+}
+
+/// Named tenants live on their one `shard_of` shard, so a scrape merges
+/// only the shards' `__other__` rows. With every shard of a 4-shard
+/// engine past its table cap, `/snapshot`, `/slo` and each per-tenant
+/// `/metrics` family carry exactly one `__other__` row; its requests are
+/// the folded tenants' total, and the per-tenant request family sums to
+/// `completed`.
+#[test]
+fn other_rows_merge_once_across_shards() {
+    const SHARDS: usize = 4;
+    let engine = Engine::with_config(
+        SHARDS,
+        EngineConfig {
+            slo: Some(SloConfig::default()),
+            metrics: Some(MetricsConfig::default()),
+            ..Default::default()
+        },
+    );
+    // tenants in submission order until every shard has 8 past its cap
+    let (mut tenants, mut per_shard) = (Vec::new(), [0usize; SHARDS]);
+    while per_shard.iter().any(|&n| n < TENANT_TABLE_CAP + 8) {
+        let tenant = format!("t{:03}", tenants.len());
+        per_shard[shard_of(&tenant, SHARDS)] += 1;
+        tenants.push(tenant);
+    }
+    // one request each (a third miss their deadline, repeats on a shard
+    // hit its plan cache) and a gate rejection for every fourth tenant, so
+    // every per-tenant family has rows past the caps
+    let mut sent: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut reqs = Vec::new();
+    for (i, tenant) in tenants.iter().enumerate() {
+        reqs.push(request(tenant, i % 3 != 0));
+        if i % 4 == 0 {
+            let mut starved = request(tenant, true);
+            starved.params.capacity = Some(0.01);
+            reqs.push(starved);
+        }
+        *sent.entry(tenant).or_default() += 1 + u64::from(i % 4 == 0);
+    }
+    engine.run_batch(reqs);
+
+    let snap = engine.metrics();
+    assert_eq!(snap.completed, sent.values().sum::<u64>());
+    let named: BTreeSet<&str> =
+        snap.tenants.iter().map(|t| t.tenant.as_str()).filter(|&t| t != TENANT_OVERFLOW).collect();
+    assert_eq!(named.len(), SHARDS * TENANT_TABLE_CAP, "every shard's table is full");
+    let folded: u64 = sent.iter().filter(|(t, _)| !named.contains(*t)).map(|(_, n)| n).sum();
+    let other: Vec<_> = snap.tenants.iter().filter(|t| t.tenant == TENANT_OVERFLOW).collect();
+    assert_eq!(other.len(), 1, "/snapshot carries one __other__ row");
+    assert_eq!(other[0].requests, folded);
+
+    let slo: Vec<Value> =
+        slo_tenants(&engine).into_iter().filter(|t| name(t) == OVERFLOW_LABEL).collect();
+    assert_eq!(slo.len(), 1, "/slo carries one __other__ row");
+    assert_eq!(slo[0].get("requests").and_then(Value::as_u64), Some(folded));
+
+    let text = engine.render_metrics().expect("metrics armed");
+    let samples = rrp_obs::text::parse(&text).expect("exposition parses");
+    for family in [
+        "rrp_requests_total",
+        "rrp_deadline_miss_total",
+        "rrp_audit_rejections_total",
+        "rrp_cache_hits_total",
+    ] {
+        let rows = samples
+            .iter()
+            .filter(|s| s.name == family && s.label("tenant") == Some(OVERFLOW_LABEL))
+            .count();
+        assert_eq!(rows, 1, "{family} carries one __other__ series:\n{text}");
+    }
+    let requests: f64 =
+        samples.iter().filter(|s| s.name == "rrp_requests_total").map(|s| s.value).sum();
+    assert_eq!(requests as u64, snap.completed);
 }
 
 #[test]

@@ -165,6 +165,29 @@ fn deadline_storm_fires_one_alert_and_bundles_exemplar_timelines() {
         assert_eq!(tl.get("reason").and_then(Value::as_str), Some("deadline"));
     }
 
+    // the bundle's `metrics` and `slo` sections are one read of the
+    // ledgers: every tenant's requests are its deadline-miss events, and
+    // its deadline misses the objective's bad events
+    let section_tenants = |section: &str| -> Vec<Value> {
+        let tenants = bv.get(section).and_then(|s| s.get("tenants")).and_then(Value::as_array);
+        tenants.unwrap_or_else(|| panic!("bundle {section} section lists tenants")).to_vec()
+    };
+    let (mtenants, stenants) = (section_tenants("metrics"), section_tenants("slo"));
+    assert_eq!(mtenants.len(), stenants.len(), "both sections list the same tenants");
+    assert!(!mtenants.is_empty(), "the storm tenant is listed");
+    let field = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64);
+    for m in &mtenants {
+        let tenant = m.get("tenant").and_then(Value::as_str).expect("tenant name");
+        let s = stenants
+            .iter()
+            .find(|s| s.get("tenant").and_then(Value::as_str) == Some(tenant))
+            .unwrap_or_else(|| panic!("`{tenant}` missing from the slo section"));
+        let dm = &s.get("objectives").and_then(Value::as_array).expect("objectives")[0];
+        assert_eq!(dm.get("objective").and_then(Value::as_str), Some("deadline_miss"));
+        assert_eq!(field(m, "requests"), field(dm, "events"), "`{tenant}` requests");
+        assert_eq!(field(m, "deadline_misses"), field(dm, "bad"), "`{tenant}` misses");
+    }
+
     // the registry exports every rrp_slo_* family
     let rendered = engine.render_metrics().expect("metrics-enabled engine renders");
     for family in [

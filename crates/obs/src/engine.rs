@@ -6,8 +6,9 @@
 //! latency histogram, the last cost ratio), and each shard keeps one
 //! [`SloLog`] of retained exemplars and fired alerts beside it, all under
 //! the shard's one tenant lock. `/slo`, the `rrp_slo_*` families and the
-//! post-mortem bundle's `slo` section are renders of an [`SloView`] folded
-//! from those rows at scrape time — no event is aggregated twice.
+//! post-mortem bundle's `slo` section are renders of an [`SloView`] that an
+//! [`SloFold`] builds from those rows at scrape time, one shard at a time —
+//! no event is aggregated twice.
 //!
 //! Budgets are *bad-event fractions*: a deadline-miss budget of 0.01
 //! promises 99% of requests meet their deadline. Burn rate is the observed
@@ -495,8 +496,7 @@ impl SloRow {
 }
 
 /// The scrape-time SLO view: every shard's tenant rows and [`SloLog`]
-/// folded at `now_us`. Named tenants live on one shard, so their rows are
-/// exact; `__other__` rows are summed across shards.
+/// folded at `now_us` by an [`SloFold`].
 #[derive(Clone, Default)]
 pub struct SloView {
     now_us: u64,
@@ -511,38 +511,61 @@ pub struct SloView {
     dropped: u64,
 }
 
-impl SloView {
+/// Builds an [`SloView`] one shard at a time, each shard's rows and log
+/// read once, and ranks once in [`SloFold::finish`]. Named tenants live on
+/// one shard, so their rows are exact; only the shards' `__other__` rows
+/// meet, and they are summed.
+pub struct SloFold {
+    view: SloView,
+    other: Option<SloRow>,
+}
+
+impl SloFold {
     pub fn new(now_us: u64) -> Self {
-        Self { now_us, ..Self::default() }
+        Self { view: SloView { now_us, ..SloView::default() }, other: None }
     }
 
-    /// Fold one shard's ledger rows and log into the view.
+    /// Fold one shard's ledger rows and log.
     pub fn add_shard<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (&'a str, &'a TenantSlo)>,
         log: &SloLog,
     ) {
+        let view = &mut self.view;
         for (tenant, st) in rows {
-            let row = st.row(tenant, self.now_us);
-            match self.rows.iter_mut().find(|r| r.tenant == tenant) {
-                Some(r) => r.merge(&row),
-                None => self.rows.push(row),
+            let row = st.row(tenant, view.now_us);
+            if tenant != OVERFLOW_LABEL {
+                view.rows.push(row);
+            } else if let Some(other) = &mut self.other {
+                other.merge(&row);
+            } else {
+                self.other = Some(row);
             }
         }
-        self.rows.sort_by(|a, b| b.volume().cmp(&a.volume()).then_with(|| a.tenant.cmp(&b.tenant)));
-        self.alerts_total += log.alerts_total;
-        self.retained += log.retained;
-        self.dropped += log.dropped;
-        self.exemplars.extend(log.exemplars.iter().cloned());
-        self.exemplars.sort_by_key(|e| e.t_us);
-        let evicted = self.exemplars.len().saturating_sub(MAX_EXEMPLARS);
-        self.exemplars.drain(..evicted);
-        self.dropped += evicted as u64;
-        self.alerts.extend(log.alerts.iter().cloned());
-        self.alerts.sort_by_key(|a| a.t_us);
-        self.alerts.drain(..self.alerts.len().saturating_sub(MAX_ALERTS));
+        view.alerts_total += log.alerts_total;
+        view.retained += log.retained;
+        view.dropped += log.dropped;
+        view.exemplars.extend(log.exemplars.iter().cloned());
+        view.alerts.extend(log.alerts.iter().cloned());
     }
 
+    /// Rank the rows and keep the newest exemplars and alerts; exemplars
+    /// past the store cap count as dropped.
+    pub fn finish(self) -> SloView {
+        let Self { mut view, other } = self;
+        view.rows.extend(other);
+        view.rows.sort_by(|a, b| b.volume().cmp(&a.volume()).then_with(|| a.tenant.cmp(&b.tenant)));
+        view.exemplars.sort_by_key(|e| e.t_us);
+        let evicted = view.exemplars.len().saturating_sub(MAX_EXEMPLARS);
+        view.exemplars.drain(..evicted);
+        view.dropped += evicted as u64;
+        view.alerts.sort_by_key(|a| a.t_us);
+        view.alerts.drain(..view.alerts.len().saturating_sub(MAX_ALERTS));
+        view
+    }
+}
+
+impl SloView {
     /// Alerts fired since start (including ones evicted from the bounded
     /// alert list).
     pub fn alerts_total(&self) -> u64 {
@@ -857,10 +880,17 @@ mod tests {
         }
 
         fn view(&self) -> SloView {
-            let mut view = SloView::new(self.now_us);
-            view.add_shard(self.rows.iter().map(|(k, v)| (k.as_str(), v)), &self.log);
-            view
+            fold(self.now_us, &[self])
         }
+    }
+
+    /// The view a scrape at `now_us` folds from `shards`.
+    fn fold(now_us: u64, shards: &[&Shard]) -> SloView {
+        let mut fold = SloFold::new(now_us);
+        for s in shards {
+            fold.add_shard(s.rows.iter().map(|(k, v)| (k.as_str(), v)), &s.log);
+        }
+        fold.finish()
     }
 
     #[test]
@@ -944,10 +974,7 @@ mod tests {
             b.done(i * 1_000, OVERFLOW_LABEL, 10 + i, true);
         }
         b.done(9_000, "named", 20, true);
-        let mut view = SloView::new(9_000);
-        for s in [&a, &b] {
-            view.add_shard(s.rows.iter().map(|(k, v)| (k.as_str(), v)), &s.log);
-        }
+        let view = fold(9_000, &[&a, &b]);
         let v: serde_json::Value = serde_json::from_str(&view.status_json()).expect("valid JSON");
         let tenants = v.get("tenants").and_then(|t| t.as_array()).expect("tenants");
         assert_eq!(tenants.len(), 2, "one __other__ row, one named");
@@ -1027,10 +1054,7 @@ mod tests {
                 recorder.trigger("slo_burn_rate");
             }
         }
-        let mut view = SloView::new(52_000);
-        for s in [&a, &b] {
-            view.add_shard(s.rows.iter().map(|(k, v)| (k.as_str(), v)), &s.log);
-        }
+        let view = fold(52_000, &[&a, &b]);
         assert_golden("slo_status.json", &view.status_json());
         let mut x = Exposition::default();
         view.write_metrics(&mut x);

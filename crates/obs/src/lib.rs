@@ -5,8 +5,9 @@
 //! *where the time went*, *what state the engine was in when it fell
 //! over*, and *is each tenant getting the service it was promised* —
 //! with std-only parts that keep no ledger of their own: every scrape
-//! body is a render of the engine's per-shard ledgers and its one
-//! lifecycle [`FlightRing`].
+//! body is a render of the engine's per-shard ledgers, each shard read
+//! once per scrape under one acquisition of its tenant lock, and of its
+//! one lifecycle [`FlightRing`].
 //!
 //! * **Exposition builder** ([`Exposition`]) — counters, gauges, and
 //!   `LogHistogram`-fed summaries keyed by `(name, label-set)`, written by
@@ -38,7 +39,9 @@
 //!   alerting, and a tail sampler that keeps only the requests that
 //!   breach an objective or land in the latency tail, each with its span
 //!   subtree cut from the ring. Budgets, windows and burn thresholds are
-//!   fixed; only [`SloConfig::latency_slo_ms`] is set per engine.
+//!   fixed; only [`SloConfig::latency_slo_ms`] is set per engine. An
+//!   [`SloFold`] reads each shard's rows and log once, sums the shards'
+//!   `__other__` rows and ranks the view once, after the last shard.
 //!
 //! Every lock here recovers a poisoned guard: everything this crate
 //! protects is observational, and a panicking instrumented thread must
@@ -65,7 +68,9 @@ pub mod server;
 pub mod text;
 mod window;
 
-pub use engine::{Alert, Done, SloConfig, SloLog, SloView, TenantSlo, MAX_EXEMPLAR_EVENTS};
+pub use engine::{
+    Alert, Done, SloConfig, SloFold, SloLog, SloView, TenantSlo, MAX_EXEMPLAR_EVENTS,
+};
 pub use flight::{install_panic_hook, FlightRecorder, FlightRing, ProfConfig};
 pub use profiler::{Profiler, SamplerShared};
 pub use registry::{Exposition, OVERFLOW_LABEL, SERIES_CAP};
