@@ -33,7 +33,6 @@ pub mod eval;
 pub mod fallback;
 pub mod fingerprint;
 pub mod policy;
-pub mod portfolio;
 pub mod reservation;
 pub mod rolling;
 pub mod sampling;

@@ -31,18 +31,26 @@ impl<V> BoundedMap<V> {
     /// Insert, evicting the oldest entry when a *new* key would exceed
     /// the cap. Replacing an existing key never evicts. Returns the
     /// number of entries evicted (0 or 1).
+    ///
+    /// The eviction comes before the insert, so `order` never holds more
+    /// than `cap` keys and its buffer never doubles past the cap.
     pub fn insert(&mut self, key: u64, value: V) -> usize {
-        if self.map.insert(key, value).is_none() {
-            self.order.push_back(key);
+        if let Some(slot) = self.map.get_mut(&key) {
+            *slot = value;
+            return 0;
+        }
+        if self.cap == 0 {
+            return 1; // the new entry is evicted as it arrives
         }
         let mut evicted = 0;
-        while self.order.len() > self.cap {
+        if self.order.len() >= self.cap {
             if let Some(old) = self.order.pop_front() {
-                if self.map.remove(&old).is_some() {
-                    evicted += 1;
-                }
+                self.map.remove(&old);
+                evicted = 1;
             }
         }
+        self.order.push_back(key);
+        self.map.insert(key, value);
         evicted
     }
 
@@ -94,6 +102,18 @@ mod tests {
             assert!(m.len() <= 16);
         }
         assert_eq!(m.len(), 16);
+    }
+
+    #[test]
+    fn order_buffer_never_grows_past_the_plan_cache_cap() {
+        let cap = crate::cache::PLAN_CACHE_CAP;
+        let mut m = BoundedMap::new(cap);
+        for k in 0..3 * cap as u64 {
+            m.insert(k, ());
+        }
+        assert_eq!(m.len(), cap);
+        let slots = m.order.capacity();
+        assert!(slots < 2 * cap, "order buffer grew to {slots} slots");
     }
 
     #[test]

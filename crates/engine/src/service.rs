@@ -315,18 +315,6 @@ impl Ticket {
     pub fn wait(self) -> PlanResponse {
         self.rx.recv().expect("planning worker dropped the request (it panicked — see stderr)")
     }
-
-    /// Non-blocking completion probe: `None` while the response is
-    /// outstanding. Same panic contract as [`Ticket::wait`].
-    pub fn try_wait(&self) -> Option<PlanResponse> {
-        match self.rx.try_recv() {
-            Ok(resp) => Some(resp),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                panic!("planning worker dropped the request (it panicked — see stderr)")
-            }
-        }
-    }
 }
 
 /// A concurrent multi-tenant planning service. Submit [`PlanRequest`]s

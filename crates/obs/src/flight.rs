@@ -14,6 +14,13 @@
 //! (`min_dump_interval_ms`): one incident produces one bundle, not one
 //! per symptom.
 //!
+//! The ring's memory is bounded by its event cap: 16 384 slots of
+//! `size_of::<Event>()` (104 B) ≈ 1.7 MB of deque buffer, plus the
+//! strings some events own. The bound holds because [`FlightRing`]
+//! evicts before it inserts, the rule every capped FIFO in the workspace
+//! follows: a push at the cap asks the `VecDeque` for cap + 1 slots, and
+//! its doubling growth then allocates 2 × cap.
+//!
 //! Dumping happens inline on the triggering thread. That is a deliberate
 //! trade: triggers are rare by construction (debounced, spike-gated) and
 //! the dump is a bounded serialisation + one file write, so pausing the
@@ -78,7 +85,9 @@ impl Default for ProfConfig {
 }
 
 /// Bounded ring of recent lifecycle events: pruned to 30 s of trace time
-/// and capped at 16 384 events (cap evictions are counted).
+/// and capped at 16 384 events (cap evictions are counted). `emit`
+/// evicts before it pushes, so the buffer never grows past the cap:
+/// 16 384 × 104 B ≈ 1.7 MB.
 pub struct FlightRing {
     seconds: u64,
     cap: usize,
@@ -102,9 +111,10 @@ impl FlightRing {
         }
     }
 
-    /// A ring with test-sized bounds.
+    /// A ring with test-sized bounds; `cap` must be positive.
     #[cfg(test)]
     fn with_bounds(seconds: u64, cap: usize) -> Self {
+        assert!(cap > 0, "a flight ring holds at least one event");
         Self { seconds, cap, ..Self::new() }
     }
 
@@ -183,17 +193,20 @@ impl Sink for FlightRing {
             | EventKind::GapSample { .. } => return,
             _ => {}
         }
-        let mut ring = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        ring.push_back(ev.clone());
+        let ev = ev.clone();
         let horizon = ev.t_us.saturating_sub(self.seconds * 1_000_000);
+        let mut ring = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         while ring.front().is_some_and(|e| e.t_us < horizon) {
             ring.pop_front();
         }
-        while ring.len() > self.cap {
+        // Evict before inserting: a push at the cap would make room for
+        // cap + 1 events, and the deque would double its buffer to do so.
+        while ring.len() >= self.cap {
             ring.pop_front();
             // relaxed-ok: telemetry counter
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
+        ring.push_back(ev);
     }
 }
 
@@ -520,6 +533,79 @@ mod tests {
         // an event far in the future ages everything else out
         ring.emit(&done(10_000_000, 99));
         assert_eq!(ring.len(), 1, "retention horizon pruned the rest");
+    }
+
+    #[test]
+    fn ring_buffer_never_grows_past_its_cap() {
+        let ring = FlightRing::new();
+        for i in 0..3 * RING_EVENTS as u64 {
+            ring.emit(&done(i, i + 1));
+        }
+        assert_eq!(ring.len(), RING_EVENTS);
+        assert_eq!(ring.dropped(), 2 * RING_EVENTS as u64);
+        let slots = ring.events.lock().unwrap().capacity();
+        assert!(slots < 2 * RING_EVENTS, "ring buffer grew to {slots} slots");
+    }
+
+    /// The ring's earlier rule, kept as the reference model: push, prune
+    /// by the horizon, then pop (counted) while over the cap.
+    struct PushThenPrune {
+        seconds: u64,
+        cap: usize,
+        events: VecDeque<Event>,
+        dropped: u64,
+    }
+
+    impl PushThenPrune {
+        fn emit(&mut self, ev: &Event) {
+            self.events.push_back(ev.clone());
+            let horizon = ev.t_us.saturating_sub(self.seconds * 1_000_000);
+            while self.events.front().is_some_and(|e| e.t_us < horizon) {
+                self.events.pop_front();
+            }
+            while self.events.len() > self.cap {
+                self.events.pop_front();
+                self.dropped += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn evict_first_matches_push_then_prune_event_for_event() {
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move |n: u64| {
+            // xorshift64: a seeded stream, identical on every run
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for cap in [1, 2, 3, 8, 33] {
+            let ring = FlightRing::with_bounds(1, cap);
+            let mut model = PushThenPrune { seconds: 1, cap, events: VecDeque::new(), dropped: 0 };
+            let mut t = 0u64;
+            for span in 1..=4_000u64 {
+                t = match next(64) {
+                    0 => t + 1_000_000 + next(2_000_000), // jump past the horizon
+                    1 => t.saturating_sub(next(5_000)),   // a racing worker lane
+                    _ => t + next(40_000),
+                };
+                let e = match next(4) {
+                    0 => open(t, span, "request", next(span)),
+                    1 => ev(t, span, EventKind::Enqueued),
+                    2 => ev(t, next(span), EventKind::SpanClose),
+                    _ => done(t, span),
+                };
+                ring.emit(&e);
+                model.emit(&e);
+                let kept = ring.events.lock().unwrap();
+                assert!(kept.iter().eq(model.events.iter()), "cap {cap}: rings diverge at {span}");
+                assert_eq!(ring.dropped(), model.dropped, "cap {cap}: dropped diverges at {span}");
+            }
+            assert!(model.dropped > 0, "cap {cap}: the stream never hit the cap");
+            let kept = model.events.len() as u64;
+            assert!(kept + model.dropped < 4_000, "cap {cap}: the horizon never pruned");
+        }
     }
 
     #[test]
