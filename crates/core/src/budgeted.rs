@@ -19,15 +19,6 @@ pub enum PlanOutcome<P> {
 }
 
 impl<P> PlanOutcome<P> {
-    /// The plan carried by this outcome, if any (optimal or incumbent).
-    pub fn into_plan(self) -> Option<P> {
-        match self {
-            PlanOutcome::Optimal(p) => Some(p),
-            PlanOutcome::Terminated { plan, .. } => plan,
-            PlanOutcome::Failed(_) => None,
-        }
-    }
-
     pub fn is_optimal(&self) -> bool {
         matches!(self, PlanOutcome::Optimal(_))
     }

@@ -66,11 +66,6 @@ impl CostSchedule {
     pub fn transfer_out_constant(&self) -> f64 {
         self.out.iter().zip(&self.demand).map(|(o, d)| o * d).sum()
     }
-
-    /// Total demand over the horizon.
-    pub fn total_demand(&self) -> f64 {
-        self.demand.iter().sum()
-    }
 }
 
 /// Structural parameters of the planning model.

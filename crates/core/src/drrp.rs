@@ -290,18 +290,6 @@ pub(crate) fn plan_from_decisions(
 }
 
 impl RentalPlan {
-    /// Price a complete decision set under a schedule — the public face of
-    /// `plan_from_decisions` for other crates (the planning engine builds
-    /// committed plans from SRRP tree paths and fallback constructions).
-    pub fn from_decisions(
-        s: &CostSchedule,
-        alpha: Vec<f64>,
-        beta: Vec<f64>,
-        chi: Vec<bool>,
-    ) -> Self {
-        plan_from_decisions(s, alpha, beta, chi)
-    }
-
     /// Check inventory-balance feasibility against a schedule.
     pub fn is_feasible(&self, s: &CostSchedule, params: &PlanningParams, tol: f64) -> bool {
         let mut inv = params.initial_inventory;

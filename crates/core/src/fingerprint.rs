@@ -64,10 +64,6 @@ impl Fnv64 {
         self.write_u64(v as u64);
     }
 
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
-    }
-
     /// Hash a float by canonical bit pattern: `-0.0 ≡ 0.0`, all NaNs equal.
     pub fn write_f64(&mut self, v: f64) {
         let canon = if v.is_nan() {

@@ -16,7 +16,6 @@
 
 use rrp_milp::{MilpOptions, MilpStatus};
 
-use crate::cost::{CostSchedule, PlanningParams};
 use crate::srrp::SrrpProblem;
 use crate::wagner_whitin;
 
@@ -121,19 +120,10 @@ pub fn expected_cost_of_committed_plan(problem: &SrrpProblem, alpha: &[f64], chi
     cost
 }
 
-/// Build an SRRP problem suitable for these measures (convenience used by
-/// examples and benches).
-pub fn build_problem(
-    schedule: CostSchedule,
-    params: PlanningParams,
-    tree: crate::scenario::ScenarioTree,
-) -> SrrpProblem {
-    SrrpProblem::new(schedule, params, tree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{CostSchedule, PlanningParams};
     use crate::scenario::ScenarioTree;
     use rrp_spotmarket::{CostRates, EmpiricalDist};
 

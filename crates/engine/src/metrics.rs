@@ -141,8 +141,10 @@ pub struct MetricsSnapshot {
     pub gap_at_timeout_p50: f64,
     /// Highest queue depth observed since the engine started.
     pub queue_depth_high_water: usize,
-    /// Events the engine's trace sink discarded under pressure (e.g. a
-    /// full [`rrp_trace::RingSink`]); 0 when tracing is off or lossless.
+    /// Events the engine's trace pipeline discarded under pressure: the
+    /// cap evictions of its [`rrp_obs::FlightRing`] plus whatever an
+    /// external sink (e.g. a full [`rrp_trace::RingSink`]) reports; 0 when
+    /// tracing is off or lossless.
     pub trace_dropped_events: u64,
     /// Per-tenant request accounting, sorted by tenant id. Bounded at
     /// [`TENANT_TABLE_CAP`] rows plus one [`TENANT_OVERFLOW`] row per

@@ -3,23 +3,26 @@
 //! shape.
 //!
 //! Tenant state (plan cache, basis side-table, the request ledger and its
-//! SLO rows, in-flight table) splits into one `ShardState` per worker,
+//! SLO rows, in-flight slot) splits into one `ShardState` per worker,
 //! requests hash to their tenant's shard ([`shard_of`]), and each worker
 //! exclusively owns its shard: the hot submit/complete path touches only
 //! shard-local locks. Per-shard queues are bounded by admission control
 //! ([`Engine::try_submit`] refuses over the high-water mark with a [`Busy`]
 //! carrying a `Retry-After` hint) and batch-drained, so a burst of `n`
-//! submissions costs one worker wakeup; [`Engine::run_batch`] completes
-//! through a `Wave`, so a burst of `n` completions costs one submitter
-//! wakeup. `Engine::new(1)` is the same machine with a single shard — the
-//! oracle the `shard_equiv` test holds wider engines against.
+//! submissions costs one worker wakeup.
+//!
+//! Every reply goes one way: the worker files it into a slot of a `Wave`
+//! the moment its job finishes. A [`Ticket`] (from [`Engine::submit`],
+//! [`Engine::try_submit`] or the HTTP `/plan` intake) is a one-slot wave;
+//! [`Engine::run_batch`] waits on one n-slot wave, so a burst of `n`
+//! completions costs one submitter wakeup. `Engine::new(1)` is the same
+//! machine with a single shard — the oracle the `shard_equiv` test holds
+//! wider engines against.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -119,16 +122,10 @@ impl Default for ShardConfig {
     }
 }
 
-/// Where a job's response goes: a per-request channel ([`Ticket`]) or one
-/// slot of a batched [`Wave`].
-enum ReplyTo {
-    Channel(Sender<PlanResponse>),
-    Wave { wave: Arc<Wave<PlanResponse>>, idx: usize },
-}
-
 struct Job {
     req: PlanRequest,
-    reply: ReplyTo,
+    /// The wave and slot the response is filed into.
+    reply: (Arc<Wave<PlanResponse>>, usize),
     /// The request's trace span, opened at submission.
     span: SpanId,
 }
@@ -143,12 +140,11 @@ pub(crate) struct ProfRuntime {
     pub(crate) flight: Arc<FlightRecorder>,
 }
 
-/// One row of the in-flight request table: what each worker is chewing on
-/// right now, serialised into post-mortem bundles so a dump answers "what
-/// was running when it died".
+/// What a shard's worker is chewing on right now, serialised into
+/// post-mortem bundles so a dump answers "what was running when it died".
 struct InflightEntry {
     /// Engine-assigned request id — the same id the request's
-    /// `RequestDone` event carries, so the in-flight table, the flight
+    /// `RequestDone` event carries, so the in-flight slot, the flight
     /// ring and the SLO exemplars agree on identity.
     request_id: u64,
     tenant: String,
@@ -163,20 +159,16 @@ struct InflightEntry {
 pub(crate) struct ShardState {
     pub(crate) cache: PlanCache,
     pub(crate) metrics: Metrics,
-    /// In-flight request table, maintained only while profiling is on
-    /// (bounded by worker count: one entry per request being processed).
+    /// The request the shard's one worker is processing, maintained only
+    /// while profiling is on (a worker runs one request at a time).
     /// Observational, so every site recovers a poisoned guard: a worker
-    /// that panicked mid-insert must not wedge post-mortem dumps.
-    inflight: Mutex<HashMap<u64, InflightEntry>>,
+    /// that panicked mid-request must not wedge post-mortem dumps.
+    inflight: Mutex<Option<InflightEntry>>,
 }
 
 impl ShardState {
     pub(crate) fn new() -> Self {
-        Self {
-            cache: PlanCache::new(),
-            metrics: Metrics::default(),
-            inflight: Mutex::new(HashMap::new()),
-        }
+        Self { cache: PlanCache::new(), metrics: Metrics::default(), inflight: Mutex::new(None) }
     }
 }
 
@@ -204,7 +196,7 @@ pub(crate) struct Shared {
     /// SLO options; `Some` gives every tenant row its SLO ledger.
     slo: Option<SloConfig>,
     /// Engine-assigned request ids, stamped into every `RequestDone`
-    /// event (and the in-flight table) whether or not profiling is on.
+    /// event (and the in-flight slot) whether or not profiling is on.
     next_request_id: AtomicU64,
 }
 
@@ -227,15 +219,15 @@ impl Shared {
         out.push_str(&fold.slo.map_or_else(|| "null".to_string(), |v| v.status_json()));
     }
 
-    /// The merged in-flight table as a JSON array (bundle + `/flight`
-    /// fodder). Each shard's table is read under its own short lock.
+    /// Every shard's in-flight request as a JSON array, oldest first
+    /// (bundle + `/flight` fodder). Each slot is read under its own short
+    /// lock.
     fn inflight_json(&self) -> String {
         let mut rows: Vec<(u64, String, &'static str, u64, Instant)> = Vec::new();
         for shard in &self.shards {
-            let table = shard.inflight.lock().unwrap_or_else(PoisonError::into_inner);
+            let slot = shard.inflight.lock().unwrap_or_else(PoisonError::into_inner);
             rows.extend(
-                table
-                    .values()
+                slot.iter()
                     .map(|e| (e.request_id, e.tenant.clone(), e.level, e.deadline_ms, e.started)),
             );
         }
@@ -263,45 +255,39 @@ impl Shared {
     }
 }
 
-/// RAII row in the in-flight table: inserted when a worker picks a
-/// request up, removed on every exit path (panics included — the drop
-/// runs during the worker's `catch_unwind`).
-struct InflightGuard<'a> {
-    state: &'a ShardState,
-    id: Option<u64>,
-}
+/// RAII fill of a shard's in-flight slot: set when the worker picks a
+/// request up, cleared on every exit path (panics included — the drop
+/// runs during the worker's `catch_unwind`). `None` when profiling is off.
+struct InflightGuard<'a>(Option<&'a ShardState>);
 
 impl<'a> InflightGuard<'a> {
     fn track(state: &'a ShardState, enabled: bool, req: &PlanRequest, request_id: u64) -> Self {
         if !enabled {
-            return Self { state, id: None };
+            return Self(None);
         }
-        state.inflight.lock().unwrap_or_else(PoisonError::into_inner).insert(
+        *state.inflight.lock().unwrap_or_else(PoisonError::into_inner) = Some(InflightEntry {
             request_id,
-            InflightEntry {
-                request_id,
-                tenant: req.app_id.clone(),
-                level: req.policy.start_level().as_str(),
-                deadline_ms: req.deadline.as_millis() as u64,
-                started: Instant::now(),
-            },
-        );
-        Self { state, id: Some(request_id) }
+            tenant: req.app_id.clone(),
+            level: req.policy.start_level().as_str(),
+            deadline_ms: req.deadline.as_millis() as u64,
+            started: Instant::now(),
+        });
+        Self(Some(state))
     }
 }
 
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
-        if let Some(id) = self.id {
-            self.state.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
+        if let Some(state) = self.0 {
+            *state.inflight.lock().unwrap_or_else(PoisonError::into_inner) = None;
         }
     }
 }
 
-/// Handle to one submitted request; [`Ticket::wait`] blocks for the
-/// response.
+/// Handle to one submitted request — a one-slot wave; [`Ticket::wait`]
+/// blocks for the response.
 pub struct Ticket {
-    rx: Receiver<PlanResponse>,
+    wave: Arc<Wave<PlanResponse>>,
 }
 
 impl Ticket {
@@ -313,7 +299,8 @@ impl Ticket {
     /// the gate's validation — and the panic message is on that worker's
     /// stderr. The worker survives and serves the next request.
     pub fn wait(self) -> PlanResponse {
-        self.rx.recv().expect("planning worker dropped the request (it panicked — see stderr)")
+        let reply = self.wave.wait().ok().and_then(|mut slot| slot.pop());
+        reply.expect("planning worker dropped the request (it panicked — see stderr)")
     }
 }
 
@@ -448,32 +435,30 @@ impl Engine {
     /// trusted in-process path is never refused — HTTP and other untrusted
     /// intakes go through [`Engine::try_submit`] instead.
     pub fn submit(&self, req: PlanRequest) -> Ticket {
-        let (reply, rx) = channel();
-        let (s, job) = new_job(&self.shared, req, ReplyTo::Channel(reply));
-        self.queues[s].push(job);
-        Ticket { rx }
+        let wave = Arc::new(Wave::new(1));
+        let (s, job) = new_job(&self.shared, req, (Arc::clone(&wave), 0));
+        self.queues[s].push_batch([job]);
+        Ticket { wave }
     }
 
     /// Enqueue with admission control: the request is refused with [`Busy`]
     /// when its tenant's shard queue is at or over the high-water mark.
     pub fn try_submit(&self, req: PlanRequest) -> Result<Ticket, Busy> {
-        let (reply, rx) = channel();
-        try_submit(&self.shared, &self.queues, req, ReplyTo::Channel(reply)).map(|()| Ticket { rx })
+        try_submit(&self.shared, &self.queues, req).map(|wave| Ticket { wave })
     }
 
     /// Submit a batch and wait for all responses, preserving input order.
     ///
     /// Per-job accounting (enqueue gauge, span) stays per job, but each
     /// shard's slice of the batch lands in its queue under one lock and at
-    /// most one wakeup, and the whole batch completes through one `Wave`
-    /// — a single submitter wakeup for `n` responses instead of `n` channel
-    /// wakeups.
+    /// most one wakeup, and the whole batch completes through one n-slot
+    /// `Wave` — a single submitter wakeup for `n` responses. Panics if a
+    /// worker panicked on any of them.
     pub fn run_batch(&self, reqs: Vec<PlanRequest>) -> Vec<PlanResponse> {
         let wave = Arc::new(Wave::new(reqs.len()));
         let mut per_shard: Vec<Vec<Job>> = (0..self.queues.len()).map(|_| Vec::new()).collect();
         for (idx, req) in reqs.into_iter().enumerate() {
-            let reply = ReplyTo::Wave { wave: Arc::clone(&wave), idx };
-            let (s, job) = new_job(&self.shared, req, reply);
+            let (s, job) = new_job(&self.shared, req, (Arc::clone(&wave), idx));
             per_shard[s].push(job);
         }
         for (queue, jobs) in self.queues.iter().zip(per_shard) {
@@ -481,11 +466,13 @@ impl Engine {
                 queue.push_batch(jobs);
             }
         }
-        wave.wait()
-    }
-
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        let responses = wave.wait();
+        let poisoned = responses.as_ref().map_or_else(|&n| n, |_| 0);
+        assert!(
+            poisoned == 0,
+            "planning worker dropped {poisoned} request(s) mid-wave (it panicked — see stderr)"
+        );
+        responses.unwrap_or_default()
     }
 
     /// Number of state shards (= workers).
@@ -620,7 +607,11 @@ impl Drop for Engine {
 /// Every submission's preamble: account the enqueue on the tenant's shard,
 /// open the request span, emit `Enqueued`. Returns the shard index and the
 /// job to hand to that shard's queue.
-fn new_job(shared: &Shared, req: PlanRequest, reply: ReplyTo) -> (usize, Job) {
+fn new_job(
+    shared: &Shared,
+    req: PlanRequest,
+    reply: (Arc<Wave<PlanResponse>>, usize),
+) -> (usize, Job) {
     let s = shard_of(&req.app_id, shared.shards.len());
     shared.shards[s].metrics.enqueue();
     let span = shared.trace.open_span("request", SpanId::ROOT);
@@ -629,16 +620,17 @@ fn new_job(shared: &Shared, req: PlanRequest, reply: ReplyTo) -> (usize, Job) {
 }
 
 /// Admission-controlled submission: refused with [`Busy`] when the
-/// tenant's shard queue is at or over its high-water mark. Shared by
-/// [`Engine::try_submit`] and the HTTP `/plan` intake.
+/// tenant's shard queue is at or over its high-water mark, else the
+/// one-slot wave the reply will land in. Shared by [`Engine::try_submit`]
+/// and the HTTP `/plan` intake.
 fn try_submit(
     shared: &Shared,
     queues: &[Arc<ShardQueue<Job>>],
     req: PlanRequest,
-    reply: ReplyTo,
-) -> Result<(), Busy> {
-    let (s, job) = new_job(shared, req, reply);
-    queues[s].try_push(job).map_err(|(job, busy)| {
+) -> Result<Arc<Wave<PlanResponse>>, Busy> {
+    let wave = Arc::new(Wave::new(1));
+    let (s, job) = new_job(shared, req, (Arc::clone(&wave), 0));
+    queues[s].try_push(job).map(|()| wave).map_err(|(job, busy)| {
         // undo the optimistic enqueue (the +1 in `new_job` covers this −1,
         // so the depth gauge never underflows) and account the refusal
         let state = &shared.shards[s];
@@ -723,22 +715,25 @@ fn obs_hooks(
                     return PlanDecision::Reject { status: 400, body: wire::error_json(&msg) }
                 }
             };
-            let (reply, rx) = channel();
-            match try_submit(&plan_shared, &queues, req, ReplyTo::Channel(reply)) {
+            match try_submit(&plan_shared, &queues, req) {
                 Err(busy) => PlanDecision::Busy {
                     retry_after_ms: busy.retry_after_ms,
                     body: wire::busy_json(&busy),
                 },
-                Ok(()) => PlanDecision::Accepted(Box::new(move || match rx.try_recv() {
-                    Ok(resp) => Some((200, wire::plan_response_json(&resp))),
-                    Err(TryRecvError::Empty) => None,
-                    Err(TryRecvError::Disconnected) => {
-                        Some((500, wire::WORKER_FAILED_BODY.to_string()))
-                    }
-                })),
+                Ok(wave) => PlanDecision::Accepted(Box::new(move || plan_reply(&wave))),
             }
         })),
     }
+}
+
+/// The `/plan` probe over a one-slot wave: `None` while the worker runs,
+/// then 200 with the plan, or 500 when the worker panicked on the body.
+fn plan_reply(wave: &Wave<PlanResponse>) -> Option<(u16, String)> {
+    let reply = wave.try_take()?;
+    Some(match reply.ok().and_then(|mut slot| slot.pop()) {
+        Some(resp) => (200, wire::plan_response_json(&resp)),
+        None => (500, wire::WORKER_FAILED_BODY.to_string()),
+    })
 }
 
 /// Key for the basis side-table: tenant identity, horizon and whether the
@@ -756,54 +751,23 @@ fn shape_fingerprint(req: &PlanRequest) -> u64 {
     h.finish()
 }
 
-/// Wave responses a worker buffered while draining one batch.
-type PendingCompletion = (Arc<Wave<PlanResponse>>, usize, Option<PlanResponse>);
-
 /// One worker: exclusively owns shard `shard`'s state and queue.
 /// Batch-draining the queue means a burst of submissions costs one
-/// condvar wakeup; the jobs then run back-to-back without re-locking,
-/// and their wave completions are filed per wave under one lock
-/// ([`Wave::complete_many`]) after the drain. Channel replies (single
-/// submissions) still deliver immediately — a [`Ticket`] holder is
-/// waiting on each one individually.
+/// condvar wakeup; the jobs then run back-to-back without re-locking, and
+/// each reply is filed into its wave ([`Wave::complete`]) the moment its
+/// job finishes, so a [`Ticket`] holder is answered while the rest of the
+/// drained batch still runs.
 fn worker_loop(queue: &ShardQueue<Job>, shared: &Shared, shard: usize) {
     let state = &shared.shards[shard];
     let mut batch = Vec::new();
-    let mut completions: Vec<PendingCompletion> = Vec::new();
     while queue.recv_batch(&mut batch) {
-        for job in batch.drain(..) {
+        for Job { req, reply: (wave, idx), span } in batch.drain(..) {
             state.metrics.dequeue();
-            let Job { req, reply, span } = job;
             // a panicking request (malformed instance) must not kill the
-            // worker: the channel reply drops its sender (the [`Ticket`]
-            // reports the panic) and a wave slot is poisoned (the wave
-            // completes; [`Wave::wait`] reports it)
+            // worker: its slot is poisoned, the wave still completes, and
+            // the waiter reports the panic
             let result = catch_unwind(AssertUnwindSafe(|| process(shared, state, req, span)));
-            match (reply, result) {
-                (ReplyTo::Channel(tx), Ok(resp)) => {
-                    let _ = tx.send(resp);
-                }
-                (ReplyTo::Channel(tx), Err(_)) => drop(tx),
-                (ReplyTo::Wave { wave, idx }, Ok(resp)) => {
-                    completions.push((wave, idx, Some(resp)))
-                }
-                (ReplyTo::Wave { wave, idx }, Err(_)) => completions.push((wave, idx, None)),
-            }
-        }
-        // group buffered completions by wave identity and file each group
-        // in one complete_many call
-        while let Some((wave, idx, resp)) = completions.pop() {
-            let mut entries = vec![(idx, resp)];
-            let mut i = 0;
-            while i < completions.len() {
-                if Arc::ptr_eq(&completions[i].0, &wave) {
-                    let (_, idx, resp) = completions.swap_remove(i);
-                    entries.push((idx, resp));
-                } else {
-                    i += 1;
-                }
-            }
-            wave.complete_many(entries);
+            wave.complete(idx, result.ok());
         }
     }
 }
@@ -967,4 +931,17 @@ fn answer(
         deadline_met,
     };
     (resp, "ok")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_plan_probe_answers_500_for_a_poisoned_slot() {
+        let wave = Wave::new(1);
+        assert_eq!(plan_reply(&wave), None, "the worker is still running");
+        wave.complete(0, None);
+        assert_eq!(plan_reply(&wave), Some((500, wire::WORKER_FAILED_BODY.to_string())));
+    }
 }

@@ -1,10 +1,10 @@
 //! Scale-out primitives of the engine: the tenant→shard hash,
-//! the bounded per-shard job queue, batched completion waves, and the
-//! per-shard readiness verdict.
+//! the bounded per-shard job queue, the completion wave every reply is
+//! filed into, and the per-shard readiness verdict.
 //!
 //! A shard is a *single-owner* slice of the engine: one worker thread owns
 //! one shard's queue, plan/basis cache, metrics ledger and in-flight
-//! table, and every request for a tenant lands on the shard its
+//! slot, and every request for a tenant lands on the shard its
 //! [`shard_of`] hash picks. The hot submit/complete path therefore touches
 //! only shard-local locks, and the scale-out unit is a shard, not a lock.
 //!
@@ -14,10 +14,11 @@
 //!   acquisition (`ShardQueue::recv_batch`) and sleeps only when its
 //!   queue is truly empty; submitters notify only on the empty→non-empty
 //!   edge, so a burst of `n` submissions costs one wakeup, not `n`.
-//! * **wave completion** — a batch submitter waits on one `Wave`
-//!   (condvar signalled by the *last* completion) instead of `n`
-//!   per-request channels, so a burst of `n` completions also costs one
-//!   wakeup.
+//! * **wave completion** — every reply lands in one slot of a `Wave` (a
+//!   single submission is a one-slot wave), filed the moment its job
+//!   finishes; the submitter blocks on the wave's condvar, signalled by
+//!   the *last* completion only, so a burst of `n` completions also costs
+//!   one wakeup.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -68,8 +69,8 @@ struct QueueState<T> {
 /// A single-owner shard work queue: multi-producer (any submitting
 /// thread), single-consumer (the shard's worker). Bounded by admission
 /// control — [`ShardQueue::try_push`] refuses over the high-water mark —
-/// while the trusted in-process [`ShardQueue::push`] path stays
-/// infallible (its callers are waves the engine itself paces).
+/// while the trusted in-process [`ShardQueue::push_batch`] path stays
+/// infallible (its callers are submissions the engine itself paces).
 pub(crate) struct ShardQueue<T> {
     state: Mutex<QueueState<T>>,
     ready: Condvar,
@@ -87,21 +88,10 @@ impl<T> ShardQueue<T> {
         }
     }
 
-    /// Enqueue unconditionally (in-process trusted path). Notifies the
-    /// worker only on the empty→non-empty edge.
-    pub fn push(&self, job: T) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let was_empty = st.jobs.is_empty();
-        st.jobs.push_back(job);
-        drop(st);
-        if was_empty {
-            self.ready.notify_one();
-        }
-    }
-
-    /// Enqueue a whole wave's worth of jobs under one lock acquisition and
-    /// at most one wakeup — the producer half of the batch discipline that
-    /// makes a sharded submission cost O(shards) locks instead of O(jobs).
+    /// Enqueue unconditionally (the trusted in-process path): a whole
+    /// wave's worth of jobs under one lock acquisition and at most one
+    /// wakeup — the producer half of the batch discipline that makes a
+    /// sharded submission cost O(shards) locks instead of O(jobs).
     pub fn push_batch(&self, jobs: impl IntoIterator<Item = T>) {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let was_empty = st.jobs.is_empty();
@@ -169,9 +159,22 @@ struct WaveState<R> {
     poisoned: usize,
 }
 
-/// Batched completion: one condvar wakeup for a whole submission wave.
-/// Each job carries `(wave, index)`; the worker files its response into
-/// the slot and only the last completion signals the waiting submitter.
+impl<R> WaveState<R> {
+    /// The filed responses in submission order, or the poisoned-slot
+    /// count. Called once `remaining` is 0.
+    fn take(&mut self) -> Result<Vec<R>, usize> {
+        if self.poisoned > 0 {
+            return Err(self.poisoned);
+        }
+        Ok(self.slots.iter_mut().filter_map(Option::take).collect())
+    }
+}
+
+/// The engine's one completion primitive. Each job carries `(wave,
+/// index)`; the worker files its response into the slot as soon as the
+/// job finishes, and only the last completion signals the waiting
+/// submitter. A single submission is a one-slot wave, so its reply wakes
+/// its waiter at once.
 pub(crate) struct Wave<R> {
     state: Mutex<WaveState<R>>,
     done: Condvar,
@@ -189,22 +192,16 @@ impl<R> Wave<R> {
         }
     }
 
-    /// File a batch of slots under one lock acquisition — the consumer
-    /// half of the batch discipline: a worker that drained k same-wave
-    /// jobs files their responses with one lock and (when the wave ends
-    /// here) one wakeup instead of k of each. A `None` response marks a
-    /// poisoned slot (the worker panicked mid-request); the wave still
-    /// completes so the submitter is never wedged — [`Wave::wait`]
-    /// surfaces the panic instead.
-    pub fn complete_many(&self, entries: impl IntoIterator<Item = (usize, Option<R>)>) {
+    /// File slot `idx`. A `None` response marks a poisoned slot (the
+    /// worker panicked mid-request); the wave still completes so the
+    /// submitter is never wedged — [`Wave::wait`] reports the count.
+    pub fn complete(&self, idx: usize, response: Option<R>) {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        for (idx, response) in entries {
-            if response.is_none() {
-                st.poisoned += 1;
-            }
-            st.slots[idx] = response;
-            st.remaining = st.remaining.saturating_sub(1);
+        if response.is_none() {
+            st.poisoned += 1;
         }
+        st.slots[idx] = response;
+        st.remaining = st.remaining.saturating_sub(1);
         let all_done = st.remaining == 0;
         drop(st);
         if all_done {
@@ -213,35 +210,20 @@ impl<R> Wave<R> {
     }
 
     /// Block until every slot is filed, then take the responses in
-    /// submission order. Panics if any slot was poisoned — the same
-    /// contract as `Ticket::wait` on the per-request channel path.
-    pub fn wait(&self) -> Vec<R> {
+    /// submission order — or `Err` with the number of poisoned slots.
+    pub fn wait(&self) -> Result<Vec<R>, usize> {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         while st.remaining > 0 {
             st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
-        assert!(
-            st.poisoned == 0,
-            "planning worker dropped {} request(s) mid-wave (it panicked — see stderr)",
-            st.poisoned
-        );
-        st.slots.iter_mut().map(|s| s.take()).collect::<Option<Vec<R>>>().unwrap_or_default()
+        st.take()
     }
 
-    /// Non-blocking completion probe: `None` while responses are
-    /// outstanding. Panics on a poisoned slot, mirroring [`Wave::wait`].
-    #[cfg(test)]
-    pub fn try_take(&self) -> Option<Vec<R>> {
+    /// Non-blocking [`Wave::wait`]: `None` while responses are
+    /// outstanding. The `/plan` intake polls a one-slot wave with it.
+    pub fn try_take(&self) -> Option<Result<Vec<R>, usize>> {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.remaining > 0 {
-            return None;
-        }
-        assert!(
-            st.poisoned == 0,
-            "planning worker dropped {} request(s) mid-wave (it panicked — see stderr)",
-            st.poisoned
-        );
-        st.slots.iter_mut().map(|s| s.take()).collect::<Option<Vec<R>>>()
+        (st.remaining == 0).then(|| st.take())
     }
 }
 
@@ -325,9 +307,9 @@ pub(crate) mod tests {
     #[test]
     fn queue_drains_in_fifo_batches() {
         let q: ShardQueue<u32> = ShardQueue::new(0, 100);
-        for i in 0..5 {
-            q.push(i);
-        }
+        q.push_batch(0..3);
+        q.push_batch([3]);
+        q.push_batch([4]);
         assert_eq!(q.depth(), 5);
         let mut out = Vec::new();
         assert!(q.recv_batch(&mut out));
@@ -347,14 +329,14 @@ pub(crate) mod tests {
         assert_eq!(busy.high_water, 2);
         assert!(busy.retry_after_ms >= 50);
         // the trusted path still accepts
-        q.push(3);
+        q.push_batch([3]);
         assert_eq!(q.depth(), 3);
     }
 
     #[test]
     fn close_lets_the_worker_finish_then_exit() {
         let q: ShardQueue<u32> = ShardQueue::new(0, 100);
-        q.push(7);
+        q.push_batch([7]);
         q.close();
         let mut out = Vec::new();
         assert!(q.recv_batch(&mut out), "queued work is still delivered after close");
@@ -367,27 +349,29 @@ pub(crate) mod tests {
     fn wave_completes_once_and_preserves_order() {
         let w: Wave<&'static str> = Wave::new(3);
         assert!(w.try_take().is_none());
-        w.complete_many([(2, Some("c"))]);
-        w.complete_many([(0, Some("a"))]);
+        w.complete(2, Some("c"));
+        w.complete(0, Some("a"));
         assert!(w.try_take().is_none());
-        w.complete_many([(1, Some("b"))]);
-        assert_eq!(w.wait(), vec!["a", "b", "c"]);
+        w.complete(1, Some("b"));
+        assert_eq!(w.wait(), Ok(vec!["a", "b", "c"]));
     }
 
     #[test]
-    #[should_panic(expected = "panicked")]
-    fn poisoned_wave_surfaces_the_worker_panic() {
-        let w: Wave<&'static str> = Wave::new(2);
-        w.complete_many([(0, Some("a"))]);
-        w.complete_many([(1, None)]);
-        let _ = w.wait();
+    fn poisoned_wave_reports_its_poisoned_slots() {
+        let w: Wave<&'static str> = Wave::new(3);
+        w.complete(0, Some("a"));
+        w.complete(1, None);
+        assert!(w.try_take().is_none(), "a poisoned slot still counts as filed, not as done");
+        w.complete(2, None);
+        assert_eq!(w.try_take(), Some(Err(2)));
+        assert_eq!(w.wait(), Err(2));
     }
 
     #[test]
     fn a_poisoned_queue_still_admits_drains_and_closes() {
         let q: ShardQueue<u32> = ShardQueue::new(1, 3);
         poison(&q.state);
-        q.push(1);
+        q.push_batch([1]);
         assert!(q.try_push(2).is_ok());
         q.push_batch([3]);
         let (job, busy) = q.try_push(4).unwrap_err();
@@ -402,7 +386,7 @@ pub(crate) mod tests {
                 assert!(q.recv_batch(&mut got));
                 got
             });
-            q.push(5);
+            q.push_batch([5]);
             assert_eq!(consumer.join().unwrap(), [5]);
         });
         q.close();
@@ -416,9 +400,10 @@ pub(crate) mod tests {
         poison(&w.state);
         std::thread::scope(|s| {
             let submitter = s.spawn(|| w.wait());
-            w.complete_many([(2, Some("c"))]);
-            w.complete_many([(0, Some("a")), (1, Some("b"))]);
-            assert_eq!(submitter.join().unwrap(), ["a", "b", "c"]);
+            w.complete(2, Some("c"));
+            w.complete(0, Some("a"));
+            w.complete(1, Some("b"));
+            assert_eq!(submitter.join().unwrap(), Ok(vec!["a", "b", "c"]));
         });
     }
 

@@ -5,8 +5,10 @@
 //! once. The checked properties: no job is lost or duplicated across
 //! close/drain races, the consumer always terminates after `close`, the
 //! edge-notify discipline never strands a queued job, admission under a
-//! high-water mark admits exactly up to the bound, and a wave delivers
-//! every slot in submission order no matter how completions interleave.
+//! high-water mark admits exactly up to the bound, a wave delivers every
+//! slot in submission order no matter how completions interleave, and a
+//! poller of a one-slot wave (the `/plan` probe) takes the reply exactly
+//! once and never finds the wave done with its slot still empty.
 
 use std::collections::VecDeque;
 
@@ -25,12 +27,13 @@ impl Queue {
         Self { state: Mutex::new((VecDeque::new(), false)), ready: Condvar::new(), high_water }
     }
 
-    fn push(&self, job: u64) {
+    fn push_batch(&self, jobs: impl IntoIterator<Item = u64>) {
         let mut st = self.state.lock().unwrap();
         let was_empty = st.0.is_empty();
-        st.0.push_back(job);
+        st.0.extend(jobs);
+        let became_nonempty = was_empty && !st.0.is_empty();
         drop(st);
-        if was_empty {
+        if became_nonempty {
             self.ready.notify_one();
         }
     }
@@ -76,8 +79,8 @@ fn no_job_is_lost_across_close_drain_races() {
         let producer = {
             let q = Arc::clone(&q);
             loom::thread::spawn(move || {
-                q.push(1);
-                q.push(2);
+                q.push_batch([1]);
+                q.push_batch([2]);
                 q.close();
             })
         };
@@ -103,11 +106,11 @@ fn edge_notify_never_strands_a_second_producer() {
         let q = Arc::new(Queue::new(usize::MAX));
         let p1 = {
             let q = Arc::clone(&q);
-            loom::thread::spawn(move || q.push(1))
+            loom::thread::spawn(move || q.push_batch([1]))
         };
         let p2 = {
             let q = Arc::clone(&q);
-            loom::thread::spawn(move || q.push(2))
+            loom::thread::spawn(move || q.push_batch([2]))
         };
         p1.join().unwrap();
         p2.join().unwrap();
@@ -174,6 +177,13 @@ impl MiniWave {
         }
         st.0.iter().map(|s| s.expect("all slots filed")).collect()
     }
+
+    /// Non-blocking take: `None` while slots are outstanding, else every
+    /// slot's content, moved out (an emptied slot reads `None`).
+    fn try_take(&self) -> Option<Vec<Option<u64>>> {
+        let mut st = self.state.lock().unwrap();
+        (st.1 == 0).then(|| st.0.iter_mut().map(Option::take).collect())
+    }
 }
 
 #[test]
@@ -192,5 +202,30 @@ fn wave_delivers_every_slot_in_order_on_any_completion_schedule() {
         for w in workers {
             w.join().unwrap();
         }
+    });
+}
+
+#[test]
+fn a_polled_one_slot_wave_hands_its_reply_over_exactly_once() {
+    loom::model(|| {
+        let wave = Arc::new(MiniWave::new(1));
+        let worker = {
+            let w = Arc::clone(&wave);
+            loom::thread::spawn(move || w.complete(0, 42))
+        };
+        // the `/plan` probe: poll until the wave is done, then stop. The
+        // model bounds the spinning; once the worker has joined, one more
+        // poll must find the reply.
+        let mut taken = None;
+        for _ in 0..3 {
+            taken = wave.try_take();
+            if taken.is_some() {
+                break;
+            }
+        }
+        worker.join().unwrap();
+        let taken = taken.or_else(|| wave.try_take());
+        assert_eq!(taken, Some(vec![Some(42)]), "a done wave must hold its reply");
+        assert_eq!(wave.try_take(), Some(vec![None]), "the reply is handed over once");
     });
 }

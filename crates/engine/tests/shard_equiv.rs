@@ -1,13 +1,15 @@
 //! Sharding is a pure performance device: a 4-shard engine (per-worker
-//! plan cache, basis side-table, metrics ledger, and in-flight table)
+//! plan cache, basis side-table, metrics ledger, and in-flight slot)
 //! must be *indistinguishable* from the single-shard `Engine::new(1)` in
 //! what it computes. On the paper's Fig. 10–12 style evaluation instances
 //! the two must produce byte-identical plans and identical cache-hit /
 //! deadline-miss counters; any divergence is a correctness bug in the
 //! shard hand-off, not a tuning issue. Admission control (`try_submit` +
-//! 429 `Busy`) rides along.
+//! 429 `Busy`) and the reply hand-off (each reply filed as its job
+//! finishes) ride along.
 
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rrp_core::demand::DemandModel;
 use rrp_core::{CostSchedule, PlanningParams};
@@ -184,4 +186,76 @@ fn empty_batch_is_a_no_op() {
     let engine = Engine::new(2);
     assert!(engine.run_batch(Vec::new()).is_empty());
     assert_eq!(engine.metrics().completed, 0);
+}
+
+/// A capacitated two-day horizon (T = 48) at 1.15 × peak demand. Plain
+/// branch & bound does not close it, so it runs to its deadline.
+fn slow_request(tenant: &str, seed: u64, deadline: Duration) -> PlanRequest {
+    let horizon = 48;
+    let demand = DemandModel::paper_default().sample(horizon, seed);
+    let peak = demand.iter().copied().fold(0.0, f64::max);
+    let compute = (0..horizon).map(|t| 0.2 + 0.1 * ((t % 24) as f64 / 24.0)).collect();
+    PlanRequest {
+        app_id: tenant.into(),
+        vm_class: "m1.small".into(),
+        schedule: CostSchedule::ec2(compute, demand, &CostRates::ec2_2011()),
+        params: PlanningParams { capacity: Some(1.15 * peak), ..Default::default() },
+        tree: None,
+        policy: PolicyKind::Deterministic,
+        deadline,
+        seed,
+    }
+}
+
+/// Spin (politely) until `cond` holds; fails the test after 10 s.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < give_up, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn a_ticket_is_answered_while_the_batch_drained_with_it_still_runs() {
+    let engine = Arc::new(Engine::new(1));
+    let deadline = Duration::from_secs(2);
+    let first = engine.submit(slow_request("slow-a", 1048, deadline));
+    wait_until("the worker takes the slow request", || engine.metrics().queue_depth == 0);
+
+    // behind it, on the one worker's queue: a fast ticket, then a slow
+    // batch job — the worker drains both together once the first is done
+    let fast_req = paper_request(VmClass::M1Large, 0, 24);
+    let fast = engine.submit(fast_req.clone());
+    let batch = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || {
+            let responses = engine.run_batch(vec![slow_request("slow-b", 2048, deadline)]);
+            (responses, Instant::now())
+        })
+    };
+    // counted just before each push lands; slow-a holds the worker for its
+    // whole deadline, far longer than that gap
+    wait_until("both are queued", || engine.metrics().queue_depth == 2);
+
+    let fast_resp = fast.wait();
+    let answered = Instant::now();
+    assert!(fast_resp.expect_plan().is_feasible(&fast_req.schedule, &fast_req.params, 1e-6));
+    let (slow, batch_done) = batch.join().expect("the batch submitter");
+    assert_eq!(slow.len(), 1);
+    assert!(slow[0].plan.is_some());
+    assert!(
+        slow[0].latency >= deadline / 2,
+        "the batch job must be slow for this test to mean anything: {:?}",
+        slow[0].latency
+    );
+    // the batch job ran after the ticket's job: answered as it finished,
+    // the ticket is ≈ one slow solve ahead of the batch
+    let lead = batch_done.duration_since(answered);
+    assert!(
+        lead >= deadline / 2,
+        "the ticket must be answered as its job finishes, not with the drained batch: \
+         it led the batch by only {lead:?}"
+    );
+    assert!(first.wait().plan.is_some());
 }

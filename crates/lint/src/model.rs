@@ -16,7 +16,7 @@ use std::fs;
 use std::path::Path;
 
 use crate::lexer::{Tok, TokKind};
-use crate::parse::{parse_file, FnDef, ParsedFile, StructDef};
+use crate::parse::{parse_file, FnDef, ParsedFile};
 
 /// Identifies a function: (file index, fn index within that file).
 pub type FnId = (usize, usize);
@@ -113,14 +113,6 @@ impl Workspace {
                 collect_rs(&krate.join("src"), root, &crate_name, &mut files)?;
             }
         }
-        Ok(Self::from_files(files))
-    }
-
-    /// Load a single source directory as one crate — fixture trees and
-    /// tests use this.
-    pub fn load_dir(dir: &Path, crate_name: &str) -> std::io::Result<Self> {
-        let mut files = Vec::new();
-        collect_rs(dir, dir, crate_name, &mut files)?;
         Ok(Self::from_files(files))
     }
 
@@ -401,11 +393,6 @@ impl Workspace {
 
     pub fn fn_def(&self, id: FnId) -> &FnDef {
         &self.files[id.0].fns[id.1]
-    }
-
-    pub fn struct_def(&self, name: &str) -> Option<&StructDef> {
-        let &(fi, si) = self.structs.get(name)?.first()?;
-        Some(&self.files[fi].structs[si])
     }
 }
 

@@ -34,13 +34,6 @@ impl SparseVec {
     pub fn is_empty(&self) -> bool {
         self.idx.is_empty()
     }
-
-    /// Scatter into a dense vector (which must be zeroed where untouched).
-    pub fn scatter_into(&self, dense: &mut [f64]) {
-        for (&i, &v) in self.idx.iter().zip(&self.val) {
-            dense[i] += v;
-        }
-    }
 }
 
 /// Row-major mirror of a [`Csc`] matrix; entries within a row are sorted by
@@ -197,11 +190,6 @@ pub struct CscBuilder {
 impl CscBuilder {
     pub fn new(nrows: usize, ncols: usize) -> Self {
         Self { nrows, cols: vec![Vec::new(); ncols] }
-    }
-
-    pub fn add_col(&mut self) -> usize {
-        self.cols.push(Vec::new());
-        self.cols.len() - 1
     }
 
     pub fn push(&mut self, row: usize, col: usize, val: f64) {

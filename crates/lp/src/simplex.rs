@@ -93,13 +93,8 @@ pub fn solve_with<E: BasisEngine>(lp: &StandardLp, engine: E) -> RawResult {
     Simplex::new(lp, engine).run().0
 }
 
-/// [`solve_sparse`] with telemetry: sampled `simplex_iter` events,
+/// [`solve_dense`] with telemetry: sampled `simplex_iter` events,
 /// `refactored` basis events, and a closing `lp_solved` into `span`.
-pub fn solve_sparse_traced(lp: &StandardLp, trace: &TraceHandle, span: SpanId) -> RawResult {
-    solve_with_traced(lp, SparseEngine::new(), trace, span)
-}
-
-/// [`solve_dense`] with telemetry.
 pub fn solve_dense_traced(lp: &StandardLp, trace: &TraceHandle, span: SpanId) -> RawResult {
     solve_with_traced(lp, DenseEngine::new(), trace, span)
 }

@@ -49,12 +49,6 @@ impl SolveBudget {
         self
     }
 
-    /// Builder-style: add a deadline to an existing budget.
-    pub fn and_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Which limit, if any, is exhausted after `nodes` expanded nodes.
     /// Node-count is checked before the clock so tests with a zero node
     /// budget are deterministic.

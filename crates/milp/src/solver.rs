@@ -147,15 +147,6 @@ impl LpStats {
             self.warm_hits as f64 / self.solves as f64
         }
     }
-
-    /// Mean simplex iterations per LP solve (0.0 when none ran).
-    pub fn mean_iterations(&self) -> f64 {
-        if self.solves == 0 {
-            0.0
-        } else {
-            self.iterations as f64 / self.solves as f64
-        }
-    }
 }
 
 #[derive(Debug, Clone)]

@@ -208,6 +208,12 @@ impl Sink for FlightRing {
         }
         ring.push_back(ev);
     }
+
+    /// Cap evictions, so the engine's `trace_dropped_events` counts the
+    /// ring's loss like any lossy sink's.
+    fn dropped_events(&self) -> u64 {
+        self.dropped()
+    }
 }
 
 pub struct FlightRecorder {
@@ -530,6 +536,7 @@ mod tests {
         }
         assert_eq!(ring.len(), 4, "hard cap holds");
         assert_eq!(ring.dropped(), 4);
+        assert_eq!(Sink::dropped_events(&ring), 4, "the pipeline sees the cap evictions");
         // an event far in the future ages everything else out
         ring.emit(&done(10_000_000, 99));
         assert_eq!(ring.len(), 1, "retention horizon pruned the rest");

@@ -108,8 +108,8 @@ const READ_DEADLINE: Duration = Duration::from_secs(5);
 /// engine enforces per-request deadlines far below this; the cap only
 /// bounds a wedged worker's hold on a connection).
 const PENDING_DEADLINE: Duration = Duration::from_secs(30);
-/// Poll timeout while any plan is pending (completion is channel-borne,
-/// not fd-borne, so it must be polled) vs. fully idle.
+/// Poll timeout while any plan is pending (the host files completion in
+/// memory, not on an fd, so it must be polled) vs. fully idle.
 const PENDING_POLL: Duration = Duration::from_millis(2);
 const IDLE_POLL: Duration = Duration::from_millis(200);
 
@@ -248,7 +248,7 @@ fn event_loop(mut poll: Poll, listener: MioListener, stop: Arc<AtomicBool>, hook
                         ConnState::Pending(..) if event.is_readable() => {
                             // drain (and detect close); a client hanging up
                             // mid-solve frees the slot, the worker's reply
-                            // lands in a dropped channel harmlessly
+                            // lands in a dropped probe's slot harmlessly
                             let mut sink = [0u8; 256];
                             match conn.stream.read(&mut sink) {
                                 Ok(0) => Step::Drop,

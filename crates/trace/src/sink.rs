@@ -1,7 +1,7 @@
-//! Event sinks: where emitted events go. All sinks are `Sync` — the
-//! parallel branch & bound emits from several lanes at once — and none may
-//! block the solver hot path (the ring buffer drops oldest instead of
-//! waiting; the JSONL writer takes one short lock per line).
+//! Event sinks: where emitted events go. All sinks are `Sync` — every
+//! engine worker emits into the same sink at once — and none may block
+//! the solver hot path (the ring buffer drops oldest instead of waiting;
+//! the JSONL writer takes one short lock per line).
 
 use std::collections::VecDeque;
 use std::io::{BufWriter, Write};

@@ -6,8 +6,6 @@
 //!   cycles, held-lock-across-blocking, atomic-ordering audit,
 //!   unbounded growth), justified against `lint-allow.txt` (see
 //!   [`analyze`]).
-//! * `cargo run -p xtask -- lint` is the same gate under its historical
-//!   name — kept so muscle memory and old scripts keep working.
 //! * `cargo run -p xtask -- trace <file.jsonl>` renders a report from an
 //!   `rrp-trace` JSONL stream (see [`trace`]); `--assert-gap-closed` and
 //!   `--assert-warm-rate <pct>` are the CI assertion modes.
@@ -51,7 +49,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => analyze::run(&args[1..]),
-        Some("lint") => analyze::run(&args[1..]),
         Some("trace") => trace::run(&args[1..]),
         Some("watch") => watch::run(&args[1..]),
         Some("benchdiff") => benchdiff::run(&args[1..]),
